@@ -29,44 +29,10 @@ use symtensor_parallel::bounds;
 use symtensor_parallel::hopm::parallel_hopm;
 use symtensor_parallel::schedule::spherical_round_count;
 use symtensor_parallel::{
-    parallel_sttsv, parallel_sttsv_multi, parallel_sttsv_overlapped_traced,
-    parallel_sttsv_planned_traced, parallel_sttsv_traced, CommSchedule, Mode, SttsvRun,
-    TetraPartition,
+    parallel_sttsv, parallel_sttsv_multi_planned, parallel_sttsv_with, CommSchedule, Mode,
+    SttsvOptions, SttsvRun, TetraPartition,
 };
 use symtensor_steiner::spherical;
-
-/// Counting global allocator: E12 reports measured heap allocations per
-/// STTSV iteration for the legacy vs compiled-plan paths. Counting is a
-/// single relaxed atomic increment; every other experiment is unaffected.
-mod alloc_counter {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    pub struct Counting;
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            unsafe { System.alloc(layout) }
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    #[global_allocator]
-    static ALLOCATOR: Counting = Counting;
-
-    /// Total heap allocations (allocs + reallocs) so far, process-wide.
-    pub fn count() -> u64 {
-        ALLOCS.load(Ordering::Relaxed)
-    }
-}
 
 fn main() {
     let (sink, rest) = ObsSink::from_args(std::env::args().skip(1));
@@ -74,7 +40,6 @@ fn main() {
     // distributed batched run): worker threads per rank and batch size.
     let mut threads = 1usize;
     let mut batch = 4usize;
-    let mut plan = false;
     let mut flight = false;
     let mut positional: Vec<String> = Vec::new();
     let mut it = rest.into_iter();
@@ -88,7 +53,6 @@ fn main() {
                 let v = it.next().expect("--batch needs a value");
                 batch = v.parse().expect("--batch expects a positive integer");
             }
-            "--plan" => plan = true,
             "--flight" => flight = true,
             _ => positional.push(a),
         }
@@ -104,7 +68,7 @@ fn main() {
         "seqio" => seqio(),
         "ablation" => ablation(),
         "triangle" => triangle(),
-        "kernels" => kernels(threads, batch, plan, flight),
+        "kernels" => kernels(threads, batch, flight),
         "overlap" => overlap_ab(threads),
         "chaos" => chaos(&positional[1..]),
         "telemetry" => telemetry_ab(threads),
@@ -119,13 +83,13 @@ fn main() {
             seqio();
             ablation();
             triangle();
-            kernels(threads, batch, plan, flight);
+            kernels(threads, batch, flight);
             overlap_ab(threads);
         }
         other => {
             eprintln!("unknown experiment '{other}'");
             eprintln!(
-                "usage: experiment [comm|baselines|balance|memory|schedule|hopm|seqio|ablation|kernels|overlap|telemetry|all] [--threads N] [--batch B] [--plan] [--flight] [--trace out.json] [--metrics out.json]"
+                "usage: experiment [comm|baselines|balance|memory|schedule|hopm|seqio|ablation|kernels|overlap|telemetry|all] [--threads N] [--batch B] [--flight] [--trace out.json] [--metrics out.json]"
             );
             eprintln!(
                 "       experiment chaos [--seed S] [--drop-prob P] [--crash rank@phase:round]"
@@ -403,9 +367,11 @@ fn run_alg5(
     mode: Mode,
 ) -> SttsvRun {
     if sink.enabled() {
-        let (run, traces) = parallel_sttsv_traced(tensor, part, x, mode);
-        sink.record(label, RunObservation::new(run.report.clone(), traces));
-        run
+        let opts = SttsvOptions { trace: true, ..SttsvOptions::new(mode) };
+        let mut run = parallel_sttsv_with(tensor, part, std::slice::from_ref(&x), opts)
+            .expect("inputs match the partition");
+        sink.record(label, RunObservation::new(run.report.clone(), run.traces));
+        SttsvRun { y: run.ys.remove(0), report: run.report, ternary_per_rank: run.ternary_per_rank }
     } else {
         parallel_sttsv(tensor, part, x, mode)
     }
@@ -682,7 +648,7 @@ fn seqio() {
 /// per-point kernel, the work-stealing parallel panels and the batched
 /// multi-vector path, plus the distributed batched STTSV whose exchange
 /// phases amortize latency across the batch.
-fn kernels(threads: usize, batch: usize, plan: bool, flight: bool) {
+fn kernels(threads: usize, batch: usize, flight: bool) {
     use std::time::Instant;
     use symtensor_core::seq::{sttsv_sym, sttsv_sym_multi, sttsv_sym_ref};
     use symtensor_core::{sttsv_sym_par, sttsv_sym_par_multi, Pool};
@@ -761,7 +727,7 @@ fn kernels(threads: usize, batch: usize, plan: bool, flight: bool) {
         .map(|v| (0..n).map(|i| ((i + v) as f64 * 0.01).cos()).collect())
         .collect();
     let single = parallel_sttsv(&tensor, &part, &xs[0], Mode::Scheduled);
-    let multi = parallel_sttsv_multi(&tensor, &part, &xs, Mode::Scheduled, threads);
+    let multi = parallel_sttsv_multi_planned(&tensor, &part, &xs, Mode::Scheduled, threads);
     let (sw, mw) = (single.report.bandwidth_cost(), multi.report.bandwidth_cost());
     let (sr, mr) = (single.report.max_rounds(), multi.report.max_rounds());
     println!(
@@ -772,9 +738,6 @@ fn kernels(threads: usize, batch: usize, plan: bool, flight: bool) {
     assert_eq!(mr, sr, "rounds must not scale with the batch");
     println!();
 
-    if plan {
-        plan_ab(threads);
-    }
     if flight {
         flight_ab(threads);
     }
@@ -823,14 +786,21 @@ fn overlap_ab(threads: usize) {
         }
         let total = (owned_only + single + multi).max(1) as f64;
 
-        let (b_run, b_traces) =
-            parallel_sttsv_planned_traced(&tensor, &part, &x, Mode::Scheduled, threads);
-        let (o_run, o_traces) =
-            parallel_sttsv_overlapped_traced(&tensor, &part, &x, Mode::Scheduled, threads);
-        assert_eq!(o_run.y, b_run.y, "overlap must not change a single output bit");
+        let traced = |overlapped: bool| {
+            let opts = SttsvOptions {
+                threads,
+                overlapped,
+                trace: true,
+                ..SttsvOptions::new(Mode::Scheduled)
+            };
+            parallel_sttsv_with(&tensor, &part, std::slice::from_ref(&x), opts)
+                .expect("inputs match the partition")
+        };
+        let (b_run, o_run) = (traced(false), traced(true));
+        assert_eq!(o_run.ys, b_run.ys, "overlap must not change a single output bit");
         assert_eq!(o_run.report, b_run.report, "overlap must not change the cost counters");
-        let b_obs = RunObservation::new(b_run.report, b_traces);
-        let o_obs = RunObservation::new(o_run.report, o_traces);
+        let b_obs = RunObservation::new(b_run.report, b_run.traces);
+        let o_obs = RunObservation::new(o_run.report, o_run.traces);
         let (b_mat, o_mat) = (b_obs.comm_matrix(), o_obs.comm_matrix());
         for src in 0..part.num_procs() {
             for dst in 0..part.num_procs() {
@@ -943,23 +913,12 @@ fn flight_ab(threads: usize) {
                         let p = comm.rank();
                         let pool = (threads > 1).then(|| symtensor_core::Pool::new(threads));
                         let mut ctx =
-                            RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule))
-                                .with_plan();
+                            RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule));
                         if let Some(pool) = pool.as_ref() {
                             ctx = ctx.with_pool(pool);
                         }
-                        let shard_sets: Vec<Vec<Vec<f64>>> = xs
-                            .iter()
-                            .map(|x| {
-                                part.r_set(p)
-                                    .iter()
-                                    .map(|&i| {
-                                        let block = &x[part.block_range(i)];
-                                        block[part.shard_range(i, p)].to_vec()
-                                    })
-                                    .collect()
-                            })
-                            .collect();
+                        let shard_sets: Vec<Vec<Vec<f64>>> =
+                            xs.iter().map(|x| part.shards_of(p, x)).collect();
                         // Same input every iteration: the measured steady
                         // state stays numerically fixed (feeding y back in
                         // would cube the magnitudes into overflow).
@@ -973,7 +932,7 @@ fn flight_ab(threads: usize) {
                 (t0.elapsed().as_secs_f64(), results, report, flight)
             };
 
-            // Same short/long differencing as E12 to cancel setup cost.
+            // Difference a short and a long run to cancel setup cost.
             let (lo, hi) = (2usize, 12);
             let span = (hi - lo) as f64;
             let measure = |capacity: usize| {
@@ -1011,110 +970,6 @@ fn flight_ab(threads: usize) {
     println!(
         "(outputs and CostReports bit-identical on vs off ✓; wall-clock delta is single-host \
          noise-bound, the recorder's self-measured cost is the `self ns/rank` column)"
-    );
-    println!();
-}
-
-/// E12 (`kernels --plan`): compiled rank plans vs the legacy per-call hot
-/// path — steady-state time and heap allocations per iterated distributed
-/// STTSV. Setup (universe spawn, block extraction, plan compilation) is
-/// subtracted by differencing a short and a long run of the same
-/// configuration, so the numbers are the per-iteration steady state.
-fn plan_ab(threads: usize) {
-    use std::time::Instant;
-    use symtensor_mpsim::Universe;
-    use symtensor_parallel::RankContext;
-
-    println!("== E12: compiled rank plans vs legacy hot path (Mode::Scheduled) ==");
-    println!(
-        "{:>3} {:>4} {:>5} {:>6} | {:>12} {:>12} {:>8} | {:>11} {:>11}",
-        "q", "P", "n", "batch", "legacy/iter", "plan/iter", "speedup", "allocs/it", "plan a/it"
-    );
-
-    let mut rng = StdRng::seed_from_u64(1012);
-    for q in [2u64, 3, 4] {
-        let qq = q as usize;
-        let n = (qq * qq + 1) * qq * (qq + 1);
-        let part = TetraPartition::new(spherical(q), n).unwrap();
-        let tensor = random_symmetric(n, &mut rng);
-        let schedule = CommSchedule::build(&part);
-        for batch in [1usize, 8] {
-            let xs: Vec<Vec<f64>> = (0..batch)
-                .map(|v| (0..n).map(|i| ((i * 7 + v + 1) as f64 * 0.011).sin()).collect())
-                .collect();
-
-            // One measured universe run: `iters` batched STTSV iterations
-            // feeding y back in as the next x. Returns (secs, heap allocs).
-            let run_once = |use_plan: bool, iters: usize| -> (f64, u64) {
-                let a0 = alloc_counter::count();
-                let t0 = Instant::now();
-                let (_, report) = Universe::new(part.num_procs()).run(|comm| {
-                    let p = comm.rank();
-                    let pool = (threads > 1).then(|| symtensor_core::Pool::new(threads));
-                    let mut ctx =
-                        RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule));
-                    if use_plan {
-                        ctx = ctx.with_plan();
-                    }
-                    if let Some(pool) = pool.as_ref() {
-                        ctx = ctx.with_pool(pool);
-                    }
-                    let mut shard_sets: Vec<Vec<Vec<f64>>> = xs
-                        .iter()
-                        .map(|x| {
-                            part.r_set(p)
-                                .iter()
-                                .map(|&i| {
-                                    let block = &x[part.block_range(i)];
-                                    block[part.shard_range(i, p)].to_vec()
-                                })
-                                .collect()
-                        })
-                        .collect();
-                    for _ in 0..iters {
-                        let (ys, _) = ctx.sttsv_multi(comm, &shard_sets);
-                        shard_sets = ys;
-                    }
-                });
-                let secs = t0.elapsed().as_secs_f64();
-                assert!(report.bandwidth_cost() > 0);
-                (secs, alloc_counter::count() - a0)
-            };
-
-            // Difference a short and a long run to cancel setup cost,
-            // taking the best of two runs at each length to damp
-            // scheduling noise (68 simulated ranks share this machine's
-            // cores).
-            let (lo, hi) = (2usize, 12);
-            let span = (hi - lo) as f64;
-            let measure = |use_plan: bool| -> (f64, f64) {
-                let best = |iters: usize| -> (f64, u64) {
-                    let (t1, a1) = run_once(use_plan, iters);
-                    let (t2, a2) = run_once(use_plan, iters);
-                    (t1.min(t2), a1.min(a2))
-                };
-                let (t_lo, a_lo) = best(lo);
-                let (t_hi, a_hi) = best(hi);
-                (((t_hi - t_lo).max(0.0) / span) * 1e9, (a_hi - a_lo) as f64 / span)
-            };
-            let (legacy_ns, legacy_allocs) = measure(false);
-            let (plan_ns, plan_allocs) = measure(true);
-            println!(
-                "{q:>3} {:>4} {n:>5} {batch:>6} | {:>10.0}ns {:>10.0}ns {:>8.2} | {legacy_allocs:>11.0} {plan_allocs:>11.0}",
-                part.num_procs(),
-                legacy_ns,
-                plan_ns,
-                legacy_ns / plan_ns.max(1.0),
-            );
-            assert!(
-                plan_allocs < legacy_allocs,
-                "the plan must allocate strictly less per iteration"
-            );
-        }
-    }
-    println!(
-        "(per-iteration steady state, setup differenced out; allocs include the simulated \
-         transport's channel nodes, which both paths pay)"
     );
     println!();
 }

@@ -16,7 +16,7 @@ use symtensor_obs::json::Value;
 use symtensor_obs::RunObservation;
 use symtensor_parallel::baselines::{baseline_1d_words, baseline_3d_words};
 use symtensor_parallel::schedule::spherical_round_count;
-use symtensor_parallel::{bounds, parallel_sttsv, parallel_sttsv_traced, Mode, TetraPartition};
+use symtensor_parallel::{bounds, parallel_sttsv_with, Mode, SttsvOptions, TetraPartition};
 use symtensor_steiner::spherical;
 
 fn main() {
@@ -38,16 +38,15 @@ fn main() {
                 ("alltoall_padded", Mode::AllToAllPadded),
                 ("alltoall_sparse", Mode::AllToAllSparse),
             ] {
-                let run = if sink.enabled() {
-                    let (run, traces) = parallel_sttsv_traced(&tensor, &part, &x, mode);
+                let opts = SttsvOptions { trace: sink.enabled(), ..SttsvOptions::new(mode) };
+                let run = parallel_sttsv_with(&tensor, &part, std::slice::from_ref(&x), opts)
+                    .expect("inputs match the partition");
+                if sink.enabled() {
                     sink.record(
                         format!("sweep q={q} n={n} {label}"),
-                        RunObservation::new(run.report.clone(), traces),
+                        RunObservation::new(run.report.clone(), run.traces),
                     );
-                    run
-                } else {
-                    parallel_sttsv(&tensor, &part, &x, mode)
-                };
+                }
                 records.push(
                     Value::object()
                         .with("kind", "measured")

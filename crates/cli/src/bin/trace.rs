@@ -31,7 +31,7 @@ use symtensor_obs::{
 };
 use symtensor_parallel::schedule::spherical_round_count;
 use symtensor_parallel::{
-    bounds, parallel_sttsv_traced_flight, CommSchedule, Mode, TetraPartition,
+    bounds, parallel_sttsv_with, CommSchedule, Mode, SttsvOptions, TetraPartition,
 };
 use symtensor_steiner::spherical;
 
@@ -84,8 +84,10 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(4242);
     let tensor = random_symmetric(n, &mut rng);
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
-    let (run, traces, flight) = parallel_sttsv_traced_flight(&tensor, &part, &x, mode);
-    let obs = RunObservation::new(run.report.clone(), traces);
+    let opts = SttsvOptions { trace: true, ..SttsvOptions::new(mode) };
+    let run = parallel_sttsv_with(&tensor, &part, &[x], opts).expect("inputs match the partition");
+    let flight = run.flight;
+    let obs = RunObservation::new(run.report.clone(), run.traces);
 
     // Per-phase breakdown (top-level spans partition the totals exactly).
     println!("\n-- per-phase cost breakdown --");

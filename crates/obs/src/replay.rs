@@ -795,9 +795,7 @@ mod tests {
 
     #[test]
     fn overlapped_replay_shifts_gather_wait_into_hidden() {
-        use symtensor_parallel::{
-            parallel_sttsv_overlapped_traced, parallel_sttsv_planned_traced, Mode, TetraPartition,
-        };
+        use symtensor_parallel::{parallel_sttsv_with, Mode, SttsvOptions, TetraPartition};
         use symtensor_steiner::spherical;
         // One barrier and one overlapped run of the same problem at each q —
         // same messages, same bits — replayed under a model with a nonzero
@@ -817,11 +815,14 @@ mod tests {
                 }
             }
             let x: Vec<f64> = (0..n).map(|i| ((i * 5 + 2) as f64 * 0.01).cos()).collect();
-            let (b_run, b_traces) =
-                parallel_sttsv_planned_traced(&tensor, &part, &x, Mode::Scheduled, 1);
-            let (o_run, o_traces) =
-                parallel_sttsv_overlapped_traced(&tensor, &part, &x, Mode::Scheduled, 1);
-            assert_eq!(o_run.y, b_run.y, "A/B must compare identical computations");
+            let traced = |overlapped: bool| {
+                let opts =
+                    SttsvOptions { overlapped, trace: true, ..SttsvOptions::new(Mode::Scheduled) };
+                parallel_sttsv_with(&tensor, &part, std::slice::from_ref(&x), opts).unwrap()
+            };
+            let (b_run, o_run) = (traced(false), traced(true));
+            assert_eq!(o_run.ys, b_run.ys, "A/B must compare identical computations");
+            let (b_traces, o_traces) = (b_run.traces, o_run.traces);
 
             let model =
                 AlphaBetaModel { alpha: 20_000.0, beta: 50.0, gamma: 1.0, link_ns: 100_000.0 };

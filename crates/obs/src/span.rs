@@ -293,7 +293,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         use symtensor_core::generate::random_symmetric;
-        use symtensor_parallel::{parallel_sttsv_traced, Mode, TetraPartition};
+        use symtensor_parallel::{parallel_sttsv_with, Mode, SttsvOptions, TetraPartition};
         use symtensor_steiner::spherical;
 
         let n = 30;
@@ -301,7 +301,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let tensor = random_symmetric(n, &mut rng);
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
-        let (_, traces) = parallel_sttsv_traced(&tensor, &part, &x, Mode::Scheduled);
+        let opts = SttsvOptions { trace: true, ..SttsvOptions::new(Mode::Scheduled) };
+        let traces = parallel_sttsv_with(&tensor, &part, &[x], opts).unwrap().traces;
 
         let all = spans(&traces);
         // Every rank opens exactly one compute:kernel span, nested at depth
@@ -364,12 +365,8 @@ mod tests {
 
         let (_, _, traces) = Universe::new(part.num_procs()).run_traced(|comm| {
             let p = comm.rank();
-            let ctx = RankContext::new(&tensor, &part, p, Mode::AllToAllSparse, None).with_plan();
-            let mut shards: Vec<Vec<f64>> = part
-                .r_set(p)
-                .iter()
-                .map(|&i| x[part.block_range(i)][part.shard_range(i, p)].to_vec())
-                .collect();
+            let ctx = RankContext::new(&tensor, &part, p, Mode::AllToAllSparse, None);
+            let mut shards = part.shards_of(p, &x);
             for _ in 0..iterations {
                 let (y, _) = ctx.sttsv(comm, &shards);
                 shards = y;

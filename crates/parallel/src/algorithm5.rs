@@ -10,6 +10,14 @@
 //! 3. **Reduce y** — send each peer its shard of the partial `y` row blocks
 //!    and sum the incoming partials (lines 38–50).
 //!
+//! Every call runs on the rank's compiled [`RankPlan`]: the owned blocks
+//! packed into one arena, every message layout precomputed. A batch of
+//! `B` vectors moves through one exchange pair whose messages carry the
+//! `B` pieces back-to-back; a single vector is a batch of one, and an
+//! `r`-column MTTKRP is a batch of `r`. The overlapped engine
+//! ([`RankContext::sttsv_overlapped`]) runs the same three phases with
+//! compute pipelined behind the gather.
+//!
 //! Communication modes:
 //!
 //! * [`Mode::Scheduled`] — direct point-to-point exchanges following the
@@ -25,9 +33,9 @@
 
 use crate::blocks::OwnedBlocks;
 use crate::partition::TetraPartition;
-use crate::plan::{ExchangeKind, PlanWorkspace, RankPlan};
-use crate::schedule::{shared_row_blocks, CommSchedule};
-use std::cell::{OnceCell, RefCell};
+use crate::plan::{ExchangeKind, OverlapState, PlanWorkspace, RankPlan};
+use crate::schedule::CommSchedule;
+use std::cell::RefCell;
 use symtensor_core::SymTensor3;
 use symtensor_mpsim::{AllToAllEvent, Comm, CommEvent, CostReport, FlightSnapshot, Universe};
 use symtensor_pool::Pool;
@@ -61,13 +69,66 @@ pub enum Mode {
 const TAG_X: u64 = 1 << 40;
 const TAG_Y: u64 = 2 << 40;
 
+/// A driver input whose dimension does not match the data distribution.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum InputError {
+    /// The tensor is `got`-dimensional; the partition covers `expected`.
+    TensorDim {
+        /// The partition's dimension.
+        expected: usize,
+        /// The tensor's dimension.
+        got: usize,
+    },
+    /// Input vector `index` has `got` entries; the partition covers
+    /// `expected`.
+    VectorDim {
+        /// Position of the vector among the inputs.
+        index: usize,
+        /// The partition's dimension.
+        expected: usize,
+        /// The vector's length.
+        got: usize,
+    },
+}
+
+impl std::fmt::Display for InputError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            InputError::TensorDim { expected, got } => {
+                write!(f, "tensor dimension {got} does not match the partition's {expected}")
+            }
+            InputError::VectorDim { index, expected, got } => {
+                write!(f, "vector {index} has {got} entries, the partition covers {expected}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for InputError {}
+
+/// The one input check every driver runs: the tensor and each vector must
+/// be `n`-dimensional.
+pub(crate) fn check_dims<'x>(
+    n: usize,
+    tensor: &SymTensor3,
+    xs: impl IntoIterator<Item = &'x [f64]>,
+) -> Result<(), InputError> {
+    if tensor.dim() != n {
+        return Err(InputError::TensorDim { expected: n, got: tensor.dim() });
+    }
+    for (index, x) in xs.into_iter().enumerate() {
+        if x.len() != n {
+            return Err(InputError::VectorDim { index, expected: n, got: x.len() });
+        }
+    }
+    Ok(())
+}
+
 /// Everything one rank needs to run STTSV repeatedly (the tensor blocks are
 /// extracted once and reused across iterations, e.g. by HOPM).
 pub struct RankContext<'a> {
     /// The shared data distribution.
     pub part: &'a TetraPartition,
-    /// This rank's tensor blocks (extracted once, never communicated).
-    pub owned: OwnedBlocks,
     /// Communication strategy for the vector phases.
     pub mode: Mode,
     /// The point-to-point schedule (required for [`Mode::Scheduled`]).
@@ -76,17 +137,15 @@ pub struct RankContext<'a> {
     /// (see [`RankContext::with_pool`]); `None` runs the sequential
     /// kernels.
     pub pool: Option<&'a Pool>,
-    /// Whether `sttsv`/`sttsv_multi` route through the compiled rank plan
-    /// (see [`RankContext::with_plan`]).
-    use_plan: bool,
-    /// The lazily compiled plan (see [`RankContext::compile`]).
-    plan: OnceCell<RankPlan>,
+    /// The compiled plan, the rank's only copy of its tensor blocks.
+    plan: RankPlan,
     /// The plan's reusable flat slabs and recycled message buffers.
     plan_ws: RefCell<PlanWorkspace>,
 }
 
 impl<'a> RankContext<'a> {
-    /// Builds the context for `rank`, extracting its tensor blocks.
+    /// Builds the context for `rank`, extracting its tensor blocks
+    /// (never communicated) straight into the compiled plan's arena.
     pub fn new(
         tensor: &SymTensor3,
         part: &'a TetraPartition,
@@ -94,15 +153,26 @@ impl<'a> RankContext<'a> {
         mode: Mode,
         schedule: Option<&'a CommSchedule>,
     ) -> Self {
-        Self::from_parts(part, OwnedBlocks::extract(tensor, part, rank), mode, schedule)
+        Self::with_compiled(part, RankPlan::from_tensor(tensor, part, rank), mode, schedule)
     }
 
-    /// Assembles a context from already-extracted blocks — the receiving
-    /// end of a tensor scatter, or any caller that obtained
-    /// [`OwnedBlocks`] without the global tensor.
+    /// Assembles the context for `rank` from its already-extracted blocks —
+    /// the receiving end of a tensor scatter, or any caller that obtained
+    /// [`OwnedBlocks`] without the global tensor. The blocks are packed
+    /// into the plan's arena and released.
     pub fn from_parts(
         part: &'a TetraPartition,
         owned: OwnedBlocks,
+        rank: usize,
+        mode: Mode,
+        schedule: Option<&'a CommSchedule>,
+    ) -> Self {
+        Self::with_compiled(part, RankPlan::build(part, &owned, rank), mode, schedule)
+    }
+
+    fn with_compiled(
+        part: &'a TetraPartition,
+        plan: RankPlan,
         mode: Mode,
         schedule: Option<&'a CommSchedule>,
     ) -> Self {
@@ -112,149 +182,46 @@ impl<'a> RankContext<'a> {
         );
         RankContext {
             part,
-            owned,
             mode,
             schedule,
             pool: None,
-            use_plan: false,
-            plan: OnceCell::new(),
+            plan,
             plan_ws: RefCell::new(PlanWorkspace::new()),
         }
     }
 
     /// Attaches a shared-memory worker pool: the local-compute phase then
-    /// runs [`OwnedBlocks::compute_par`] across the pool's threads (results
-    /// bit-identical across thread counts) instead of the sequential
-    /// kernels. This is the node-level `threads` knob below the simulated
-    /// distributed machine.
+    /// splits each vector's blocks across the pool's threads (results
+    /// bit-identical across thread counts) instead of running the
+    /// sequential kernels. This is the node-level `threads` knob below the
+    /// simulated distributed machine.
     pub fn with_pool(mut self, pool: &'a Pool) -> Self {
         self.pool = Some(pool);
         self
     }
 
-    /// Routes every subsequent [`RankContext::sttsv`] /
-    /// [`RankContext::sttsv_multi`] call through the compiled rank plan:
-    /// the first call invokes [`RankContext::compile`] lazily (packing the
-    /// owned blocks into one contiguous arena and precomputing every
-    /// message layout), and the steady state thereafter performs zero heap
-    /// allocations. Results are **bit-identical** to the legacy path, and
-    /// word/message/round counts are unchanged.
-    pub fn with_plan(mut self) -> Self {
-        self.use_plan = true;
+    /// Returns the context unchanged: every call already runs on the
+    /// compiled rank plan (see [`RankContext::compile`]).
+    pub fn with_plan(self) -> Self {
         self
     }
 
-    /// Compiles (on first call) and returns this rank's [`RankPlan`]; all
-    /// later calls — and every plan-routed `sttsv`/`sttsv_multi`/HOPM
-    /// iteration — reuse it.
+    /// Returns this rank's [`RankPlan`], compiled when the context was
+    /// built: the owned blocks packed into one contiguous arena and every
+    /// message layout precomputed. Every call reuses the plan, and the
+    /// steady state performs zero heap allocations beyond the returned
+    /// output shards.
     pub fn compile(&self, rank: usize) -> &RankPlan {
-        let plan = self.plan.get_or_init(|| RankPlan::build(self.part, &self.owned, rank));
-        assert_eq!(plan.rank(), rank, "one RankContext serves one rank");
-        plan
-    }
-
-    /// The compiled plan, if [`RankContext::compile`] has run.
-    pub fn plan(&self) -> Option<&RankPlan> {
-        self.plan.get()
-    }
-
-    /// Steady-state heap events of the plan workspace (slab growth +
-    /// message-buffer promotions); flat across iterations once warm.
-    pub fn plan_fresh_allocs(&self) -> u64 {
-        self.plan_ws.borrow().fresh_allocs()
-    }
-
-    /// Runs the local ternary-multiplication kernels, on the attached pool
-    /// if any, inside a nested `compute:kernel` phase span (so traces show
-    /// the pure kernel time within the enclosing `local-compute` phase).
-    fn local_kernels(&self, comm: &Comm, x_full: &[Vec<f64>], y_acc: &mut [Vec<f64>]) -> u64 {
-        let part = self.part;
-        let p = comm.rank();
-        let rp = part.r_set(p);
-        comm.with_phase("compute:kernel", || match self.pool {
-            Some(pool) => {
-                self.owned.compute_par(x_full, y_acc, |i| rp.binary_search(&i).unwrap(), pool)
-            }
-            None => self.owned.compute(x_full, y_acc, |i| rp.binary_search(&i).unwrap()),
-        })
+        assert_eq!(self.plan.rank(), rank, "one RankContext serves one rank");
+        &self.plan
     }
 
     /// One distributed STTSV: `my_shards[t]` is this rank's shard of row
     /// block `R_p[t]` of `x`; returns this rank's shards of `y` (same
     /// keying) and the ternary-multiplication count.
     pub fn sttsv(&self, comm: &Comm, my_shards: &[Vec<f64>]) -> (Vec<Vec<f64>>, u64) {
-        if self.use_plan {
-            return self.sttsv_plan(comm, my_shards);
-        }
-        let part = self.part;
-        let p = comm.rank();
-        let rp = part.r_set(p);
-        assert_eq!(my_shards.len(), rp.len(), "one shard per owned row block");
-        let b = part.block_size();
-
-        // --- Phase 1: gather full x row blocks (Algorithm 5 lines 10-21).
-        let mut x_full: Vec<Vec<f64>> = vec![vec![0.0; b]; rp.len()];
-        for (t, &i) in rp.iter().enumerate() {
-            let range = part.shard_range(i, p);
-            debug_assert_eq!(my_shards[t].len(), range.len());
-            x_full[t][range].copy_from_slice(&my_shards[t]);
-        }
-        comm.with_phase("gather-x", || {
-            self.exchange_phase(
-                comm,
-                TAG_X,
-                1,
-                // Pack: my shard of shared row block i.
-                |_, t, _peer| my_shards[t].clone(),
-                // Unpack: the peer's shard of row block i, placed at its range.
-                |i, t, peer| {
-                    let range = part.shard_range(i, peer);
-                    (
-                        range.len(),
-                        Box::new(move |x_dst: &mut [Vec<f64>], piece: &[f64]| {
-                            x_dst[t][range.clone()].copy_from_slice(piece);
-                        }),
-                    )
-                },
-                &mut x_full,
-            )
-        });
-
-        // --- Phase 2: local ternary multiplications (lines 24-36).
-        let mut y_acc: Vec<Vec<f64>> = vec![vec![0.0; b]; rp.len()];
-        let ternary =
-            comm.with_phase("local-compute", || self.local_kernels(comm, &x_full, &mut y_acc));
-
-        // --- Phase 3: distribute and reduce partial y (lines 38-50).
-        let mut y_out: Vec<Vec<f64>> = rp
-            .iter()
-            .enumerate()
-            .map(|(t, &i)| y_acc[t][part.shard_range(i, p)].to_vec())
-            .collect();
-        comm.with_phase("reduce-y", || {
-            self.exchange_phase(
-                comm,
-                TAG_Y,
-                1,
-                // Pack: my partial of the *peer's* shard of row block i.
-                |i, t, peer| y_acc[t][part.shard_range(i, peer)].to_vec(),
-                // Unpack: a partial of *my* shard of row block i — accumulate.
-                |i, t, _peer| {
-                    let len = part.shard_range(i, p).len();
-                    (
-                        len,
-                        Box::new(move |y_dst: &mut [Vec<f64>], piece: &[f64]| {
-                            for (acc, &v) in y_dst[t].iter_mut().zip(piece) {
-                                *acc += v;
-                            }
-                        }),
-                    )
-                },
-                &mut y_out,
-            )
-        });
-
-        (y_out, ternary)
+        let (mut ys, ternary, _) = self.run_barrier(comm, std::slice::from_ref(&my_shards), None);
+        (ys.pop().expect("one output per input"), ternary)
     }
 
     /// Batched distributed STTSV: runs `B = my_shards.len()` contractions
@@ -263,237 +230,61 @@ impl<'a> RankContext<'a> {
     /// of input vector `v`; returns `ys[v][t]` keyed the same way, plus the
     /// total ternary-multiplication count (`B ×` the single-vector count).
     ///
-    /// Each peer message carries the `B` vectors' pieces back-to-back
-    /// (`width = B` in [`RankContext::exchange_phase`]), so the per-rank
-    /// **message count and round count are those of a single STTSV** while
-    /// words scale linearly with `B` — the α (latency) term of the α-β-γ
-    /// cost is amortized across the batch, exactly like the multi-vector
-    /// contractions in the Multi-TTM literature. Word counts are `B ×` the
-    /// single-vector counts in every mode (the padded collective pads each
-    /// message to `B ×` the single-vector pad).
+    /// Each peer message carries the `B` vectors' pieces back-to-back, so
+    /// the per-rank **message count and round count are those of a single
+    /// STTSV** while words scale linearly with `B` — the α (latency) term
+    /// of the α-β-γ cost is amortized across the batch, exactly like the
+    /// multi-vector contractions in the Multi-TTM literature. Word counts
+    /// are `B ×` the single-vector counts in every mode (the padded
+    /// collective pads each message to `B ×` the single-vector pad).
     pub fn sttsv_multi(
         &self,
         comm: &Comm,
         my_shards: &[Vec<Vec<f64>>],
     ) -> (Vec<Vec<Vec<f64>>>, u64) {
-        if my_shards.is_empty() {
-            return (Vec::new(), 0);
-        }
-        if self.use_plan {
-            return self.sttsv_multi_plan(comm, my_shards);
-        }
-        let part = self.part;
-        let p = comm.rank();
-        let rp = part.r_set(p);
-        let batch = my_shards.len();
-        let t_count = rp.len();
-        for (v, shards) in my_shards.iter().enumerate() {
-            assert_eq!(shards.len(), t_count, "vector {v}: one shard per owned row block");
-        }
-        let b = part.block_size();
-
-        // Batched rank state, flattened as [v * t_count + t] so it fits the
-        // `exchange_phase` state type.
-        let mut x_full: Vec<Vec<f64>> = vec![vec![0.0; b]; batch * t_count];
-        for (v, shards) in my_shards.iter().enumerate() {
-            for (t, &i) in rp.iter().enumerate() {
-                let range = part.shard_range(i, p);
-                debug_assert_eq!(shards[t].len(), range.len());
-                x_full[v * t_count + t][range].copy_from_slice(&shards[t]);
-            }
-        }
-        comm.with_phase("gather-x", || {
-            self.exchange_phase(
-                comm,
-                TAG_X,
-                batch,
-                // Pack: my shards of row block i, all vectors back-to-back.
-                |_, t, _peer| {
-                    let mut buf = Vec::new();
-                    for shards in my_shards {
-                        buf.extend_from_slice(&shards[t]);
-                    }
-                    buf
-                },
-                // Unpack: the peer's shards of row block i, per vector.
-                |i, t, peer| {
-                    let range = part.shard_range(i, peer);
-                    let len = range.len();
-                    (
-                        len * batch,
-                        Box::new(move |x_dst: &mut [Vec<f64>], piece: &[f64]| {
-                            for v in 0..batch {
-                                x_dst[v * t_count + t][range.clone()]
-                                    .copy_from_slice(&piece[v * len..(v + 1) * len]);
-                            }
-                        }),
-                    )
-                },
-                &mut x_full,
-            )
-        });
-
-        // Local compute: one kernel pass per vector over the same owned
-        // blocks (the blocks stay resident; only the vectors change).
-        let mut y_acc: Vec<Vec<f64>> = vec![vec![0.0; b]; batch * t_count];
-        let ternary = comm.with_phase("local-compute", || {
-            let mut total = 0;
-            for (xs, ys) in x_full.chunks_exact(t_count).zip(y_acc.chunks_exact_mut(t_count)) {
-                total += self.local_kernels(comm, xs, ys);
-            }
-            total
-        });
-
-        // Reduce: every vector's partial shards in one exchange.
-        let mut y_flat: Vec<Vec<f64>> = (0..batch)
-            .flat_map(|v| rp.iter().enumerate().map(move |(t, &i)| (v, t, i)).collect::<Vec<_>>())
-            .map(|(v, t, i)| y_acc[v * t_count + t][part.shard_range(i, p)].to_vec())
-            .collect();
-        comm.with_phase("reduce-y", || {
-            self.exchange_phase(
-                comm,
-                TAG_Y,
-                batch,
-                |i, t, peer| {
-                    let range = part.shard_range(i, peer);
-                    let mut buf = Vec::with_capacity(batch * range.len());
-                    for v in 0..batch {
-                        buf.extend_from_slice(&y_acc[v * t_count + t][range.clone()]);
-                    }
-                    buf
-                },
-                |i, t, _peer| {
-                    let len = part.shard_range(i, p).len();
-                    (
-                        len * batch,
-                        Box::new(move |y_dst: &mut [Vec<f64>], piece: &[f64]| {
-                            for v in 0..batch {
-                                for (acc, &val) in y_dst[v * t_count + t]
-                                    .iter_mut()
-                                    .zip(&piece[v * len..(v + 1) * len])
-                                {
-                                    *acc += val;
-                                }
-                            }
-                        }),
-                    )
-                },
-                &mut y_flat,
-            )
-        });
-
-        let ys = y_flat.chunks_exact(t_count).map(|c| c.to_vec()).collect();
+        let (ys, ternary, _) = self.run_barrier(comm, my_shards, None);
         (ys, ternary)
     }
 
-    /// [`RankContext::sttsv`] through the compiled plan: identical phases,
-    /// wire format, arithmetic and counts, but all state lives in the
-    /// plan's flat slabs and recycled buffers — zero heap allocations in
-    /// steady state (only the returned shard vectors are fresh; use
-    /// [`RankContext::sttsv_into`] to avoid even those).
-    fn sttsv_plan(&self, comm: &Comm, my_shards: &[Vec<f64>]) -> (Vec<Vec<f64>>, u64) {
-        let plan = self.compile(comm.rank());
-        let mut ws = self.plan_ws.borrow_mut();
-        let ternary = self.run_plan_single(comm, plan, &mut ws, my_shards);
-        (plan.extract(&ws, 0), ternary)
-    }
-
-    /// Fully allocation-free steady-state STTSV: like
-    /// [`RankContext::sttsv`] on the plan path, but the output shards are
-    /// written into caller-provided vectors (reused capacity). Returns the
-    /// ternary count. Requires [`RankContext::with_plan`].
-    pub fn sttsv_into(&self, comm: &Comm, my_shards: &[Vec<f64>], out: &mut [Vec<f64>]) -> u64 {
-        assert!(self.use_plan, "sttsv_into requires the plan path (with_plan)");
-        let plan = self.compile(comm.rank());
-        let mut ws = self.plan_ws.borrow_mut();
-        let ternary = self.run_plan_single(comm, plan, &mut ws, my_shards);
-        plan.extract_into(&ws, 0, out);
-        ternary
-    }
-
-    /// The three plan phases for one vector (shared by `sttsv_plan` and
-    /// `sttsv_into`).
-    fn run_plan_single(
-        &self,
-        comm: &Comm,
-        plan: &RankPlan,
-        ws: &mut PlanWorkspace,
-        my_shards: &[Vec<f64>],
-    ) -> u64 {
-        plan.ensure_capacity(ws, 1);
-        plan.load_shards(ws, 0, my_shards);
-        comm.with_phase("gather-x", || {
-            self.plan_exchange(comm, plan, ws, TAG_X, ExchangeKind::Gather, 1)
-        });
-        let ternary = comm.with_phase("local-compute", || {
-            comm.with_phase("compute:kernel", || {
-                let t = plan.compute(ws, 1, self.pool);
-                comm.annotate_counter("plan:arena_bytes", plan.arena_bytes() as u64);
-                comm.annotate_counter("plan:fresh_allocs", ws.fresh_allocs());
-                t
-            })
-        });
-        comm.with_phase("reduce-y", || {
-            self.plan_exchange(comm, plan, ws, TAG_Y, ExchangeKind::Reduce, 1)
-        });
-        ternary
-    }
-
-    /// [`RankContext::sttsv_multi`] through the compiled plan: the batch
-    /// moves through one exchange-phase pair exactly like the legacy
-    /// batched path (messages carry the `B` vectors' pieces back-to-back),
-    /// with all batch state in the flat slabs.
-    fn sttsv_multi_plan(
-        &self,
-        comm: &Comm,
-        my_shards: &[Vec<Vec<f64>>],
-    ) -> (Vec<Vec<Vec<f64>>>, u64) {
-        let batch = my_shards.len();
-        let plan = self.compile(comm.rank());
-        let mut ws = self.plan_ws.borrow_mut();
-        plan.ensure_capacity(&mut ws, batch);
-        for (v, shards) in my_shards.iter().enumerate() {
-            plan.load_shards(&mut ws, v, shards);
-        }
-        comm.with_phase("gather-x", || {
-            self.plan_exchange(comm, plan, &mut ws, TAG_X, ExchangeKind::Gather, batch)
-        });
-        let ternary = comm.with_phase("local-compute", || {
-            comm.with_phase("compute:kernel", || {
-                let t = plan.compute(&mut ws, batch, self.pool);
-                comm.annotate_counter("plan:arena_bytes", plan.arena_bytes() as u64);
-                comm.annotate_counter("plan:fresh_allocs", ws.fresh_allocs());
-                t
-            })
-        });
-        comm.with_phase("reduce-y", || {
-            self.plan_exchange(comm, plan, &mut ws, TAG_Y, ExchangeKind::Reduce, batch)
-        });
-        let ys = (0..batch).map(|v| plan.extract(&ws, v)).collect();
-        (ys, ternary)
-    }
-
-    /// [`RankContext::sttsv_multi`] on the plan path with **request-scoped
-    /// tracing**: `requests[v]` is the serving-layer id of vector `v`. The
-    /// per-vector kernel passes are annotated with their request id (so
-    /// flight-recorder records and `CommEvent`s emitted during request
-    /// `v`'s compute carry it) and individually timed; the batch-level
-    /// exchange phases are timed as a whole, since each message carries
-    /// every request's pieces back-to-back and cannot be attributed to one
-    /// request. While a request's compute runs, the attached [`Pool`]'s
-    /// workspace leases are tagged with the same id.
+    /// [`RankContext::sttsv_multi`] with **request-scoped tracing**:
+    /// `requests[v]` is the serving-layer id of vector `v`. Each vector's
+    /// kernel pass is annotated with its request id (so flight-recorder
+    /// records and `CommEvent`s emitted during request `v`'s compute carry
+    /// it) and individually timed; the batch-level exchange phases are
+    /// timed as a whole, since each message carries every request's pieces
+    /// back-to-back and cannot be attributed to one request. While a
+    /// request's compute runs, the attached [`Pool`]'s workspace leases are
+    /// tagged with the same id.
     ///
     /// Returns the outputs and ternary count of [`RankContext::sttsv_multi`]
-    /// (bit-identical — the per-vector kernel loop is the same
-    /// decomposition) plus this rank's [`BatchSpans`].
+    /// (bit-identical) plus this rank's [`BatchSpans`].
     pub fn sttsv_multi_requests(
         &self,
         comm: &Comm,
         my_shards: &[Vec<Vec<f64>>],
         requests: &[u64],
     ) -> (Vec<Vec<Vec<f64>>>, u64, BatchSpans) {
-        assert!(self.use_plan, "sttsv_multi_requests requires the plan path (with_plan)");
         assert_eq!(my_shards.len(), requests.len(), "one request id per vector");
+        self.run_barrier(comm, my_shards, Some(requests))
+    }
+
+    /// Loads the batch's shards into `ws`, growing it to the batch first.
+    fn load<S: AsRef<[Vec<f64>]>>(&self, ws: &mut PlanWorkspace, plan: &RankPlan, shards: &[S]) {
+        plan.ensure_capacity(ws, shards.len());
+        for (v, s) in shards.iter().enumerate() {
+            plan.load_shards(ws, v, s.as_ref());
+        }
+    }
+
+    /// The barrier three-phase body behind every non-overlapped call: the
+    /// batch is loaded, gathered, computed vector by vector (request-
+    /// annotated when `requests` is given), reduced and extracted.
+    fn run_barrier<S: AsRef<[Vec<f64>]>>(
+        &self,
+        comm: &Comm,
+        my_shards: &[S],
+        requests: Option<&[u64]>,
+    ) -> (Vec<Vec<Vec<f64>>>, u64, BatchSpans) {
         let batch = my_shards.len();
         let start_ns = comm.elapsed_ns();
         if batch == 0 {
@@ -501,39 +292,13 @@ impl<'a> RankContext<'a> {
         }
         let plan = self.compile(comm.rank());
         let mut ws = self.plan_ws.borrow_mut();
-        plan.ensure_capacity(&mut ws, batch);
-        for (v, shards) in my_shards.iter().enumerate() {
-            plan.load_shards(&mut ws, v, shards);
-        }
+        self.load(&mut ws, plan, my_shards);
         let gather_t0 = comm.elapsed_ns();
         comm.with_phase("gather-x", || {
             self.plan_exchange(comm, plan, &mut ws, TAG_X, ExchangeKind::Gather, batch)
         });
         let gather_ns = comm.elapsed_ns().saturating_sub(gather_t0);
-        let mut compute_ns = Vec::with_capacity(batch);
-        let ternary = comm.with_phase("local-compute", || {
-            let mut total = 0u64;
-            for (v, &request) in requests.iter().enumerate() {
-                // One request-annotated `compute:kernel` span per vector:
-                // the span's flight records (and any trace events inside)
-                // carry the request id, as do the pool's workspace leases.
-                comm.annotate_request(request);
-                if let Some(pool) = self.pool {
-                    pool.workspaces().set_request(request);
-                }
-                let t0 = comm.elapsed_ns();
-                total += comm
-                    .with_phase("compute:kernel", || plan.compute_vector(&mut ws, v, self.pool));
-                compute_ns.push(comm.elapsed_ns().saturating_sub(t0));
-                if let Some(pool) = self.pool {
-                    pool.workspaces().clear_request();
-                }
-                comm.clear_request();
-            }
-            comm.annotate_counter("plan:arena_bytes", plan.arena_bytes() as u64);
-            comm.annotate_counter("plan:fresh_allocs", ws.fresh_allocs());
-            total
-        });
+        let (ternary, compute_ns) = self.kernels(comm, plan, &mut ws, batch, requests);
         let reduce_t0 = comm.elapsed_ns();
         comm.with_phase("reduce-y", || {
             self.plan_exchange(comm, plan, &mut ws, TAG_Y, ExchangeKind::Reduce, batch)
@@ -543,6 +308,70 @@ impl<'a> RankContext<'a> {
         let spans =
             BatchSpans { start_ns, gather_ns, compute_ns, reduce_ns, end_ns: comm.elapsed_ns() };
         (ys, ternary, spans)
+    }
+
+    /// The local-compute phase over slabs `0..batch`: one `compute:kernel`
+    /// span per vector, carrying the plan's `plan:arena_bytes` /
+    /// `plan:fresh_allocs` gauges. With `requests`, vector `v`'s span (and
+    /// the pool's workspace leases) carry request id `requests[v]`.
+    /// Returns the ternary count and each vector's kernel nanoseconds.
+    fn kernels(
+        &self,
+        comm: &Comm,
+        plan: &RankPlan,
+        ws: &mut PlanWorkspace,
+        batch: usize,
+        requests: Option<&[u64]>,
+    ) -> (u64, Vec<u64>) {
+        let mut compute_ns = Vec::with_capacity(batch);
+        let ternary = comm.with_phase("local-compute", || {
+            let mut total = 0u64;
+            for v in 0..batch {
+                let request = requests.map(|ids| ids[v]);
+                if let Some(id) = request {
+                    comm.annotate_request(id);
+                    if let Some(pool) = self.pool {
+                        pool.workspaces().set_request(id);
+                    }
+                }
+                let t0 = comm.elapsed_ns();
+                total += comm.with_phase("compute:kernel", || {
+                    let t = plan.compute_vector(ws, v, self.pool);
+                    comm.annotate_counter("plan:arena_bytes", plan.arena_bytes() as u64);
+                    comm.annotate_counter("plan:fresh_allocs", ws.fresh_allocs());
+                    t
+                });
+                compute_ns.push(comm.elapsed_ns().saturating_sub(t0));
+                if request.is_some() {
+                    if let Some(pool) = self.pool {
+                        pool.workspaces().clear_request();
+                    }
+                    comm.clear_request();
+                }
+            }
+            total
+        });
+        (ternary, compute_ns)
+    }
+
+    /// Serves `n_batches` request batches back to back, each through
+    /// [`RankContext::sttsv_multi_requests`]. `form(k)` produces batch
+    /// `k`'s shards and request ids when the loop admits it.
+    pub(crate) fn sttsv_serve(
+        &self,
+        comm: &Comm,
+        n_batches: usize,
+        mut form: impl FnMut(usize) -> (Vec<Vec<Vec<f64>>>, Vec<u64>),
+    ) -> Vec<ServedBatch> {
+        (0..n_batches)
+            .map(|k| {
+                let begin_ns = comm.elapsed_ns();
+                let (shards, ids) = form(k);
+                let formed_ns = comm.elapsed_ns();
+                let (ys, ternary, spans) = self.sttsv_multi_requests(comm, &shards, &ids);
+                ServedBatch { begin_ns, formed_ns, spans, ys, ternary }
+            })
+            .collect()
     }
 
     /// Serves `n_batches` request batches through a **double-buffered
@@ -567,19 +396,8 @@ impl<'a> RankContext<'a> {
         n_batches: usize,
         mut form: impl FnMut(usize) -> (Vec<Vec<Vec<f64>>>, Vec<u64>),
     ) -> Vec<ServedBatch> {
-        assert!(self.use_plan, "sttsv_serve_pipelined requires the plan path (with_plan)");
         if self.mode != Mode::Scheduled {
-            // The collective exchanges are indivisible; serve batches
-            // back-to-back exactly like the sequential loop.
-            return (0..n_batches)
-                .map(|k| {
-                    let begin_ns = comm.elapsed_ns();
-                    let (shards, ids) = form(k);
-                    let formed_ns = comm.elapsed_ns();
-                    let (ys, ternary, spans) = self.sttsv_multi_requests(comm, &shards, &ids);
-                    ServedBatch { begin_ns, formed_ns, spans, ys, ternary }
-                })
-                .collect();
+            return self.sttsv_serve(comm, n_batches, form);
         }
         let p = comm.rank();
         let plan = self.compile(p);
@@ -593,10 +411,7 @@ impl<'a> RankContext<'a> {
             let begin_ns = comm.elapsed_ns();
             let (shards, ids) = form(k);
             let batch = shards.len();
-            plan.ensure_capacity(ws, batch);
-            for (v, s) in shards.iter().enumerate() {
-                plan.load_shards(ws, v, s);
-            }
+            self.load(ws, plan, &shards);
             let formed_ns = comm.elapsed_ns();
             comm.with_phase("gather-x", || {
                 for (round, act) in actions.iter().enumerate() {
@@ -646,28 +461,7 @@ impl<'a> RankContext<'a> {
             if k + 1 < n_batches {
                 pending[1 - cur] = Some(stage(k + 1, &mut wss[1 - cur]));
             }
-            let mut compute_ns = Vec::with_capacity(batch);
-            let ternary = comm.with_phase("local-compute", || {
-                let mut total = 0u64;
-                for (v, &request) in ids.iter().enumerate() {
-                    comm.annotate_request(request);
-                    if let Some(pool) = self.pool {
-                        pool.workspaces().set_request(request);
-                    }
-                    let t0 = comm.elapsed_ns();
-                    total += comm.with_phase("compute:kernel", || {
-                        plan.compute_vector(&mut wss[cur], v, self.pool)
-                    });
-                    compute_ns.push(comm.elapsed_ns().saturating_sub(t0));
-                    if let Some(pool) = self.pool {
-                        pool.workspaces().clear_request();
-                    }
-                    comm.clear_request();
-                }
-                comm.annotate_counter("plan:arena_bytes", plan.arena_bytes() as u64);
-                comm.annotate_counter("plan:fresh_allocs", wss[cur].fresh_allocs());
-                total
-            });
+            let (ternary, compute_ns) = self.kernels(comm, plan, &mut wss[cur], batch, Some(&ids));
             let reduce_t0 = comm.elapsed_ns();
             comm.with_phase("reduce-y", || {
                 self.plan_exchange(comm, plan, &mut wss[cur], TAG_Y, ExchangeKind::Reduce, batch)
@@ -686,46 +480,45 @@ impl<'a> RankContext<'a> {
         out
     }
 
-    /// One **overlapped** distributed STTSV through the compiled plan:
-    /// same wire format, word/message/round counts and output bits as
-    /// [`RankContext::sttsv`] on the plan path, but communication and
-    /// computation are pipelined — owned-only blocks run while the gather
-    /// messages are in flight, each dependency group runs the moment its
-    /// last x piece lands (drained in arrival order via
-    /// [`Comm::recv_any`]), and finalized scatter-y contributions flush
-    /// early in scheduled mode. Requires [`RankContext::with_plan`].
+    /// One **overlapped** distributed STTSV: same wire format,
+    /// word/message/round counts and output bits as
+    /// [`RankContext::sttsv`], but communication and computation are
+    /// pipelined — owned-only blocks run while the gather messages are in
+    /// flight, each dependency group runs the moment its last x piece
+    /// lands (drained in arrival order via [`Comm::recv_any`]), and
+    /// finalized scatter-y contributions flush early in scheduled mode.
     pub fn sttsv_overlapped(&self, comm: &Comm, my_shards: &[Vec<f64>]) -> (Vec<Vec<f64>>, u64) {
-        assert!(self.use_plan, "sttsv_overlapped requires the plan path (with_plan)");
-        let plan = self.compile(comm.rank());
-        let mut ws = self.plan_ws.borrow_mut();
-        plan.ensure_capacity(&mut ws, 1);
-        plan.load_shards(&mut ws, 0, my_shards);
-        let ternary = self.run_plan_overlapped(comm, plan, &mut ws, 1);
-        (plan.extract(&ws, 0), ternary)
+        let (mut ys, ternary) = self.run_overlapped(comm, std::slice::from_ref(&my_shards));
+        (ys.pop().expect("one output per input"), ternary)
     }
 
     /// Batched form of [`RankContext::sttsv_overlapped`]: the whole batch
     /// moves through one overlapped exchange pair, bit-identical to
-    /// [`RankContext::sttsv_multi`] on the plan path.
+    /// [`RankContext::sttsv_multi`].
     pub fn sttsv_multi_overlapped(
         &self,
         comm: &Comm,
         my_shards: &[Vec<Vec<f64>>],
     ) -> (Vec<Vec<Vec<f64>>>, u64) {
-        assert!(self.use_plan, "sttsv_multi_overlapped requires the plan path (with_plan)");
-        if my_shards.is_empty() {
+        self.run_overlapped(comm, my_shards)
+    }
+
+    /// The overlapped body behind both overlapped calls: load, run the
+    /// pipelined phases, extract.
+    fn run_overlapped<S: AsRef<[Vec<f64>]>>(
+        &self,
+        comm: &Comm,
+        my_shards: &[S],
+    ) -> (Vec<Vec<Vec<f64>>>, u64) {
+        let batch = my_shards.len();
+        if batch == 0 {
             return (Vec::new(), 0);
         }
-        let batch = my_shards.len();
         let plan = self.compile(comm.rank());
         let mut ws = self.plan_ws.borrow_mut();
-        plan.ensure_capacity(&mut ws, batch);
-        for (v, shards) in my_shards.iter().enumerate() {
-            plan.load_shards(&mut ws, v, shards);
-        }
+        self.load(&mut ws, plan, my_shards);
         let ternary = self.run_plan_overlapped(comm, plan, &mut ws, batch);
-        let ys = (0..batch).map(|v| plan.extract(&ws, v)).collect();
-        (ys, ternary)
+        ((0..batch).map(|v| plan.extract(&ws, v)).collect(), ternary)
     }
 
     /// The overlapped three-phase pipeline (see the [`crate::plan`] module
@@ -982,7 +775,7 @@ impl<'a> RankContext<'a> {
         comm: &Comm,
         plan: &RankPlan,
         ws: &mut PlanWorkspace,
-        st: &mut crate::plan::OverlapState,
+        st: &mut OverlapState,
         batch: usize,
         send_round: &[Option<u64>],
     ) {
@@ -997,10 +790,12 @@ impl<'a> RankContext<'a> {
         }
     }
 
-    /// The plan path's exchange: mirrors [`RankContext::exchange_phase`]
-    /// round for round and byte for byte, but packs from / unpacks into
-    /// the flat slabs using the precompiled piece layouts, with message
-    /// buffers drawn from (and recycled into) the workspace free list.
+    /// The barrier exchange of one phase: packs from / unpacks into the
+    /// flat slabs using the precompiled piece layouts, with message buffers
+    /// drawn from (and recycled into) the workspace free list. Scheduled
+    /// mode walks the edge-colored rounds; the all-to-all modes run one
+    /// collective, padded to `batch · pad_unit` words in
+    /// [`Mode::AllToAllPadded`], and apply arrivals in ascending peer order.
     fn plan_exchange(
         &self,
         comm: &Comm,
@@ -1061,94 +856,89 @@ impl<'a> RankContext<'a> {
             }
         }
     }
+}
 
-    /// Shared machinery for both vector phases: for every peer sharing row
-    /// blocks with this rank, send the packed pieces (one per shared block,
-    /// ascending) and apply `unpack` to the received pieces.
-    ///
-    /// `pack(i, t, peer)` produces the outgoing piece for shared row block
-    /// `i` (`t` = its position in `R_p`). `unpack(i, t, peer)` returns the
-    /// expected piece length and a closure applying it to `state`. `width`
-    /// is the number of vector columns moved together (1 for STTSV, `r`
-    /// for MTTKRP) — it scales the padded-mode uniform message size.
-    #[allow(clippy::type_complexity, clippy::needless_lifetimes)]
-    pub(crate) fn exchange_phase<'s>(
-        &'s self,
-        comm: &Comm,
-        tag_base: u64,
-        width: usize,
-        pack: impl Fn(usize, usize, usize) -> Vec<f64>,
-        unpack: impl Fn(usize, usize, usize) -> (usize, Box<dyn FnOnce(&mut [Vec<f64>], &[f64]) + 's>),
-        state: &mut [Vec<f64>],
-    ) {
-        let part = self.part;
-        let p = comm.rank();
-        let rp = part.r_set(p);
-        let pos_of = |i: usize| rp.binary_search(&i).unwrap();
+/// How [`parallel_sttsv_with`] runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SttsvOptions {
+    /// Communication strategy for the vector phases.
+    pub mode: Mode,
+    /// Worker threads per rank for the local-compute phase; `≤ 1` runs the
+    /// sequential kernels. Results are bit-identical across thread counts
+    /// above 1, and communication does not depend on it.
+    pub threads: usize,
+    /// Run the overlapped exchange engine instead of the barrier one (same
+    /// output bits and [`CostReport`]; only event timing differs).
+    pub overlapped: bool,
+    /// Also record each rank's full [`CommEvent`] log (phase-annotated
+    /// sends and receives, round annotations), ready for the
+    /// `symtensor-obs` exporters. Tracing never touches the cost counters.
+    pub trace: bool,
+}
 
-        let pack_for = |peer: usize| -> Vec<f64> {
-            let mut buf = Vec::new();
-            for i in shared_row_blocks(part, p, peer) {
-                buf.extend_from_slice(&pack(i, pos_of(i), peer));
-            }
-            buf
-        };
-        let unpack_from = |peer: usize, buf: &[f64], state: &mut [Vec<f64>]| {
-            let mut offset = 0;
-            for i in shared_row_blocks(part, p, peer) {
-                let (len, apply) = unpack(i, pos_of(i), peer);
-                apply(state, &buf[offset..offset + len]);
-                offset += len;
-            }
-        };
+impl SttsvOptions {
+    /// Barrier exchange, sequential kernels, no event log.
+    pub fn new(mode: Mode) -> Self {
+        SttsvOptions { mode, threads: 1, overlapped: false, trace: false }
+    }
+}
 
-        match self.mode {
-            Mode::Scheduled => {
-                let schedule = self.schedule.expect("scheduled mode requires a schedule");
-                for (round, act) in schedule.actions(p).iter().enumerate() {
-                    comm.annotate_round(round as u64);
-                    if let Some(dst) = act.send_to {
-                        comm.send(dst, tag_base + round as u64, pack_for(dst));
-                    }
-                    if let Some(src) = act.recv_from {
-                        let buf = comm
-                            .recv(src, tag_base + round as u64)
-                            .expect("scheduled exchange failed");
-                        unpack_from(src, &buf, state);
-                    }
-                    if act.send_to.is_some() || act.recv_from.is_some() {
-                        comm.count_round();
-                    }
-                }
-                comm.clear_round();
-            }
-            Mode::AllToAllPadded | Mode::AllToAllSparse => {
-                let p_count = part.num_procs();
-                // Uniform message size for the padded (MPI_Alltoall) mode:
-                // two shards of the largest shard size (a pair of processors
-                // shares at most two row blocks).
-                let pad_len = 2 * width * part.block_size().div_ceil(part.lambda1());
-                let mut sendbufs: Vec<Vec<f64>> = (0..p_count)
-                    .map(|peer| {
-                        if peer == p {
-                            return Vec::new();
-                        }
-                        let mut buf = pack_for(peer);
-                        if self.mode == Mode::AllToAllPadded {
-                            debug_assert!(buf.len() <= pad_len);
-                            buf.resize(pad_len, 0.0);
-                        }
-                        buf
-                    })
-                    .collect();
-                sendbufs[p] = Vec::new();
-                let recvd = comm.all_to_all_v(sendbufs).expect("all-to-all failed");
-                for (peer, buf) in recvd.iter().enumerate() {
-                    if peer != p {
-                        unpack_from(peer, buf, state);
-                    }
-                }
-            }
+/// One rank's results, the run's cost report, and whatever was recorded.
+pub(crate) type Ranks<R> = (Vec<R>, CostReport, Vec<Vec<CommEvent>>, Vec<FlightSnapshot>);
+
+/// The simulated machine every driver runs on: one [`RankContext`] per
+/// processor, with the tensor blocks extracted per rank (never
+/// communicated), the schedule built once, and an optional worker pool of
+/// `threads` threads per rank.
+pub(crate) struct Machine<'a> {
+    tensor: &'a SymTensor3,
+    part: &'a TetraPartition,
+    mode: Mode,
+    threads: usize,
+    schedule: Option<CommSchedule>,
+}
+
+impl<'a> Machine<'a> {
+    pub(crate) fn new(
+        tensor: &'a SymTensor3,
+        part: &'a TetraPartition,
+        mode: Mode,
+        threads: usize,
+    ) -> Self {
+        let schedule = (mode == Mode::Scheduled).then(|| CommSchedule::build(part));
+        Machine { tensor, part, mode, threads, schedule }
+    }
+
+    /// Runs `f` with this rank's context.
+    pub(crate) fn with_rank<R>(&self, comm: &Comm, f: impl FnOnce(&RankContext<'_>) -> R) -> R {
+        let pool = (self.threads > 1).then(|| Pool::new(self.threads));
+        let mut ctx = RankContext::new(
+            self.tensor,
+            self.part,
+            comm.rank(),
+            self.mode,
+            self.schedule.as_ref(),
+        );
+        if let Some(pool) = pool.as_ref() {
+            ctx = ctx.with_pool(pool);
+        }
+        f(&ctx)
+    }
+
+    /// Runs `f` on every rank of `universe`. The event logs are empty
+    /// unless `trace`; the flight windows are always returned.
+    pub(crate) fn run<R: Send>(
+        &self,
+        universe: Universe,
+        trace: bool,
+        f: impl Fn(&Comm, &RankContext<'_>) -> R + Sync,
+    ) -> Ranks<R> {
+        let rank_main = |comm: &Comm| self.with_rank(comm, |ctx| f(comm, ctx));
+        if trace {
+            universe.run_traced_flight(rank_main)
+        } else {
+            let (outs, report, flight) = universe.run_flight(rank_main);
+            (outs, report, Vec::new(), flight)
         }
     }
 }
@@ -1164,113 +954,6 @@ pub struct SttsvRun {
     pub ternary_per_rank: Vec<u64>,
 }
 
-/// Runs Algorithm 5 on the simulated machine: one thread per processor,
-/// with the tensor blocks extracted per-rank (never communicated) and the
-/// input/output vectors distributed per Section 6.1.2.
-///
-/// `part.dim()` must equal `tensor.dim()` and `x.len()`; use
-/// [`parallel_sttsv_padded`] for arbitrary `n`.
-///
-/// ```
-/// use symtensor_parallel::{parallel_sttsv, Mode, TetraPartition};
-/// use symtensor_core::SymTensor3;
-/// use symtensor_steiner::spherical;
-///
-/// let n = 30;                                  // m = 5 row blocks, b = 6
-/// let part = TetraPartition::new(spherical(2), n).unwrap();
-/// let mut a = SymTensor3::zeros(n);
-/// for i in 0..n { a.set(i, i, i, 1.0); }       // y_i = x_i²
-/// let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
-/// let run = parallel_sttsv(&a, &part, &x, Mode::Scheduled);
-/// assert!(run.y.iter().enumerate().all(|(i, &y)| y == (i * i) as f64));
-/// assert!(run.report.bandwidth_cost() > 0);    // vectors moved, tensor did not
-/// ```
-pub fn parallel_sttsv(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    x: &[f64],
-    mode: Mode,
-) -> SttsvRun {
-    let (run, _traces, _flight) = run_sttsv(tensor, part, x, mode, false);
-    run
-}
-
-/// Like [`parallel_sttsv`] but with per-rank event tracing enabled: also
-/// returns each rank's full [`CommEvent`] log (phase-annotated sends/recvs,
-/// round annotations from the scheduled exchanges), ready for the
-/// `symtensor-obs` exporters. The [`CostReport`] is identical to the
-/// untraced run — tracing never touches the counters.
-pub fn parallel_sttsv_traced(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    x: &[f64],
-    mode: Mode,
-) -> (SttsvRun, Vec<Vec<CommEvent>>) {
-    let (run, traces, _flight) = run_sttsv(tensor, part, x, mode, true);
-    (run, traces)
-}
-
-/// [`parallel_sttsv_traced`] plus each rank's **flight-recorder window**:
-/// the always-on bounded ring of delta-encoded send/recv/phase records the
-/// runtime keeps regardless of tracing. The snapshots feed the
-/// `symtensor-obs` flight exporters (`--flight` in the CLI); results and
-/// the [`CostReport`] are identical to the untraced run.
-pub fn parallel_sttsv_traced_flight(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    x: &[f64],
-    mode: Mode,
-) -> (SttsvRun, Vec<Vec<CommEvent>>, Vec<FlightSnapshot>) {
-    run_sttsv(tensor, part, x, mode, true)
-}
-
-fn run_sttsv(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    x: &[f64],
-    mode: Mode,
-    traced: bool,
-) -> (SttsvRun, Vec<Vec<CommEvent>>, Vec<FlightSnapshot>) {
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    assert_eq!(x.len(), n);
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let rank_main = |comm: &Comm| {
-        let p = comm.rank();
-        let ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref());
-        let my_shards: Vec<Vec<f64>> = part
-            .r_set(p)
-            .iter()
-            .map(|&i| {
-                let block = &x[part.block_range(i)];
-                block[part.shard_range(i, p)].to_vec()
-            })
-            .collect();
-        ctx.sttsv(comm, &my_shards)
-    };
-    let universe = Universe::new(p_count);
-    let (rank_results, report, traces, flight) = if traced {
-        universe.run_traced_flight(rank_main)
-    } else {
-        let (results, report) = universe.run(rank_main);
-        (results, report, Vec::new(), Vec::new())
-    };
-
-    let mut y = vec![0.0; n];
-    let mut ternary_per_rank = Vec::with_capacity(p_count);
-    for (p, (shards, ternary)) in rank_results.into_iter().enumerate() {
-        ternary_per_rank.push(ternary);
-        for (t, &i) in part.r_set(p).iter().enumerate() {
-            let global = part.block_range(i);
-            let local = part.shard_range(i, p);
-            y[global.start + local.start..global.start + local.end].copy_from_slice(&shards[t]);
-        }
-    }
-    (SttsvRun { y, report, ternary_per_rank }, traces, flight)
-}
-
 /// The result of a driver-level **batched** parallel STTSV run.
 #[derive(Clone, Debug)]
 pub struct SttsvMultiRun {
@@ -1281,6 +964,11 @@ pub struct SttsvMultiRun {
     /// Per-rank ternary-multiplication counts summed over the batch
     /// (`B ×` the single-vector counts).
     pub ternary_per_rank: Vec<u64>,
+    /// Each rank's event log; empty unless [`SttsvOptions::trace`].
+    pub traces: Vec<Vec<CommEvent>>,
+    /// Each rank's flight-recorder window: the always-on bounded ring of
+    /// delta-encoded send/recv/phase records.
+    pub flight: Vec<FlightSnapshot>,
 }
 
 /// One rank's timing decomposition of a request-annotated batch
@@ -1308,20 +996,19 @@ impl BatchSpans {
     }
 }
 
-/// One rank's measurement of a batch served through the double-buffered
-/// pipeline ([`RankContext::sttsv_serve_pipelined`]): when the batch was
-/// admitted and formed on this rank, its timing decomposition, and its
-/// outputs — the same shape the sequential serving loop records per batch.
+/// One rank's measurement of a served batch ([`RankContext::sttsv_serve_pipelined`]
+/// or the sequential serving loop): when the batch was admitted and formed
+/// on this rank, its timing decomposition, and its outputs.
 #[derive(Clone, Debug)]
 pub struct ServedBatch {
-    /// Batch admitted to the pipeline on this rank (absolute) — its queue
-    /// wait ends here.
+    /// Batch admitted on this rank (absolute) — its queue wait ends here.
     pub begin_ns: u64,
-    /// Shards extracted and loaded, gather traffic on the wire (absolute).
+    /// Shards extracted and loaded (absolute); in the pipeline, gather
+    /// traffic is on the wire too.
     pub formed_ns: u64,
-    /// The batch's timing decomposition. `gather_ns` is the *exposed*
-    /// gather time (drain only) — the pipeline's win shows up as this
-    /// shrinking relative to the sequential loop.
+    /// The batch's timing decomposition. In the pipeline `gather_ns` is the
+    /// *exposed* gather time (drain only) — the pipeline's win shows up as
+    /// this shrinking relative to the sequential loop.
     pub spans: BatchSpans,
     /// This rank's output shards, indexed `[v][t]`.
     pub ys: Vec<Vec<Vec<f64>>>,
@@ -1329,207 +1016,84 @@ pub struct ServedBatch {
     pub ternary: u64,
 }
 
-/// Runs [`RankContext::sttsv_multi`] on the simulated machine: all `B`
-/// contractions share one pair of exchange phases, so each rank's message
-/// and round counts equal a **single** STTSV while words scale with `B`.
+/// Runs Algorithm 5 on the simulated machine: one thread per processor,
+/// with the tensor blocks extracted per-rank (never communicated) and the
+/// input/output vectors distributed per Section 6.1.2.
 ///
-/// `threads > 1` additionally attaches a [`Pool`] per rank so the
-/// local-compute phase runs [`OwnedBlocks::compute_par`]
-/// (results bit-identical to the sequential kernels across thread counts).
+/// `part.dim()` must equal `tensor.dim()` and `x.len()` (panics with the
+/// [`InputError`] otherwise; [`parallel_sttsv_with`] returns it instead);
+/// use [`parallel_sttsv_padded`] for arbitrary `n`.
 ///
-/// [`OwnedBlocks::compute_par`]: crate::blocks::OwnedBlocks::compute_par
-pub fn parallel_sttsv_multi(
+/// ```
+/// use symtensor_parallel::{parallel_sttsv, Mode, TetraPartition};
+/// use symtensor_core::SymTensor3;
+/// use symtensor_steiner::spherical;
+///
+/// let n = 30;                                  // m = 5 row blocks, b = 6
+/// let part = TetraPartition::new(spherical(2), n).unwrap();
+/// let mut a = SymTensor3::zeros(n);
+/// for i in 0..n { a.set(i, i, i, 1.0); }       // y_i = x_i²
+/// let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
+/// let run = parallel_sttsv(&a, &part, &x, Mode::Scheduled);
+/// assert!(run.y.iter().enumerate().all(|(i, &y)| y == (i * i) as f64));
+/// assert!(run.report.bandwidth_cost() > 0);    // vectors moved, tensor did not
+/// ```
+pub fn parallel_sttsv(
     tensor: &SymTensor3,
     part: &TetraPartition,
-    xs: &[Vec<f64>],
+    x: &[f64],
     mode: Mode,
-    threads: usize,
-) -> SttsvMultiRun {
+) -> SttsvRun {
+    let run = parallel_sttsv_with(tensor, part, std::slice::from_ref(&x), SttsvOptions::new(mode))
+        .unwrap_or_else(|e| panic!("{e}"));
+    let SttsvMultiRun { mut ys, report, ternary_per_rank, .. } = run;
+    SttsvRun { y: ys.pop().expect("one output per input"), report, ternary_per_rank }
+}
+
+/// Runs Algorithm 5 on the simulated machine for a batch of vectors: all
+/// `B = xs.len()` contractions share one pair of exchange phases, so each
+/// rank's message and round counts equal a **single** STTSV while words
+/// scale with `B`. `opts` picks the communication mode, the per-rank worker
+/// threads, the barrier or overlapped exchange, and whether to record the
+/// event logs; none of them changes an output bit or a cost counter.
+///
+/// Returns [`InputError`] when the tensor or any vector is not
+/// `part.dim()`-dimensional.
+pub fn parallel_sttsv_with<X: AsRef<[f64]> + Sync>(
+    tensor: &SymTensor3,
+    part: &TetraPartition,
+    xs: &[X],
+    opts: SttsvOptions,
+) -> Result<SttsvMultiRun, InputError> {
     let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    for (v, x) in xs.iter().enumerate() {
-        assert_eq!(x.len(), n, "vector {v} has wrong dimension");
-    }
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let rank_main = |comm: &Comm| {
-        let p = comm.rank();
-        let pool = (threads > 1).then(|| Pool::new(threads));
-        let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref());
-        if let Some(pool) = pool.as_ref() {
-            ctx = ctx.with_pool(pool);
+    check_dims(n, tensor, xs.iter().map(AsRef::as_ref))?;
+    let machine = Machine::new(tensor, part, opts.mode, opts.threads);
+    let universe = Universe::new(part.num_procs());
+    let (outs, report, traces, flight) = machine.run(universe, opts.trace, |comm, ctx| {
+        let shards: Vec<Vec<Vec<f64>>> =
+            xs.iter().map(|x| part.shards_of(comm.rank(), x.as_ref())).collect();
+        if opts.overlapped {
+            ctx.sttsv_multi_overlapped(comm, &shards)
+        } else {
+            ctx.sttsv_multi(comm, &shards)
         }
-        let my_shards: Vec<Vec<Vec<f64>>> = xs
-            .iter()
-            .map(|x| {
-                part.r_set(p)
-                    .iter()
-                    .map(|&i| {
-                        let block = &x[part.block_range(i)];
-                        block[part.shard_range(i, p)].to_vec()
-                    })
-                    .collect()
-            })
-            .collect();
-        ctx.sttsv_multi(comm, &my_shards)
-    };
-    let universe = Universe::new(p_count);
-    let (rank_results, report) = universe.run(rank_main);
-
+    });
     let mut ys = vec![vec![0.0; n]; xs.len()];
-    let mut ternary_per_rank = Vec::with_capacity(p_count);
-    for (p, (shard_sets, ternary)) in rank_results.into_iter().enumerate() {
+    let mut ternary_per_rank = Vec::with_capacity(outs.len());
+    for (p, (shard_sets, ternary)) in outs.into_iter().enumerate() {
         ternary_per_rank.push(ternary);
-        for (v, shards) in shard_sets.into_iter().enumerate() {
-            for (t, &i) in part.r_set(p).iter().enumerate() {
-                let global = part.block_range(i);
-                let local = part.shard_range(i, p);
-                ys[v][global.start + local.start..global.start + local.end]
-                    .copy_from_slice(&shards[t]);
-            }
+        for (y, shards) in ys.iter_mut().zip(&shard_sets) {
+            part.place_shards(p, shards, y);
         }
     }
-    SttsvMultiRun { ys, report, ternary_per_rank }
+    Ok(SttsvMultiRun { ys, report, ternary_per_rank, traces, flight })
 }
 
-/// Like [`parallel_sttsv`] but with a node-level worker pool of `threads`
-/// threads attached to every rank: the distributed algorithm (and its
-/// communication costs) are unchanged, while each rank's local-compute
-/// phase runs the work-stealing block kernels. Results are bit-identical
-/// to [`parallel_sttsv`] for every thread count.
-pub fn parallel_sttsv_mt(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    x: &[f64],
-    mode: Mode,
-    threads: usize,
-) -> SttsvRun {
-    if threads <= 1 {
-        return parallel_sttsv(tensor, part, x, mode);
-    }
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    assert_eq!(x.len(), n);
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let rank_main = |comm: &Comm| {
-        let p = comm.rank();
-        let pool = Pool::new(threads);
-        let ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref()).with_pool(&pool);
-        let my_shards: Vec<Vec<f64>> = part
-            .r_set(p)
-            .iter()
-            .map(|&i| {
-                let block = &x[part.block_range(i)];
-                block[part.shard_range(i, p)].to_vec()
-            })
-            .collect();
-        ctx.sttsv(comm, &my_shards)
-    };
-    let universe = Universe::new(p_count);
-    let (rank_results, report) = universe.run(rank_main);
-
-    let mut y = vec![0.0; n];
-    let mut ternary_per_rank = Vec::with_capacity(p_count);
-    for (p, (shards, ternary)) in rank_results.into_iter().enumerate() {
-        ternary_per_rank.push(ternary);
-        for (t, &i) in part.r_set(p).iter().enumerate() {
-            let global = part.block_range(i);
-            let local = part.shard_range(i, p);
-            y[global.start + local.start..global.start + local.end].copy_from_slice(&shards[t]);
-        }
-    }
-    SttsvRun { y, report, ternary_per_rank }
-}
-
-/// Like [`parallel_sttsv_mt`] but routed through the **compiled rank
-/// plan** ([`RankContext::with_plan`]): each rank compiles its plan on the
-/// first call and the steady state is allocation-free. Results (values,
-/// ternary counts, and the full [`CostReport`]) are bit-identical to the
-/// legacy drivers for every mode and thread count.
-pub fn parallel_sttsv_planned(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    x: &[f64],
-    mode: Mode,
-    threads: usize,
-) -> SttsvRun {
-    let (run, _traces) = run_sttsv_planned(tensor, part, x, mode, threads, false);
-    run
-}
-
-/// Like [`parallel_sttsv_planned`] but with per-rank event tracing enabled,
-/// so compiled-plan runs feed the same `symtensor-obs` profiling pipeline
-/// (replay, critical path, comm matrix) as the legacy drivers. The
-/// [`CostReport`] and results are identical to the untraced planned run.
-pub fn parallel_sttsv_planned_traced(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    x: &[f64],
-    mode: Mode,
-    threads: usize,
-) -> (SttsvRun, Vec<Vec<CommEvent>>) {
-    run_sttsv_planned(tensor, part, x, mode, threads, true)
-}
-
-fn run_sttsv_planned(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    x: &[f64],
-    mode: Mode,
-    threads: usize,
-    traced: bool,
-) -> (SttsvRun, Vec<Vec<CommEvent>>) {
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    assert_eq!(x.len(), n);
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let rank_main = |comm: &Comm| {
-        let p = comm.rank();
-        let pool = (threads > 1).then(|| Pool::new(threads));
-        let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref()).with_plan();
-        if let Some(pool) = pool.as_ref() {
-            ctx = ctx.with_pool(pool);
-        }
-        let my_shards: Vec<Vec<f64>> = part
-            .r_set(p)
-            .iter()
-            .map(|&i| {
-                let block = &x[part.block_range(i)];
-                block[part.shard_range(i, p)].to_vec()
-            })
-            .collect();
-        ctx.sttsv(comm, &my_shards)
-    };
-    let universe = Universe::new(p_count);
-    let (rank_results, report, traces) = if traced {
-        universe.run_traced(rank_main)
-    } else {
-        let (results, report) = universe.run(rank_main);
-        (results, report, Vec::new())
-    };
-
-    let mut y = vec![0.0; n];
-    let mut ternary_per_rank = Vec::with_capacity(p_count);
-    for (p, (shards, ternary)) in rank_results.into_iter().enumerate() {
-        ternary_per_rank.push(ternary);
-        for (t, &i) in part.r_set(p).iter().enumerate() {
-            let global = part.block_range(i);
-            let local = part.shard_range(i, p);
-            y[global.start + local.start..global.start + local.end].copy_from_slice(&shards[t]);
-        }
-    }
-    (SttsvRun { y, report, ternary_per_rank }, traces)
-}
-
-/// [`parallel_sttsv_multi`] routed through the compiled rank plan — the
-/// high-throughput serving configuration: blocks packed once into the
-/// arena, the whole batch moving through one allocation-free exchange-
-/// phase pair. Bit-identical to [`parallel_sttsv_multi`].
+/// [`parallel_sttsv_with`] on the barrier exchange without event logs —
+/// the high-throughput serving configuration: blocks packed once into the
+/// arena, the whole batch moving through one allocation-free exchange-phase
+/// pair, `threads` workers per rank. Panics with the [`InputError`] on a
+/// dimension mismatch.
 pub fn parallel_sttsv_multi_planned(
     tensor: &SymTensor3,
     part: &TetraPartition,
@@ -1537,198 +1101,14 @@ pub fn parallel_sttsv_multi_planned(
     mode: Mode,
     threads: usize,
 ) -> SttsvMultiRun {
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    for (v, x) in xs.iter().enumerate() {
-        assert_eq!(x.len(), n, "vector {v} has wrong dimension");
-    }
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let rank_main = |comm: &Comm| {
-        let p = comm.rank();
-        let pool = (threads > 1).then(|| Pool::new(threads));
-        let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref()).with_plan();
-        if let Some(pool) = pool.as_ref() {
-            ctx = ctx.with_pool(pool);
-        }
-        let my_shards: Vec<Vec<Vec<f64>>> = xs
-            .iter()
-            .map(|x| {
-                part.r_set(p)
-                    .iter()
-                    .map(|&i| {
-                        let block = &x[part.block_range(i)];
-                        block[part.shard_range(i, p)].to_vec()
-                    })
-                    .collect()
-            })
-            .collect();
-        ctx.sttsv_multi(comm, &my_shards)
-    };
-    let universe = Universe::new(p_count);
-    let (rank_results, report) = universe.run(rank_main);
-
-    let mut ys = vec![vec![0.0; n]; xs.len()];
-    let mut ternary_per_rank = Vec::with_capacity(p_count);
-    for (p, (shard_sets, ternary)) in rank_results.into_iter().enumerate() {
-        ternary_per_rank.push(ternary);
-        for (v, shards) in shard_sets.into_iter().enumerate() {
-            for (t, &i) in part.r_set(p).iter().enumerate() {
-                let global = part.block_range(i);
-                let local = part.shard_range(i, p);
-                ys[v][global.start + local.start..global.start + local.end]
-                    .copy_from_slice(&shards[t]);
-            }
-        }
-    }
-    SttsvMultiRun { ys, report, ternary_per_rank }
-}
-
-/// [`parallel_sttsv_planned`] with the **overlapped exchange** engine:
-/// owned-only blocks compute while gather-x messages are still in flight,
-/// dependency groups fire as each peer's piece lands, and (in scheduled
-/// mode) finished y rows flush their reduce contributions early. Values,
-/// ternary counts, and the full [`CostReport`] are bit-identical to the
-/// barrier-planned run — only event *timing* differs.
-pub fn parallel_sttsv_overlapped(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    x: &[f64],
-    mode: Mode,
-    threads: usize,
-) -> SttsvRun {
-    let (run, _traces) = run_sttsv_overlapped(tensor, part, x, mode, threads, false);
-    run
-}
-
-/// Like [`parallel_sttsv_overlapped`] but with per-rank event tracing, so
-/// the overlapped pipeline feeds the same `symtensor-obs` replay/critical-
-/// path tooling as the barrier drivers (the E16 A/B study runs on this).
-pub fn parallel_sttsv_overlapped_traced(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    x: &[f64],
-    mode: Mode,
-    threads: usize,
-) -> (SttsvRun, Vec<Vec<CommEvent>>) {
-    run_sttsv_overlapped(tensor, part, x, mode, threads, true)
-}
-
-fn run_sttsv_overlapped(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    x: &[f64],
-    mode: Mode,
-    threads: usize,
-    traced: bool,
-) -> (SttsvRun, Vec<Vec<CommEvent>>) {
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    assert_eq!(x.len(), n);
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let rank_main = |comm: &Comm| {
-        let p = comm.rank();
-        let pool = (threads > 1).then(|| Pool::new(threads));
-        let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref()).with_plan();
-        if let Some(pool) = pool.as_ref() {
-            ctx = ctx.with_pool(pool);
-        }
-        let my_shards: Vec<Vec<f64>> = part
-            .r_set(p)
-            .iter()
-            .map(|&i| {
-                let block = &x[part.block_range(i)];
-                block[part.shard_range(i, p)].to_vec()
-            })
-            .collect();
-        ctx.sttsv_overlapped(comm, &my_shards)
-    };
-    let universe = Universe::new(p_count);
-    let (rank_results, report, traces) = if traced {
-        universe.run_traced(rank_main)
-    } else {
-        let (results, report) = universe.run(rank_main);
-        (results, report, Vec::new())
-    };
-
-    let mut y = vec![0.0; n];
-    let mut ternary_per_rank = Vec::with_capacity(p_count);
-    for (p, (shards, ternary)) in rank_results.into_iter().enumerate() {
-        ternary_per_rank.push(ternary);
-        for (t, &i) in part.r_set(p).iter().enumerate() {
-            let global = part.block_range(i);
-            let local = part.shard_range(i, p);
-            y[global.start + local.start..global.start + local.end].copy_from_slice(&shards[t]);
-        }
-    }
-    (SttsvRun { y, report, ternary_per_rank }, traces)
-}
-
-/// [`parallel_sttsv_multi_planned`] with the overlapped exchange engine:
-/// the whole batch pipelines through one dependency-driven gather /
-/// compute / reduce pass per rank. Bit-identical to the barrier-planned
-/// multi-vector run.
-pub fn parallel_sttsv_multi_overlapped(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    xs: &[Vec<f64>],
-    mode: Mode,
-    threads: usize,
-) -> SttsvMultiRun {
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    for (v, x) in xs.iter().enumerate() {
-        assert_eq!(x.len(), n, "vector {v} has wrong dimension");
-    }
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let rank_main = |comm: &Comm| {
-        let p = comm.rank();
-        let pool = (threads > 1).then(|| Pool::new(threads));
-        let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref()).with_plan();
-        if let Some(pool) = pool.as_ref() {
-            ctx = ctx.with_pool(pool);
-        }
-        let my_shards: Vec<Vec<Vec<f64>>> = xs
-            .iter()
-            .map(|x| {
-                part.r_set(p)
-                    .iter()
-                    .map(|&i| {
-                        let block = &x[part.block_range(i)];
-                        block[part.shard_range(i, p)].to_vec()
-                    })
-                    .collect()
-            })
-            .collect();
-        ctx.sttsv_multi_overlapped(comm, &my_shards)
-    };
-    let universe = Universe::new(p_count);
-    let (rank_results, report) = universe.run(rank_main);
-
-    let mut ys = vec![vec![0.0; n]; xs.len()];
-    let mut ternary_per_rank = Vec::with_capacity(p_count);
-    for (p, (shard_sets, ternary)) in rank_results.into_iter().enumerate() {
-        ternary_per_rank.push(ternary);
-        for (v, shards) in shard_sets.into_iter().enumerate() {
-            for (t, &i) in part.r_set(p).iter().enumerate() {
-                let global = part.block_range(i);
-                let local = part.shard_range(i, p);
-                ys[v][global.start + local.start..global.start + local.end]
-                    .copy_from_slice(&shards[t]);
-            }
-        }
-    }
-    SttsvMultiRun { ys, report, ternary_per_rank }
+    let opts = SttsvOptions { threads, ..SttsvOptions::new(mode) };
+    parallel_sttsv_with(tensor, part, xs, opts).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs Algorithm 5 for an arbitrary dimension by zero-padding the tensor
 /// and vector to [`TetraPartition::padded_dim`] (the paper's padding rule),
-/// then truncating `y`.
+/// then truncating `y`. Panics with the [`InputError`] when `x.len()` is
+/// not `tensor.dim()`.
 pub fn parallel_sttsv_padded(
     tensor: &SymTensor3,
     system: symtensor_steiner::SteinerSystem,
@@ -1736,7 +1116,7 @@ pub fn parallel_sttsv_padded(
     mode: Mode,
 ) -> SttsvRun {
     let n = tensor.dim();
-    assert_eq!(x.len(), n);
+    check_dims(n, tensor, [x]).unwrap_or_else(|e| panic!("{e}"));
     let n_pad = TetraPartition::padded_dim(&system, n);
     let part = TetraPartition::new(system, n_pad).expect("padded dimension divides");
     if n_pad == n {
@@ -1884,7 +1264,7 @@ mod tests {
             .map(|v| (0..n).map(|i| ((i * 3 + v * 11 + 1) as f64 * 0.013).sin()).collect())
             .collect();
         for mode in [Mode::Scheduled, Mode::AllToAllPadded, Mode::AllToAllSparse] {
-            let run = parallel_sttsv_multi(&tensor, &part, &xs, mode, 1);
+            let run = parallel_sttsv_multi_planned(&tensor, &part, &xs, mode, 1);
             assert_eq!(run.ys.len(), xs.len());
             for (v, x) in xs.iter().enumerate() {
                 let (y_seq, _) = sttsv_sym(&tensor, x);
@@ -1912,7 +1292,7 @@ mod tests {
             (0..batch).map(|v| (0..n).map(|i| ((i + v) as f64 * 0.01).cos()).collect()).collect();
 
         let single = parallel_sttsv(&tensor, &part, &xs[0], Mode::Scheduled);
-        let multi = parallel_sttsv_multi(&tensor, &part, &xs, Mode::Scheduled, 1);
+        let multi = parallel_sttsv_multi_planned(&tensor, &part, &xs, Mode::Scheduled, 1);
         for (p, (one, many)) in
             single.report.per_rank.iter().zip(&multi.report.per_rank).enumerate()
         {
@@ -1926,7 +1306,7 @@ mod tests {
         }
 
         let single_pad = parallel_sttsv(&tensor, &part, &xs[0], Mode::AllToAllPadded);
-        let multi_pad = parallel_sttsv_multi(&tensor, &part, &xs, Mode::AllToAllPadded, 1);
+        let multi_pad = parallel_sttsv_multi_planned(&tensor, &part, &xs, Mode::AllToAllPadded, 1);
         for (one, many) in single_pad.report.per_rank.iter().zip(&multi_pad.report.per_rank) {
             assert_eq!(many.words_sent, batch as u64 * one.words_sent);
             assert_eq!(many.msgs_sent, one.msgs_sent);
@@ -1945,9 +1325,18 @@ mod tests {
         let tensor = random_symmetric(n, &mut rng);
         let x: Vec<f64> = (0..n).map(|i| ((i * 5 + 2) as f64 * 0.017).sin()).collect();
         let base = parallel_sttsv(&tensor, &part, &x, Mode::Scheduled);
-        let pooled = parallel_sttsv_mt(&tensor, &part, &x, Mode::Scheduled, 2);
+        let pooled_run = |threads: usize| {
+            let opts = SttsvOptions { threads, ..SttsvOptions::new(Mode::Scheduled) };
+            let run = parallel_sttsv_with(&tensor, &part, std::slice::from_ref(&x), opts).unwrap();
+            SttsvRun {
+                y: run.ys[0].clone(),
+                report: run.report,
+                ternary_per_rank: run.ternary_per_rank,
+            }
+        };
+        let pooled = pooled_run(2);
         for threads in [2usize, 4, 8] {
-            let run = parallel_sttsv_mt(&tensor, &part, &x, Mode::Scheduled, threads);
+            let run = pooled_run(threads);
             assert_eq!(run.ternary_per_rank, base.ternary_per_rank);
             for i in 0..n {
                 assert!(
@@ -1972,9 +1361,9 @@ mod tests {
         let tensor = random_symmetric(n, &mut rng);
         let xs: Vec<Vec<f64>> =
             (0..2).map(|v| (0..n).map(|i| ((i * 2 + v) as f64 * 0.03).cos()).collect()).collect();
-        let seq = parallel_sttsv_multi(&tensor, &part, &xs, Mode::AllToAllSparse, 1);
-        let par4 = parallel_sttsv_multi(&tensor, &part, &xs, Mode::AllToAllSparse, 4);
-        let par8 = parallel_sttsv_multi(&tensor, &part, &xs, Mode::AllToAllSparse, 8);
+        let seq = parallel_sttsv_multi_planned(&tensor, &part, &xs, Mode::AllToAllSparse, 1);
+        let par4 = parallel_sttsv_multi_planned(&tensor, &part, &xs, Mode::AllToAllSparse, 4);
+        let par8 = parallel_sttsv_multi_planned(&tensor, &part, &xs, Mode::AllToAllSparse, 8);
         assert_eq!(seq.ternary_per_rank, par4.ternary_per_rank);
         for (a, b) in seq.ys.iter().zip(&par4.ys) {
             for (va, vb) in a.iter().zip(b) {
@@ -1994,9 +1383,23 @@ mod tests {
         let n = 30;
         let part = TetraPartition::new(spherical(2), n).unwrap();
         let tensor = SymTensor3::zeros(n);
-        let run = parallel_sttsv_multi(&tensor, &part, &[], Mode::AllToAllSparse, 1);
+        let run = parallel_sttsv_multi_planned(&tensor, &part, &[], Mode::AllToAllSparse, 1);
         assert!(run.ys.is_empty());
         assert!(run.ternary_per_rank.iter().all(|&t| t == 0));
+    }
+
+    #[test]
+    fn wrong_dimensions_return_typed_errors() {
+        let n = 30;
+        let part = TetraPartition::new(spherical(2), n).unwrap();
+        let tensor = SymTensor3::zeros(n);
+        let opts = SttsvOptions::new(Mode::Scheduled);
+        let xs = vec![vec![1.0; n], vec![1.0; n - 1]];
+        let err = parallel_sttsv_with(&tensor, &part, &xs, opts).unwrap_err();
+        assert_eq!(err, InputError::VectorDim { index: 1, expected: n, got: n - 1 });
+        let small = SymTensor3::zeros(20);
+        let err = parallel_sttsv_with(&small, &part, &xs[..1], opts).unwrap_err();
+        assert_eq!(err, InputError::TensorDim { expected: n, got: 20 });
     }
 
     #[test]

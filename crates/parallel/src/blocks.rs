@@ -54,6 +54,50 @@ pub struct OwnedBlocks {
     b: usize,
 }
 
+/// Appends block `idx`'s entries to `out` in its kind's layout (see the
+/// module docs); `b` is the block size.
+pub(crate) fn extract_block(tensor: &SymTensor3, idx: BlockIdx, b: usize, out: &mut Vec<f64>) {
+    let (gi, gj, gk) = (idx.i * b, idx.j * b, idx.k * b);
+    match idx.kind() {
+        BlockKind::OffDiagonal => {
+            for li in 0..b {
+                for lj in 0..b {
+                    for lk in 0..b {
+                        out.push(tensor.get_sorted(gi + li, gj + lj, gk + lk));
+                    }
+                }
+            }
+        }
+        BlockKind::NonCentralIIK => {
+            for li in 0..b {
+                for lj in 0..=li {
+                    for lk in 0..b {
+                        out.push(tensor.get_sorted(gi + li, gi + lj, gk + lk));
+                    }
+                }
+            }
+        }
+        BlockKind::NonCentralIKK => {
+            for li in 0..b {
+                for lj in 0..b {
+                    for lk in 0..=lj {
+                        out.push(tensor.get_sorted(gi + li, gk + lj, gk + lk));
+                    }
+                }
+            }
+        }
+        BlockKind::CentralDiagonal => {
+            for li in 0..b {
+                for lj in 0..=li {
+                    for lk in 0..=lj {
+                        out.push(tensor.get_sorted(gi + li, gi + lj, gi + lk));
+                    }
+                }
+            }
+        }
+    }
+}
+
 impl OwnedBlocks {
     /// Extracts processor `p`'s blocks from the global tensor.
     pub fn extract(tensor: &SymTensor3, part: &TetraPartition, p: usize) -> Self {
@@ -64,53 +108,8 @@ impl OwnedBlocks {
             .into_iter()
             .map(|idx| {
                 let kind = idx.kind();
-                let (gi, gj, gk) = (idx.i * b, idx.j * b, idx.k * b);
-                let data = match kind {
-                    BlockKind::OffDiagonal => {
-                        let mut data = Vec::with_capacity(b * b * b);
-                        for li in 0..b {
-                            for lj in 0..b {
-                                for lk in 0..b {
-                                    data.push(tensor.get_sorted(gi + li, gj + lj, gk + lk));
-                                }
-                            }
-                        }
-                        data
-                    }
-                    BlockKind::NonCentralIIK => {
-                        let mut data = Vec::with_capacity(b * (b + 1) / 2 * b);
-                        for li in 0..b {
-                            for lj in 0..=li {
-                                for lk in 0..b {
-                                    data.push(tensor.get_sorted(gi + li, gi + lj, gk + lk));
-                                }
-                            }
-                        }
-                        data
-                    }
-                    BlockKind::NonCentralIKK => {
-                        let mut data = Vec::with_capacity(b * b * (b + 1) / 2);
-                        for li in 0..b {
-                            for lj in 0..b {
-                                for lk in 0..=lj {
-                                    data.push(tensor.get_sorted(gi + li, gk + lj, gk + lk));
-                                }
-                            }
-                        }
-                        data
-                    }
-                    BlockKind::CentralDiagonal => {
-                        let mut data = Vec::with_capacity(b * (b + 1) * (b + 2) / 6);
-                        for li in 0..b {
-                            for lj in 0..=li {
-                                for lk in 0..=lj {
-                                    data.push(tensor.get_sorted(gi + li, gi + lj, gi + lk));
-                                }
-                            }
-                        }
-                        data
-                    }
-                };
+                let mut data = Vec::with_capacity(crate::tetra::entries_in_block(kind, b));
+                extract_block(tensor, idx, b, &mut data);
                 OwnedBlock { idx, kind, data }
             })
             .collect();
@@ -192,71 +191,18 @@ impl OwnedBlocks {
         }
         ternary
     }
-
-    /// Shared-memory parallel [`OwnedBlocks::compute`]: the rank's blocks
-    /// are split into contiguous chunks executed across `pool`'s workers,
-    /// each chunk accumulating into a zeroed partial leased from the pool's
-    /// [`symtensor_pool::WorkspacePool`] (no per-call allocation in steady
-    /// state); the partials are combined with the fixed pairwise
-    /// [`symtensor_pool::tree_reduce`] and added into `y_acc`.
-    ///
-    /// The chunk decomposition and reduction tree depend only on the block
-    /// list (never on the pool's thread count), so the result is
-    /// **bit-identical across runs and thread counts**; it can differ from
-    /// the sequential [`OwnedBlocks::compute`] only in floating-point
-    /// summation order. The returned ternary count is exactly the
-    /// sequential one.
-    pub fn compute_par<F>(
-        &self,
-        x_full: &[Vec<f64>],
-        y_acc: &mut [Vec<f64>],
-        row_pos: F,
-        pool: &symtensor_pool::Pool,
-    ) -> u64
-    where
-        F: Fn(usize) -> usize + Sync,
-    {
-        if self.blocks.is_empty() {
-            return 0;
-        }
-        let b = self.b;
-        let slots = self.slot_table(&row_pos);
-        let t_count = x_full.len();
-        let ws = pool.workspaces();
-        let mut xy = ws.lease_zeroed(2 * t_count * b);
-        let (x_flat, y_flat) = xy.split_at_mut(t_count * b);
-        for (t, row) in x_full.iter().enumerate() {
-            debug_assert_eq!(row.len(), b);
-            x_flat[t * b..t * b + b].copy_from_slice(row);
-        }
-        let blocks = &self.blocks;
-        let x_flat = &*x_flat;
-        let ternary =
-            chunked_compute_flat(blocks.len(), b, y_flat, pool, |range, partial, scratch| {
-                let mut t = 0u64;
-                for (blk, &s) in blocks[range.clone()].iter().zip(&slots[range]) {
-                    t += block_kernel_flat(blk.kind, &blk.data, b, s, x_flat, partial, scratch);
-                }
-                t
-            });
-        for (t, row) in y_acc.iter_mut().enumerate() {
-            add_into(row, &y_flat[t * b..t * b + b]);
-        }
-        ws.give_back(xy);
-        ternary
-    }
 }
 
-/// The shared chunked-parallel driver behind [`OwnedBlocks::compute_par`]
-/// and the compiled-plan pooled compute: splits `n_blocks` into
+/// The chunked-parallel driver behind the compiled plan's pooled compute:
+/// splits `n_blocks` into
 /// `min(n_blocks, MAX_COMPUTE_CHUNKS)` contiguous ranges, runs
 /// `run_range(range, partial, scratch)` per chunk into a zeroed
 /// `y.len() + 3b`-word workspace leased from the pool, tree-reduces the
 /// partials pairwise in fixed chunk order and adds the result into `y`.
 ///
-/// Because legacy and plan paths funnel through the *same* decomposition,
-/// lease discipline and reduction tree, their pooled results are bitwise
-/// equal whenever their per-block kernels are.
+/// The decomposition and reduction tree depend only on `n_blocks`, never
+/// on the pool's thread count, so pooled results are bit-identical across
+/// runs and thread counts.
 pub(crate) fn chunked_compute_flat<F>(
     n_blocks: usize,
     b: usize,
@@ -599,50 +545,6 @@ mod tests {
                 part.owned_blocks(p).iter().map(|blk| ternary_mults_in_block(blk.kind(), b)).sum();
             assert_eq!(measured, formula, "processor {p}");
             assert_eq!(measured, part.ternary_mults(p));
-        }
-    }
-
-    #[test]
-    fn compute_par_matches_compute_and_is_thread_count_invariant() {
-        use symtensor_pool::Pool;
-        let mut rng = StdRng::seed_from_u64(76);
-        let n = 40; // q = 3, b = 4: every block kind occurs.
-        let part = TetraPartition::new(spherical(3), n).unwrap();
-        let tensor = random_symmetric(n, &mut rng);
-        let b = part.block_size();
-        let x: Vec<f64> = (0..n).map(|i| ((i + 2) as f64 * 0.23).sin()).collect();
-        for p in (0..part.num_procs()).step_by(7) {
-            let owned = OwnedBlocks::extract(&tensor, &part, p);
-            let rp = part.r_set(p);
-            let x_full: Vec<Vec<f64>> =
-                rp.iter().map(|&i| x[part.block_range(i)].to_vec()).collect();
-            let pos = |i: usize| rp.binary_search(&i).unwrap();
-
-            let mut y_seq: Vec<Vec<f64>> = vec![vec![0.0; b]; rp.len()];
-            let t_seq = owned.compute(&x_full, &mut y_seq, pos);
-
-            let mut reference: Option<Vec<Vec<f64>>> = None;
-            for threads in [1usize, 2, 3, 8] {
-                let pool = Pool::new(threads);
-                let mut y_par: Vec<Vec<f64>> = vec![vec![0.0; b]; rp.len()];
-                let t_par = owned.compute_par(&x_full, &mut y_par, pos, &pool);
-                assert_eq!(t_par, t_seq, "rank {p} threads={threads}: ternary count");
-                for (t, (vp, vs)) in y_par.iter().zip(&y_seq).enumerate() {
-                    for (o, (&a, &c)) in vp.iter().zip(vs).enumerate() {
-                        assert!(
-                            (a - c).abs() <= 1e-12 * (1.0 + c.abs()),
-                            "rank {p} threads={threads} y[{t}][{o}]"
-                        );
-                    }
-                }
-                match &reference {
-                    None => reference = Some(y_par),
-                    Some(r) => assert_eq!(
-                        &y_par, r,
-                        "rank {p} threads={threads}: must be bit-identical across thread counts"
-                    ),
-                }
-            }
         }
     }
 

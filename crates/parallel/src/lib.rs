@@ -45,11 +45,8 @@ pub mod tetra;
 pub mod triangle;
 
 pub use algorithm5::{
-    parallel_sttsv, parallel_sttsv_mt, parallel_sttsv_multi, parallel_sttsv_multi_overlapped,
-    parallel_sttsv_multi_planned, parallel_sttsv_overlapped, parallel_sttsv_overlapped_traced,
-    parallel_sttsv_padded, parallel_sttsv_planned, parallel_sttsv_planned_traced,
-    parallel_sttsv_traced, parallel_sttsv_traced_flight, BatchSpans, Mode, RankContext,
-    SttsvMultiRun, SttsvRun,
+    parallel_sttsv, parallel_sttsv_multi_planned, parallel_sttsv_padded, parallel_sttsv_with,
+    BatchSpans, InputError, Mode, RankContext, SttsvMultiRun, SttsvOptions, SttsvRun,
 };
 pub use partition::TetraPartition;
 pub use plan::{BlockClass, OverlapState, PlanWorkspace, RankPlan};

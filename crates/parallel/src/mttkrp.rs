@@ -4,8 +4,9 @@
 //! Mode-1 symmetric MTTKRP `Y_{iℓ} = Σ_{jk} a_{ijk} X_{jℓ} X_{kℓ}` is one
 //! STTSV per factor column, so the tetrahedral distribution applies
 //! unchanged: each rank owns, for every row block `i ∈ R_p`, its shard of
-//! **all `r` columns**. The gather/reduce phases ship all columns together
-//! ("wide" shards), so the round structure (and hence the latency cost) is
+//! **all `r` columns**. The `r` columns run as one batch of
+//! [`RankContext::sttsv_multi`], whose messages carry every column's piece
+//! back-to-back, so the round structure (and hence the latency cost) is
 //! identical to a single STTSV while the bandwidth scales by exactly `r` —
 //! the best possible, since each column is an independent STTSV subject to
 //! the Theorem 5.2 bound.
@@ -14,15 +15,11 @@
 //! Algorithm 2 (`Y = X·[(XᵀX)∗(XᵀX)] − MTTKRP(𝓐, X)`) with the Gram matrix
 //! assembled by an `r²`-word all-reduce of per-rank partial Grams.
 
-use crate::algorithm5::{Mode, RankContext};
+use crate::algorithm5::{check_dims, Machine, Mode, RankContext};
 use crate::partition::TetraPartition;
-use crate::schedule::CommSchedule;
 use symtensor_core::ops::Matrix;
 use symtensor_core::SymTensor3;
 use symtensor_mpsim::{Comm, CostReport, Universe};
-
-const TAG_MX: u64 = 3 << 40;
-const TAG_MY: u64 = 4 << 40;
 
 impl RankContext<'_> {
     /// One distributed MTTKRP over `r` columns. `my_wide_shards[t]` holds
@@ -38,98 +35,31 @@ impl RankContext<'_> {
         let part = self.part;
         let p = comm.rank();
         let rp = part.r_set(p);
-        assert_eq!(my_wide_shards.len(), rp.len());
-        let b = part.block_size();
-
-        // --- Gather wide x row blocks: x_wide[t] is b·r long, column-major.
-        let mut x_wide: Vec<Vec<f64>> = vec![vec![0.0; b * r]; rp.len()];
-        for (t, &i) in rp.iter().enumerate() {
-            let range = part.shard_range(i, p);
-            let s = range.len();
-            assert_eq!(my_wide_shards[t].len(), s * r, "wide shard must hold r columns");
-            for col in 0..r {
-                x_wide[t][col * b + range.start..col * b + range.end]
-                    .copy_from_slice(&my_wide_shards[t][col * s..(col + 1) * s]);
-            }
+        assert_eq!(my_wide_shards.len(), rp.len(), "one wide shard per owned row block");
+        for (wide, &i) in my_wide_shards.iter().zip(rp) {
+            let s = part.shard_range(i, p).len();
+            assert_eq!(wide.len(), s * r, "wide shard must hold r columns");
         }
-        self.exchange_phase(
-            comm,
-            TAG_MX,
-            r,
-            |_, t, _peer| my_wide_shards[t].clone(),
-            |i, t, peer| {
-                let range = part.shard_range(i, peer);
-                let s = range.len();
-                (
-                    s * r,
-                    Box::new(move |x_dst: &mut [Vec<f64>], piece: &[f64]| {
-                        for col in 0..r {
-                            x_dst[t][col * b + range.start..col * b + range.end]
-                                .copy_from_slice(&piece[col * s..(col + 1) * s]);
-                        }
-                    }),
-                )
-            },
-            &mut x_wide,
-        );
-
-        // --- Compute: run the block kernels once per column.
-        let mut y_wide: Vec<Vec<f64>> = vec![vec![0.0; b * r]; rp.len()];
-        let mut ternary = 0u64;
-        for col in 0..r {
-            let x_col: Vec<Vec<f64>> =
-                x_wide.iter().map(|wide| wide[col * b..(col + 1) * b].to_vec()).collect();
-            let mut y_col: Vec<Vec<f64>> = vec![vec![0.0; b]; rp.len()];
-            ternary += self.owned.compute(&x_col, &mut y_col, |i| rp.binary_search(&i).unwrap());
-            for (t, y) in y_col.into_iter().enumerate() {
-                y_wide[t][col * b..(col + 1) * b].copy_from_slice(&y);
-            }
-        }
-
-        // --- Reduce wide y shards.
-        let mut y_out: Vec<Vec<f64>> = rp
-            .iter()
-            .enumerate()
-            .map(|(t, &i)| {
-                let range = part.shard_range(i, p);
-                let s = range.len();
-                let mut out = vec![0.0; s * r];
-                for col in 0..r {
-                    out[col * s..(col + 1) * s]
-                        .copy_from_slice(&y_wide[t][col * b + range.start..col * b + range.end]);
-                }
-                out
-            })
-            .collect();
-        self.exchange_phase(
-            comm,
-            TAG_MY,
-            r,
-            |i, t, peer| {
-                let range = part.shard_range(i, peer);
-                let s = range.len();
-                let mut buf = Vec::with_capacity(s * r);
-                for col in 0..r {
-                    buf.extend_from_slice(&y_wide[t][col * b + range.start..col * b + range.end]);
-                }
-                buf
-            },
-            |i, t, _peer| {
-                let s = part.shard_range(i, p).len();
-                (
-                    s * r,
-                    Box::new(move |y_dst: &mut [Vec<f64>], piece: &[f64]| {
-                        for (acc, &v) in y_dst[t].iter_mut().zip(piece) {
-                            *acc += v;
-                        }
-                    }),
-                )
-            },
-            &mut y_out,
-        );
-
-        (y_out, ternary)
+        let columns: Vec<Vec<Vec<f64>>> =
+            (0..r).map(|col| column(my_wide_shards, col, r)).collect();
+        let (ys, ternary) = self.sttsv_multi(comm, &columns);
+        (interleave(&ys, rp.len()), ternary)
     }
+}
+
+/// Column `col` of `r`-column wide shards.
+fn column(wide: &[Vec<f64>], col: usize, r: usize) -> Vec<Vec<f64>> {
+    wide.iter()
+        .map(|w| {
+            let s = w.len() / r;
+            w[col * s..(col + 1) * s].to_vec()
+        })
+        .collect()
+}
+
+/// Wide shards (column-major) from per-column shards `columns[col][t]`.
+fn interleave(columns: &[Vec<Vec<f64>>], t_count: usize) -> Vec<Vec<f64>> {
+    (0..t_count).map(|t| columns.iter().flat_map(|c| c[t].iter().copied()).collect()).collect()
 }
 
 /// Result of a driver-level parallel MTTKRP / CP-gradient run.
@@ -143,44 +73,39 @@ pub struct MttkrpRun {
     pub ternary_per_rank: Vec<u64>,
 }
 
-/// Slices rank `p`'s wide shards of a replicated `n × r` matrix.
-fn wide_shards(part: &TetraPartition, p: usize, mat: &Matrix) -> Vec<Vec<f64>> {
-    let r = mat.cols();
-    part.r_set(p)
-        .iter()
-        .map(|&i| {
-            let global = part.block_range(i);
-            let local = part.shard_range(i, p);
-            let s = local.len();
-            let mut shard = Vec::with_capacity(s * r);
-            for col in 0..r {
-                for off in local.clone() {
-                    shard.push(mat.get(global.start + off, col));
-                }
-            }
-            let _ = s;
-            shard
-        })
-        .collect()
-}
-
-/// Assembles rank results (wide y shards) into an `n × r` matrix.
-fn assemble(part: &TetraPartition, r: usize, rank_shards: Vec<(usize, Vec<Vec<f64>>)>) -> Matrix {
+/// Runs `per_rank(comm, ctx, columns)` on every rank, `columns[col][t]`
+/// being the rank's shard of row block `R_p[t]` of column `col` of `x_mat`,
+/// and assembles the per-column output shards each rank returns (same
+/// keying) into an `n × r` matrix. Panics with the
+/// [`InputError`](crate::InputError) when the tensor or a column of `x_mat`
+/// is not `part.dim()`-dimensional.
+fn run_columns(
+    tensor: &SymTensor3,
+    part: &TetraPartition,
+    x_mat: &Matrix,
+    mode: Mode,
+    per_rank: impl Fn(&Comm, &RankContext<'_>, Vec<Vec<Vec<f64>>>) -> (Vec<Vec<Vec<f64>>>, u64) + Sync,
+) -> MttkrpRun {
     let n = part.dim();
+    let r = x_mat.cols();
+    let x_cols: Vec<Vec<f64>> = (0..r).map(|col| x_mat.col(col)).collect();
+    check_dims(n, tensor, x_cols.iter().map(Vec::as_slice)).unwrap_or_else(|e| panic!("{e}"));
+    let machine = Machine::new(tensor, part, mode, 1);
+    let (rank_results, report, _, _) =
+        machine.run(Universe::new(part.num_procs()), false, |comm, ctx| {
+            let p = comm.rank();
+            per_rank(comm, ctx, x_cols.iter().map(|x| part.shards_of(p, x)).collect())
+        });
     let mut y = Matrix::zeros(n, r);
-    for (p, shards) in rank_shards {
-        for (t, &i) in part.r_set(p).iter().enumerate() {
-            let global = part.block_range(i);
-            let local = part.shard_range(i, p);
-            let s = local.len();
-            for col in 0..r {
-                for (off_idx, off) in local.clone().enumerate() {
-                    y.set(global.start + off, col, shards[t][col * s + off_idx]);
-                }
-            }
+    let mut y_col = vec![0.0; n];
+    for col in 0..r {
+        for (p, (columns, _)) in rank_results.iter().enumerate() {
+            part.place_shards(p, &columns[col], &mut y_col);
         }
+        y.set_col(col, &y_col);
     }
-    y
+    let ternary_per_rank = rank_results.iter().map(|&(_, ternary)| ternary).collect();
+    MttkrpRun { y, report, ternary_per_rank }
 }
 
 /// Runs the distributed symmetric MTTKRP on the simulated machine.
@@ -190,27 +115,7 @@ pub fn parallel_mttkrp(
     x_mat: &Matrix,
     mode: Mode,
 ) -> MttkrpRun {
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    assert_eq!(x_mat.rows(), n);
-    let r = x_mat.cols();
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let (rank_results, report) = Universe::new(p_count).run(|comm| {
-        let p = comm.rank();
-        let ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref());
-        let shards = wide_shards(part, p, x_mat);
-        ctx.mttkrp(comm, &shards, r)
-    });
-
-    let mut ternary_per_rank = Vec::with_capacity(p_count);
-    let mut rank_shards = Vec::with_capacity(p_count);
-    for (p, (shards, ternary)) in rank_results.into_iter().enumerate() {
-        ternary_per_rank.push(ternary);
-        rank_shards.push((p, shards));
-    }
-    MttkrpRun { y: assemble(part, r, rank_shards), report, ternary_per_rank }
+    run_columns(tensor, part, x_mat, mode, |comm, ctx, columns| ctx.sttsv_multi(comm, &columns))
 }
 
 /// Distributed Algorithm 2: the symmetric CP gradient
@@ -223,29 +128,16 @@ pub fn parallel_cp_gradient(
     x_mat: &Matrix,
     mode: Mode,
 ) -> MttkrpRun {
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    assert_eq!(x_mat.rows(), n);
     let r = x_mat.cols();
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let (rank_results, report) = Universe::new(p_count).run(|comm| {
-        let p = comm.rank();
-        let ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref());
-        let shards = wide_shards(part, p, x_mat);
+    run_columns(tensor, part, x_mat, mode, |comm, ctx, columns| {
+        let t_count = part.r_set(comm.rank()).len();
         // Distributed Gram: each rank contributes its owned rows.
         let mut partial = vec![0.0; r * r];
-        for (t, &i) in part.r_set(p).iter().enumerate() {
-            let local = part.shard_range(i, p);
-            let s = local.len();
-            for a in 0..r {
-                for bb in 0..r {
-                    let mut acc = 0.0;
-                    for off in 0..s {
-                        acc += shards[t][a * s + off] * shards[t][bb * s + off];
-                    }
-                    partial[a * r + bb] += acc;
+        for (a, col_a) in columns.iter().enumerate() {
+            for (bb, col_b) in columns.iter().enumerate() {
+                for (xa, xb) in col_a.iter().zip(col_b) {
+                    let dot = xa.iter().zip(xb).fold(0.0, |acc, (u, v)| acc + u * v);
+                    partial[a * r + bb] += dot;
                 }
             }
         }
@@ -253,37 +145,28 @@ pub fn parallel_cp_gradient(
         // G = (XᵀX) ∗ (XᵀX).
         let g: Vec<f64> = gram.iter().map(|&v| v * v).collect();
         // MTTKRP part.
-        let (mttkrp_shards, ternary) = ctx.mttkrp(comm, &shards, r);
+        let (mttkrp, ternary) = ctx.sttsv_multi(comm, &columns);
         // Y = X·G − MTTKRP, computed on the owned shards only.
-        let out: Vec<Vec<f64>> = part
-            .r_set(p)
-            .iter()
-            .enumerate()
-            .map(|(t, &i)| {
-                let s = part.shard_range(i, p).len();
-                let mut y = vec![0.0; s * r];
-                for col in 0..r {
-                    for off in 0..s {
-                        let mut acc = 0.0;
-                        for inner in 0..r {
-                            acc += shards[t][inner * s + off] * g[inner * r + col];
-                        }
-                        y[col * s + off] = acc - mttkrp_shards[t][col * s + off];
-                    }
-                }
-                y
+        let out = (0..r)
+            .map(|col| {
+                (0..t_count)
+                    .map(|t| {
+                        let m = &mttkrp[col][t];
+                        (0..m.len())
+                            .map(|off| {
+                                let mut acc = 0.0;
+                                for inner in 0..r {
+                                    acc += columns[inner][t][off] * g[inner * r + col];
+                                }
+                                acc - m[off]
+                            })
+                            .collect()
+                    })
+                    .collect()
             })
             .collect();
         (out, ternary)
-    });
-
-    let mut ternary_per_rank = Vec::with_capacity(p_count);
-    let mut rank_shards = Vec::with_capacity(p_count);
-    for (p, (shards, ternary)) in rank_results.into_iter().enumerate() {
-        ternary_per_rank.push(ternary);
-        rank_shards.push((p, shards));
-    }
-    MttkrpRun { y: assemble(part, r, rank_shards), report, ternary_per_rank }
+    })
 }
 
 #[cfg(test)]
@@ -371,17 +254,34 @@ mod tests {
 
     #[test]
     fn single_column_mttkrp_equals_sttsv_run() {
+        // Every column of an r > 1 MTTKRP is bit-identical to the STTSV of
+        // that column, and the batch moves exactly r× the words in the same
+        // messages and rounds, in every mode.
         let n = 30;
+        let r = 3;
         let part = TetraPartition::new(spherical(2), n).unwrap();
         let mut rng = StdRng::seed_from_u64(57);
         let tensor = random_symmetric(n, &mut rng);
-        let x = random_factor(n, 1, 58);
-        let mrun = parallel_mttkrp(&tensor, &part, &x, Mode::Scheduled);
-        let xvec = x.col(0);
-        let srun = crate::parallel_sttsv(&tensor, &part, &xvec, Mode::Scheduled);
-        for i in 0..n {
-            assert!((mrun.y.get(i, 0) - srun.y[i]).abs() < 1e-12);
+        let x = random_factor(n, r, 58);
+        for mode in [Mode::Scheduled, Mode::AllToAllPadded, Mode::AllToAllSparse] {
+            let mrun = parallel_mttkrp(&tensor, &part, &x, mode);
+            for col in 0..r {
+                let srun = crate::parallel_sttsv(&tensor, &part, &x.col(col), mode);
+                for i in 0..n {
+                    assert_eq!(mrun.y.get(i, col).to_bits(), srun.y[i].to_bits(), "{mode:?}");
+                }
+                let per_rank = mrun.report.per_rank.iter().zip(&srun.report.per_rank);
+                for (p, (m, s)) in per_rank.enumerate() {
+                    assert_eq!(m.words_sent, r as u64 * s.words_sent, "{mode:?} rank {p}");
+                    assert_eq!(m.words_recv, r as u64 * s.words_recv, "{mode:?} rank {p}");
+                    assert_eq!(m.msgs_sent, s.msgs_sent, "{mode:?} rank {p}");
+                    assert_eq!(m.msgs_recv, s.msgs_recv, "{mode:?} rank {p}");
+                    assert_eq!(m.rounds, s.rounds, "{mode:?} rank {p}");
+                }
+                let ternary: Vec<u64> =
+                    srun.ternary_per_rank.iter().map(|t| r as u64 * t).collect();
+                assert_eq!(mrun.ternary_per_rank, ternary);
+            }
         }
-        assert_eq!(mrun.report, srun.report);
     }
 }

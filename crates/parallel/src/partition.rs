@@ -254,6 +254,28 @@ impl TetraPartition {
         self.shard_bounds(t)
     }
 
+    /// Global index range of processor `p`'s shard of row block `i`
+    /// (`p ∈ Q_i`).
+    fn shard_span(&self, i: usize, p: usize) -> std::ops::Range<usize> {
+        let local = self.shard_range(i, p);
+        i * self.b + local.start..i * self.b + local.end
+    }
+
+    /// Processor `p`'s shards of the global vector `x` (`dim()` long), one
+    /// per row block of `R_p` in ascending order — the Section 6.1.2
+    /// vector distribution every driver starts from.
+    pub fn shards_of(&self, p: usize, x: &[f64]) -> Vec<Vec<f64>> {
+        self.r_set(p).iter().map(|&i| x[self.shard_span(i, p)].to_vec()).collect()
+    }
+
+    /// Writes processor `p`'s shards (keyed as [`TetraPartition::shards_of`]
+    /// returns them) into their places in the global vector `y`.
+    pub fn place_shards(&self, p: usize, shards: &[Vec<f64>], y: &mut [f64]) {
+        for (&i, shard) in self.r_set(p).iter().zip(shards) {
+            y[self.shard_span(i, p)].copy_from_slice(shard);
+        }
+    }
+
     /// Tensor words stored by processor `p` (Section 6.1.3 counts).
     pub fn tensor_words(&self, p: usize) -> usize {
         self.owned_blocks(p).iter().map(|blk| entries_in_block(blk.kind(), self.b)).sum()
@@ -329,6 +351,25 @@ impl TetraPartition {
 mod tests {
     use super::*;
     use symtensor_steiner::{spherical, sqs8};
+
+    #[test]
+    fn shards_tile_the_vector_exactly_once() {
+        // n = 20 with q = 2: b = 4 < λ₁ = 6, so some shards are empty.
+        for n in [20usize, 30] {
+            let part = TetraPartition::new(spherical(2), n).unwrap();
+            let x: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
+            let mut y = vec![0.0; n];
+            let mut words = 0;
+            for p in 0..part.num_procs() {
+                let shards = part.shards_of(p, &x);
+                words += shards.iter().map(Vec::len).sum::<usize>();
+                assert_eq!(shards.len(), part.r_set(p).len());
+                part.place_shards(p, &shards, &mut y);
+            }
+            assert_eq!(words, n, "every entry owned by exactly one rank");
+            assert_eq!(y, x);
+        }
+    }
 
     #[test]
     fn q3_partition_counts_match_paper() {

@@ -28,18 +28,21 @@
 //!
 //! The plan's kernels are the same flat register-tiled kernels as
 //! [`crate::blocks`] (shared down to the `row_segment` inner loop of
-//! `core::seq`), its pooled compute funnels through the same chunk
-//! decomposition and [`symtensor_pool::tree_reduce`] tree, and its message
-//! layouts byte-match the legacy exchange — so the plan path is
-//! **bit-identical** to the legacy path across runs and thread counts, and
-//! its word/message/round counts are exactly the legacy ones.
+//! `core::seq`), so its compute is bit-identical to
+//! [`OwnedBlocks::compute`]; its pooled compute funnels through one fixed
+//! chunk decomposition and [`symtensor_pool::tree_reduce`] tree, so it is
+//! bit-identical across runs and thread counts. Every message carries, per
+//! shared row block in ascending order, the batch's pieces back-to-back,
+//! so the per-rank words are exactly the paper's closed forms.
 
 use crate::blocks::{
-    add_into, block_kernel_flat, chunked_compute_flat, OwnedBlocks, MAX_COMPUTE_CHUNKS,
+    add_into, block_kernel_flat, chunked_compute_flat, extract_block, OwnedBlocks,
+    MAX_COMPUTE_CHUNKS,
 };
 use crate::partition::TetraPartition;
 use crate::schedule::shared_row_blocks;
-use crate::tetra::BlockKind;
+use crate::tetra::{BlockIdx, BlockKind};
+use symtensor_core::SymTensor3;
 use symtensor_pool::Pool;
 
 /// Classification of a [`PlanBlock`] by its gather-x dependency set: how
@@ -93,8 +96,8 @@ pub struct PieceMeta {
 pub struct PeerPlan {
     /// The peer's rank.
     pub peer: usize,
-    /// One piece per shared row block, ascending block index — the same
-    /// order the legacy exchange packs, so messages byte-match.
+    /// One piece per shared row block, ascending block index — the order
+    /// both ends pack and unpack in.
     pub pieces: Vec<PieceMeta>,
     /// Per-vector words this rank sends in gather (= receives in reduce).
     pub my_words: usize,
@@ -123,8 +126,8 @@ pub struct RankPlan {
     /// All owned block data, packed contiguously in `(i, j, k)` order.
     arena: Vec<f64>,
     blocks: Vec<PlanBlock>,
-    /// Every peer (all ranks but this one), in rank order — matching the
-    /// legacy all-to-all peer iteration.
+    /// Every peer (all ranks but this one), in rank order — the all-to-all
+    /// modes' accumulation order.
     peers: Vec<PeerPlan>,
     /// rank → index into `peers` (`usize::MAX` for self).
     peer_index: Vec<usize>,
@@ -158,29 +161,68 @@ impl RankPlan {
     /// resolves the slot table and precomputes every peer's message layout.
     /// One-time cost; everything downstream is allocation-free reuse.
     pub fn build(part: &TetraPartition, owned: &OwnedBlocks, rank: usize) -> Self {
+        let mut arena = Vec::with_capacity(owned.words());
+        let layout = owned
+            .blocks
+            .iter()
+            .map(|blk| {
+                arena.extend_from_slice(&blk.data);
+                (blk.idx, blk.data.len())
+            })
+            .collect();
+        Self::assemble(part, rank, arena, layout)
+    }
+
+    /// Compiles the plan for `rank` straight from the global tensor: each
+    /// owned block is extracted directly into the arena, with no
+    /// intermediate [`OwnedBlocks`] copy. The result, arena bits included,
+    /// equals [`RankPlan::build`] over [`OwnedBlocks::extract`].
+    pub fn from_tensor(tensor: &SymTensor3, part: &TetraPartition, rank: usize) -> Self {
+        assert_eq!(tensor.dim(), part.dim(), "tensor dimension mismatch");
+        let b = part.block_size();
+        let mut arena = Vec::with_capacity(part.tensor_words(rank));
+        let layout = part
+            .owned_blocks(rank)
+            .into_iter()
+            .map(|idx| {
+                let start = arena.len();
+                extract_block(tensor, idx, b, &mut arena);
+                (idx, arena.len() - start)
+            })
+            .collect();
+        Self::assemble(part, rank, arena, layout)
+    }
+
+    /// Compiles the plan around a packed `arena` whose blocks, in arena
+    /// order, have the `(index, stored words)` given by `layout`.
+    fn assemble(
+        part: &TetraPartition,
+        rank: usize,
+        arena: Vec<f64>,
+        layout: Vec<(BlockIdx, usize)>,
+    ) -> Self {
         let b = part.block_size();
         let rp = part.r_set(rank);
         let t_count = rp.len();
         let row_pos = |i: usize| rp.binary_search(&i).expect("owned row block in R_p");
-        let slots = owned.slot_table(&row_pos);
-        let mut arena = Vec::with_capacity(owned.words());
-        let blocks: Vec<PlanBlock> = owned
-            .blocks
-            .iter()
-            .zip(&slots)
-            .map(|(blk, &s)| {
-                let offset = arena.len();
-                arena.extend_from_slice(&blk.data);
-                PlanBlock { offset, len: blk.data.len(), kind: blk.kind, slots: s }
-            })
-            .collect();
         debug_assert!(
-            owned.blocks.windows(2).all(|w| {
-                let (a, c) = (&w[0].idx, &w[1].idx);
+            layout.windows(2).all(|w| {
+                let (a, c) = (&w[0].0, &w[1].0);
                 (a.i, a.j, a.k) <= (c.i, c.j, c.k)
             }),
             "owned blocks arrive (i, j, k)-sorted"
         );
+        let mut offset = 0;
+        let blocks: Vec<PlanBlock> = layout
+            .iter()
+            .map(|&(idx, len)| {
+                let slots = [row_pos(idx.i), row_pos(idx.j), row_pos(idx.k)];
+                let blk = PlanBlock { offset, len, kind: idx.kind(), slots };
+                offset += len;
+                blk
+            })
+            .collect();
+        debug_assert_eq!(offset, arena.len());
 
         let my_shards: Vec<(usize, usize)> = rp
             .iter()
@@ -414,8 +456,8 @@ impl RankPlan {
     }
 
     /// Packs the outgoing message for peer slot `pidx`: for each shared
-    /// row block (ascending), the `batch` vectors' pieces back-to-back —
-    /// byte-identical to the legacy exchange layout. The buffer comes from
+    /// row block (ascending), the `batch` vectors' pieces back-to-back. The
+    /// buffer comes from
     /// the workspace free list (allocation-free in steady state); the
     /// caller sends it (and the peer's unpack recycles it on their side).
     pub fn pack(
@@ -445,8 +487,7 @@ impl RankPlan {
     /// buffer into the workspace free list. Gather copies the peer's
     /// shards into the `x` slabs; reduce accumulates the peer's partials
     /// into this rank's shard ranges of the `y` slabs. Padded messages may
-    /// carry a zero tail beyond the packed pieces; it is ignored, exactly
-    /// like the legacy unpack.
+    /// carry a zero tail beyond the packed pieces; it is ignored.
     pub fn unpack(
         &self,
         ws: &mut PlanWorkspace,
@@ -479,9 +520,9 @@ impl RankPlan {
     /// Runs the local kernels over the packed arena for slabs `0..batch`:
     /// zeroes the `y` slabs (a `fill`, not an allocation) and dispatches
     /// each [`PlanBlock`] to the shared flat kernels. With a pool, each
-    /// vector funnels through the same chunk decomposition, workspace
-    /// leases and reduction tree as [`OwnedBlocks::compute_par`] — so the
-    /// result is bit-identical to the legacy path across thread counts.
+    /// vector funnels through one fixed chunk decomposition, workspace
+    /// leases and reduction tree — so the result is bit-identical across
+    /// thread counts.
     /// Returns the exact ternary-multiplication count.
     pub fn compute(&self, ws: &mut PlanWorkspace, batch: usize, pool: Option<&Pool>) -> u64 {
         let mut ternary = 0u64;
@@ -1062,6 +1103,23 @@ mod tests {
             expected_offset += pb.len;
         }
         assert!(plan.arena_bytes() == owned.words() * 8);
+    }
+
+    #[test]
+    fn from_tensor_equals_build_over_extracted_blocks() {
+        for (n, q) in [(30, 2u64), (60, 3)] {
+            let part = TetraPartition::new(spherical(q), n).unwrap();
+            let tensor = random_symmetric(n, &mut StdRng::seed_from_u64(q));
+            for rank in 0..part.num_procs() {
+                let owned = OwnedBlocks::extract(&tensor, &part, rank);
+                let built = RankPlan::build(&part, &owned, rank);
+                let direct = RankPlan::from_tensor(&tensor, &part, rank);
+                let bits = |plan: &RankPlan| plan.arena.iter().map(|v| v.to_bits()).collect();
+                let bits: (Vec<u64>, Vec<u64>) = (bits(&built), bits(&direct));
+                assert_eq!(bits.0, bits.1, "q={q} rank {rank}");
+                assert_eq!(format!("{built:?}"), format!("{direct:?}"), "q={q} rank {rank}");
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! invocations of HOPM/CP, which is exactly why the paper separates it
 //! from the per-iteration analysis.
 
+use crate::algorithm5::check_dims;
 use crate::blocks::OwnedBlocks;
 use crate::partition::TetraPartition;
 use symtensor_core::SymTensor3;
@@ -22,15 +23,14 @@ pub type ScatteredRank = (OwnedBlocks, Vec<Vec<f64>>);
 
 /// Scatters the tensor blocks and `x` shards from rank 0; every rank ends
 /// with its [`OwnedBlocks`] and shard vector. Returns the per-rank results
-/// and the scatter's cost report.
+/// and the scatter's cost report. Panics with the
+/// [`InputError`](crate::InputError) on a dimension mismatch.
 pub fn scatter_from_root(
     tensor: &SymTensor3,
     part: &TetraPartition,
     x: &[f64],
 ) -> (Vec<ScatteredRank>, CostReport) {
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    assert_eq!(x.len(), n);
+    check_dims(part.dim(), tensor, [x]).unwrap_or_else(|e| panic!("{e}"));
     let p_count = part.num_procs();
 
     Universe::new(p_count).run(|comm| {
@@ -47,20 +47,10 @@ pub fn scatter_from_root(
                         payload.extend_from_slice(&blk.data);
                     }
                     comm.send(dst, TAG_SCATTER_T, payload);
-                    let shards: Vec<f64> = part
-                        .r_set(dst)
-                        .iter()
-                        .flat_map(|&i| {
-                            let global = part.block_range(i);
-                            let local = part.shard_range(i, dst);
-                            x[global.start + local.start..global.start + local.end].to_vec()
-                        })
-                        .collect();
-                    comm.send(dst, TAG_SCATTER_X, shards);
+                    comm.send(dst, TAG_SCATTER_X, part.shards_of(dst, x).concat());
                 }
                 let owned = OwnedBlocks::extract(tensor, part, 0);
-                let shards = local_shards(part, 0, x);
-                (owned, shards)
+                (owned, part.shards_of(0, x))
             } else {
                 let payload = comm.recv(0, TAG_SCATTER_T).expect("tensor scatter");
                 // Rebuild the block structure from the deterministic layout.
@@ -86,17 +76,6 @@ pub fn scatter_from_root(
     })
 }
 
-fn local_shards(part: &TetraPartition, p: usize, x: &[f64]) -> Vec<Vec<f64>> {
-    part.r_set(p)
-        .iter()
-        .map(|&i| {
-            let global = part.block_range(i);
-            let local = part.shard_range(i, p);
-            x[global.start + local.start..global.start + local.end].to_vec()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,7 +99,7 @@ mod tests {
                 assert_eq!(got.idx, want.idx, "rank {p}");
                 assert_eq!(got.data, want.data, "rank {p} block {:?}", got.idx);
             }
-            let want_shards = local_shards(&part, p, &x);
+            let want_shards = part.shards_of(p, &x);
             assert_eq!(shards, &want_shards, "rank {p} shards");
         }
         // Root send cost: everything except its own data.

@@ -18,15 +18,13 @@
 //!
 //! [`parallel_sttsv_multi_planned`]: crate::algorithm5::parallel_sttsv_multi_planned
 
-use crate::algorithm5::{BatchSpans, Mode, RankContext};
+use crate::algorithm5::{check_dims, InputError, Machine, Mode, ServedBatch};
 use crate::partition::TetraPartition;
-use crate::schedule::CommSchedule;
 use std::sync::Arc;
 use std::time::Duration;
 use symtensor_core::seq::sttsv_sym;
 use symtensor_core::SymTensor3;
 use symtensor_mpsim::{Comm, CostReport, FaultPlan, FlightSnapshot, RankCost, Universe};
-use symtensor_pool::Pool;
 use symtensor_telemetry::{keys as telemetry_keys, SloBurnRate, TelemetryPlane};
 
 /// One STTSV request submitted to the serving layer.
@@ -50,12 +48,15 @@ impl ServeRequest {
     }
 }
 
-/// A structured serving-layer error — invalid configurations return this
-/// instead of panicking deep inside the batch loop.
+/// A structured serving-layer error — invalid configurations and inputs
+/// return this instead of panicking deep inside the batch loop.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
     /// `batch_cap == 0`: the batch loop could never make progress.
     ZeroBatchCap,
+    /// The tensor or a request vector does not match the partition's
+    /// dimension (the vector index is the request's position).
+    Input(InputError),
 }
 
 impl std::fmt::Display for ServeError {
@@ -64,11 +65,18 @@ impl std::fmt::Display for ServeError {
             ServeError::ZeroBatchCap => {
                 write!(f, "batch capacity must be positive (got 0)")
             }
+            ServeError::Input(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for ServeError {}
+
+impl From<InputError> for ServeError {
+    fn from(e: InputError) -> Self {
+        ServeError::Input(e)
+    }
+}
 
 /// The measured latency decomposition of one served request. All values
 /// are straggler-merged across ranks: a span is the slowest rank's,
@@ -102,20 +110,6 @@ pub struct RequestRecord {
     pub degraded: bool,
 }
 
-/// One rank's per-batch measurement, produced inside the simulated rank.
-struct RankBatch {
-    /// Batch began forming on this rank (absolute).
-    begin_ns: u64,
-    /// Shards extracted, batch assembled (absolute).
-    formed_ns: u64,
-    /// The kernel-level spans from [`RankContext::sttsv_multi_requests`].
-    spans: BatchSpans,
-    /// This rank's output shards, `[v][t]`.
-    ys: Vec<Vec<Vec<f64>>>,
-    /// Ternary multiplications for the batch.
-    ternary: u64,
-}
-
 /// The result of a serving run.
 #[derive(Clone, Debug)]
 pub struct ServeRun {
@@ -136,20 +130,33 @@ pub struct ServeRun {
     pub flight: Vec<FlightSnapshot>,
 }
 
-/// Extracts one rank's shards for every request in a batch.
-fn extract_shards(part: &TetraPartition, p: usize, batch: &[ServeRequest]) -> Vec<Vec<Vec<f64>>> {
-    batch
-        .iter()
-        .map(|r| {
-            part.r_set(p)
-                .iter()
-                .map(|&i| {
-                    let block = &r.x[part.block_range(i)];
-                    block[part.shard_range(i, p)].to_vec()
-                })
-                .collect()
-        })
-        .collect()
+/// Validates a serving run's inputs and splits `requests`, in submission
+/// order, into batches of at most `batch_cap`.
+fn batches<'r>(
+    tensor: &SymTensor3,
+    part: &TetraPartition,
+    requests: &'r [ServeRequest],
+    batch_cap: usize,
+) -> Result<Vec<&'r [ServeRequest]>, ServeError> {
+    if batch_cap == 0 {
+        return Err(ServeError::ZeroBatchCap);
+    }
+    check_dims(part.dim(), tensor, requests.iter().map(|r| r.x.as_slice()))?;
+    Ok(requests.chunks(batch_cap).collect())
+}
+
+/// One rank's shards and request ids for `batch`, extracted inside a
+/// `batch-form` phase.
+fn form_batch(
+    comm: &Comm,
+    part: &TetraPartition,
+    batch: &[ServeRequest],
+) -> (Vec<Vec<Vec<f64>>>, Vec<u64>) {
+    let ids = batch.iter().map(|r| r.id).collect();
+    let shards = comm.with_phase("batch-form", || {
+        batch.iter().map(|r| part.shards_of(comm.rank(), &r.x)).collect()
+    });
+    (shards, ids)
 }
 
 /// Straggler-merges one batch's per-rank measurements into request
@@ -159,7 +166,7 @@ fn merge_batch(
     part: &TetraPartition,
     batch: &[ServeRequest],
     k: usize,
-    per_rank: &[&RankBatch],
+    per_rank: &[&ServedBatch],
     retries: u32,
     offset: usize,
     ys: &mut [Vec<f64>],
@@ -190,12 +197,7 @@ fn merge_batch(
     for (p, rb) in per_rank.iter().enumerate() {
         ternary_per_rank[p] += rb.ternary;
         for (v, shards) in rb.ys.iter().enumerate() {
-            for (t, &i) in part.r_set(p).iter().enumerate() {
-                let global = part.block_range(i);
-                let local = part.shard_range(i, p);
-                ys[offset + v][global.start + local.start..global.start + local.end]
-                    .copy_from_slice(&shards[t]);
-            }
+            part.place_shards(p, shards, &mut ys[offset + v]);
         }
     }
 }
@@ -250,10 +252,11 @@ impl ServeTelemetry<'_> {
 /// Serves `requests` through the compiled-plan batched STTSV kernel.
 ///
 /// Requests are carried in submission order, `batch_cap` per batch (the
-/// last batch may be smaller). `threads > 1` attaches a worker [`Pool`]
-/// per rank, whose workspace leases are tagged with the running request's
-/// id. Returns [`ServeError::ZeroBatchCap`] when `batch_cap == 0`;
-/// panics if any vector has the wrong dimension.
+/// last batch may be smaller). `threads > 1` attaches a worker pool per
+/// rank, whose workspace leases are tagged with the running request's id.
+/// Returns [`ServeError::ZeroBatchCap`] when `batch_cap == 0` and
+/// [`ServeError::Input`] when the tensor or a request vector has the wrong
+/// dimension.
 pub fn parallel_sttsv_serve(
     tensor: &SymTensor3,
     part: &TetraPartition,
@@ -262,7 +265,7 @@ pub fn parallel_sttsv_serve(
     threads: usize,
     batch_cap: usize,
 ) -> Result<ServeRun, ServeError> {
-    parallel_sttsv_serve_with(tensor, part, requests, mode, threads, batch_cap, None)
+    serve(tensor, part, requests, mode, threads, batch_cap, None, false)
 }
 
 /// [`parallel_sttsv_serve`] with an optional live telemetry plane.
@@ -283,86 +286,7 @@ pub fn parallel_sttsv_serve_with(
     batch_cap: usize,
     telemetry: Option<&Arc<TelemetryPlane>>,
 ) -> Result<ServeRun, ServeError> {
-    if batch_cap == 0 {
-        return Err(ServeError::ZeroBatchCap);
-    }
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    for r in requests {
-        assert_eq!(r.x.len(), n, "request {} has wrong dimension", r.id);
-    }
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-    let batches: Vec<&[ServeRequest]> = requests.chunks(batch_cap).collect();
-    let total = requests.len();
-
-    let plane = telemetry.cloned();
-    let rank_main = |comm: &Comm| {
-        let p = comm.rank();
-        let pool = (threads > 1).then(|| Pool::new(threads));
-        let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref()).with_plan();
-        if let Some(pool) = pool.as_ref() {
-            ctx = ctx.with_pool(pool);
-        }
-        let mut out = Vec::with_capacity(batches.len());
-        let mut admitted = 0usize;
-        for batch in &batches {
-            // All batches run inside one universe, so the live queue-depth
-            // view has to come from within: rank 0 publishes it as each
-            // batch is admitted.
-            if p == 0 {
-                if let Some(plane) = &plane {
-                    ServeTelemetry { plane }.batch_admitted(
-                        total - admitted,
-                        batch.len(),
-                        batch_cap,
-                    );
-                }
-            }
-            admitted += batch.len();
-            let begin_ns = comm.elapsed_ns();
-            let ids: Vec<u64> = batch.iter().map(|r| r.id).collect();
-            let my_shards: Vec<Vec<Vec<f64>>> =
-                comm.with_phase("batch-form", || extract_shards(part, p, batch));
-            let formed_ns = comm.elapsed_ns();
-            let (ys, ternary, spans) = ctx.sttsv_multi_requests(comm, &my_shards, &ids);
-            out.push(RankBatch { begin_ns, formed_ns, spans, ys, ternary });
-        }
-        out
-    };
-    let mut universe = Universe::new(p_count);
-    if let Some(plane) = telemetry {
-        universe = universe.with_telemetry(plane.clone());
-    }
-    let (rank_results, report, flight) = universe.run_flight(rank_main);
-
-    // Merge per-rank measurements into per-request records (straggler
-    // semantics) and assemble the outputs.
-    let mut ys = vec![vec![0.0; n]; requests.len()];
-    let mut ternary_per_rank = vec![0u64; p_count];
-    let mut records = Vec::with_capacity(requests.len());
-    let mut offset = 0usize;
-    for (k, batch) in batches.iter().enumerate() {
-        let per_rank: Vec<&RankBatch> = rank_results.iter().map(|b| &b[k]).collect();
-        merge_batch(
-            part,
-            batch,
-            k,
-            &per_rank,
-            0,
-            offset,
-            &mut ys,
-            &mut ternary_per_rank,
-            &mut records,
-        );
-        offset += batch.len();
-    }
-    // The straggler merge needs every rank, so the latency histograms are
-    // fed once, after the universe has returned.
-    if let Some(plane) = telemetry {
-        ServeTelemetry { plane }.batch_done(&records, 0);
-    }
-    Ok(ServeRun { ys, report, ternary_per_rank, records, flight })
+    serve(tensor, part, requests, mode, threads, batch_cap, telemetry, false)
 }
 
 /// [`parallel_sttsv_serve`] with the **double-buffered pipeline**: while
@@ -376,6 +300,8 @@ pub fn parallel_sttsv_serve_with(
 /// compute could not hide). Scheduled mode pipelines; the all-to-all
 /// modes run sequential barrier batches (their collective is one
 /// indivisible step) and produce records identical in structure.
+///
+/// [`RankContext::sttsv_serve_pipelined`]: crate::RankContext::sttsv_serve_pipelined
 pub fn parallel_sttsv_serve_pipelined(
     tensor: &SymTensor3,
     part: &TetraPartition,
@@ -384,62 +310,68 @@ pub fn parallel_sttsv_serve_pipelined(
     threads: usize,
     batch_cap: usize,
 ) -> Result<ServeRun, ServeError> {
-    if batch_cap == 0 {
-        return Err(ServeError::ZeroBatchCap);
-    }
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    for r in requests {
-        assert_eq!(r.x.len(), n, "request {} has wrong dimension", r.id);
-    }
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-    let batches: Vec<&[ServeRequest]> = requests.chunks(batch_cap).collect();
+    serve(tensor, part, requests, mode, threads, batch_cap, None, true)
+}
 
-    let rank_main = |comm: &Comm| {
-        let p = comm.rank();
-        let pool = (threads > 1).then(|| Pool::new(threads));
-        let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref()).with_plan();
-        if let Some(pool) = pool.as_ref() {
-            ctx = ctx.with_pool(pool);
+/// The scaffold of the one-universe serving drivers: validate and chunk
+/// the requests, run every batch in one universe (sequentially or
+/// `pipelined`), then straggler-merge the per-rank batches.
+#[allow(clippy::too_many_arguments)]
+fn serve(
+    tensor: &SymTensor3,
+    part: &TetraPartition,
+    requests: &[ServeRequest],
+    mode: Mode,
+    threads: usize,
+    batch_cap: usize,
+    telemetry: Option<&Arc<TelemetryPlane>>,
+    pipelined: bool,
+) -> Result<ServeRun, ServeError> {
+    let batches = batches(tensor, part, requests, batch_cap)?;
+    let mut universe = Universe::new(part.num_procs());
+    if let Some(plane) = telemetry {
+        universe = universe.with_telemetry(plane.clone());
+    }
+    let machine = Machine::new(tensor, part, mode, threads);
+    let (rank_results, report, _, flight) = machine.run(universe, false, |comm, ctx| {
+        let form = |k: usize| {
+            // All batches run inside one universe, so the live queue-depth
+            // view has to come from within: rank 0 publishes it as each
+            // batch is admitted.
+            if let (0, Some(plane)) = (comm.rank(), telemetry) {
+                let queued = requests.len() - k * batch_cap;
+                ServeTelemetry { plane }.batch_admitted(queued, batches[k].len(), batch_cap);
+            }
+            form_batch(comm, part, batches[k])
+        };
+        if pipelined {
+            ctx.sttsv_serve_pipelined(comm, batches.len(), form)
+        } else {
+            ctx.sttsv_serve(comm, batches.len(), form)
         }
-        let served = ctx.sttsv_serve_pipelined(comm, batches.len(), |k| {
-            let batch = batches[k];
-            let ids: Vec<u64> = batch.iter().map(|r| r.id).collect();
-            let shards = comm.with_phase("batch-form", || extract_shards(part, p, batch));
-            (shards, ids)
-        });
-        served
-            .into_iter()
-            .map(|sb| RankBatch {
-                begin_ns: sb.begin_ns,
-                formed_ns: sb.formed_ns,
-                spans: sb.spans,
-                ys: sb.ys,
-                ternary: sb.ternary,
-            })
-            .collect::<Vec<_>>()
-    };
-    let (rank_results, report, flight) = Universe::new(p_count).run_flight(rank_main);
+    });
 
-    let mut ys = vec![vec![0.0; n]; requests.len()];
-    let mut ternary_per_rank = vec![0u64; p_count];
+    let mut ys = vec![vec![0.0; part.dim()]; requests.len()];
+    let mut ternary_per_rank = vec![0u64; part.num_procs()];
     let mut records = Vec::with_capacity(requests.len());
-    let mut offset = 0usize;
     for (k, batch) in batches.iter().enumerate() {
-        let per_rank: Vec<&RankBatch> = rank_results.iter().map(|b| &b[k]).collect();
+        let per_rank: Vec<&ServedBatch> = rank_results.iter().map(|b| &b[k]).collect();
         merge_batch(
             part,
             batch,
             k,
             &per_rank,
             0,
-            offset,
+            k * batch_cap,
             &mut ys,
             &mut ternary_per_rank,
             &mut records,
         );
-        offset += batch.len();
+    }
+    // The straggler merge needs every rank, so the latency histograms are
+    // fed once, after the universe has returned.
+    if let Some(plane) = telemetry {
+        ServeTelemetry { plane }.batch_done(&records, 0);
     }
     Ok(ServeRun { ys, report, ternary_per_rank, records, flight })
 }
@@ -531,19 +463,11 @@ pub fn parallel_sttsv_serve_chaos_with(
     telemetry: Option<&Arc<TelemetryPlane>>,
     mut slo: Option<&mut SloBurnRate>,
 ) -> Result<ServeRun, ServeError> {
-    if batch_cap == 0 {
-        return Err(ServeError::ZeroBatchCap);
-    }
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    for r in requests {
-        assert_eq!(r.x.len(), n, "request {} has wrong dimension", r.id);
-    }
+    let batches = batches(tensor, part, requests, batch_cap)?;
     let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-    let batches: Vec<&[ServeRequest]> = requests.chunks(batch_cap).collect();
+    let machine = Machine::new(tensor, part, mode, threads);
 
-    let mut ys = vec![vec![0.0; n]; requests.len()];
+    let mut ys = vec![vec![0.0; part.dim()]; requests.len()];
     let mut report = CostReport { per_rank: vec![RankCost::default(); p_count] };
     let mut ternary_per_rank = vec![0u64; p_count];
     let mut records = Vec::with_capacity(requests.len());
@@ -558,19 +482,10 @@ pub fn parallel_sttsv_serve_chaos_with(
             );
         }
         let rank_main = |comm: &Comm| {
-            let p = comm.rank();
-            let pool = (threads > 1).then(|| Pool::new(threads));
-            let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref()).with_plan();
-            if let Some(pool) = pool.as_ref() {
-                ctx = ctx.with_pool(pool);
-            }
-            let begin_ns = comm.elapsed_ns();
-            let ids: Vec<u64> = batch.iter().map(|r| r.id).collect();
-            let my_shards: Vec<Vec<Vec<f64>>> =
-                comm.with_phase("batch-form", || extract_shards(part, p, batch));
-            let formed_ns = comm.elapsed_ns();
-            let (ys, ternary, spans) = ctx.sttsv_multi_requests(comm, &my_shards, &ids);
-            RankBatch { begin_ns, formed_ns, spans, ys, ternary }
+            machine.with_rank(comm, |ctx| {
+                let mut served = ctx.sttsv_serve(comm, 1, |_| form_batch(comm, part, batch));
+                served.pop().expect("one batch served")
+            })
         };
 
         let mut attempt = 0u32;
@@ -602,7 +517,7 @@ pub fn parallel_sttsv_serve_chaos_with(
 
         match survived {
             Some(per_rank) => {
-                let refs: Vec<&RankBatch> = per_rank.iter().collect();
+                let refs: Vec<&ServedBatch> = per_rank.iter().collect();
                 merge_batch(
                     part,
                     batch,

@@ -1,7 +1,7 @@
 //! Property tests pinning the overlapped exchange to the barrier plan path.
 //!
 //! The contract of `RankContext::sttsv_overlapped` is *bit*-equivalence with
-//! the barrier-planned driver: for every adversarial `(q, n, threads, batch,
+//! the barrier exchange: for every adversarial `(q, n, threads, batch,
 //! mode)` the overlapped pipeline must reproduce the same y bits, the same
 //! ternary counts, the same per-rank [`CostReport`] and the same rank-to-rank
 //! communication matrix — only event *timing* may differ. A chaos case pins
@@ -18,9 +18,8 @@ use symtensor_core::generate::random_symmetric;
 use symtensor_core::seq::sttsv_sym;
 use symtensor_mpsim::{CommEvent, CommEventKind, FaultPlan, InjectedFault, Universe};
 use symtensor_parallel::{
-    parallel_sttsv_multi_overlapped, parallel_sttsv_multi_planned, parallel_sttsv_overlapped,
-    parallel_sttsv_overlapped_traced, parallel_sttsv_planned, parallel_sttsv_planned_traced,
-    CommSchedule, Mode, RankContext, TetraPartition,
+    parallel_sttsv_with, CommSchedule, Mode, RankContext, SttsvMultiRun, SttsvOptions,
+    TetraPartition,
 };
 use symtensor_steiner::spherical;
 
@@ -30,6 +29,19 @@ const MODES: [Mode; 3] = [Mode::Scheduled, Mode::AllToAllPadded, Mode::AllToAllS
 /// the adversarial axis is the seed/threads/batch/mode space around them.
 fn geometry(idx: usize) -> (u64, usize) {
     [(2u64, 30usize), (2, 60), (3, 60)][idx % 3]
+}
+
+/// The barrier and the overlapped run of `xs` under `opts`.
+fn barrier_and_overlapped(
+    tensor: &symtensor_core::SymTensor3,
+    part: &TetraPartition,
+    xs: &[Vec<f64>],
+    opts: SttsvOptions,
+) -> (SttsvMultiRun, SttsvMultiRun) {
+    let run = |overlapped| {
+        parallel_sttsv_with(tensor, part, xs, SttsvOptions { overlapped, ..opts }).unwrap()
+    };
+    (run(false), run(true))
 }
 
 /// Folds per-rank traces into a `(src, dst) -> words` matrix — the same
@@ -68,9 +80,10 @@ proptest! {
         let x: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() - 0.5).collect();
         let mode = MODES[mode_idx];
 
-        let barrier = parallel_sttsv_planned(&tensor, &part, &x, mode, threads);
-        let overlapped = parallel_sttsv_overlapped(&tensor, &part, &x, mode, threads);
-        prop_assert_eq!(&overlapped.y, &barrier.y, "overlap must be bit-identical");
+        let xs = std::slice::from_ref(&x);
+        let opts = SttsvOptions { threads, ..SttsvOptions::new(mode) };
+        let (barrier, overlapped) = barrier_and_overlapped(&tensor, &part, xs, opts);
+        prop_assert_eq!(&overlapped.ys, &barrier.ys, "overlap must be bit-identical");
         prop_assert_eq!(&overlapped.ternary_per_rank, &barrier.ternary_per_rank);
         prop_assert_eq!(&overlapped.report, &barrier.report);
 
@@ -80,7 +93,7 @@ proptest! {
             ops.ternary_mults,
             "exact machine-wide ternary count"
         );
-        for (i, (yo, yr)) in overlapped.y.iter().zip(&y_ref).enumerate() {
+        for (i, (yo, yr)) in overlapped.ys[0].iter().zip(&y_ref).enumerate() {
             prop_assert!(
                 (yo - yr).abs() < 1e-12 * (1.0 + yr.abs()),
                 "y[{}]: {} vs {}", i, yo, yr
@@ -105,11 +118,11 @@ proptest! {
         let x: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() - 0.5).collect();
         let mode = MODES[mode_idx];
 
-        let (barrier, barrier_traces) =
-            parallel_sttsv_planned_traced(&tensor, &part, &x, mode, 1);
-        let (overlapped, overlap_traces) =
-            parallel_sttsv_overlapped_traced(&tensor, &part, &x, mode, 1);
-        prop_assert_eq!(&overlapped.y, &barrier.y);
+        let opts = SttsvOptions { trace: true, ..SttsvOptions::new(mode) };
+        let (barrier, overlapped) =
+            barrier_and_overlapped(&tensor, &part, std::slice::from_ref(&x), opts);
+        prop_assert_eq!(&overlapped.ys, &barrier.ys);
+        let (barrier_traces, overlap_traces) = (barrier.traces, overlapped.traces);
         prop_assert_eq!(
             comm_matrix(&overlap_traces),
             comm_matrix(&barrier_traces),
@@ -154,15 +167,16 @@ proptest! {
             (0..batch).map(|_| (0..n).map(|_| rng.gen::<f64>() - 0.5).collect()).collect();
         let mode = MODES[mode_idx];
 
-        let barrier = parallel_sttsv_multi_planned(&tensor, &part, &xs, mode, threads);
-        let overlapped = parallel_sttsv_multi_overlapped(&tensor, &part, &xs, mode, threads);
+        let opts = SttsvOptions { threads, ..SttsvOptions::new(mode) };
+        let (barrier, overlapped) = barrier_and_overlapped(&tensor, &part, &xs, opts);
         prop_assert_eq!(&overlapped.ys, &barrier.ys, "batched overlap must be bit-identical");
         prop_assert_eq!(&overlapped.ternary_per_rank, &barrier.ternary_per_rank);
         prop_assert_eq!(&overlapped.report, &barrier.report);
 
         // The chunk tree is fixed by the block count, not the worker count.
         if threads > 1 {
-            let other = parallel_sttsv_multi_overlapped(&tensor, &part, &xs, mode, threads + 1);
+            let opts = SttsvOptions { threads: threads + 1, overlapped: true, ..opts };
+            let other = parallel_sttsv_with(&tensor, &part, &xs, opts).unwrap();
             prop_assert_eq!(&other.ys, &overlapped.ys, "thread count must not change bits");
         }
     }
@@ -188,17 +202,8 @@ fn overlapped_gather_drop_fails_fast_with_exact_accounting() {
     let schedule_ref = &schedule;
     let rank_main = move |comm: &symtensor_mpsim::Comm| {
         let p = comm.rank();
-        let ctx = RankContext::new(tensor_ref, part_ref, p, Mode::Scheduled, Some(schedule_ref))
-            .with_plan();
-        let my_shards: Vec<Vec<f64>> = part_ref
-            .r_set(p)
-            .iter()
-            .map(|&i| {
-                let block = &x_ref[part_ref.block_range(i)];
-                block[part_ref.shard_range(i, p)].to_vec()
-            })
-            .collect();
-        ctx.sttsv_overlapped(comm, &my_shards)
+        let ctx = RankContext::new(tensor_ref, part_ref, p, Mode::Scheduled, Some(schedule_ref));
+        ctx.sttsv_overlapped(comm, &part_ref.shards_of(p, x_ref))
     };
 
     // Rank 0's first send is a gather-x message; dropping it starves one

@@ -1,20 +1,24 @@
-//! Property tests pinning the compiled-plan path to the legacy path.
+//! Property tests pinning the compiled-plan STTSV to the paper's
+//! invariants.
 //!
-//! The contract of `RankContext::compile` is *bit*-equivalence: for every
-//! `(q, n, threads, batch, mode)` the planned STTSV must reproduce the
-//! legacy result exactly — same floating-point bits, same ternary counts,
-//! same per-rank communication counters — and stay within `1e-12`
-//! (relative) of the sequential `sttsv_sym` reference.
+//! For every `(q, n, threads, batch, mode)` the distributed STTSV must do
+//! exactly the sequential `sttsv_sym` ternary multiplications, stay within
+//! `1e-12` (relative) of it, move exactly the closed-form words per rank,
+//! give the same bits at every pool size above one, and give the same bits
+//! for a vector whether it runs alone or inside a batch.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use symtensor_core::generate::random_symmetric;
 use symtensor_core::seq::sttsv_sym;
+use symtensor_core::Pool;
+use symtensor_mpsim::{CostReport, Universe};
 use symtensor_parallel::blocks::OwnedBlocks;
+use symtensor_parallel::bounds::scheduled_words_per_vector;
 use symtensor_parallel::{
-    parallel_sttsv_mt, parallel_sttsv_multi, parallel_sttsv_multi_planned, parallel_sttsv_planned,
-    Mode, RankPlan, TetraPartition,
+    parallel_sttsv_multi_planned, parallel_sttsv_with, CommSchedule, Mode, RankContext, RankPlan,
+    SttsvMultiRun, SttsvOptions, TetraPartition,
 };
 use symtensor_steiner::spherical;
 
@@ -30,15 +34,58 @@ fn random_vectors(n: usize, batch: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
     (0..batch).map(|_| (0..n).map(|_| rng.gen::<f64>() - 0.5).collect()).collect()
 }
 
+/// Words rank `p` sends (and receives) per vector. Scheduled and sparse:
+/// for each owned row block, its own shard to the `λ₁ − 1` other owners in
+/// gather-x and every other owner's shard of its partial in reduce-y.
+/// Padded: `P − 1` messages of `2⌈b/λ₁⌉` words in each phase.
+fn words_per_vector(part: &TetraPartition, mode: Mode, p: usize) -> u64 {
+    let (b, l1) = (part.block_size(), part.lambda1());
+    match mode {
+        Mode::AllToAllPadded => (2 * (part.num_procs() - 1) * 2 * b.div_ceil(l1)) as u64,
+        Mode::Scheduled | Mode::AllToAllSparse => part
+            .r_set(p)
+            .iter()
+            .map(|&i| (b + (l1 - 2) * part.shard_range(i, p).len()) as u64)
+            .sum(),
+    }
+}
+
+/// Asserts every rank moved exactly `batch` vectors' closed-form words, and
+/// that the form is the paper's `2·scheduled_words_per_vector` whenever
+/// the shards are even (`q(q+1) | b`).
+fn assert_words(part: &TetraPartition, q: u64, mode: Mode, batch: u64, report: &CostReport) {
+    let q = q as usize;
+    for (p, cost) in report.per_rank.iter().enumerate() {
+        let want = batch * words_per_vector(part, mode, p);
+        assert_eq!((cost.words_sent, cost.words_recv), (want, want), "{mode:?} rank {p}");
+        if mode != Mode::AllToAllPadded && part.block_size() % (q * (q + 1)) == 0 {
+            let paper = 2 * scheduled_words_per_vector(part.dim(), q) as u64;
+            assert_eq!(words_per_vector(part, mode, p), paper, "{mode:?} rank {p}");
+        }
+    }
+}
+
+fn run(
+    tensor: &symtensor_core::SymTensor3,
+    part: &TetraPartition,
+    xs: &[Vec<f64>],
+    mode: Mode,
+    threads: usize,
+) -> SttsvMultiRun {
+    let opts = SttsvOptions { threads, ..SttsvOptions::new(mode) };
+    parallel_sttsv_with(tensor, part, xs, opts).unwrap()
+}
+
 proptest! {
     // Full-universe runs spawn P threads per case; keep the case count low.
     #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
 
-    /// Planned single-vector STTSV is bit-identical to the legacy driver
-    /// (same values, ternary counts and communication report) and within
-    /// 1e-12 of the sequential kernel.
+    /// Single-vector STTSV through `RankContext::sttsv`: exact ternary
+    /// counts, 1e-12 of the sequential kernel, closed-form words, the same
+    /// bits and report as the batched driver on a batch of one, and the same
+    /// bits at every pool size.
     #[test]
-    fn planned_sttsv_is_bit_identical_to_legacy(
+    fn planned_sttsv_matches_oracle_and_reconciles(
         geom in 0usize..3,
         seed in 0u64..10_000,
         mode_idx in 0usize..3,
@@ -51,28 +98,51 @@ proptest! {
         let x: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() - 0.5).collect();
         let mode = MODES[mode_idx];
 
-        let legacy = parallel_sttsv_mt(&tensor, &part, &x, mode, threads);
-        let planned = parallel_sttsv_planned(&tensor, &part, &x, mode, threads);
-        prop_assert_eq!(&planned.y, &legacy.y, "plan must be bit-identical to legacy");
-        prop_assert_eq!(&planned.ternary_per_rank, &legacy.ternary_per_rank);
-        prop_assert_eq!(&planned.report, &legacy.report);
+        let schedule = CommSchedule::build(&part);
+        let (outs, report) = Universe::new(part.num_procs()).run(|comm| {
+            let p = comm.rank();
+            let pool = (threads > 1).then(|| Pool::new(threads));
+            let mut ctx = RankContext::new(&tensor, &part, p, mode, Some(&schedule));
+            if let Some(pool) = pool.as_ref() {
+                ctx = ctx.with_pool(pool);
+            }
+            ctx.sttsv(comm, &part.shards_of(p, &x))
+        });
+        let mut y = vec![0.0; n];
+        for (p, (shards, ternary)) in outs.iter().enumerate() {
+            part.place_shards(p, shards, &mut y);
+            prop_assert_eq!(*ternary, part.ternary_mults(p), "rank {} ternary", p);
+        }
+
+        let batched = run(&tensor, &part, std::slice::from_ref(&x), mode, threads);
+        prop_assert_eq!(&batched.ys[0], &y, "a batch of one must give the single-vector bits");
+        prop_assert_eq!(&batched.report, &report);
+        assert_words(&part, q, mode, 1, &report);
 
         let (y_ref, ops) = sttsv_sym(&tensor, &x);
         prop_assert_eq!(
-            planned.ternary_per_rank.iter().sum::<u64>(),
+            outs.iter().map(|o| o.1).sum::<u64>(),
             ops.ternary_mults,
             "exact machine-wide ternary count"
         );
-        for (i, (yp, yr)) in planned.y.iter().zip(&y_ref).enumerate() {
+        for (i, (yp, yr)) in y.iter().zip(&y_ref).enumerate() {
             prop_assert!(
                 (yp - yr).abs() < 1e-12 * (1.0 + yr.abs()),
                 "y[{}]: {} vs {}", i, yp, yr
             );
         }
+
+        // Pooled plans are deterministic in the pool size: the chunk tree
+        // is fixed by the block count, not the worker count.
+        if threads > 1 {
+            let other = run(&tensor, &part, std::slice::from_ref(&x), mode, threads + 1);
+            prop_assert_eq!(&other.ys[0], &y, "thread count must not change bits");
+        }
     }
 
-    /// Planned batched STTSV is bit-identical to the legacy batched driver
-    /// for every batch size, and deterministic in the thread count.
+    /// Batched STTSV gives every vector the bits of its own single-vector
+    /// run, moves `B ×` the words in the same messages and rounds, and is
+    /// deterministic in the thread count.
     #[test]
     fn planned_multi_is_bit_identical_and_thread_deterministic(
         geom in 0usize..3,
@@ -88,14 +158,20 @@ proptest! {
         let xs = random_vectors(n, batch, &mut rng);
         let mode = MODES[mode_idx];
 
-        let legacy = parallel_sttsv_multi(&tensor, &part, &xs, mode, threads);
         let planned = parallel_sttsv_multi_planned(&tensor, &part, &xs, mode, threads);
-        prop_assert_eq!(&planned.ys, &legacy.ys, "batched plan must be bit-identical");
-        prop_assert_eq!(&planned.ternary_per_rank, &legacy.ternary_per_rank);
-        prop_assert_eq!(&planned.report, &legacy.report);
+        for (v, x) in xs.iter().enumerate() {
+            let single = run(&tensor, &part, std::slice::from_ref(x), mode, threads);
+            prop_assert_eq!(&planned.ys[v], &single.ys[0], "batching must not change bits");
+            let b = batch as u64;
+            let ternary: Vec<u64> = single.ternary_per_rank.iter().map(|t| b * t).collect();
+            prop_assert_eq!(&planned.ternary_per_rank, &ternary);
+            for (p, (many, one)) in planned.report.per_rank.iter().zip(&single.report.per_rank).enumerate() {
+                prop_assert_eq!(many.msgs_sent, one.msgs_sent, "rank {} messages", p);
+                prop_assert_eq!(many.rounds, one.rounds, "rank {} rounds", p);
+            }
+        }
+        assert_words(&part, q, mode, batch as u64, &planned.report);
 
-        // Pooled plans are deterministic in the pool size: the chunk tree
-        // is fixed by the block count, not the worker count.
         if threads > 1 {
             let other = parallel_sttsv_multi_planned(&tensor, &part, &xs, mode, threads + 1);
             prop_assert_eq!(&other.ys, &planned.ys, "thread count must not change bits");
@@ -118,8 +194,7 @@ proptest! {
 
     /// The plan's packed-arena compute is bit-identical to
     /// `OwnedBlocks::compute` on every rank, for arbitrary tensors and
-    /// gathered inputs — the per-rank pin that makes the full-run
-    /// equivalence above hold mode-by-mode.
+    /// gathered inputs — the kernel-level reference for the plan.
     #[test]
     fn plan_compute_matches_owned_blocks_bitwise(
         geom in 0usize..3,
@@ -139,9 +214,9 @@ proptest! {
             let x_full: Vec<Vec<f64>> =
                 (0..rp.len()).map(|_| (0..b).map(|_| rng.gen::<f64>() - 0.5).collect()).collect();
 
-            let mut y_legacy = vec![vec![0.0; b]; rp.len()];
+            let mut y_ref = vec![vec![0.0; b]; rp.len()];
             let row_pos = |i: usize| rp.binary_search(&i).unwrap();
-            let t_legacy = owned.compute(&x_full, &mut y_legacy, row_pos);
+            let t_ref = owned.compute(&x_full, &mut y_ref, row_pos);
 
             // Feed the same gathered state through the flat slabs (the
             // post-gather picture, bypassing the exchange).
@@ -149,9 +224,9 @@ proptest! {
             plan.ensure_capacity(&mut ws, 1);
             plan.load_full(&mut ws, 0, &x_full);
             let t_plan = plan.compute(&mut ws, 1, None);
-            prop_assert_eq!(t_plan, t_legacy, "rank {}: ternary counts", rank);
+            prop_assert_eq!(t_plan, t_ref, "rank {}: ternary counts", rank);
             let y_plan = plan.output_slab(&ws, 0);
-            for (t, row) in y_legacy.iter().enumerate() {
+            for (t, row) in y_ref.iter().enumerate() {
                 prop_assert_eq!(
                     &y_plan[t * b..(t + 1) * b], row.as_slice(),
                     "rank {} row slot {}: bitwise equal", rank, t

@@ -64,16 +64,8 @@ fn scheduled_run_with_faults(
         .with_faults(plan)
         .try_run_traced(|comm| {
             let p = comm.rank();
-            let ctx =
-                RankContext::new(tensor, part, p, Mode::Scheduled, Some(&schedule)).with_plan();
-            let shards: Vec<Vec<f64>> = part
-                .r_set(p)
-                .iter()
-                .map(|&i| {
-                    let block = &x[part.block_range(i)];
-                    block[part.shard_range(i, p)].to_vec()
-                })
-                .collect();
+            let ctx = RankContext::new(tensor, part, p, Mode::Scheduled, Some(&schedule));
+            let shards = part.shards_of(p, &x);
             ctx.sttsv_multi_requests(comm, &[shards], &[1])
         })
         .map(|_| ())
@@ -132,16 +124,8 @@ fn any_single_dropped_message_fails_the_run() {
         let (_, _, traces, _) = Universe::new(p_count)
             .try_run_traced(|comm| {
                 let p = comm.rank();
-                let ctx = RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule))
-                    .with_plan();
-                let shards: Vec<Vec<f64>> = part
-                    .r_set(p)
-                    .iter()
-                    .map(|&i| {
-                        let block = &x[part.block_range(i)];
-                        block[part.shard_range(i, p)].to_vec()
-                    })
-                    .collect();
+                let ctx = RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule));
+                let shards = part.shards_of(p, &x);
                 ctx.sttsv_multi_requests(comm, &[shards], &[1])
             })
             .expect("fault-free run succeeds");
@@ -192,16 +176,8 @@ fn injected_fault_sequence_is_seed_deterministic() {
             .with_faults(plan)
             .try_run_traced(|comm| {
                 let p = comm.rank();
-                let ctx = RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule))
-                    .with_plan();
-                let shards: Vec<Vec<f64>> = part
-                    .r_set(p)
-                    .iter()
-                    .map(|&i| {
-                        let block = &x[part.block_range(i)];
-                        block[part.shard_range(i, p)].to_vec()
-                    })
-                    .collect();
+                let ctx = RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule));
+                let shards = part.shards_of(p, &x);
                 ctx.sttsv_multi_requests(comm, &[shards], &[1])
             })
             .expect_err("a dropped message must fail the run");

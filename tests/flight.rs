@@ -41,14 +41,7 @@ fn recorder_on_and_off_runs_are_bit_identical() {
     let rank_main = |comm: &Comm| {
         let p = comm.rank();
         let ctx = RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule));
-        let my_shards: Vec<Vec<f64>> = part
-            .r_set(p)
-            .iter()
-            .map(|&i| {
-                let block = &x[part.block_range(i)];
-                block[part.shard_range(i, p)].to_vec()
-            })
-            .collect();
+        let my_shards = part.shards_of(p, &x);
         ctx.sttsv(comm, &my_shards)
     };
 

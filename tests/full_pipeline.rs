@@ -174,14 +174,7 @@ fn executed_message_sequence_matches_the_schedule_exactly() {
     let (_, _, traces) = Universe::new(part.num_procs()).run_traced(|comm| {
         let p = comm.rank();
         let ctx = RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule));
-        let my_shards: Vec<Vec<f64>> = part
-            .r_set(p)
-            .iter()
-            .map(|&i| {
-                let block = &x[part.block_range(i)];
-                block[part.shard_range(i, p)].to_vec()
-            })
-            .collect();
+        let my_shards = part.shards_of(p, &x);
         let _ = ctx.sttsv(comm, &my_shards);
     });
 

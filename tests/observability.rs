@@ -9,8 +9,23 @@ use symtensor_core::generate::random_symmetric;
 use symtensor_mpsim::CommEvent;
 use symtensor_obs::occupancy::spherical_step_bound;
 use symtensor_obs::{json, phase_stats, RunObservation};
-use symtensor_parallel::{parallel_sttsv, parallel_sttsv_traced, Mode, SttsvRun, TetraPartition};
+use symtensor_parallel::{
+    parallel_sttsv, parallel_sttsv_with, Mode, SttsvOptions, SttsvRun, TetraPartition,
+};
 use symtensor_steiner::spherical;
+
+/// One event-traced single-vector run.
+fn traced(
+    tensor: &symtensor_core::SymTensor3,
+    part: &TetraPartition,
+    x: &[f64],
+    mode: Mode,
+) -> (SttsvRun, Vec<Vec<CommEvent>>) {
+    let opts = SttsvOptions { trace: true, ..SttsvOptions::new(mode) };
+    let mut run = parallel_sttsv_with(tensor, part, std::slice::from_ref(&x), opts).unwrap();
+    let y = run.ys.remove(0);
+    (SttsvRun { y, report: run.report, ternary_per_rank: run.ternary_per_rank }, run.traces)
+}
 
 fn traced_alg5(q: usize, seed: u64, mode: Mode) -> (SttsvRun, Vec<Vec<CommEvent>>) {
     let n = (q * q + 1) * q * (q + 1);
@@ -18,7 +33,7 @@ fn traced_alg5(q: usize, seed: u64, mode: Mode) -> (SttsvRun, Vec<Vec<CommEvent>
     let mut rng = StdRng::seed_from_u64(seed);
     let tensor = random_symmetric(n, &mut rng);
     let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.013).sin()).collect();
-    parallel_sttsv_traced(&tensor, &part, &x, mode)
+    traced(&tensor, &part, &x, mode)
 }
 
 /// Property over `q ∈ {2, 3, 4}` (P = 10, 30, 170) and random tensors: the
@@ -93,9 +108,9 @@ fn tracing_on_and_off_yield_identical_cost_reports() {
         let tensor = random_symmetric(n, &mut rng);
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.07).cos()).collect();
         let plain = parallel_sttsv(&tensor, &part, &x, mode);
-        let (traced, traces) = parallel_sttsv_traced(&tensor, &part, &x, mode);
-        assert_eq!(plain.report, traced.report, "tracing must not change costs");
-        assert_eq!(plain.y, traced.y, "tracing must not change results");
+        let (run, traces) = traced(&tensor, &part, &x, mode);
+        assert_eq!(plain.report, run.report, "tracing must not change costs");
+        assert_eq!(plain.y, run.y, "tracing must not change results");
         assert!(traces.iter().any(|t| !t.is_empty()), "traced run must record events");
     }
 }
@@ -125,25 +140,21 @@ fn phase_totals_partition_run_and_occupancy_meets_step_bound() {
     }
 }
 
-/// The compiled-plan traced driver feeds the same observability pipeline:
-/// its comm matrix reconciles with its `CostReport`, which is itself
-/// identical (per rank, not just in aggregate) to the legacy driver's —
-/// the plan changes *when* words move through memory, never how many cross
-/// the network.
+/// The traced compiled-plan run feeds the observability pipeline: its comm
+/// matrix reconciles with its `CostReport`, which is itself identical (per
+/// rank, not just in aggregate) to the untraced run's.
 #[test]
 fn planned_traced_run_reconciles_matrix_and_report() {
-    use symtensor_parallel::parallel_sttsv_planned_traced;
     for q in [2usize, 3] {
         let n = (q * q + 1) * q * (q + 1);
         let part = TetraPartition::new(spherical(q as u64), n).unwrap();
         let mut rng = StdRng::seed_from_u64(77 + q as u64);
         let tensor = random_symmetric(n, &mut rng);
         let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.013).sin()).collect();
-        let (planned, traces) =
-            parallel_sttsv_planned_traced(&tensor, &part, &x, Mode::Scheduled, 1);
-        let legacy = parallel_sttsv(&tensor, &part, &x, Mode::Scheduled);
-        assert_eq!(planned.report, legacy.report, "q = {q}: plan must not change comm costs");
-        assert_eq!(planned.y, legacy.y, "q = {q}: plan must be bit-identical");
+        let (planned, traces) = traced(&tensor, &part, &x, Mode::Scheduled);
+        let plain = parallel_sttsv(&tensor, &part, &x, Mode::Scheduled);
+        assert_eq!(planned.report, plain.report, "q = {q}: tracing must not change comm costs");
+        assert_eq!(planned.y, plain.y, "q = {q}: tracing must not change a bit");
         let obs = RunObservation::new(planned.report.clone(), traces);
         // comm_matrix() panics if the trace marginals disagree with the
         // hot-path counters.

@@ -9,7 +9,7 @@ use symtensor_mpsim::CommEvent;
 use symtensor_obs::critical::{CriticalPath, StragglerReport};
 use symtensor_obs::replay::{replay, replay_with_drift, AlphaBetaModel};
 use symtensor_obs::ProfileHistograms;
-use symtensor_parallel::{bounds, parallel_sttsv_traced, Mode, TetraPartition};
+use symtensor_parallel::{bounds, parallel_sttsv_with, Mode, SttsvOptions, TetraPartition};
 use symtensor_steiner::spherical;
 
 fn traced_run(q: usize, mode: Mode) -> (Vec<f64>, Vec<Vec<CommEvent>>, usize) {
@@ -18,8 +18,9 @@ fn traced_run(q: usize, mode: Mode) -> (Vec<f64>, Vec<Vec<CommEvent>>, usize) {
     let mut rng = StdRng::seed_from_u64(99 + q as u64);
     let tensor = random_symmetric(n, &mut rng);
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.013).sin()).collect();
-    let (run, traces) = parallel_sttsv_traced(&tensor, &part, &x, mode);
-    (run.y, traces, n)
+    let opts = SttsvOptions { trace: true, ..SttsvOptions::new(mode) };
+    let mut run = parallel_sttsv_with(&tensor, &part, &[x], opts).unwrap();
+    (run.ys.remove(0), run.traces, n)
 }
 
 /// The headline acceptance property: under the pure-bandwidth model

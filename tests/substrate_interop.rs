@@ -49,7 +49,7 @@ fn scattered_blocks_drive_repeated_sttsv_without_reextraction() {
     let (rank_results, report) = Universe::new(part.num_procs()).run(|comm| {
         let p = comm.rank();
         let (owned, shards) = scattered[p].clone();
-        let ctx = RankContext::from_parts(&part, owned, Mode::AllToAllSparse, None);
+        let ctx = RankContext::from_parts(&part, owned, p, Mode::AllToAllSparse, None);
         // Iterate STTSV on the same context; feed y back in as the next x.
         let mut current = shards;
         for _ in 0..iterations {
@@ -66,13 +66,8 @@ fn scattered_blocks_drive_repeated_sttsv_without_reextraction() {
         reference = y;
     }
     let mut assembled = vec![0.0; n];
-    for (p, shards) in rank_results.into_iter().enumerate() {
-        for (t, &i) in part.r_set(p).iter().enumerate() {
-            let global = part.block_range(i);
-            let local = part.shard_range(i, p);
-            assembled[global.start + local.start..global.start + local.end]
-                .copy_from_slice(&shards[t]);
-        }
+    for (p, shards) in rank_results.iter().enumerate() {
+        part.place_shards(p, shards, &mut assembled);
     }
     for i in 0..n {
         assert!(
