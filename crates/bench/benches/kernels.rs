@@ -9,7 +9,8 @@
 //! instead of `B`); `sttsv_sym_par` scales with threads on multi-core
 //! hosts while staying bit-identical across thread counts; the compiled
 //! `RankPlan` arena kernel is no slower than `OwnedBlocks::compute` while
-//! running allocation-free.
+//! running allocation-free, and a batch of 8 (`plan_arena_x8`, one fused
+//! pass over the arena) costs less than 8 single-vector calls.
 //!
 //! Besides the Criterion report, this bench self-times a representative
 //! subset and writes `BENCH_kernels.json` at the repository root
@@ -73,8 +74,10 @@ fn record(
 }
 
 /// Compiled-plan packed arena vs the legacy per-block walk on rank 0's
-/// owned blocks, post-gather (both paths see the same dense row blocks).
+/// owned blocks, post-gather (both paths see the same dense row blocks),
+/// plus the arena kernel on a batch of [`PLAN_BATCH`] vectors.
 fn bench_plan(c: &mut Criterion, rows: &mut Vec<Value>) {
+    const PLAN_BATCH: usize = 8;
     let mut group = c.benchmark_group("kernel_plan");
     group.sample_size(10);
     for q in [2u64, 3] {
@@ -93,6 +96,15 @@ fn bench_plan(c: &mut Criterion, rows: &mut Vec<Value>) {
         let mut y = vec![vec![0.0; b]; rp.len()];
         let mut ws = PlanWorkspace::new();
         plan.ensure_capacity(&mut ws, 1);
+        let xs_batch: Vec<Vec<Vec<f64>>> = (0..PLAN_BATCH)
+            .map(|v| {
+                (0..rp.len())
+                    .map(|t| (0..b).map(|i| (((i + t * 7 + v * 3) as f64) * 0.019).cos()).collect())
+                    .collect()
+            })
+            .collect();
+        let mut ws_batch = PlanWorkspace::new();
+        plan.ensure_capacity(&mut ws_batch, PLAN_BATCH);
 
         let mut legacy = || {
             for row in y.iter_mut() {
@@ -103,6 +115,12 @@ fn bench_plan(c: &mut Criterion, rows: &mut Vec<Value>) {
         let arena = |ws: &mut PlanWorkspace| {
             plan.load_full(ws, 0, black_box(&x_full));
             plan.compute(ws, 1, None)
+        };
+        let arena_batch = |ws: &mut PlanWorkspace| {
+            for (v, xf) in xs_batch.iter().enumerate() {
+                plan.load_full(ws, v, black_box(xf));
+            }
+            plan.compute(ws, PLAN_BATCH, None)
         };
         // Comm-free analog of the overlapped exchange: the same plan driven
         // through the readiness machinery (owned-only prefix, then one
@@ -134,6 +152,9 @@ fn bench_plan(c: &mut Criterion, rows: &mut Vec<Value>) {
         group.bench_with_input(BenchmarkId::new("plan_overlap", n), &n, |bench, _| {
             bench.iter(|| overlap(&mut ws))
         });
+        group.bench_with_input(BenchmarkId::new("plan_arena_x8", n), &n, |bench, _| {
+            bench.iter(|| arena_batch(&mut ws_batch))
+        });
 
         let (ns_legacy, t_legacy) = measure(&mut legacy);
         record(rows, "owned_blocks", n, Some(q), ns_legacy, t_legacy);
@@ -143,6 +164,9 @@ fn bench_plan(c: &mut Criterion, rows: &mut Vec<Value>) {
         let (ns_overlap, t_overlap) = measure(|| overlap(&mut ws));
         assert_eq!(t_overlap, t_legacy, "q={q}: overlapped ternary count must agree");
         record(rows, "plan_overlap", n, Some(q), ns_overlap, t_overlap);
+        let (ns_batch, t_batch) = measure(|| arena_batch(&mut ws_batch));
+        assert_eq!(t_batch, PLAN_BATCH as u64 * t_legacy, "q={q}: batched ternary count");
+        record(rows, "plan_arena_x8", n, Some(q), ns_batch, t_batch);
     }
     group.finish();
 }

@@ -372,24 +372,40 @@ mod tests {
                 shards = y;
             }
         });
-        // The kernel gauges live inside the nested compute:kernel span.
-        let kernel = counter_stats(&traces, Some("compute:kernel"));
-        let arena = kernel["plan:arena_bytes"];
-        assert_eq!(arena.count as usize, iterations * part.num_procs());
-        assert!(arena.last > 0);
-        assert_eq!(kernel["plan:fresh_allocs"].count, arena.count);
-        // Per rank: the arena gauge never moves (it is sized once at
-        // compile time) and the cumulative fresh-allocation gauge is *flat*
-        // across iterations — all buffer growth happens during the first
-        // iteration's warm-up, before the first kernel sample.
-        for events in &traces {
-            let per = counter_stats(std::slice::from_ref(events), Some("compute:kernel"));
-            let rank_arena = per["plan:arena_bytes"];
-            assert_eq!(rank_arena.count as usize, iterations);
-            assert_eq!(rank_arena.min, rank_arena.max, "the arena never reallocates");
-            let fresh = per["plan:fresh_allocs"];
-            assert_eq!(fresh.count as usize, iterations);
-            assert_eq!(fresh.min, fresh.max, "fresh allocs must not grow after warm-up");
+        // A batch of 8 — one full group of the fused kernel's lanes, whose
+        // staging lives in the plan workspace — is allocation-free too.
+        let batch = 8;
+        let (_, _, traces_multi) = Universe::new(part.num_procs()).run_traced(|comm| {
+            let p = comm.rank();
+            let ctx = RankContext::new(&tensor, &part, p, Mode::AllToAllSparse, None);
+            let mut shards: Vec<_> = (0..batch).map(|_| part.shards_of(p, &x)).collect();
+            for _ in 0..iterations {
+                let (ys, _) = ctx.sttsv_multi(comm, &shards);
+                shards = ys;
+            }
+        });
+        for traces in [&traces, &traces_multi] {
+            // The kernel gauges live inside the nested compute:kernel span,
+            // one sample per call.
+            let kernel = counter_stats(traces, Some("compute:kernel"));
+            let arena = kernel["plan:arena_bytes"];
+            assert_eq!(arena.count as usize, iterations * part.num_procs());
+            assert!(arena.last > 0);
+            assert_eq!(kernel["plan:fresh_allocs"].count, arena.count);
+            // Per rank: the arena gauge never moves (it is sized once at
+            // compile time) and the cumulative fresh-allocation gauge is
+            // *flat* across iterations — all buffer growth happens during
+            // the first iteration's warm-up, before the first kernel
+            // sample.
+            for events in traces.iter() {
+                let per = counter_stats(std::slice::from_ref(events), Some("compute:kernel"));
+                let rank_arena = per["plan:arena_bytes"];
+                assert_eq!(rank_arena.count as usize, iterations);
+                assert_eq!(rank_arena.min, rank_arena.max, "the arena never reallocates");
+                let fresh = per["plan:fresh_allocs"];
+                assert_eq!(fresh.count as usize, iterations);
+                assert_eq!(fresh.min, fresh.max, "fresh allocs must not grow after warm-up");
+            }
         }
     }
 

@@ -220,7 +220,7 @@ impl<'a> RankContext<'a> {
     /// block `R_p[t]` of `x`; returns this rank's shards of `y` (same
     /// keying) and the ternary-multiplication count.
     pub fn sttsv(&self, comm: &Comm, my_shards: &[Vec<f64>]) -> (Vec<Vec<f64>>, u64) {
-        let (mut ys, ternary, _) = self.run_barrier(comm, std::slice::from_ref(&my_shards), None);
+        let (mut ys, ternary, _) = self.run_barrier(comm, std::slice::from_ref(&my_shards));
         (ys.pop().expect("one output per input"), ternary)
     }
 
@@ -242,19 +242,18 @@ impl<'a> RankContext<'a> {
         comm: &Comm,
         my_shards: &[Vec<Vec<f64>>],
     ) -> (Vec<Vec<Vec<f64>>>, u64) {
-        let (ys, ternary, _) = self.run_barrier(comm, my_shards, None);
+        let (ys, ternary, _) = self.run_barrier(comm, my_shards);
         (ys, ternary)
     }
 
-    /// [`RankContext::sttsv_multi`] with **request-scoped tracing**:
-    /// `requests[v]` is the serving-layer id of vector `v`. Each vector's
-    /// kernel pass is annotated with its request id (so flight-recorder
-    /// records and `CommEvent`s emitted during request `v`'s compute carry
-    /// it) and individually timed; the batch-level exchange phases are
-    /// timed as a whole, since each message carries every request's pieces
-    /// back-to-back and cannot be attributed to one request. While a
-    /// request's compute runs, the attached [`Pool`]'s workspace leases are
-    /// tagged with the same id.
+    /// [`RankContext::sttsv_multi`] for a batch of serving requests:
+    /// `requests[v]` is the serving-layer id of vector `v`. The exchange
+    /// phases and the fused kernel pass are timed as a whole, since each
+    /// message carries every request's pieces back-to-back and each tensor
+    /// row is applied to every request's vector in one pass; neither can
+    /// be attributed to one request. Per-request attribution belongs to
+    /// the work that is per request — the serving layer's `batch-form`
+    /// phases.
     ///
     /// Returns the outputs and ternary count of [`RankContext::sttsv_multi`]
     /// (bit-identical) plus this rank's [`BatchSpans`].
@@ -265,7 +264,7 @@ impl<'a> RankContext<'a> {
         requests: &[u64],
     ) -> (Vec<Vec<Vec<f64>>>, u64, BatchSpans) {
         assert_eq!(my_shards.len(), requests.len(), "one request id per vector");
-        self.run_barrier(comm, my_shards, Some(requests))
+        self.run_barrier(comm, my_shards)
     }
 
     /// Loads the batch's shards into `ws`, growing it to the batch first.
@@ -277,13 +276,12 @@ impl<'a> RankContext<'a> {
     }
 
     /// The barrier three-phase body behind every non-overlapped call: the
-    /// batch is loaded, gathered, computed vector by vector (request-
-    /// annotated when `requests` is given), reduced and extracted.
+    /// batch is loaded, gathered, computed in one fused pass, reduced and
+    /// extracted.
     fn run_barrier<S: AsRef<[Vec<f64>]>>(
         &self,
         comm: &Comm,
         my_shards: &[S],
-        requests: Option<&[u64]>,
     ) -> (Vec<Vec<Vec<f64>>>, u64, BatchSpans) {
         let batch = my_shards.len();
         let start_ns = comm.elapsed_ns();
@@ -298,7 +296,7 @@ impl<'a> RankContext<'a> {
             self.plan_exchange(comm, plan, &mut ws, TAG_X, ExchangeKind::Gather, batch)
         });
         let gather_ns = comm.elapsed_ns().saturating_sub(gather_t0);
-        let (ternary, compute_ns) = self.kernels(comm, plan, &mut ws, batch, requests);
+        let (ternary, compute_ns) = self.kernels(comm, plan, &mut ws, batch);
         let reduce_t0 = comm.elapsed_ns();
         comm.with_phase("reduce-y", || {
             self.plan_exchange(comm, plan, &mut ws, TAG_Y, ExchangeKind::Reduce, batch)
@@ -311,47 +309,26 @@ impl<'a> RankContext<'a> {
     }
 
     /// The local-compute phase over slabs `0..batch`: one `compute:kernel`
-    /// span per vector, carrying the plan's `plan:arena_bytes` /
-    /// `plan:fresh_allocs` gauges. With `requests`, vector `v`'s span (and
-    /// the pool's workspace leases) carry request id `requests[v]`.
-    /// Returns the ternary count and each vector's kernel nanoseconds.
+    /// span for the batch's fused pass over the arena, carrying the plan's
+    /// `plan:arena_bytes` / `plan:fresh_allocs` gauges. Returns the ternary
+    /// count and the pass's nanoseconds.
     fn kernels(
         &self,
         comm: &Comm,
         plan: &RankPlan,
         ws: &mut PlanWorkspace,
         batch: usize,
-        requests: Option<&[u64]>,
-    ) -> (u64, Vec<u64>) {
-        let mut compute_ns = Vec::with_capacity(batch);
-        let ternary = comm.with_phase("local-compute", || {
-            let mut total = 0u64;
-            for v in 0..batch {
-                let request = requests.map(|ids| ids[v]);
-                if let Some(id) = request {
-                    comm.annotate_request(id);
-                    if let Some(pool) = self.pool {
-                        pool.workspaces().set_request(id);
-                    }
-                }
-                let t0 = comm.elapsed_ns();
-                total += comm.with_phase("compute:kernel", || {
-                    let t = plan.compute_vector(ws, v, self.pool);
-                    comm.annotate_counter("plan:arena_bytes", plan.arena_bytes() as u64);
-                    comm.annotate_counter("plan:fresh_allocs", ws.fresh_allocs());
-                    t
-                });
-                compute_ns.push(comm.elapsed_ns().saturating_sub(t0));
-                if request.is_some() {
-                    if let Some(pool) = self.pool {
-                        pool.workspaces().clear_request();
-                    }
-                    comm.clear_request();
-                }
-            }
-            total
-        });
-        (ternary, compute_ns)
+    ) -> (u64, u64) {
+        comm.with_phase("local-compute", || {
+            let t0 = comm.elapsed_ns();
+            let ternary = comm.with_phase("compute:kernel", || {
+                let t = plan.compute(ws, batch, self.pool);
+                comm.annotate_counter("plan:arena_bytes", plan.arena_bytes() as u64);
+                comm.annotate_counter("plan:fresh_allocs", ws.fresh_allocs());
+                t
+            });
+            (ternary, comm.elapsed_ns().saturating_sub(t0))
+        })
     }
 
     /// Serves `n_batches` request batches back to back, each through
@@ -461,7 +438,7 @@ impl<'a> RankContext<'a> {
             if k + 1 < n_batches {
                 pending[1 - cur] = Some(stage(k + 1, &mut wss[1 - cur]));
             }
-            let (ternary, compute_ns) = self.kernels(comm, plan, &mut wss[cur], batch, Some(&ids));
+            let (ternary, compute_ns) = self.kernels(comm, plan, &mut wss[cur], batch);
             let reduce_t0 = comm.elapsed_ns();
             comm.with_phase("reduce-y", || {
                 self.plan_exchange(comm, plan, &mut wss[cur], TAG_Y, ExchangeKind::Reduce, batch)
@@ -982,8 +959,8 @@ pub struct BatchSpans {
     pub start_ns: u64,
     /// Duration of the gather-x exchange phase.
     pub gather_ns: u64,
-    /// Per-vector kernel durations, indexed like the batch.
-    pub compute_ns: Vec<u64>,
+    /// Duration of the batch's fused kernel pass, shared by every vector.
+    pub compute_ns: u64,
     /// Duration of the reduce-y exchange phase.
     pub reduce_ns: u64,
     /// When this rank finished extracting the batch's outputs (absolute).

@@ -15,6 +15,16 @@
 //! paper's Algorithm 4 case analysis (lines 24–36 of Algorithm 5), and
 //! count ternary multiplications in the paper's model (3 / 2 / 1 updates
 //! per element depending on index coincidences).
+//!
+//! Two kernel families share those updates. `block_kernel_flat` applies
+//! a block to one vector; it is the bit-reference behind
+//! [`OwnedBlocks::compute`]. `block_kernel_batch` is the compiled plan's
+//! kernel: it loads each packed tensor row once and applies it to up to
+//! [`LANES`] vectors in one pass, each vector with its own accumulator
+//! chain. A batch therefore reads the block once per `LANES` vectors
+//! instead of once per vector, and every vector sees exactly the
+//! floating-point operations of the one-vector kernel, in the same order,
+//! so the output bits do not depend on the batch.
 
 use crate::partition::TetraPartition;
 use crate::tetra::{BlockIdx, BlockKind};
@@ -28,7 +38,7 @@ fn tet_idx(a: usize, b: usize, c: usize) -> usize {
 }
 
 /// Chunk-count cap for the parallel compute paths: bounds the
-/// `chunks · |R_p| · b` words of partial-accumulator workspace while still
+/// `chunks · batch · |R_p| · b` words of partial-accumulator workspace while still
 /// leaving plenty of stealable units for any realistic worker count. The
 /// chunk decomposition is a function of the block count alone — never of
 /// the thread count — which is what makes the parallel paths bit-identical
@@ -194,15 +204,17 @@ impl OwnedBlocks {
 }
 
 /// The chunked-parallel driver behind the compiled plan's pooled compute:
-/// splits `n_blocks` into
-/// `min(n_blocks, MAX_COMPUTE_CHUNKS)` contiguous ranges, runs
-/// `run_range(range, partial, scratch)` per chunk into a zeroed
-/// `y.len() + 3b`-word workspace leased from the pool, tree-reduces the
-/// partials pairwise in fixed chunk order and adds the result into `y`.
+/// splits `n_blocks` into `min(n_blocks, MAX_COMPUTE_CHUNKS)` contiguous
+/// ranges, runs `run_range(range, partial, lanes)` per chunk into a zeroed
+/// `y.len()`-word partial (the whole batch's slabs) plus
+/// [`lane_words`]`(b)` words of kernel staging leased from the pool,
+/// tree-reduces the partials pairwise in fixed chunk order and adds the
+/// result into `y`.
 ///
 /// The decomposition and reduction tree depend only on `n_blocks`, never
 /// on the pool's thread count, so pooled results are bit-identical across
-/// runs and thread counts.
+/// runs and thread counts. The reduction is elementwise, so every vector
+/// of the batch sees the same per-vector tree.
 pub(crate) fn chunked_compute_flat<F>(
     n_blocks: usize,
     b: usize,
@@ -222,9 +234,9 @@ where
     let partials = pool.run_chunks(chunks, |c| {
         let lo = c * n_blocks / chunks;
         let hi = (c + 1) * n_blocks / chunks;
-        let mut buf = ws.lease_zeroed(y_len + 3 * b);
-        let (partial, scratch) = buf.split_at_mut(y_len);
-        let ternary = run_range(lo..hi, partial, scratch);
+        let mut buf = ws.lease_zeroed(y_len + lane_words(b));
+        let (partial, lanes) = buf.split_at_mut(y_len);
+        let ternary = run_range(lo..hi, partial, lanes);
         (buf, ternary)
     });
     let (buf, ternary) = symtensor_pool::tree_reduce(partials, |(mut a, ta), (bb, tb)| {
@@ -446,6 +458,291 @@ pub(crate) fn add_into(dst: &mut [f64], src: &[f64]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d += s;
     }
+}
+
+/// Vectors one pass of the compiled plan's batch kernel applies each
+/// tensor row to; larger batches run in groups of `LANES`. Chosen by
+/// measurement (EXPERIMENTS.md E20).
+pub const LANES: usize = 8;
+
+/// Words of lane staging one [`block_kernel_batch`] call needs for block
+/// size `b`: three gathered `x` rows and three `y` locals, each `b`
+/// elements of `LANES` interleaved vectors.
+pub(crate) const fn lane_words(b: usize) -> usize {
+    6 * b * LANES
+}
+
+/// Applies one block to every vector of a batch. `x`/`y` hold `batch`
+/// vector-major slabs of `stride` words, keyed by row slot like
+/// [`block_kernel_flat`]'s; `lanes` is [`lane_words`]`(b)` words of
+/// staging. Vectors run in groups of [`LANES`], the last group through the
+/// instance of the same kernel for its size. Returns the batch's exact
+/// ternary count. Every vector's `y` bits equal those of
+/// [`block_kernel_flat`] on that vector alone.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn block_kernel_batch(
+    kind: BlockKind,
+    data: &[f64],
+    b: usize,
+    slots: [usize; 3],
+    stride: usize,
+    batch: usize,
+    x: &[f64],
+    y: &mut [f64],
+    lanes: &mut [f64],
+) -> u64 {
+    let mut ternary = 0;
+    let mut v0 = 0;
+    while v0 < batch {
+        let n = (batch - v0).min(LANES);
+        let group = v0 * stride..(v0 + n) * stride;
+        let (x, y) = (&x[group.clone()], &mut y[group]);
+        let kernel: LaneKernel = match n {
+            1 => block_kernel_lanes::<1>,
+            2 => block_kernel_lanes::<2>,
+            3 => block_kernel_lanes::<3>,
+            4 => block_kernel_lanes::<4>,
+            5 => block_kernel_lanes::<5>,
+            6 => block_kernel_lanes::<6>,
+            7 => block_kernel_lanes::<7>,
+            8 => block_kernel_lanes::<8>,
+            _ => unreachable!("group size {n} exceeds LANES"),
+        };
+        ternary += kernel(kind, data, b, slots, stride, x, y, lanes);
+        v0 += n;
+    }
+    ternary
+}
+
+// `block_kernel_batch` dispatches group sizes 1..=8.
+const _: () = assert!(LANES >= 1 && LANES <= 8);
+
+/// One instance of [`block_kernel_lanes`].
+type LaneKernel =
+    fn(BlockKind, &[f64], usize, [usize; 3], usize, &[f64], &mut [f64], &mut [f64]) -> u64;
+
+/// One group of `N` vectors: gathers the block's `x` rows into
+/// lane-interleaved staging (element `e` of vector `l` at `e·N + l`), runs
+/// the kind's lane kernel into zeroed interleaved `y` locals, and adds the
+/// locals into each vector's slab in the row order of
+/// [`block_kernel_flat`].
+///
+/// Each lane kernel repeats its one-vector counterpart expression by
+/// expression, with the same operand order and association, per lane.
+/// That is what keeps every vector's bits independent of the batch; a
+/// change to either family must be made to both.
+#[allow(clippy::too_many_arguments)]
+fn block_kernel_lanes<const N: usize>(
+    kind: BlockKind,
+    data: &[f64],
+    b: usize,
+    [pi, pj, pk]: [usize; 3],
+    stride: usize,
+    x: &[f64],
+    y: &mut [f64],
+    lanes: &mut [f64],
+) -> u64 {
+    let slots: &[usize] = match kind {
+        BlockKind::OffDiagonal => &[pi, pj, pk],
+        BlockKind::NonCentralIIK | BlockKind::NonCentralIKK => &[pi, pk],
+        BlockKind::CentralDiagonal => &[pi],
+    };
+    let w = b * N;
+    let (lx, ly) = lanes[..6 * w].split_at_mut(3 * w);
+    for (&slot, dst) in slots.iter().zip(lx.chunks_exact_mut(w)) {
+        for l in 0..N {
+            let src = &x[l * stride + slot * b..l * stride + slot * b + b];
+            for (e, &v) in src.iter().enumerate() {
+                dst[e * N + l] = v;
+            }
+        }
+    }
+    ly[..slots.len() * w].fill(0.0);
+    let (xi, rest) = lx.split_at(w);
+    let (xj, xk) = rest.split_at(w);
+    let (yi, rest) = ly.split_at_mut(w);
+    let (yj, yk) = rest.split_at_mut(w);
+    let per_vector = match kind {
+        BlockKind::OffDiagonal => off_diagonal_lanes::<N>(data, b, xi, xj, xk, yi, yj, yk),
+        BlockKind::NonCentralIIK => iik_lanes::<N>(data, b, xi, xj, yi, yj),
+        BlockKind::NonCentralIKK => ikk_lanes::<N>(data, b, xi, xj, yi, yj),
+        BlockKind::CentralDiagonal => central_lanes::<N>(data, b, xi, yi),
+    };
+    for (&slot, src) in slots.iter().zip(ly.chunks_exact(w)) {
+        for l in 0..N {
+            let dst = &mut y[l * stride + slot * b..l * stride + slot * b + b];
+            for (e, d) in dst.iter_mut().enumerate() {
+                *d += src[e * N + l];
+            }
+        }
+    }
+    N as u64 * per_vector
+}
+
+/// The fused inner pass shared by every lane kernel: for each element `v`
+/// of `row`, `y[k] += coef · v` and `dot += v · x[k]` on all `N` lanes,
+/// with `x`/`y` lane-interleaved. Returns the `N` dot products.
+#[inline(always)]
+fn fused_row<const N: usize>(row: &[f64], coef: &[f64; N], x: &[f64], y: &mut [f64]) -> [f64; N] {
+    let mut dot = [0.0; N];
+    for ((&v, xv), yv) in row.iter().zip(x.chunks_exact(N)).zip(y.chunks_exact_mut(N)) {
+        for l in 0..N {
+            yv[l] += coef[l] * v;
+            dot[l] += v * xv[l];
+        }
+    }
+    dot
+}
+
+/// Element `e` of an interleaved row, as an array over its `N` lanes.
+#[inline(always)]
+fn lanes_at<const N: usize>(row: &[f64], e: usize) -> [f64; N] {
+    row[e * N..e * N + N].try_into().expect("N lanes")
+}
+
+/// [`off_diagonal_flat`] on `N` interleaved vectors. Returns the
+/// per-vector ternary count.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn off_diagonal_lanes<const N: usize>(
+    data: &[f64],
+    b: usize,
+    xi: &[f64],
+    xj: &[f64],
+    xk: &[f64],
+    yi: &mut [f64],
+    yj: &mut [f64],
+    yk: &mut [f64],
+) -> u64 {
+    for li in 0..b {
+        let xia = lanes_at::<N>(xi, li);
+        for lj in 0..b {
+            let xjb = lanes_at::<N>(xj, lj);
+            let row = &data[(li * b + lj) * b..(li * b + lj) * b + b];
+            let pref: [f64; N] = std::array::from_fn(|l| 2.0 * xia[l] * xjb[l]);
+            let dot = fused_row::<N>(row, &pref, xk, yk);
+            for l in 0..N {
+                yi[li * N + l] += 2.0 * dot[l] * xjb[l];
+                yj[lj * N + l] += 2.0 * dot[l] * xia[l];
+            }
+        }
+    }
+    3 * (b as u64).pow(3)
+}
+
+/// [`iik_flat`] on `N` interleaved vectors.
+#[inline(always)]
+fn iik_lanes<const N: usize>(
+    data: &[f64],
+    b: usize,
+    xi: &[f64],
+    xk: &[f64],
+    yi: &mut [f64],
+    yk: &mut [f64],
+) -> u64 {
+    let mut ternary = 0u64;
+    let mut pos = 0;
+    for li in 0..b {
+        let xia = lanes_at::<N>(xi, li);
+        for lj in 0..=li {
+            let row = &data[pos..pos + b];
+            pos += b;
+            let xjb = lanes_at::<N>(xi, lj);
+            if li != lj {
+                let pref: [f64; N] = std::array::from_fn(|l| 2.0 * xia[l] * xjb[l]);
+                let dot = fused_row::<N>(row, &pref, xk, yk);
+                for l in 0..N {
+                    yi[li * N + l] += 2.0 * dot[l] * xjb[l];
+                    yi[lj * N + l] += 2.0 * dot[l] * xia[l];
+                }
+                ternary += 3 * b as u64;
+            } else {
+                let sq: [f64; N] = std::array::from_fn(|l| xia[l] * xia[l]);
+                let dot = fused_row::<N>(row, &sq, xk, yk);
+                for l in 0..N {
+                    yi[li * N + l] += 2.0 * dot[l] * xia[l];
+                }
+                ternary += 2 * b as u64;
+            }
+        }
+    }
+    ternary
+}
+
+/// [`ikk_flat`] on `N` interleaved vectors.
+#[inline(always)]
+fn ikk_lanes<const N: usize>(
+    data: &[f64],
+    b: usize,
+    xi: &[f64],
+    xk: &[f64],
+    yi: &mut [f64],
+    yk: &mut [f64],
+) -> u64 {
+    let tri_len = b * (b + 1) / 2;
+    let mut ternary = 0u64;
+    for li in 0..b {
+        let xia = lanes_at::<N>(xi, li);
+        let slab = &data[li * tri_len..(li + 1) * tri_len];
+        let mut pos = 0;
+        let mut yi_row = [0.0; N];
+        for lj in 0..b {
+            let xjb = lanes_at::<N>(xk, lj);
+            let row = &slab[pos..pos + lj + 1];
+            pos += lj + 1;
+            let pref: [f64; N] = std::array::from_fn(|l| 2.0 * xia[l] * xjb[l]);
+            let dot = fused_row::<N>(&row[..lj], &pref, &xk[..lj * N], &mut yk[..lj * N]);
+            let v = row[lj];
+            for l in 0..N {
+                yi_row[l] += 2.0 * xjb[l] * dot[l];
+                yk[lj * N + l] += 2.0 * xia[l] * dot[l];
+                yi_row[l] += v * xjb[l] * xjb[l];
+                yk[lj * N + l] += 2.0 * v * xia[l] * xjb[l];
+            }
+            ternary += 3 * lj as u64 + 2;
+        }
+        for l in 0..N {
+            yi[li * N + l] += yi_row[l];
+        }
+    }
+    ternary
+}
+
+/// [`central_flat`] on `N` interleaved vectors: [`row_segment`]'s updates
+/// over the packed tetrahedron, row by row.
+#[inline(always)]
+fn central_lanes<const N: usize>(data: &[f64], b: usize, x: &[f64], y: &mut [f64]) -> u64 {
+    let mut ternary = 0u64;
+    let mut pos = 0;
+    for i in 0..b {
+        let xi = lanes_at::<N>(x, i);
+        for j in 0..=i {
+            let row = &data[pos..pos + j + 1];
+            pos += j + 1;
+            let xj = lanes_at::<N>(x, j);
+            let a = row[j];
+            if i != j {
+                let pref: [f64; N] = std::array::from_fn(|l| 2.0 * xi[l] * xj[l]);
+                let dot = fused_row::<N>(&row[..j], &pref, &x[..j * N], &mut y[..j * N]);
+                for l in 0..N {
+                    y[i * N + l] += 2.0 * xj[l] * dot[l];
+                    y[j * N + l] += 2.0 * xi[l] * dot[l];
+                    y[i * N + l] += a * xj[l] * xj[l];
+                    y[j * N + l] += 2.0 * a * xi[l] * xj[l];
+                }
+                ternary += 3 * j as u64 + 2;
+            } else {
+                let sq: [f64; N] = std::array::from_fn(|l| xi[l] * xi[l]);
+                let dot = fused_row::<N>(&row[..i], &sq, &x[..i * N], &mut y[..i * N]);
+                for l in 0..N {
+                    y[i * N + l] += 2.0 * xi[l] * dot[l];
+                    y[i * N + l] += a * sq[l];
+                }
+                ternary += 2 * i as u64 + 1;
+            }
+        }
+    }
+    ternary
 }
 
 #[cfg(test)]

@@ -26,17 +26,24 @@
 //!   transport's channel nodes excepted — those belong to the machine,
 //!   not the algorithm).
 //!
-//! The plan's kernels are the same flat register-tiled kernels as
-//! [`crate::blocks`] (shared down to the `row_segment` inner loop of
-//! `core::seq`), so its compute is bit-identical to
-//! [`OwnedBlocks::compute`]; its pooled compute funnels through one fixed
-//! chunk decomposition and [`symtensor_pool::tree_reduce`] tree, so it is
-//! bit-identical across runs and thread counts. Every message carries, per
-//! shared row block in ascending order, the batch's pieces back-to-back,
-//! so the per-rank words are exactly the paper's closed forms.
+//! The plan computes a whole batch in one pass over the arena: each
+//! block, and within it each packed tensor row, is loaded once and applied
+//! to up to [`LANES`] vectors with independent accumulator chains
+//! ([`crate::blocks`]' batch kernel). The arena is therefore read once per
+//! batch (once per `LANES` vectors for larger batches), not once per
+//! vector. Every vector sees the floating-point operations of
+//! [`OwnedBlocks::compute`]'s one-vector kernels in the same order, so its
+//! bits do not depend on the batch it rides in. The pooled compute funnels
+//! through one fixed chunk decomposition and
+//! [`symtensor_pool::tree_reduce`] tree, so it is bit-identical across runs
+//! and thread counts. Every message carries, per shared row block in
+//! ascending order, the batch's pieces back-to-back, so the per-rank words
+//! are exactly the paper's closed forms.
 
+#[cfg(doc)]
+use crate::blocks::LANES;
 use crate::blocks::{
-    add_into, block_kernel_flat, chunked_compute_flat, extract_block, OwnedBlocks,
+    add_into, block_kernel_batch, chunked_compute_flat, extract_block, lane_words, OwnedBlocks,
     MAX_COMPUTE_CHUNKS,
 };
 use crate::partition::TetraPartition;
@@ -407,7 +414,7 @@ impl RankPlan {
 
     /// Grows `ws` (if needed) to hold `batch` vectors. Capacity only ever
     /// grows; shrinking a batch reuses the larger slabs. This is the only
-    /// place the `x`/`y`/scratch slabs can allocate.
+    /// place the `x`/`y` slabs and the kernel's lane staging can allocate.
     pub fn ensure_capacity(&self, ws: &mut PlanWorkspace, batch: usize) {
         let batch = batch.max(1);
         if batch > ws.batch_cap {
@@ -415,7 +422,7 @@ impl RankPlan {
             let stride = self.stride();
             ws.x.resize(batch * stride, 0.0);
             ws.y.resize(batch * stride, 0.0);
-            ws.scratch.resize(3 * self.b, 0.0);
+            ws.lanes.resize(lane_words(self.b), 0.0);
             ws.batch_cap = batch;
             ws.buf_target = self.max_msg_unit * batch;
         }
@@ -518,75 +525,58 @@ impl RankPlan {
     }
 
     /// Runs the local kernels over the packed arena for slabs `0..batch`:
-    /// zeroes the `y` slabs (a `fill`, not an allocation) and dispatches
-    /// each [`PlanBlock`] to the shared flat kernels. With a pool, each
-    /// vector funnels through one fixed chunk decomposition, workspace
+    /// zeroes the `y` slabs (a `fill`, not an allocation) and applies each
+    /// [`PlanBlock`] to the whole batch, [`LANES`] vectors per pass, so the
+    /// arena is read once per batch of up to `LANES`. With a pool, the
+    /// batch funnels through one fixed chunk decomposition, workspace
     /// leases and reduction tree — so the result is bit-identical across
-    /// thread counts.
+    /// thread counts. Each vector's bits equal a batch-of-one run on that
+    /// vector.
     /// Returns the exact ternary-multiplication count.
     pub fn compute(&self, ws: &mut PlanWorkspace, batch: usize, pool: Option<&Pool>) -> u64 {
-        let mut ternary = 0u64;
-        for v in 0..batch {
-            ternary += self.compute_vector(ws, v, pool);
-        }
-        ternary
-    }
-
-    /// Runs the local kernels for the single slab `v` — the per-vector
-    /// unit [`RankPlan::compute`] is built from, exposed so the serving
-    /// driver can time and request-annotate each vector of a batch
-    /// individually. Zeroes slab `v` of `y` (a `fill`, not an allocation)
-    /// before accumulating; results are bit-identical to the batched form.
-    /// Returns the exact ternary-multiplication count.
-    pub fn compute_vector(&self, ws: &mut PlanWorkspace, v: usize, pool: Option<&Pool>) -> u64 {
-        let stride = self.stride();
-        let b = self.b;
-        let PlanWorkspace { x, y, scratch, .. } = ws;
-        let mut ternary = 0u64;
-        {
-            let xv = &x[v * stride..(v + 1) * stride];
-            let yv = &mut y[v * stride..(v + 1) * stride];
-            yv.fill(0.0);
-            match pool {
-                None => {
-                    for blk in &self.blocks {
-                        ternary += block_kernel_flat(
-                            blk.kind,
-                            &self.arena[blk.offset..blk.offset + blk.len],
-                            b,
-                            blk.slots,
-                            xv,
-                            yv,
-                            scratch,
-                        );
-                    }
-                }
-                Some(pool) => {
-                    ternary += chunked_compute_flat(
-                        self.blocks.len(),
-                        b,
-                        yv,
-                        pool,
-                        |range, partial, chunk_scratch| {
-                            let mut t = 0u64;
-                            for blk in &self.blocks[range] {
-                                t += block_kernel_flat(
-                                    blk.kind,
-                                    &self.arena[blk.offset..blk.offset + blk.len],
-                                    b,
-                                    blk.slots,
-                                    xv,
-                                    partial,
-                                    chunk_scratch,
-                                );
-                            }
-                            t
-                        },
-                    );
-                }
+        debug_assert!(batch <= ws.batch_cap);
+        let len = batch * self.stride();
+        let PlanWorkspace { x, y, lanes, .. } = ws;
+        let (x, y) = (&x[..len], &mut y[..len]);
+        y.fill(0.0);
+        match pool {
+            None => self.run_blocks(0..self.blocks.len(), batch, x, y, lanes),
+            Some(pool) => {
+                chunked_compute_flat(self.blocks.len(), self.b, y, pool, |range, partial, lanes| {
+                    self.run_blocks(range, batch, x, partial, lanes)
+                })
             }
         }
-        ternary
+    }
+
+    /// Applies blocks `range` (arena order) to slabs `0..batch` of `x`,
+    /// accumulating into the matching slabs of `y`. Returns the exact
+    /// ternary count.
+    fn run_blocks(
+        &self,
+        range: std::ops::Range<usize>,
+        batch: usize,
+        x: &[f64],
+        y: &mut [f64],
+        lanes: &mut [f64],
+    ) -> u64 {
+        let stride = self.stride();
+        self.blocks[range]
+            .iter()
+            .map(|blk| {
+                block_kernel_batch(
+                    blk.kind,
+                    &self.arena[blk.offset..blk.offset + blk.len],
+                    self.b,
+                    blk.slots,
+                    stride,
+                    batch,
+                    x,
+                    y,
+                    lanes,
+                )
+            })
+            .sum()
     }
 
     /// Per-block gather-dependency classification, in arena order.
@@ -653,7 +643,7 @@ impl RankPlan {
                 }
             }
             chunk_of = Some(of);
-            partials = vec![vec![None; chunks]; batch];
+            partials = vec![None; chunks];
         }
         let mut peer_rows_pending = vec![0usize; self.peers.len()];
         for (t, peers) in self.row_peers.iter().enumerate() {
@@ -745,7 +735,6 @@ impl RankPlan {
         pool: Option<&Pool>,
     ) -> u64 {
         self.compute_overlapped(ws, st, pool);
-        let stride = self.stride();
         match pool {
             None => {
                 assert_eq!(
@@ -758,57 +747,41 @@ impl RankPlan {
                 // Tail chunks (typically unlocked by the final arrivals)
                 // run in parallel on the pool, like the barrier path.
                 let tail = std::mem::take(&mut st.ready_chunks);
-                let batch = st.batch;
-                let chunk_count = st.chunks;
+                let (batch, chunk_count) = (st.batch, st.chunks);
+                let len = batch * self.stride();
+                let wsp = pool.workspaces();
                 if !tail.is_empty() {
-                    let b = self.b;
-                    let wsp = pool.workspaces();
-                    let x = &ws.x;
+                    let x = &ws.x[..len];
                     let results = pool.run_chunks(tail.len(), |i| {
                         let c = tail[i];
-                        let mut bufs = Vec::with_capacity(batch);
-                        let mut ternary = 0u64;
-                        for v in 0..batch {
-                            let mut buf = wsp.lease_zeroed(stride + 3 * b);
-                            let (partial, chunk_scratch) = buf.split_at_mut(stride);
-                            ternary += self.run_chunk(
-                                c,
-                                chunk_count,
-                                &x[v * stride..(v + 1) * stride],
-                                partial,
-                                chunk_scratch,
-                            );
-                            bufs.push(buf);
-                        }
-                        (c, bufs, ternary)
+                        let mut buf = wsp.lease_zeroed(len + lane_words(self.b));
+                        let (partial, lanes) = buf.split_at_mut(len);
+                        let ternary = self.run_chunk(c, chunk_count, batch, x, partial, lanes);
+                        (c, buf, ternary)
                     });
                     let n = self.blocks.len();
-                    for (c, bufs, ternary) in results {
+                    for (c, buf, ternary) in results {
                         st.ternary += ternary;
                         st.computed += (c + 1) * n / chunk_count - c * n / chunk_count;
-                        for (v, buf) in bufs.into_iter().enumerate() {
-                            st.partials[v][c] = Some(buf);
-                        }
+                        st.partials[c] = Some(buf);
                     }
                 }
-                // Canonical reduction: per vector, the same fixed pairwise
-                // tree over per-chunk partials in chunk order as
-                // `chunked_compute_flat` — chunk *completion* order never
-                // leaks into the result.
-                let wsp = pool.workspaces();
-                for v in 0..batch {
-                    let parts: Vec<Vec<f64>> = st.partials[v]
-                        .iter_mut()
-                        .map(|p| p.take().expect("every chunk computed before finish"))
-                        .collect();
-                    if let Some(acc) = symtensor_pool::tree_reduce(parts, |mut a, bb| {
-                        add_into(&mut a[..stride], &bb[..stride]);
-                        wsp.give_back(bb);
-                        a
-                    }) {
-                        add_into(&mut ws.y[v * stride..(v + 1) * stride], &acc[..stride]);
-                        wsp.give_back(acc);
-                    }
+                // Canonical reduction: the same fixed pairwise tree over
+                // the per-chunk partials in chunk order as
+                // `chunked_compute_flat` (elementwise, so per vector too)
+                // — chunk *completion* order never leaks into the result.
+                let parts: Vec<Vec<f64>> = st
+                    .partials
+                    .iter_mut()
+                    .map(|p| p.take().expect("every chunk computed before finish"))
+                    .collect();
+                if let Some(acc) = symtensor_pool::tree_reduce(parts, |mut a, bb| {
+                    add_into(&mut a[..len], &bb[..len]);
+                    wsp.give_back(bb);
+                    a
+                }) {
+                    add_into(&mut ws.y[..len], &acc[..len]);
+                    wsp.give_back(acc);
                 }
                 // All rows are final now; release every unflushed peer.
                 for (pidx, pending) in st.peer_rows_pending.iter_mut().enumerate() {
@@ -823,20 +796,14 @@ impl RankPlan {
     }
 
     /// No-pool overlapped compute: extend the computed prefix of the
-    /// arena while the next block's dependencies are satisfied.
+    /// arena while the next block's dependencies are satisfied, each block
+    /// applied to the whole batch at once.
     fn advance_prefix(&self, ws: &mut PlanWorkspace, st: &mut OverlapState) {
-        let stride = self.stride();
-        let b = self.b;
-        let PlanWorkspace { x, y, scratch, .. } = ws;
+        let len = st.batch * self.stride();
+        let PlanWorkspace { x, y, lanes, .. } = ws;
         while st.next_block < self.blocks.len() && st.block_pending[st.next_block] == 0 {
             let bi = st.next_block;
-            let blk = &self.blocks[bi];
-            let data = &self.arena[blk.offset..blk.offset + blk.len];
-            for v in 0..st.batch {
-                let xv = &x[v * stride..(v + 1) * stride];
-                let yv = &mut y[v * stride..(v + 1) * stride];
-                st.ternary += block_kernel_flat(blk.kind, data, b, blk.slots, xv, yv, scratch);
-            }
+            st.ternary += self.run_blocks(bi..bi + 1, st.batch, &x[..len], &mut y[..len], lanes);
             st.next_block += 1;
             st.computed += 1;
             self.note_block_done(st, bi);
@@ -844,57 +811,36 @@ impl RankPlan {
     }
 
     /// Pooled overlapped compute: run chunks that became fully ready,
-    /// inline on the calling (comm) thread, into leased zeroed partials.
+    /// inline on the calling (comm) thread, each into one leased zeroed
+    /// partial holding the whole batch's slabs.
     fn advance_chunks(&self, ws: &mut PlanWorkspace, st: &mut OverlapState, pool: &Pool) {
-        let stride = self.stride();
-        let b = self.b;
+        let len = st.batch * self.stride();
         let ready = std::mem::take(&mut st.ready_chunks);
         let wsp = pool.workspaces();
+        let n = self.blocks.len();
         for c in ready {
-            for v in 0..st.batch {
-                let mut buf = wsp.lease_zeroed(stride + 3 * b);
-                let (partial, chunk_scratch) = buf.split_at_mut(stride);
-                st.ternary += self.run_chunk(
-                    c,
-                    st.chunks,
-                    &ws.x[v * stride..(v + 1) * stride],
-                    partial,
-                    chunk_scratch,
-                );
-                st.partials[v][c] = Some(buf);
-            }
-            let n = self.blocks.len();
+            let mut buf = wsp.lease_zeroed(len + lane_words(self.b));
+            let (partial, lanes) = buf.split_at_mut(len);
+            st.ternary += self.run_chunk(c, st.chunks, st.batch, &ws.x[..len], partial, lanes);
+            st.partials[c] = Some(buf);
             st.computed += (c + 1) * n / st.chunks - c * n / st.chunks;
         }
     }
 
     /// Runs chunk `c` of the canonical `chunks`-way decomposition over
-    /// one x slab, accumulating into `partial` (same bounds arithmetic as
-    /// [`chunked_compute_flat`]).
+    /// slabs `0..batch`, accumulating into `partial` (same bounds
+    /// arithmetic as [`chunked_compute_flat`]).
     fn run_chunk(
         &self,
         c: usize,
         chunks: usize,
-        xv: &[f64],
+        batch: usize,
+        x: &[f64],
         partial: &mut [f64],
-        scratch: &mut [f64],
+        lanes: &mut [f64],
     ) -> u64 {
         let n = self.blocks.len();
-        let lo = c * n / chunks;
-        let hi = (c + 1) * n / chunks;
-        let mut ternary = 0u64;
-        for blk in &self.blocks[lo..hi] {
-            ternary += block_kernel_flat(
-                blk.kind,
-                &self.arena[blk.offset..blk.offset + blk.len],
-                self.b,
-                blk.slots,
-                xv,
-                partial,
-                scratch,
-            );
-        }
-        ternary
+        self.run_blocks(c * n / chunks..(c + 1) * n / chunks, batch, x, partial, lanes)
     }
 
     /// Bookkeeping after a block finished for all batch vectors: count
@@ -971,8 +917,9 @@ pub struct OverlapState {
     chunk_pending: Vec<usize>,
     /// Chunks whose blocks are all unlocked but not yet computed.
     ready_chunks: Vec<usize>,
-    /// Computed per-chunk partials, `partials[v][chunk]` (pooled mode).
-    partials: Vec<Vec<Option<Vec<f64>>>>,
+    /// Computed per-chunk partials over the whole batch, indexed by
+    /// chunk (pooled mode).
+    partials: Vec<Option<Vec<f64>>>,
     /// Uncomputed blocks per row slot.
     row_pending: Vec<usize>,
     /// Unfinalized rows per peer's reduce message.
@@ -1008,7 +955,7 @@ impl OverlapState {
 }
 
 /// The mutable steady state paired with a [`RankPlan`]: flat `x`/`y`
-/// slabs, the shared `3b` kernel scratch, and the recycled message
+/// slabs, the batch kernel's lane staging, and the recycled message
 /// buffers. One allocation burst at warm-up, zero afterwards.
 #[derive(Debug, Default)]
 pub struct PlanWorkspace {
@@ -1016,8 +963,9 @@ pub struct PlanWorkspace {
     x: Vec<f64>,
     /// Flat output slabs, same geometry.
     y: Vec<f64>,
-    /// The `3b`-word kernel scratch (yi/yj/yk locals).
-    scratch: Vec<f64>,
+    /// The batch kernel's lane-interleaved staging: gathered `x` rows and
+    /// `y` locals of up to [`LANES`] vectors ([`lane_words`]`(b)` words).
+    lanes: Vec<f64>,
     /// Free list of recycled message buffers.
     bufs: Vec<Vec<f64>>,
     /// Recycled outer vector for the all-to-all collective.

@@ -4,13 +4,15 @@
 //! term by moving a whole batch through one exchange-phase pair — but it
 //! answers only "how long did the batch take". A serving system needs the
 //! *per-request* decomposition: how long did request 17 queue, how long
-//! did its batch take to form, what was its kernel time, how much exchange
-//! latency did it absorb. [`parallel_sttsv_serve`] runs a stream of
-//! [`ServeRequest`]s through the compiled-plan batched kernel and measures
-//! exactly that, with straggler semantics (a span is as slow as its
-//! slowest rank — the time a client would actually observe), threading
-//! each request's id through the flight recorder, the `CommEvent` log and
-//! the worker pool's workspace leases while its kernel runs.
+//! did its batch take to form, how long was the kernel pass and the
+//! exchange it shared with its batch. [`parallel_sttsv_serve`] runs a
+//! stream of [`ServeRequest`]s through the compiled-plan batched kernel and
+//! measures exactly that, with straggler semantics (a span is as slow as
+//! its slowest rank — the time a client would actually observe). The
+//! per-request work — cutting each request's shards — runs in its own
+//! `batch-form` phase tagged with the request's id in the flight recorder
+//! and the `CommEvent` log; the fused kernel pass and the exchange serve
+//! the whole batch and stay unattributed.
 //!
 //! Results are bit-identical to [`parallel_sttsv_multi_planned`] over the
 //! same batches: the serving layer changes *when* things are measured,
@@ -31,8 +33,7 @@ use symtensor_telemetry::{keys as telemetry_keys, SloBurnRate, TelemetryPlane};
 #[derive(Clone, Debug)]
 pub struct ServeRequest {
     /// Caller-chosen request id — threaded through flight-recorder
-    /// records, trace events and pool leases during this request's
-    /// compute.
+    /// records and trace events while this request's shards are cut.
     pub id: u64,
     /// Arrival time on the serving clock (ns). Queue wait is measured
     /// from here to the start of the batch that carries the request.
@@ -94,7 +95,9 @@ pub struct RequestRecord {
     pub queue_wait_ns: u64,
     /// Shard extraction / batch assembly.
     pub batch_form_ns: u64,
-    /// This request's kernel pass (slowest rank).
+    /// The batch's fused kernel pass (slowest rank) — shared by every
+    /// request in the batch, like `exchange_ns`: each tensor row is applied
+    /// to every request's vector in one pass.
     pub compute_ns: u64,
     /// The batch's gather + reduce exchange phases (slowest rank each) —
     /// shared by every request in the batch.
@@ -126,7 +129,7 @@ pub struct ServeRun {
     /// One latency record per request, in submission order.
     pub records: Vec<RequestRecord>,
     /// Every rank's flight-recorder window at the end of the run, with
-    /// request-annotated records for each request's kernel pass.
+    /// request-annotated records for each request's `batch-form` phase.
     pub flight: Vec<FlightSnapshot>,
 }
 
@@ -145,17 +148,24 @@ fn batches<'r>(
     Ok(requests.chunks(batch_cap).collect())
 }
 
-/// One rank's shards and request ids for `batch`, extracted inside a
-/// `batch-form` phase.
+/// One rank's shards and request ids for `batch`. Cutting a request's
+/// shards is the batch's per-request work, so each request gets its own
+/// `batch-form` phase, annotated with its id.
 fn form_batch(
     comm: &Comm,
     part: &TetraPartition,
     batch: &[ServeRequest],
 ) -> (Vec<Vec<Vec<f64>>>, Vec<u64>) {
     let ids = batch.iter().map(|r| r.id).collect();
-    let shards = comm.with_phase("batch-form", || {
-        batch.iter().map(|r| part.shards_of(comm.rank(), &r.x)).collect()
-    });
+    let shards = batch
+        .iter()
+        .map(|r| {
+            comm.annotate_request(r.id);
+            let shards = comm.with_phase("batch-form", || part.shards_of(comm.rank(), &r.x));
+            comm.clear_request();
+            shards
+        })
+        .collect();
     (shards, ids)
 }
 
@@ -178,16 +188,15 @@ fn merge_batch(
     let gather = per_rank.iter().map(|b| b.spans.gather_ns).max().unwrap_or(0);
     let reduce = per_rank.iter().map(|b| b.spans.reduce_ns).max().unwrap_or(0);
     let end = per_rank.iter().map(|b| b.spans.end_ns).max().unwrap_or(0);
+    let compute = per_rank.iter().map(|b| b.spans.compute_ns).max().unwrap_or(0);
     for (v, r) in batch.iter().enumerate() {
-        let compute =
-            per_rank.iter().map(|b| b.spans.compute_ns.get(v).copied().unwrap_or(0)).max();
         records.push(RequestRecord {
             id: r.id,
             batch: k,
             batch_index: v,
             queue_wait_ns: begin.saturating_sub(r.arrival_ns),
             batch_form_ns: form,
-            compute_ns: compute.unwrap_or(0),
+            compute_ns: compute,
             exchange_ns: gather + reduce,
             e2e_ns: end.saturating_sub(r.arrival_ns),
             retries,
@@ -253,7 +262,7 @@ impl ServeTelemetry<'_> {
 ///
 /// Requests are carried in submission order, `batch_cap` per batch (the
 /// last batch may be smaller). `threads > 1` attaches a worker pool per
-/// rank, whose workspace leases are tagged with the running request's id.
+/// rank.
 /// Returns [`ServeError::ZeroBatchCap`] when `batch_cap == 0` and
 /// [`ServeError::Input`] when the tensor or a request vector has the wrong
 /// dimension.
@@ -695,16 +704,26 @@ mod tests {
         assert_eq!(run.flight.len(), part.num_procs());
         for snap in &run.flight {
             assert!(snap.overhead.recorded > 0, "recorder is always on");
-            // Every request's compute:kernel phase-enter carries its id.
+            // Every rank cuts every request's shards inside a batch-form
+            // phase that carries the request's id.
             for id in 40..43u64 {
                 assert!(
                     snap.events.iter().any(|e| e.request == Some(id)
                         && e.kind == FlightKind::PhaseEnter
-                        && e.phase == Some("compute:kernel")),
-                    "rank {} has no flight record for request {id}",
+                        && e.phase == Some("batch-form")),
+                    "rank {} has no batch-form record for request {id}",
                     snap.rank
                 );
             }
+            // The fused kernel pass is shared by the batch: exactly one
+            // unattributed compute:kernel enter for the one batch.
+            let kernel: Vec<_> = snap
+                .events
+                .iter()
+                .filter(|e| e.kind == FlightKind::PhaseEnter && e.phase == Some("compute:kernel"))
+                .collect();
+            assert_eq!(kernel.len(), 1, "rank {}: one kernel pass per batch", snap.rank);
+            assert!(kernel.iter().all(|e| e.request.is_none()));
             // Exchange records are batch-scoped: sends are unattributed.
             assert!(snap
                 .events

@@ -14,7 +14,7 @@ use symtensor_core::generate::random_symmetric;
 use symtensor_core::seq::sttsv_sym;
 use symtensor_core::Pool;
 use symtensor_mpsim::{CostReport, Universe};
-use symtensor_parallel::blocks::OwnedBlocks;
+use symtensor_parallel::blocks::{OwnedBlocks, LANES};
 use symtensor_parallel::bounds::scheduled_words_per_vector;
 use symtensor_parallel::{
     parallel_sttsv_multi_planned, parallel_sttsv_with, CommSchedule, Mode, RankContext, RankPlan,
@@ -149,7 +149,7 @@ proptest! {
         seed in 0u64..10_000,
         mode_idx in 0usize..3,
         threads in 1usize..4,
-        batch in 1usize..5,
+        batch in 1usize..LANES + 2,
     ) {
         let (q, n) = geometry(geom);
         let part = TetraPartition::new(spherical(q), n).unwrap();
@@ -194,7 +194,9 @@ proptest! {
 
     /// The plan's packed-arena compute is bit-identical to
     /// `OwnedBlocks::compute` on every rank, for arbitrary tensors and
-    /// gathered inputs — the kernel-level reference for the plan.
+    /// gathered inputs — the kernel-level reference for the plan. This
+    /// holds for a single vector and for every slab of a batch one wider
+    /// than the fused kernel's lane count (a full group plus a remainder).
     #[test]
     fn plan_compute_matches_owned_blocks_bitwise(
         geom in 0usize..3,
@@ -210,27 +212,47 @@ proptest! {
             let owned = OwnedBlocks::extract(&tensor, &part, rank);
             let plan = RankPlan::build(&part, &owned, rank);
 
-            // A full gathered input: one dense row block per owned slot.
-            let x_full: Vec<Vec<f64>> =
-                (0..rp.len()).map(|_| (0..b).map(|_| rng.gen::<f64>() - 0.5).collect()).collect();
-
-            let mut y_ref = vec![vec![0.0; b]; rp.len()];
+            // Full gathered inputs: one dense row block per owned slot.
+            let batch = LANES + 1;
+            let xs_full: Vec<Vec<Vec<f64>>> = (0..batch)
+                .map(|_| {
+                    (0..rp.len())
+                        .map(|_| (0..b).map(|_| rng.gen::<f64>() - 0.5).collect())
+                        .collect()
+                })
+                .collect();
             let row_pos = |i: usize| rp.binary_search(&i).unwrap();
-            let t_ref = owned.compute(&x_full, &mut y_ref, row_pos);
+            let references: Vec<(Vec<Vec<f64>>, u64)> = xs_full
+                .iter()
+                .map(|x_full| {
+                    let mut y_ref = vec![vec![0.0; b]; rp.len()];
+                    let t_ref = owned.compute(x_full, &mut y_ref, row_pos);
+                    (y_ref, t_ref)
+                })
+                .collect();
 
             // Feed the same gathered state through the flat slabs (the
-            // post-gather picture, bypassing the exchange).
-            let mut ws = symtensor_parallel::PlanWorkspace::new();
-            plan.ensure_capacity(&mut ws, 1);
-            plan.load_full(&mut ws, 0, &x_full);
-            let t_plan = plan.compute(&mut ws, 1, None);
-            prop_assert_eq!(t_plan, t_ref, "rank {}: ternary counts", rank);
-            let y_plan = plan.output_slab(&ws, 0);
-            for (t, row) in y_ref.iter().enumerate() {
-                prop_assert_eq!(
-                    &y_plan[t * b..(t + 1) * b], row.as_slice(),
-                    "rank {} row slot {}: bitwise equal", rank, t
-                );
+            // post-gather picture, bypassing the exchange): once as a
+            // single vector, once as the whole batch.
+            for count in [1, batch] {
+                let mut ws = symtensor_parallel::PlanWorkspace::new();
+                plan.ensure_capacity(&mut ws, count);
+                for (v, x_full) in xs_full[..count].iter().enumerate() {
+                    plan.load_full(&mut ws, v, x_full);
+                }
+                let t_plan = plan.compute(&mut ws, count, None);
+                let t_ref: u64 = references[..count].iter().map(|r| r.1).sum();
+                prop_assert_eq!(t_plan, t_ref, "rank {} batch {}: ternary counts", rank, count);
+                for (v, (y_ref, _)) in references[..count].iter().enumerate() {
+                    let y_plan = plan.output_slab(&ws, v);
+                    for (t, row) in y_ref.iter().enumerate() {
+                        prop_assert_eq!(
+                            &y_plan[t * b..(t + 1) * b], row.as_slice(),
+                            "rank {} batch {} slab {} row slot {}: bitwise equal",
+                            rank, count, v, t
+                        );
+                    }
+                }
             }
         }
     }

@@ -71,11 +71,6 @@ pub struct WorkspacePool {
     free: Mutex<Vec<Vec<f64>>>,
     leases: AtomicU64,
     fresh: AtomicU64,
-    /// The request currently charged for leases, stored as `id + 1`
-    /// (0 = untagged) so the untagged state needs no `Option` in an
-    /// atomic.
-    current_request: AtomicU64,
-    request_leases: AtomicU64,
 }
 
 impl WorkspacePool {
@@ -94,11 +89,6 @@ impl WorkspacePool {
         // ordering: Relaxed — independent monotone counters; nothing
         // synchronizes on them.
         self.leases.fetch_add(1, Ordering::Relaxed);
-        // ordering: Relaxed — advisory tag; see `set_request`.
-        if self.current_request.load(Ordering::Relaxed) != 0 {
-            // ordering: Relaxed — monotone counter, same as `leases`.
-            self.request_leases.fetch_add(1, Ordering::Relaxed);
-        }
         // A poisoned free list only means some lease-holder panicked;
         // the list itself (a Vec of owned buffers) is still valid, so
         // recover it rather than cascading the abort.
@@ -136,36 +126,6 @@ impl WorkspacePool {
     pub fn pooled(&self) -> usize {
         // Poison recovery: see `lease_zeroed`.
         self.free.lock().unwrap_or_else(|p| p.into_inner()).len()
-    }
-
-    /// Tags subsequent leases with serving request `id` — the batched
-    /// serving driver sets this around each request's compute so pool
-    /// activity is attributable per request.
-    pub fn set_request(&self, id: u64) {
-        // ordering: Relaxed — an advisory attribution tag, not a
-        // synchronization edge; misattributing a racing lease is benign.
-        self.current_request.store(id.saturating_add(1), Ordering::Relaxed);
-    }
-
-    /// Clears the request tag; subsequent leases are untagged.
-    pub fn clear_request(&self) {
-        // ordering: Relaxed — same advisory tag as `set_request`.
-        self.current_request.store(0, Ordering::Relaxed);
-    }
-
-    /// The request currently charged for leases, if any.
-    pub fn current_request(&self) -> Option<u64> {
-        // ordering: Relaxed — advisory tag read.
-        match self.current_request.load(Ordering::Relaxed) {
-            0 => None,
-            tagged => Some(tagged - 1),
-        }
-    }
-
-    /// Leases served while a request tag was active.
-    pub fn request_lease_count(&self) -> u64 {
-        // ordering: Relaxed — monotone counter read.
-        self.request_leases.load(Ordering::Relaxed)
     }
 }
 
@@ -517,26 +477,6 @@ mod tests {
         let e = ws.lease_zeroed(64);
         assert_eq!(ws.fresh_count(), 2);
         ws.give_back(e);
-    }
-
-    #[test]
-    fn request_tagging_attributes_leases() {
-        let ws = WorkspacePool::new();
-        assert_eq!(ws.current_request(), None);
-        ws.give_back(ws.lease_zeroed(8));
-        assert_eq!(ws.request_lease_count(), 0, "untagged leases are not charged");
-        ws.set_request(0); // request id 0 is a valid, distinct tag
-        assert_eq!(ws.current_request(), Some(0));
-        ws.give_back(ws.lease_zeroed(8));
-        ws.set_request(41);
-        assert_eq!(ws.current_request(), Some(41));
-        ws.give_back(ws.lease_zeroed(8));
-        assert_eq!(ws.request_lease_count(), 2);
-        ws.clear_request();
-        assert_eq!(ws.current_request(), None);
-        ws.give_back(ws.lease_zeroed(8));
-        assert_eq!(ws.request_lease_count(), 2);
-        assert_eq!(ws.lease_count(), 4);
     }
 
     #[test]
