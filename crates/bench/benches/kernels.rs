@@ -122,25 +122,6 @@ fn bench_plan(c: &mut Criterion, rows: &mut Vec<Value>) {
             }
             plan.compute(ws, PLAN_BATCH, None)
         };
-        // Comm-free analog of the overlapped exchange: the same plan driven
-        // through the readiness machinery (owned-only prefix, then one
-        // simulated peer arrival at a time) instead of one barrier compute.
-        // Measures the dependency-tracking overhead the pipelining adds on
-        // top of the arena walk — the overlap's win is hidden wait, so its
-        // kernel cost must stay in the same band as `plan_arena`.
-        let overlap = |ws: &mut PlanWorkspace| {
-            plan.load_full(ws, 0, black_box(&x_full));
-            let mut st = plan.overlap_state(1, false);
-            plan.compute_overlapped(ws, &mut st, None);
-            st.take_flushable();
-            for pidx in 0..plan.peers().len() {
-                plan.note_gather_arrival(&mut st, pidx);
-                plan.compute_overlapped(ws, &mut st, None);
-                st.take_flushable();
-            }
-            plan.finish_overlapped(ws, &mut st, None)
-        };
-
         let ternary = legacy();
         group.throughput(Throughput::Elements(ternary));
         group.bench_with_input(BenchmarkId::new("owned_blocks", n), &n, |bench, _| {
@@ -148,9 +129,6 @@ fn bench_plan(c: &mut Criterion, rows: &mut Vec<Value>) {
         });
         group.bench_with_input(BenchmarkId::new("plan_arena", n), &n, |bench, _| {
             bench.iter(|| arena(&mut ws))
-        });
-        group.bench_with_input(BenchmarkId::new("plan_overlap", n), &n, |bench, _| {
-            bench.iter(|| overlap(&mut ws))
         });
         group.bench_with_input(BenchmarkId::new("plan_arena_x8", n), &n, |bench, _| {
             bench.iter(|| arena_batch(&mut ws_batch))
@@ -161,9 +139,6 @@ fn bench_plan(c: &mut Criterion, rows: &mut Vec<Value>) {
         let (ns_plan, t_plan) = measure(|| arena(&mut ws));
         assert_eq!(t_plan, t_legacy, "q={q}: plan and legacy ternary counts must agree");
         record(rows, "plan_arena", n, Some(q), ns_plan, t_plan);
-        let (ns_overlap, t_overlap) = measure(|| overlap(&mut ws));
-        assert_eq!(t_overlap, t_legacy, "q={q}: overlapped ternary count must agree");
-        record(rows, "plan_overlap", n, Some(q), ns_overlap, t_overlap);
         let (ns_batch, t_batch) = measure(|| arena_batch(&mut ws_batch));
         assert_eq!(t_batch, PLAN_BATCH as u64 * t_legacy, "q={q}: batched ternary count");
         record(rows, "plan_arena_x8", n, Some(q), ns_batch, t_batch);

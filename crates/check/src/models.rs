@@ -5,15 +5,15 @@
 //! [`Orderings`] table so the mutation harness can weaken each ordering
 //! individually:
 //!
-//! * [`seqlock`] — the telemetry cell's sequence-lock: one writer
+//! * `seqlock` — the telemetry cell's sequence-lock: one writer
 //!   publishing a two-word gauge snapshot vs. one reader that must never
 //!   accept a torn read (`crates/telemetry/src/cell.rs`);
-//! * [`flight_ring`] — the flight recorder's wrap-around ring published
+//! * `flight_ring` — the flight recorder's wrap-around ring published
 //!   once to a drainer through a flag (`crates/mpsim/src/flight.rs`);
-//! * [`deque`] — the pool's lock-protected chunk deque: owner pushes and
+//! * `deque` — the pool's lock-protected chunk deque: owner pushes and
 //!   pops front, a thief steals back, every chunk is executed exactly
 //!   once (`crates/pool/src/lib.rs`);
-//! * [`abort_flag`] — mpsim's abort protocol: a peer that observes the
+//! * `abort_flag` — mpsim's abort protocol: a peer that observes the
 //!   flag must also observe the attribution written before it
 //!   (`crates/mpsim/src/comm.rs`).
 //!

@@ -23,7 +23,7 @@ use rand::SeedableRng;
 use symtensor_cli::obsout::ObsSink;
 use symtensor_core::generate::{random_odeco, random_symmetric};
 use symtensor_core::hopm::HopmOptions;
-use symtensor_obs::{AlphaBetaModel, RunObservation};
+use symtensor_obs::RunObservation;
 use symtensor_parallel::baselines::{baseline_1d_words, baseline_3d_words, sttsv_1d, sttsv_3d};
 use symtensor_parallel::bounds;
 use symtensor_parallel::hopm::parallel_hopm;
@@ -69,7 +69,6 @@ fn main() {
         "ablation" => ablation(),
         "triangle" => triangle(),
         "kernels" => kernels(threads, batch, flight),
-        "overlap" => overlap_ab(threads),
         "chaos" => chaos(&positional[1..]),
         "telemetry" => telemetry_ab(threads),
         "regress" => regress(&positional[1..]),
@@ -84,12 +83,11 @@ fn main() {
             ablation();
             triangle();
             kernels(threads, batch, flight);
-            overlap_ab(threads);
         }
         other => {
             eprintln!("unknown experiment '{other}'");
             eprintln!(
-                "usage: experiment [comm|baselines|balance|memory|schedule|hopm|seqio|ablation|kernels|overlap|telemetry|all] [--threads N] [--batch B] [--flight] [--trace out.json] [--metrics out.json]"
+                "usage: experiment [comm|baselines|balance|memory|schedule|hopm|seqio|ablation|kernels|telemetry|all] [--threads N] [--batch B] [--flight] [--trace out.json] [--metrics out.json]"
             );
             eprintln!(
                 "       experiment chaos [--seed S] [--drop-prob P] [--crash rank@phase:round]"
@@ -741,133 +739,6 @@ fn kernels(threads: usize, batch: usize, flight: bool) {
     if flight {
         flight_ab(threads);
     }
-}
-
-/// E16: the overlapped-exchange A/B. Runs the barrier compiled-plan path
-/// and the dependency-driven overlapped path on the same problem at
-/// q ∈ {2, 3}, asserts they are bit-identical (outputs, [`CostReport`]s,
-/// comm matrices — overlap reorders time, not words), then replays both
-/// traces under an α-β-γ model with a nonzero network flight time
-/// (`link_ns`) and reports what the overlap bought: makespan, per-rank
-/// gather-x recv-wait before/after, and the hidden/exposed decomposition
-/// per phase. Asserts the gather-x recv-wait is strictly reduced.
-///
-/// All numbers are *modeled* (virtual-clock replay of a single-host
-/// simulated run); the wire itself is `link_ns` of the model, not measured
-/// hardware.
-///
-/// [`CostReport`]: symtensor_mpsim::CostReport
-fn overlap_ab(threads: usize) {
-    println!("== E16: overlapped exchange A/B (barrier vs pipelined compiled plan) ==");
-    let model = AlphaBetaModel { alpha: 20_000.0, beta: 50.0, gamma: 1.0, link_ns: 100_000.0 };
-    println!(
-        "model: alpha={} beta={} gamma={} link={} (virtual ns)",
-        model.alpha, model.beta, model.gamma, model.link_ns
-    );
-    for q in [2u64, 3] {
-        let n = 40;
-        let part = TetraPartition::new(spherical(q), n).unwrap();
-        let mut rng = StdRng::seed_from_u64(1016 + q);
-        let tensor = random_symmetric(n, &mut rng);
-        let x: Vec<f64> = (0..n).map(|i| ((i * 3 + 1) as f64 * 0.01).sin()).collect();
-
-        // How early each rank's blocks can start: owned-only blocks need no
-        // arrival at all, single-peer blocks unlock with one message. (With
-        // shard-distributed x row blocks, owned-only is typically 0 — every
-        // block waits on some piece — so single-peer is the overlap's fuel.)
-        let (mut owned_only, mut single, mut multi) = (0usize, 0usize, 0usize);
-        for rank in 0..part.num_procs() {
-            let owned = symtensor_parallel::blocks::OwnedBlocks::extract(&tensor, &part, rank);
-            let plan = symtensor_parallel::RankPlan::build(&part, &owned, rank);
-            let h = plan.readiness_histogram();
-            owned_only += h.0;
-            single += h.1;
-            multi += h.2;
-        }
-        let total = (owned_only + single + multi).max(1) as f64;
-
-        let traced = |overlapped: bool| {
-            let opts = SttsvOptions {
-                threads,
-                overlapped,
-                trace: true,
-                ..SttsvOptions::new(Mode::Scheduled)
-            };
-            parallel_sttsv_with(&tensor, &part, std::slice::from_ref(&x), opts)
-                .expect("inputs match the partition")
-        };
-        let (b_run, o_run) = (traced(false), traced(true));
-        assert_eq!(o_run.ys, b_run.ys, "overlap must not change a single output bit");
-        assert_eq!(o_run.report, b_run.report, "overlap must not change the cost counters");
-        let b_obs = RunObservation::new(b_run.report, b_run.traces);
-        let o_obs = RunObservation::new(o_run.report, o_run.traces);
-        let (b_mat, o_mat) = (b_obs.comm_matrix(), o_obs.comm_matrix());
-        for src in 0..part.num_procs() {
-            for dst in 0..part.num_procs() {
-                assert_eq!(
-                    b_mat.words(src, dst),
-                    o_mat.words(src, dst),
-                    "overlap must not change the comm matrix ({src}->{dst})"
-                );
-            }
-        }
-
-        let barrier = b_obs.replay(model);
-        let overlapped = o_obs.replay_overlapped(model);
-        let b_wait = barrier.phase_recv_wait_per_rank("gather-x");
-        let o_wait = overlapped.phase_recv_wait_per_rank("gather-x");
-        let (b_sum, o_sum) = (b_wait.iter().sum::<f64>(), o_wait.iter().sum::<f64>());
-        let fmax = |v: &[f64]| v.iter().copied().fold(0.0, f64::max);
-
-        println!(
-            "q={q} P={:<2} n={n}: makespan {:>12.0} -> {:>12.0} virtual ns ({:+.1}%)",
-            part.num_procs(),
-            barrier.makespan_ns,
-            overlapped.makespan_ns,
-            100.0 * (overlapped.makespan_ns - barrier.makespan_ns) / barrier.makespan_ns
-        );
-        println!(
-            "  gather-x recv-wait: total {:>11.0} -> {:>9.0} ns, max/rank {:>9.0} -> {:>7.0} ns",
-            b_sum,
-            o_sum,
-            fmax(&b_wait),
-            fmax(&o_wait)
-        );
-        println!(
-            "  block readiness: {:.0}% owned-only, {:.0}% single-peer, {:.0}% multi-peer",
-            100.0 * owned_only as f64 / total,
-            100.0 * single as f64 / total,
-            100.0 * multi as f64 / total
-        );
-        println!(
-            "  {:>16} | {:>12} {:>12} {:>9} {:>6} || {:>12} {:>12} {:>9} {:>6}",
-            "phase", "hidden", "exposed", "compute", "frac", "hidden", "exposed", "compute", "frac"
-        );
-        let b_dec = barrier.overlap_decomposition();
-        for o_po in overlapped.overlap_decomposition() {
-            let (bh, be, bc, bf) = b_dec
-                .iter()
-                .find(|po| po.phase == o_po.phase)
-                .map(|po| (po.hidden_ns, po.exposed_ns, po.compute_ns, po.hidden_fraction()))
-                .unwrap_or((0.0, 0.0, 0.0, 0.0));
-            println!(
-                "  {:>16} | {:>12.0} {:>12.0} {:>9.0} {:>6.3} || {:>12.0} {:>12.0} {:>9.0} {:>6.3}",
-                o_po.phase,
-                bh,
-                be,
-                bc,
-                bf,
-                o_po.hidden_ns,
-                o_po.exposed_ns,
-                o_po.compute_ns,
-                o_po.hidden_fraction()
-            );
-        }
-        assert!(b_sum > 0.0, "barrier gather must have modeled recv-wait to hide");
-        assert!(o_sum < b_sum, "overlap must strictly reduce gather-x recv-wait");
-    }
-    println!("  (left columns: barrier; right: overlapped. gather-x recv-wait strictly reduced)");
-    println!();
 }
 
 /// E14 (`kernels --flight`): the always-on flight recorder vs recording

@@ -15,7 +15,7 @@
 //!   on the `symtensor-pool` work-stealing pool,
 //! * [`ops`] — tensor-times-vector contractions and small dense matrix
 //!   helpers,
-//! * [`hopm`] — the higher-order power method (Algorithm 1) and its shifted
+//! * [`hopm`](mod@hopm) — the higher-order power method (Algorithm 1) and its shifted
 //!   variant for ℤ-eigenpairs,
 //! * [`cp`] — the symmetric CP gradient (Algorithm 2),
 //! * [`generate`] — random symmetric and odeco (orthogonally decomposable)

@@ -41,7 +41,7 @@ const MAX_PANELS: usize = 64;
 /// what makes the parallel kernels bit-deterministic across thread counts
 /// (the reduction tree shape is fixed by the panel count). Panels are
 /// non-empty, disjoint, in order, and cover `0..n`; there are at most
-/// [`MAX_PANELS`] (64) of them and small tetrahedra get a single panel.
+/// 64 of them and small tetrahedra get a single panel.
 pub fn row_panels(n: usize) -> Vec<Range<usize>> {
     if n == 0 {
         return Vec::new();

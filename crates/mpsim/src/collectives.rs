@@ -18,23 +18,6 @@
 
 use crate::comm::{Comm, CommError};
 
-/// Events delivered (in order) by [`Comm::all_to_all_v_overlapped`]'s
-/// callback: one `SendsPosted` once every outgoing buffer is in flight,
-/// then `P − 1` `Arrival`s in completion order.
-#[derive(Debug)]
-pub enum AllToAllEvent {
-    /// All sends have been posted; the drain is about to begin. Overlap
-    /// work started here does not delay any outgoing message.
-    SendsPosted,
-    /// One peer's buffer arrived (completion order, not rank order).
-    Arrival {
-        /// Source rank.
-        src: usize,
-        /// The delivered buffer.
-        buf: Vec<f64>,
-    },
-}
-
 /// Tag namespaces so collectives cannot collide with user tags. Per-pair
 /// FIFO ordering makes tag reuse across successive collectives safe.
 const TAG_ALL_TO_ALL: u64 = 1 << 48;
@@ -99,58 +82,6 @@ impl Comm {
             }
             outcome?;
             Ok(recv)
-        })
-    }
-
-    /// [`Comm::all_to_all_v`] with **completion-order delivery**: posts
-    /// every step's send up-front (round-annotated like the barrier form),
-    /// then drains the `P − 1` incoming messages with [`Comm::recv_any`],
-    /// handing the callback one [`AllToAllEvent::SendsPosted`] followed by
-    /// the [`AllToAllEvent::Arrival`]s in whatever order the messages
-    /// land — so the caller can compute on whichever peer's data arrives
-    /// first. Word,
-    /// message and round accounting are identical to
-    /// [`Comm::all_to_all_v`] (rounds count up with each completed
-    /// arrival, matching the barrier form's per-step counting under
-    /// failures); only the completion order — and hence wall-clock —
-    /// differs. The self buffer `sendbufs[rank]` is neither sent nor
-    /// delivered; the drained buffer shell is returned for recycling.
-    pub fn all_to_all_v_overlapped(
-        &self,
-        mut sendbufs: Vec<Vec<f64>>,
-        mut on_event: impl FnMut(AllToAllEvent),
-    ) -> Result<Vec<Vec<f64>>, CommError> {
-        self.with_fallback_phase("coll:all-to-all", || {
-            let p = self.size();
-            assert_eq!(sendbufs.len(), p, "all_to_all_v_overlapped needs one buffer per rank");
-            let rank = self.rank();
-            let saved = self.current_round();
-            for step in 1..p {
-                self.annotate_round(step as u64 - 1);
-                let dst = (rank + step) % p;
-                self.send(dst, TAG_ALL_TO_ALL + step as u64, std::mem::take(&mut sendbufs[dst]));
-            }
-            match saved {
-                Some(r) => self.annotate_round(r),
-                None => self.clear_round(),
-            }
-            on_event(AllToAllEvent::SendsPosted);
-            let mut candidates: Vec<(usize, u64)> =
-                (1..p).map(|step| ((rank + p - step) % p, TAG_ALL_TO_ALL + step as u64)).collect();
-            while !candidates.is_empty() {
-                match self.recv_any(&candidates) {
-                    Ok((src, tag, buf)) => {
-                        candidates.retain(|&c| c != (src, tag));
-                        on_event(AllToAllEvent::Arrival { src, buf });
-                        self.count_round();
-                    }
-                    Err(err) => {
-                        self.fail_fast();
-                        return Err(err);
-                    }
-                }
-            }
-            Ok(sendbufs)
         })
     }
 
@@ -312,51 +243,6 @@ mod tests {
             assert_eq!(report.per_rank[rank].words_sent, expected);
         }
         assert_eq!(report.max_rounds(), (p - 1) as u64);
-    }
-
-    #[test]
-    fn overlapped_all_to_all_matches_barrier_accounting() {
-        let p = 5;
-        let make_bufs = |rank: usize| -> Vec<Vec<f64>> {
-            (0..p).map(|d| vec![(rank * 10 + d) as f64; (d % 3) + 1]).collect()
-        };
-        let (_, barrier_report) =
-            Universe::new(p).run(|comm| comm.all_to_all_v(make_bufs(comm.rank())).unwrap());
-        let (results, report) = Universe::new(p).run(|comm| {
-            let rank = comm.rank();
-            let mut got: Vec<Option<Vec<f64>>> = vec![None; p];
-            let mut send_phase_done = false;
-            let shell = comm
-                .all_to_all_v_overlapped(make_bufs(rank), |event| match event {
-                    super::AllToAllEvent::SendsPosted => send_phase_done = true,
-                    super::AllToAllEvent::Arrival { src, buf } => {
-                        assert!(send_phase_done, "SendsPosted precedes arrivals");
-                        got[src] = Some(buf);
-                    }
-                })
-                .unwrap();
-            assert!(send_phase_done, "SendsPosted was delivered");
-            assert_eq!(shell.len(), p, "buffer shell comes back for recycling");
-            got
-        });
-        for (rank, got) in results.iter().enumerate() {
-            for (src, slot) in got.iter().enumerate() {
-                if src == rank {
-                    assert!(slot.is_none(), "self buffer is not delivered");
-                } else {
-                    let buf = slot.as_ref().expect("every peer's buffer arrives");
-                    assert_eq!(buf, &vec![(src * 10 + rank) as f64; (rank % 3) + 1]);
-                }
-            }
-        }
-        // Exactly the barrier collective's words, messages and rounds.
-        for (a, b) in report.per_rank.iter().zip(&barrier_report.per_rank) {
-            assert_eq!(a.words_sent, b.words_sent);
-            assert_eq!(a.words_recv, b.words_recv);
-            assert_eq!(a.msgs_sent, b.msgs_sent);
-            assert_eq!(a.msgs_recv, b.msgs_recv);
-            assert_eq!(a.rounds, b.rounds);
-        }
     }
 
     #[test]

@@ -532,82 +532,49 @@ impl Comm {
         }
     }
 
-    /// Fires any chaos crash scheduled for this rank at the current
-    /// phase/round — shared prologue of every receive entry point, so an
-    /// injected crash surfaces identically whether the rank was about to
-    /// block, poll, or drain.
-    fn check_crash_fault(&self, peer: usize) {
-        if let Some(faults) = &self.faults {
-            if faults.borrow().crash_due(self.rank, self.phase.get(), self.round.get()) {
-                self.record_fault(InjectedFault::Crash, peer, 0);
-                self.fail_fast();
-                panic!("chaos: injected crash on rank {} (recv)", self.rank);
-            }
-        }
-    }
-
-    /// Claims the earliest buffered message matching `filter`, preserving
-    /// arrival order among the rest. `Vec::remove` (not `swap_remove`) is
-    /// load-bearing: two messages with the same `(src, tag)` — e.g. the
-    /// pipelined serving path's back-to-back gather batches — must be
-    /// claimed in the order they arrived.
-    fn mailbox_claim(&self, filter: impl Fn(&Msg) -> bool) -> Option<Msg> {
-        let mut mailbox = self.mailbox.borrow_mut();
-        let pos = mailbox.iter().position(filter)?;
-        Some(mailbox.remove(pos))
-    }
-
     /// Receives the message from `src` carrying `tag`, buffering any other
     /// messages that arrive first. Errors after the configured timeout, or
     /// with [`CommError::Disconnected`] as soon as the universe's abort
     /// flag reports that a peer rank panicked (polled at the universe's
     /// poll interval while blocked, so a dead peer never costs the full
     /// timeout).
-    pub fn recv(&self, src: usize, tag: u64) -> Result<Vec<f64>, CommError> {
-        match self.recv_any(&[(src, tag)]) {
-            Ok((_, _, data)) => Ok(data),
-            Err(err) => Err(err),
-        }
-    }
-
-    /// Receives the earliest-arrived message matching **any** of the
-    /// `(src, tag)` candidates — the progress-engine primitive behind the
-    /// overlapped exchange: a rank drains whichever peer's piece lands
-    /// first instead of receiving in fixed schedule order. Returns the
-    /// matched `(src, tag)` alongside the payload, with exactly the same
-    /// counter/trace/flight/fault accounting as [`Comm::recv`].
-    ///
-    /// Timeout and disconnect errors are attributed to the first candidate
-    /// (the set blocks as a unit; there is no single expected peer).
     ///
     /// # Panics
-    /// Panics if `candidates` is empty, or with a `chaos:` message when an
-    /// installed [`crate::FaultPlan`] crashes this rank here.
-    pub fn recv_any(
-        &self,
-        candidates: &[(usize, u64)],
-    ) -> Result<(usize, u64, Vec<f64>), CommError> {
-        let (from, want_tag) = *candidates.first().expect("recv_any: empty candidate set");
-        self.check_crash_fault(from);
-        let matches = |m: &Msg| candidates.iter().any(|&(s, t)| m.src == s && m.tag == t);
-        // Check the mailbox first: earliest arrival among all candidates.
-        if let Some(msg) = self.mailbox_claim(matches) {
-            let (src, tag) = (msg.src, msg.tag);
-            return Ok((src, tag, self.account_recv(msg)));
+    /// Panics with a `chaos:` message when an installed [`FaultPlan`]
+    /// crashes this rank here.
+    pub fn recv(&self, src: usize, tag: u64) -> Result<Vec<f64>, CommError> {
+        if let Some(faults) = &self.faults {
+            if faults.borrow().crash_due(self.rank, self.phase.get(), self.round.get()) {
+                self.record_fault(InjectedFault::Crash, src, 0);
+                self.fail_fast();
+                panic!("chaos: injected crash on rank {} (recv)", self.rank);
+            }
+        }
+        let matches = |m: &Msg| m.src == src && m.tag == tag;
+        // Claim the earliest buffered match. `Vec::remove` (not
+        // `swap_remove`) is load-bearing: two messages with the same
+        // `(src, tag)` — e.g. the pipelined serving path's back-to-back
+        // gather batches — must be claimed in the order they arrived.
+        let claimed = {
+            let mut mailbox = self.mailbox.borrow_mut();
+            mailbox.iter().position(matches).map(|pos| mailbox.remove(pos))
+        };
+        if let Some(msg) = claimed {
+            return Ok(self.account_recv(msg));
         }
         let deadline = Instant::now() + self.recv_timeout;
         loop {
             if self.abort.tripped() {
                 return Err(CommError::Disconnected {
                     rank: self.rank,
-                    from,
-                    tag: want_tag,
+                    from: src,
+                    tag,
                     abort: self.abort.info(),
                 });
             }
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
-                return Err(CommError::Timeout { rank: self.rank, from, tag: want_tag });
+                return Err(CommError::Timeout { rank: self.rank, from: src, tag });
             }
             match self.receiver.recv_timeout(remaining.min(self.poll_interval)) {
                 Ok(msg) => {
@@ -617,8 +584,7 @@ impl Comm {
                         continue;
                     }
                     if matches(&msg) {
-                        let (src, tag) = (msg.src, msg.tag);
-                        return Ok((src, tag, self.account_recv(msg)));
+                        return Ok(self.account_recv(msg));
                     }
                     self.mailbox.borrow_mut().push(msg);
                 }
@@ -627,38 +593,13 @@ impl Comm {
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err(CommError::Disconnected {
                         rank: self.rank,
-                        from,
-                        tag: want_tag,
+                        from: src,
+                        tag,
                         abort: self.abort.info(),
                     });
                 }
             }
         }
-    }
-
-    /// Non-blocking [`Comm::recv`]: claims the message from `src` with
-    /// `tag` if one has already arrived (mailbox first, then a drain of
-    /// the channel), buffering non-matching arrivals exactly like `recv`.
-    /// Returns `None` when no matching message is available yet — the
-    /// caller keeps computing and polls again later. Accounting is
-    /// identical to [`Comm::recv`] for claimed messages.
-    pub fn try_recv(&self, src: usize, tag: u64) -> Option<Vec<f64>> {
-        self.check_crash_fault(src);
-        if let Some(msg) = self.mailbox_claim(|m| m.src == src && m.tag == tag) {
-            return Some(self.account_recv(msg));
-        }
-        // Drain whatever the channel holds right now; either the match is
-        // among it or everything lands in the mailbox for later claims.
-        while let Ok(msg) = self.receiver.try_recv() {
-            if msg.dup {
-                continue;
-            }
-            if msg.src == src && msg.tag == tag {
-                return Some(self.account_recv(msg));
-            }
-            self.mailbox.borrow_mut().push(msg);
-        }
-        None
     }
 
     fn account_recv(&self, msg: Msg) -> Vec<f64> {
@@ -716,16 +657,6 @@ impl Comm {
             self.record_flight(FlightKind::Alert, None, alert.id);
         }
         h.seen_alerts.set(count);
-    }
-
-    /// Adds `value` to the named telemetry gauge on this rank's cell.
-    /// No-op (one branch) when no plane is attached.
-    #[inline]
-    pub fn telemetry_gauge_add(&self, name: &'static str, value: u64) {
-        if let Some(h) = &self.telemetry {
-            let slot = h.plane.gauge_slot(name);
-            h.plane.rank_cell(self.rank).gauge_add(slot, value);
-        }
     }
 
     /// Sets the named telemetry gauge on this rank's cell to `value`.
@@ -879,68 +810,6 @@ mod tests {
             }
         });
         assert_eq!(results[0], vec![7.0, 9.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn try_recv_claims_only_arrived_messages() {
-        let (results, report) = Universe::new(2).run(|comm| {
-            if comm.rank() == 1 {
-                assert!(comm.try_recv(0, 99).is_none(), "nothing sent yet");
-                comm.send(0, 5, vec![1.5, 2.5]);
-                comm.barrier();
-                0.0
-            } else {
-                assert!(comm.try_recv(1, 99).is_none(), "wrong tag never matches");
-                comm.barrier();
-                // After the barrier the send has happened: the message is
-                // in the channel, so a non-blocking claim must find it.
-                let data = comm.try_recv(1, 5).expect("message must be available");
-                assert!(comm.try_recv(1, 5).is_none(), "claimed exactly once");
-                data.iter().sum()
-            }
-        });
-        assert_eq!(results[0], 4.0);
-        assert_eq!(report.per_rank[0].words_recv, 2);
-        assert_eq!(report.per_rank[0].msgs_recv, 1);
-        assert_eq!(report.per_rank[1].words_sent, 2);
-    }
-
-    #[test]
-    fn recv_any_drains_candidates_with_exact_accounting() {
-        // Rank 0 drains one message from each of three peers in whatever
-        // order they land; the claimed set and the counters must match a
-        // fixed-order drain exactly.
-        let p = 4;
-        let (results, report) = Universe::new(p).run(|comm| {
-            if comm.rank() == 0 {
-                let mut candidates: Vec<(usize, u64)> =
-                    (1..p).map(|src| (src, 40 + src as u64)).collect();
-                let mut got = vec![0.0; p];
-                while !candidates.is_empty() {
-                    let (src, tag, data) = comm.recv_any(&candidates).unwrap();
-                    assert_eq!(tag, 40 + src as u64);
-                    got[src] = data[0];
-                    candidates.retain(|&(s, _)| s != src);
-                }
-                // A drained candidate set cannot be claimed twice.
-                assert!(comm.try_recv(1, 41).is_none());
-                got.iter().sum::<f64>()
-            } else {
-                comm.send(0, 40 + comm.rank() as u64, vec![comm.rank() as f64; 3]);
-                0.0
-            }
-        });
-        assert_eq!(results[0], 6.0);
-        assert_eq!(report.per_rank[0].msgs_recv, 3);
-        assert_eq!(report.per_rank[0].words_recv, 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty candidate set")]
-    fn recv_any_rejects_an_empty_candidate_set() {
-        Universe::new(1).run(|comm| {
-            let _ = comm.recv_any(&[]);
-        });
     }
 
     #[test]

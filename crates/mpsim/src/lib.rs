@@ -31,7 +31,6 @@ pub mod flight;
 pub mod matching;
 pub(crate) mod sync;
 
-pub use collectives::AllToAllEvent;
 pub use comm::{AbortInfo, Comm, CommError, Msg};
 pub use cost::{CommEvent, CommEventKind, CostReport, RankCost};
 pub use fault::{CrashSpec, FaultPlan, InjectedFault, XorShift64};

@@ -345,11 +345,15 @@ mod tests {
                     comm.annotate_round(2);
                     let next = (comm.rank() + 1) % 3;
                     comm.send(next, 0, vec![1.0; 6]);
+                    // No rank may exit before every send has reached a live
+                    // mailbox: a send to an exited rank is not charged, and
+                    // the reconciliation below counts every send.
+                    comm.barrier();
+                    let prev = (comm.rank() + 2) % 3;
+                    let _ = comm.recv(prev, 0);
                     if comm.rank() == 1 {
                         panic!("injected mid-exchange failure");
                     }
-                    let prev = (comm.rank() + 2) % 3;
-                    let _ = comm.recv(prev, 0);
                     comm.clear_round();
                 });
             })

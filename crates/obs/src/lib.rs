@@ -60,7 +60,7 @@ pub use matrix::CommMatrix;
 pub use metrics::MetricsRegistry;
 pub use occupancy::{spherical_step_bound, OccupancyReport};
 pub use regress::{parse_snapshot, BenchKey, BenchRecord, RegressionReport};
-pub use replay::{AlphaBetaModel, PhaseOverlap, ReplayReport, OVERLAP_COMPUTE_PHASES};
+pub use replay::{AlphaBetaModel, ReplayReport};
 pub use schema::{validate, ArtifactKind};
 pub use slo::{quantile_cell, Exemplar, ExemplarHistogram, RequestLatency, SloReport};
 pub use span::{
@@ -120,21 +120,6 @@ impl RunObservation {
     /// trace unless events were dropped.
     pub fn replay(&self, model: AlphaBetaModel) -> ReplayReport {
         match replay::replay(&self.traces, model) {
-            Ok(rep) => rep,
-            Err(e) => panic!("trace is not replayable: {e}"),
-        }
-    }
-
-    /// Replays an **overlapped-exchange** trace under `model`: compute is
-    /// charged for both `local-compute` and the `compute:overlap` spans
-    /// interleaved with the exchanges, so the virtual clock reproduces the
-    /// pipelining instead of modeling the gather as pure waiting (see
-    /// [`replay::replay_overlapped`]).
-    ///
-    /// # Panics
-    /// Panics if the trace is not replayable, like [`RunObservation::replay`].
-    pub fn replay_overlapped(&self, model: AlphaBetaModel) -> ReplayReport {
-        match replay::replay_overlapped(&self.traces, model) {
             Ok(rep) => rep,
             Err(e) => panic!("trace is not replayable: {e}"),
         }

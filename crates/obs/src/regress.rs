@@ -339,29 +339,32 @@ mod tests {
     }
 
     #[test]
-    fn checked_in_snapshot_covers_overlap_kernels() {
+    fn checked_in_snapshot_covers_plan_kernels() {
         // The repository's BENCH_kernels.json is the perf-gate baseline;
-        // the overlapped-exchange kernel rows must be present there (so a
-        // vanished `plan_overlap` is a Missing verdict, not silence) and
-        // must join cleanly against themselves.
+        // the compiled-plan kernel rows must be present there (so a
+        // vanished `plan_arena` or `plan_arena_x8` is a Missing verdict,
+        // not silence) and must join cleanly against themselves.
+        const PLAN_KERNELS: [&str; 2] = ["plan_arena", "plan_arena_x8"];
         let snapshot = include_str!("../../../BENCH_kernels.json");
         let rows = parse_snapshot(snapshot).unwrap();
-        for q in [2u64, 3] {
-            assert!(
-                rows.iter().any(|r| r.key.kernel == "plan_overlap" && r.key.q == Some(q)),
-                "baseline snapshot must carry a plan_overlap row for q={q}"
-            );
+        for kernel in PLAN_KERNELS {
+            for q in [2u64, 3] {
+                assert!(
+                    rows.iter().any(|r| r.key.kernel == kernel && r.key.q == Some(q)),
+                    "baseline snapshot must carry a {kernel} row for q={q}"
+                );
+            }
         }
         let report = RegressionReport::evaluate(&rows, &rows, 0.15);
         assert!(!report.regressed());
         let mut dropped = rows.clone();
-        dropped.retain(|r| r.key.kernel != "plan_overlap");
+        dropped.retain(|r| !PLAN_KERNELS.contains(&r.key.kernel.as_str()));
         let report = RegressionReport::evaluate(&rows, &dropped, 0.15);
-        assert!(report.regressed(), "losing the overlap rows must trip the gate");
-        assert!(report
-            .failures()
-            .iter()
-            .all(|r| r.key.kernel == "plan_overlap" && r.verdict == Verdict::Missing));
+        assert!(report.regressed(), "losing the plan rows must trip the gate");
+        assert_eq!(report.failures().len(), 4, "one Missing verdict per kernel and q");
+        assert!(report.failures().iter().all(|r| {
+            PLAN_KERNELS.contains(&r.key.kernel.as_str()) && r.verdict == Verdict::Missing
+        }));
     }
 
     #[test]

@@ -39,8 +39,7 @@ use symtensor_mpsim::CommEvent;
 /// clock finishes the send, which makes perfectly regular round-paired
 /// schedules lockstep (zero modeled recv-wait). A nonzero `link_ns` models
 /// the wire itself, so even a lockstep schedule pays `link_ns` of recv-wait
-/// per message **unless the receiver has other work to do in the meantime**
-/// — which is exactly what the overlapped exchange pipeline provides.
+/// per message **unless the receiver has other work to do in the meantime**.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AlphaBetaModel {
     /// Cost charged to the sender per message (latency term), in virtual ns.
@@ -88,14 +87,6 @@ impl AlphaBetaModel {
 /// The phase whose measured span durations are charged as compute when no
 /// override is given — Algorithm 5's local ternary-multiplication phase.
 pub const DEFAULT_COMPUTE_PHASE: &str = "local-compute";
-
-/// The compute phases of the **overlapped** exchange pipeline: the barrier
-/// path's tail compute plus the `compute:overlap` spans the pipelined
-/// driver runs *inside* its exchange phases (owned-only blocks during the
-/// gather, dependency groups on each arrival). Replaying with both charges
-/// that interleaved compute where it actually ran, so the virtual clock
-/// sees the overlap instead of modeling the gather as pure waiting.
-pub const OVERLAP_COMPUTE_PHASES: [&str; 2] = [DEFAULT_COMPUTE_PHASE, "compute:overlap"];
 
 /// Identifies one replayed op: `ranks[rank].ops[index]`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -242,45 +233,6 @@ impl PhaseDrift {
     }
 }
 
-/// The overlap decomposition of one phase's receives, summed across ranks:
-/// of each matched message's flight window (modeled send start → arrival),
-/// how much elapsed while the receiver was doing something else
-/// (**hidden**) versus how much the receiver spent blocked (**exposed**).
-///
-/// `hidden + exposed` is not the flight time — `hidden` is capped at the
-/// flight window while `exposed` is the receiver's actual wait — but the
-/// A/B contrast is exactly the paper's overlap question: a pipelined
-/// exchange moves time from `exposed` into `hidden` without changing a
-/// single message.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PhaseOverlap {
-    /// Phase name the receives were annotated with.
-    pub phase: String,
-    /// Flight time that passed before the receiver claimed each message —
-    /// communication the phase *hid* behind other work, in virtual ns.
-    pub hidden_ns: f64,
-    /// Receiver blocking on not-yet-arrived messages — communication the
-    /// phase *exposed*, in virtual ns (this phase's slice of
-    /// [`RankReplay::recv_wait_ns`]).
-    pub exposed_ns: f64,
-    /// Modeled compute charged to ops annotated with this phase (nonzero
-    /// only for compute phases like `compute:overlap`), in virtual ns.
-    pub compute_ns: f64,
-}
-
-impl PhaseOverlap {
-    /// Fraction of the accounted flight time this phase hid:
-    /// `hidden / (hidden + exposed)`; 0 when nothing was in flight.
-    pub fn hidden_fraction(&self) -> f64 {
-        let total = self.hidden_ns + self.exposed_ns;
-        if total <= 0.0 {
-            0.0
-        } else {
-            self.hidden_ns / total
-        }
-    }
-}
-
 impl ReplayReport {
     /// Maximum modeled send occupancy over ranks — under
     /// [`AlphaBetaModel::bandwidth_only`] this is exactly `β ×` the
@@ -342,91 +294,6 @@ impl ReplayReport {
             .collect()
     }
 
-    /// This rank-indexed vector holds each rank's modeled recv-wait summed
-    /// over the receives annotated with `phase` — the per-rank "how long
-    /// did gather-x block" number the overlap A/B compares.
-    pub fn phase_recv_wait_per_rank(&self, phase: &str) -> Vec<f64> {
-        self.ranks
-            .iter()
-            .map(|rank| {
-                rank.ops
-                    .iter()
-                    .filter(|op| matches!(op.kind, OpKind::Recv { .. }) && op.phase == Some(phase))
-                    .map(|op| {
-                        let arrival = op
-                            .matched_send
-                            .map(|s| self.ranks[s.rank].ops[s.index].end + self.model.link_ns)
-                            .unwrap_or(op.start);
-                        (arrival - op.start).max(0.0)
-                    })
-                    .sum()
-            })
-            .collect()
-    }
-
-    /// The hidden/exposed decomposition of every phase that received
-    /// messages or ran compute, in phase-name order. For each receive, the
-    /// matched send's modeled window `[send.start, send.end + link_ns]` is
-    /// the message's flight; the part that elapsed before the receiver's
-    /// claim is **hidden**, the receiver's block (if it outran the arrival)
-    /// is **exposed**.
-    pub fn overlap_decomposition(&self) -> Vec<PhaseOverlap> {
-        fn slot<'a>(
-            acc: &'a mut BTreeMap<String, PhaseOverlap>,
-            name: &str,
-        ) -> &'a mut PhaseOverlap {
-            acc.entry(name.to_string()).or_insert_with(|| PhaseOverlap {
-                phase: name.to_string(),
-                hidden_ns: 0.0,
-                exposed_ns: 0.0,
-                compute_ns: 0.0,
-            })
-        }
-        let mut acc: BTreeMap<String, PhaseOverlap> = BTreeMap::new();
-        for rank in &self.ranks {
-            for op in &rank.ops {
-                match op.kind {
-                    OpKind::Recv { .. } => {
-                        let Some(s) = op.matched_send else { continue };
-                        let send = &self.ranks[s.rank].ops[s.index];
-                        let arrive = send.end + self.model.link_ns;
-                        let po = slot(&mut acc, op.phase.unwrap_or("(unphased)"));
-                        po.hidden_ns += (op.start.min(arrive) - send.start).max(0.0);
-                        po.exposed_ns += (arrive - op.start).max(0.0);
-                    }
-                    OpKind::Compute { .. } => {
-                        let advance = op.end - op.start;
-                        if advance > 0.0 {
-                            slot(&mut acc, op.phase.unwrap_or(DEFAULT_COMPUTE_PHASE)).compute_ns +=
-                                advance;
-                        }
-                    }
-                    OpKind::Send { .. } => {}
-                }
-            }
-        }
-        acc.into_values().collect()
-    }
-
-    /// JSON form of [`ReplayReport::overlap_decomposition`]: one object
-    /// per phase with `hidden_ns` / `exposed_ns` / `compute_ns` and the
-    /// hidden fraction — the E16 A/B table.
-    pub fn overlap_json(&self) -> Value {
-        Value::Array(
-            self.overlap_decomposition()
-                .into_iter()
-                .map(|po| {
-                    Value::object()
-                        .with("phase", po.phase.as_str())
-                        .with("hidden_ns", po.hidden_ns)
-                        .with("exposed_ns", po.exposed_ns)
-                        .with("compute_ns", po.compute_ns)
-                        .with("hidden_fraction", po.hidden_fraction())
-                })
-                .collect(),
-        )
-    }
-
     /// JSON form: the model, makespan, per-rank decomposition.
     pub fn to_json(&self) -> Value {
         Value::object()
@@ -470,25 +337,12 @@ pub type ExtractedOp = (OpKind, Option<&'static str>, Option<u64>);
 /// span of the designated compute phase (nested re-entries of the same
 /// name are folded into the outer span).
 pub fn extract_ops(traces: &[Vec<CommEvent>], compute_phase: &str) -> Vec<Vec<ExtractedOp>> {
-    extract_ops_multi(traces, &[compute_phase])
-}
-
-/// [`extract_ops`] over a *set* of compute phases: a `Compute` op is
-/// emitted per outermost span of any listed phase. The phases must not
-/// nest within each other (the overlapped pipeline's `compute:overlap`
-/// and `local-compute` never do; `compute:kernel` nests inside
-/// `local-compute` and must therefore not be listed alongside it).
-pub fn extract_ops_multi(
-    traces: &[Vec<CommEvent>],
-    compute_phases: &[&str],
-) -> Vec<Vec<ExtractedOp>> {
     traces
         .iter()
         .map(|trace| {
             let mut ops = Vec::new();
             let mut depth = 0usize;
             let mut entered_at = 0u64;
-            let mut entered_phase: Option<&'static str> = None;
             for event in trace {
                 match event.kind {
                     CommEventKind::Send { dst, tag, words } => {
@@ -497,19 +351,18 @@ pub fn extract_ops_multi(
                     CommEventKind::Recv { src, tag, words } => {
                         ops.push((OpKind::Recv { src, tag, words }, event.phase, event.round));
                     }
-                    CommEventKind::PhaseEnter { name, .. } if compute_phases.contains(&name) => {
+                    CommEventKind::PhaseEnter { name, .. } if name == compute_phase => {
                         if depth == 0 {
                             entered_at = event.t_ns;
-                            entered_phase = Some(name);
                         }
                         depth += 1;
                     }
-                    CommEventKind::PhaseExit { name, .. } if compute_phases.contains(&name) => {
+                    CommEventKind::PhaseExit { name, .. } if name == compute_phase => {
                         depth = depth.saturating_sub(1);
                         if depth == 0 {
                             ops.push((
                                 OpKind::Compute { dur_ns: event.t_ns.saturating_sub(entered_at) },
-                                entered_phase,
+                                Some(name),
                                 event.round,
                             ));
                         }
@@ -531,18 +384,6 @@ pub fn replay(
     replay_with_compute_phase(traces, model, DEFAULT_COMPUTE_PHASE)
 }
 
-/// Replays a trace from the **overlapped** exchange pipeline: compute is
-/// charged for both the barrier-tail `local-compute` spans and the
-/// `compute:overlap` spans interleaved with the exchanges
-/// ([`OVERLAP_COMPUTE_PHASES`]). Use [`ReplayReport::overlap_decomposition`]
-/// on the result to see how much message flight time each phase hid.
-pub fn replay_overlapped(
-    traces: &[Vec<CommEvent>],
-    model: AlphaBetaModel,
-) -> Result<ReplayReport, ReplayError> {
-    replay_with_compute_phases(traces, model, &OVERLAP_COMPUTE_PHASES)
-}
-
 /// Replays the traces under `model`, charging `γ ×` the measured duration
 /// of every outermost `compute_phase` span as compute.
 ///
@@ -555,18 +396,7 @@ pub fn replay_with_compute_phase(
     model: AlphaBetaModel,
     compute_phase: &str,
 ) -> Result<ReplayReport, ReplayError> {
-    replay_with_compute_phases(traces, model, &[compute_phase])
-}
-
-/// [`replay_with_compute_phase`] over a set of non-nesting compute phases
-/// (see [`extract_ops_multi`]) — the general entry point behind both the
-/// barrier and overlapped replays.
-pub fn replay_with_compute_phases(
-    traces: &[Vec<CommEvent>],
-    model: AlphaBetaModel,
-    compute_phases: &[&str],
-) -> Result<ReplayReport, ReplayError> {
-    let raw = extract_ops_multi(traces, compute_phases);
+    let raw = extract_ops(traces, compute_phase);
     let p = raw.len();
     let mut ranks: Vec<RankReplay> = raw
         .iter()
@@ -791,74 +621,6 @@ mod tests {
         let traces = vec![Vec::new(), recv_only];
         let err = replay(&traces, AlphaBetaModel::bandwidth_only()).unwrap_err();
         assert_eq!(err, ReplayError::Starved { rank: 1, op_index: 0 });
-    }
-
-    #[test]
-    fn overlapped_replay_shifts_gather_wait_into_hidden() {
-        use symtensor_parallel::{parallel_sttsv_with, Mode, SttsvOptions, TetraPartition};
-        use symtensor_steiner::spherical;
-        // One barrier and one overlapped run of the same problem at each q —
-        // same messages, same bits — replayed under a model with a nonzero
-        // network flight time (`link_ns`), so messages have transit to hide.
-        // With link = 0 a perfectly regular round-paired schedule is
-        // lockstep (every arrival beats its receiver; recv-wait ≡ 0) and an
-        // A/B would be vacuous; the link term is what the overlap hides.
-        for q in [2u64, 3] {
-            let n = 30; // divisible by both row-block counts (5 and 10)
-            let part = TetraPartition::new(spherical(q), n).unwrap();
-            let mut tensor = symtensor_core::SymTensor3::zeros(n);
-            for i in 0..n {
-                for j in 0..=i {
-                    for k in 0..=j {
-                        tensor.set(i, j, k, ((i + 2 * j + 3 * k) % 7) as f64 - 3.0);
-                    }
-                }
-            }
-            let x: Vec<f64> = (0..n).map(|i| ((i * 5 + 2) as f64 * 0.01).cos()).collect();
-            let traced = |overlapped: bool| {
-                let opts =
-                    SttsvOptions { overlapped, trace: true, ..SttsvOptions::new(Mode::Scheduled) };
-                parallel_sttsv_with(&tensor, &part, std::slice::from_ref(&x), opts).unwrap()
-            };
-            let (b_run, o_run) = (traced(false), traced(true));
-            assert_eq!(o_run.ys, b_run.ys, "A/B must compare identical computations");
-            let (b_traces, o_traces) = (b_run.traces, o_run.traces);
-
-            let model =
-                AlphaBetaModel { alpha: 20_000.0, beta: 50.0, gamma: 1.0, link_ns: 100_000.0 };
-            let barrier = replay(&b_traces, model).unwrap();
-            let overlapped = replay_overlapped(&o_traces, model).unwrap();
-
-            let b_wait: f64 = barrier.phase_recv_wait_per_rank("gather-x").iter().sum();
-            let o_wait: f64 = overlapped.phase_recv_wait_per_rank("gather-x").iter().sum();
-            assert!(b_wait > 0.0, "q={q}: barrier gather must have modeled wait to hide");
-            assert!(
-                o_wait < b_wait,
-                "q={q}: overlap must reduce gather recv-wait: {o_wait} vs {b_wait}"
-            );
-
-            let hidden = |rep: &ReplayReport| {
-                rep.overlap_decomposition()
-                    .into_iter()
-                    .find(|po| po.phase == "gather-x")
-                    .map(|po| po.hidden_ns)
-                    .unwrap_or(0.0)
-            };
-            assert!(
-                hidden(&overlapped) > hidden(&barrier),
-                "q={q}: overlap must hide more gather flight time"
-            );
-            // The overlapped trace charges its interleaved compute under
-            // its own phase, visible in the decomposition.
-            assert!(overlapped
-                .overlap_decomposition()
-                .iter()
-                .any(|po| po.phase == "compute:overlap" && po.compute_ns > 0.0));
-            // Same messages, same per-rank send occupancy under the model.
-            for (b, o) in barrier.ranks.iter().zip(&overlapped.ranks) {
-                assert_eq!(b.send_busy_ns, o.send_busy_ns, "identical wire traffic");
-            }
-        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! packed into one arena, every message layout precomputed. A batch of
 //! `B` vectors moves through one exchange pair whose messages carry the
 //! `B` pieces back-to-back; a single vector is a batch of one, and an
-//! `r`-column MTTKRP is a batch of `r`. The overlapped engine
-//! ([`RankContext::sttsv_overlapped`]) runs the same three phases with
-//! compute pipelined behind the gather.
+//! `r`-column MTTKRP is a batch of `r`. In scheduled mode every message
+//! goes through one private round walker, shared by the barrier exchange
+//! and the pipelined serving loop.
 //!
 //! Communication modes:
 //!
@@ -33,27 +33,12 @@
 
 use crate::blocks::OwnedBlocks;
 use crate::partition::TetraPartition;
-use crate::plan::{ExchangeKind, OverlapState, PlanWorkspace, RankPlan};
+use crate::plan::{ExchangeKind, PlanWorkspace, RankPlan};
 use crate::schedule::CommSchedule;
 use std::cell::RefCell;
 use symtensor_core::SymTensor3;
-use symtensor_mpsim::{AllToAllEvent, Comm, CommEvent, CostReport, FlightSnapshot, Universe};
+use symtensor_mpsim::{Comm, CommEvent, CostReport, FlightSnapshot, Universe};
 use symtensor_pool::Pool;
-use symtensor_telemetry::keys as telemetry_keys;
-
-/// Runs `f`, adding its wall-clock nanoseconds to `acc` when `enabled`.
-/// No clock reads when disabled — the telemetry-off overlap path must stay
-/// instruction-identical to the pre-telemetry driver.
-#[inline]
-fn timed<R>(enabled: bool, acc: &mut u64, f: impl FnOnce() -> R) -> R {
-    if !enabled {
-        return f();
-    }
-    let t0 = std::time::Instant::now();
-    let r = f();
-    *acc += t0.elapsed().as_nanos() as u64;
-    r
-}
 
 /// Communication strategy for the two vector phases.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,6 +74,14 @@ pub enum InputError {
         /// The vector's length.
         got: usize,
     },
+    /// Input vector `index` holds a NaN or an infinity at position
+    /// `entry`.
+    NonFinite {
+        /// Position of the vector among the inputs.
+        index: usize,
+        /// Position of the first non-finite entry within the vector.
+        entry: usize,
+    },
 }
 
 impl std::fmt::Display for InputError {
@@ -100,6 +93,9 @@ impl std::fmt::Display for InputError {
             InputError::VectorDim { index, expected, got } => {
                 write!(f, "vector {index} has {got} entries, the partition covers {expected}")
             }
+            InputError::NonFinite { index, entry } => {
+                write!(f, "vector {index} has a non-finite value at entry {entry}")
+            }
         }
     }
 }
@@ -107,7 +103,8 @@ impl std::fmt::Display for InputError {
 impl std::error::Error for InputError {}
 
 /// The one input check every driver runs: the tensor and each vector must
-/// be `n`-dimensional.
+/// be `n`-dimensional, and every vector entry finite. The tensor's values
+/// are not scanned: that would cost as much as a whole contraction.
 pub(crate) fn check_dims<'x>(
     n: usize,
     tensor: &SymTensor3,
@@ -119,6 +116,9 @@ pub(crate) fn check_dims<'x>(
     for (index, x) in xs.into_iter().enumerate() {
         if x.len() != n {
             return Err(InputError::VectorDim { index, expected: n, got: x.len() });
+        }
+        if let Some(entry) = x.iter().position(|v| !v.is_finite()) {
+            return Err(InputError::NonFinite { index, entry });
         }
     }
     Ok(())
@@ -275,9 +275,9 @@ impl<'a> RankContext<'a> {
         }
     }
 
-    /// The barrier three-phase body behind every non-overlapped call: the
-    /// batch is loaded, gathered, computed in one fused pass, reduced and
-    /// extracted.
+    /// The barrier three-phase body behind every call but the pipelined
+    /// serving loop: the batch is loaded, gathered, computed in one fused
+    /// pass, reduced and extracted.
     fn run_barrier<S: AsRef<[Vec<f64>]>>(
         &self,
         comm: &Comm,
@@ -364,7 +364,9 @@ impl<'a> RankContext<'a> {
     /// claimed before batch `k + 1`'s (the mailbox preserves arrival order
     /// per `(src, tag)`), so the wire format, cost counters and output
     /// bits are identical to the sequential serving loop — only the
-    /// *timing* moves. Scheduled mode pipelines; the all-to-all modes fall
+    /// *timing* moves. Both halves of the gather run on the barrier
+    /// exchange's round walker, split into a send-only and a receive-only
+    /// pass. Scheduled mode pipelines; the all-to-all modes fall
     /// back to sequential barrier batches (their collective is a single
     /// indivisible step).
     pub fn sttsv_serve_pipelined(
@@ -376,10 +378,7 @@ impl<'a> RankContext<'a> {
         if self.mode != Mode::Scheduled {
             return self.sttsv_serve(comm, n_batches, form);
         }
-        let p = comm.rank();
-        let plan = self.compile(p);
-        let schedule = self.schedule.expect("scheduled mode requires a schedule");
-        let actions = schedule.actions(p);
+        let plan = self.compile(comm.rank());
         let mut wss = [PlanWorkspace::new(), PlanWorkspace::new()];
         // Admits batch `k` into workspace `ws`: form, load, and put its
         // gather messages on the wire. Receives are deferred to the
@@ -391,15 +390,7 @@ impl<'a> RankContext<'a> {
             self.load(ws, plan, &shards);
             let formed_ns = comm.elapsed_ns();
             comm.with_phase("gather-x", || {
-                for (round, act) in actions.iter().enumerate() {
-                    comm.annotate_round(round as u64);
-                    if let Some(dst) = act.send_to {
-                        let pidx = plan.peer_slot(dst).expect("scheduled peer is in the plan");
-                        let buf = plan.pack(ws, ExchangeKind::Gather, pidx, batch);
-                        comm.send(dst, TAG_X + round as u64, buf);
-                    }
-                }
-                comm.clear_round();
+                self.walk_rounds(comm, plan, ws, TAG_X, ExchangeKind::Gather, batch, Walk::Post)
             });
             (begin_ns, formed_ns, ids)
         };
@@ -418,19 +409,8 @@ impl<'a> RankContext<'a> {
             // has already arrived and costs only a mailbox claim.
             let gather_t0 = comm.elapsed_ns();
             comm.with_phase("gather-x", || {
-                for (round, act) in actions.iter().enumerate() {
-                    comm.annotate_round(round as u64);
-                    if let Some(src) = act.recv_from {
-                        let buf =
-                            comm.recv(src, TAG_X + round as u64).expect("pipelined gather failed");
-                        let pidx = plan.peer_slot(src).expect("scheduled peer is in the plan");
-                        plan.unpack(&mut wss[cur], ExchangeKind::Gather, pidx, batch, buf);
-                    }
-                    if act.send_to.is_some() || act.recv_from.is_some() {
-                        comm.count_round();
-                    }
-                }
-                comm.clear_round();
+                let ws = &mut wss[cur];
+                self.walk_rounds(comm, plan, ws, TAG_X, ExchangeKind::Gather, batch, Walk::Drain)
             });
             let gather_ns = comm.elapsed_ns().saturating_sub(gather_t0);
             // Admit the next batch before this one computes: its gather
@@ -457,316 +437,6 @@ impl<'a> RankContext<'a> {
         out
     }
 
-    /// One **overlapped** distributed STTSV: same wire format,
-    /// word/message/round counts and output bits as
-    /// [`RankContext::sttsv`], but communication and computation are
-    /// pipelined — owned-only blocks run while the gather messages are in
-    /// flight, each dependency group runs the moment its last x piece
-    /// lands (drained in arrival order via [`Comm::recv_any`]), and
-    /// finalized scatter-y contributions flush early in scheduled mode.
-    pub fn sttsv_overlapped(&self, comm: &Comm, my_shards: &[Vec<f64>]) -> (Vec<Vec<f64>>, u64) {
-        let (mut ys, ternary) = self.run_overlapped(comm, std::slice::from_ref(&my_shards));
-        (ys.pop().expect("one output per input"), ternary)
-    }
-
-    /// Batched form of [`RankContext::sttsv_overlapped`]: the whole batch
-    /// moves through one overlapped exchange pair, bit-identical to
-    /// [`RankContext::sttsv_multi`].
-    pub fn sttsv_multi_overlapped(
-        &self,
-        comm: &Comm,
-        my_shards: &[Vec<Vec<f64>>],
-    ) -> (Vec<Vec<Vec<f64>>>, u64) {
-        self.run_overlapped(comm, my_shards)
-    }
-
-    /// The overlapped body behind both overlapped calls: load, run the
-    /// pipelined phases, extract.
-    fn run_overlapped<S: AsRef<[Vec<f64>]>>(
-        &self,
-        comm: &Comm,
-        my_shards: &[S],
-    ) -> (Vec<Vec<Vec<f64>>>, u64) {
-        let batch = my_shards.len();
-        if batch == 0 {
-            return (Vec::new(), 0);
-        }
-        let plan = self.compile(comm.rank());
-        let mut ws = self.plan_ws.borrow_mut();
-        self.load(&mut ws, plan, my_shards);
-        let ternary = self.run_plan_overlapped(comm, plan, &mut ws, batch);
-        ((0..batch).map(|v| plan.extract(&ws, v)).collect(), ternary)
-    }
-
-    /// The overlapped three-phase pipeline (see the [`crate::plan`] module
-    /// docs for the bit-identity argument):
-    ///
-    /// 1. **gather-x** — all sends posted up-front (schedule order, round
-    ///    tags unchanged), owned-only blocks computed inside a nested
-    ///    `compute:overlap` span, then arrivals drained in completion
-    ///    order, each unlocking its dependency groups.
-    /// 2. **local-compute** — the remaining blocks (everything not yet
-    ///    computed opportunistically) inside the usual `compute:kernel`
-    ///    span, parallel on the attached pool.
-    /// 3. **reduce-y** — in scheduled mode, peers whose y rows finalized
-    ///    early were already flushed during phases 1–2; the rest flush
-    ///    here, and incoming partials are drained in arrival order but
-    ///    *applied* in schedule order (prefix rule), so the accumulation
-    ///    order — and therefore every output bit — matches the barrier
-    ///    path. The all-to-all modes flush at the collective and apply in
-    ///    ascending peer order, like their barrier form.
-    fn run_plan_overlapped(
-        &self,
-        comm: &Comm,
-        plan: &RankPlan,
-        ws: &mut PlanWorkspace,
-        batch: usize,
-    ) -> u64 {
-        let p = comm.rank();
-        let mut st = plan.overlap_state(batch, self.pool.is_some());
-        // Live overlap decomposition: compute done while gather messages
-        // are in flight is *hidden* communication; time spent blocked in
-        // an arrival wait is *exposed*. Published as telemetry gauges so a
-        // concurrent scrape can report overlap efficiency mid-run.
-        let tele = comm.telemetry_enabled();
-        let mut hidden_ns = 0u64;
-        let mut exposed_ns = 0u64;
-        match self.mode {
-            Mode::Scheduled => {
-                let schedule = self.schedule.expect("scheduled mode requires a schedule");
-                let actions = schedule.actions(p);
-                // The round in which the schedule sends to each dst — the
-                // receiver's recv round is the same (rounds pair up), so
-                // early-flushed reduce messages carry the barrier tags.
-                let mut send_round = vec![None; self.part.num_procs()];
-                for (round, act) in actions.iter().enumerate() {
-                    if let Some(dst) = act.send_to {
-                        send_round[dst] = Some(round as u64);
-                    }
-                }
-                comm.with_phase("gather-x", || {
-                    for (round, act) in actions.iter().enumerate() {
-                        comm.annotate_round(round as u64);
-                        if let Some(dst) = act.send_to {
-                            let pidx = plan.peer_slot(dst).expect("scheduled peer is in the plan");
-                            let buf = plan.pack(ws, ExchangeKind::Gather, pidx, batch);
-                            comm.send(dst, TAG_X + round as u64, buf);
-                        }
-                    }
-                    comm.clear_round();
-                    // Owned-only blocks while every message is in flight.
-                    timed(tele, &mut hidden_ns, || {
-                        comm.with_phase("compute:overlap", || {
-                            plan.compute_overlapped(ws, &mut st, self.pool)
-                        })
-                    });
-                    self.flush_ready(comm, plan, ws, &mut st, batch, &send_round);
-                    let mut candidates: Vec<(usize, u64)> = actions
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(round, act)| {
-                            act.recv_from.map(|src| (src, TAG_X + round as u64))
-                        })
-                        .collect();
-                    while !candidates.is_empty() {
-                        let (src, tag, buf) = timed(tele, &mut exposed_ns, || {
-                            comm.recv_any(&candidates).expect("overlapped gather failed")
-                        });
-                        candidates.retain(|&c| c != (src, tag));
-                        let pidx = plan.peer_slot(src).expect("scheduled peer is in the plan");
-                        plan.unpack(ws, ExchangeKind::Gather, pidx, batch, buf);
-                        plan.note_gather_arrival(&mut st, pidx);
-                        timed(tele, &mut hidden_ns, || {
-                            comm.with_phase("compute:overlap", || {
-                                plan.compute_overlapped(ws, &mut st, self.pool)
-                            })
-                        });
-                        self.flush_ready(comm, plan, ws, &mut st, batch, &send_round);
-                    }
-                    for act in actions {
-                        if act.send_to.is_some() || act.recv_from.is_some() {
-                            comm.count_round();
-                        }
-                    }
-                });
-                let ternary = comm.with_phase("local-compute", || {
-                    comm.with_phase("compute:kernel", || {
-                        let t = plan.finish_overlapped(ws, &mut st, self.pool);
-                        comm.annotate_counter("plan:arena_bytes", plan.arena_bytes() as u64);
-                        comm.annotate_counter("plan:fresh_allocs", ws.fresh_allocs());
-                        t
-                    })
-                });
-                comm.with_phase("reduce-y", || {
-                    self.flush_ready(comm, plan, ws, &mut st, batch, &send_round);
-                    // Drain in arrival order, apply in schedule order: the
-                    // reduce accumulation is order-sensitive, so arrivals
-                    // beyond the applied prefix are stashed.
-                    let recv_rounds: Vec<(usize, u64)> = actions
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(round, act)| act.recv_from.map(|src| (src, round as u64)))
-                        .collect();
-                    let mut candidates: Vec<(usize, u64)> =
-                        recv_rounds.iter().map(|&(src, round)| (src, TAG_Y + round)).collect();
-                    let mut arrived: Vec<Option<Vec<f64>>> = vec![None; recv_rounds.len()];
-                    let mut applied = 0usize;
-                    while !candidates.is_empty() {
-                        let (src, tag, buf) =
-                            comm.recv_any(&candidates).expect("overlapped reduce failed");
-                        candidates.retain(|&c| c != (src, tag));
-                        let slot = recv_rounds
-                            .iter()
-                            .position(|&(s, round)| s == src && TAG_Y + round == tag)
-                            .expect("arrival matches a scheduled recv");
-                        arrived[slot] = Some(buf);
-                        while applied < recv_rounds.len() {
-                            let Some(buf) = arrived[applied].take() else { break };
-                            let pidx = plan
-                                .peer_slot(recv_rounds[applied].0)
-                                .expect("scheduled peer is in the plan");
-                            plan.unpack(ws, ExchangeKind::Reduce, pidx, batch, buf);
-                            applied += 1;
-                        }
-                    }
-                    for act in actions {
-                        if act.send_to.is_some() || act.recv_from.is_some() {
-                            comm.count_round();
-                        }
-                    }
-                });
-                if tele {
-                    comm.telemetry_gauge_add(telemetry_keys::HIDDEN_NS, hidden_ns);
-                    comm.telemetry_gauge_add(telemetry_keys::EXPOSED_NS, exposed_ns);
-                }
-                ternary
-            }
-            Mode::AllToAllPadded | Mode::AllToAllSparse => {
-                let p_count = self.part.num_procs();
-                let pad_len = batch * plan.pad_unit();
-                comm.with_phase("gather-x", || {
-                    let mut sendbufs = std::mem::take(&mut ws.a2a_send);
-                    sendbufs.resize_with(p_count, Vec::new);
-                    for pidx in 0..plan.peers().len() {
-                        let peer = plan.peers()[pidx].peer;
-                        let mut buf = plan.pack(ws, ExchangeKind::Gather, pidx, batch);
-                        if self.mode == Mode::AllToAllPadded {
-                            debug_assert!(buf.len() <= pad_len);
-                            buf.resize(pad_len, 0.0);
-                        }
-                        sendbufs[peer] = buf;
-                    }
-                    // The collective's wall time minus its hidden compute
-                    // is the exposed arrival wait.
-                    let mut total_ns = 0u64;
-                    let shell = timed(tele, &mut total_ns, || {
-                        comm.all_to_all_v_overlapped(sendbufs, |event| match event {
-                            // Owned-only blocks start once the sends are
-                            // in flight (posting first keeps peers fed).
-                            AllToAllEvent::SendsPosted => {
-                                timed(tele, &mut hidden_ns, || {
-                                    comm.with_phase("compute:overlap", || {
-                                        plan.compute_overlapped(ws, &mut st, self.pool)
-                                    })
-                                });
-                            }
-                            AllToAllEvent::Arrival { src, buf } => {
-                                let pidx =
-                                    plan.peer_slot(src).expect("every non-self rank is a peer");
-                                plan.unpack(ws, ExchangeKind::Gather, pidx, batch, buf);
-                                plan.note_gather_arrival(&mut st, pidx);
-                                timed(tele, &mut hidden_ns, || {
-                                    comm.with_phase("compute:overlap", || {
-                                        plan.compute_overlapped(ws, &mut st, self.pool)
-                                    })
-                                });
-                            }
-                        })
-                    })
-                    .expect("all-to-all failed");
-                    exposed_ns = total_ns.saturating_sub(hidden_ns);
-                    ws.a2a_send = shell;
-                });
-                let ternary = comm.with_phase("local-compute", || {
-                    comm.with_phase("compute:kernel", || {
-                        let t = plan.finish_overlapped(ws, &mut st, self.pool);
-                        comm.annotate_counter("plan:arena_bytes", plan.arena_bytes() as u64);
-                        comm.annotate_counter("plan:fresh_allocs", ws.fresh_allocs());
-                        t
-                    })
-                });
-                comm.with_phase("reduce-y", || {
-                    let mut sendbufs = std::mem::take(&mut ws.a2a_send);
-                    sendbufs.resize_with(p_count, Vec::new);
-                    for pidx in 0..plan.peers().len() {
-                        let peer = plan.peers()[pidx].peer;
-                        let mut buf = plan.pack(ws, ExchangeKind::Reduce, pidx, batch);
-                        if self.mode == Mode::AllToAllPadded {
-                            debug_assert!(buf.len() <= pad_len);
-                            buf.resize(pad_len, 0.0);
-                        }
-                        sendbufs[peer] = buf;
-                    }
-                    // Drain in arrival order, apply in ascending peer
-                    // order (the barrier form's accumulation order).
-                    let mut arrived: Vec<Option<Vec<f64>>> = vec![None; p_count];
-                    let mut applied = 0usize;
-                    let shell = comm
-                        .all_to_all_v_overlapped(sendbufs, |event| match event {
-                            AllToAllEvent::SendsPosted => {}
-                            AllToAllEvent::Arrival { src, buf } => {
-                                arrived[src] = Some(buf);
-                                while applied < p_count {
-                                    if applied == p {
-                                        applied += 1;
-                                        continue;
-                                    }
-                                    let Some(buf) = arrived[applied].take() else { break };
-                                    let pidx = plan
-                                        .peer_slot(applied)
-                                        .expect("every non-self rank is a peer");
-                                    plan.unpack(ws, ExchangeKind::Reduce, pidx, batch, buf);
-                                    applied += 1;
-                                }
-                            }
-                        })
-                        .expect("all-to-all failed");
-                    ws.a2a_send = shell;
-                });
-                if tele {
-                    comm.telemetry_gauge_add(telemetry_keys::HIDDEN_NS, hidden_ns);
-                    comm.telemetry_gauge_add(telemetry_keys::EXPOSED_NS, exposed_ns);
-                }
-                ternary
-            }
-        }
-    }
-
-    /// Sends the reduce contribution of every peer whose y rows just
-    /// finalized (scheduled mode's early flush): packs through the
-    /// ordinary [`RankPlan::pack`] layout and reuses the barrier path's
-    /// `TAG_Y + round` tags, so the wire format is untouched — only the
-    /// send time moves earlier.
-    fn flush_ready(
-        &self,
-        comm: &Comm,
-        plan: &RankPlan,
-        ws: &mut PlanWorkspace,
-        st: &mut OverlapState,
-        batch: usize,
-        send_round: &[Option<u64>],
-    ) {
-        for pidx in st.take_flushable() {
-            let dst = plan.peers()[pidx].peer;
-            if let Some(round) = send_round[dst] {
-                comm.annotate_round(round);
-                let buf = plan.pack(ws, ExchangeKind::Reduce, pidx, batch);
-                comm.send(dst, TAG_Y + round, buf);
-                comm.clear_round();
-            }
-        }
-    }
-
     /// The barrier exchange of one phase: packs from / unpacks into the
     /// flat slabs using the precompiled piece layouts, with message buffers
     /// drawn from (and recycled into) the workspace free list. Scheduled
@@ -782,28 +452,9 @@ impl<'a> RankContext<'a> {
         kind: ExchangeKind,
         batch: usize,
     ) {
-        let p = comm.rank();
         match self.mode {
             Mode::Scheduled => {
-                let schedule = self.schedule.expect("scheduled mode requires a schedule");
-                for (round, act) in schedule.actions(p).iter().enumerate() {
-                    comm.annotate_round(round as u64);
-                    if let Some(dst) = act.send_to {
-                        let pidx = plan.peer_slot(dst).expect("scheduled peer is in the plan");
-                        comm.send(dst, tag_base + round as u64, plan.pack(ws, kind, pidx, batch));
-                    }
-                    if let Some(src) = act.recv_from {
-                        let buf = comm
-                            .recv(src, tag_base + round as u64)
-                            .expect("scheduled exchange failed");
-                        let pidx = plan.peer_slot(src).expect("scheduled peer is in the plan");
-                        plan.unpack(ws, kind, pidx, batch, buf);
-                    }
-                    if act.send_to.is_some() || act.recv_from.is_some() {
-                        comm.count_round();
-                    }
-                }
-                comm.clear_round();
+                self.walk_rounds(comm, plan, ws, tag_base, kind, batch, Walk::Exchange)
             }
             Mode::AllToAllPadded | Mode::AllToAllSparse => {
                 let p_count = self.part.num_procs();
@@ -822,7 +473,7 @@ impl<'a> RankContext<'a> {
                 }
                 let mut recvd = comm.all_to_all_v(sendbufs).expect("all-to-all failed");
                 for (peer, slot) in recvd.iter_mut().enumerate() {
-                    if peer == p {
+                    if peer == comm.rank() {
                         continue;
                     }
                     let buf = std::mem::take(slot);
@@ -833,6 +484,63 @@ impl<'a> RankContext<'a> {
             }
         }
     }
+
+    /// The scheduled exchange: walks the edge-colored rounds, posting the
+    /// round's send (packed from the slabs), taking its receive (unpacked
+    /// into them), or both, as `walk` says. Each round is annotated on the
+    /// event stream while it runs. A walk that takes receives counts every
+    /// round in which this rank sends or receives, so a `Post` followed by
+    /// a `Drain` counts the rounds of one `Exchange`.
+    #[allow(clippy::too_many_arguments)]
+    fn walk_rounds(
+        &self,
+        comm: &Comm,
+        plan: &RankPlan,
+        ws: &mut PlanWorkspace,
+        tag_base: u64,
+        kind: ExchangeKind,
+        batch: usize,
+        walk: Walk,
+    ) {
+        let schedule = self.schedule.expect("scheduled mode requires a schedule");
+        for (round, act) in schedule.actions(comm.rank()).iter().enumerate() {
+            let tag = tag_base + round as u64;
+            comm.annotate_round(round as u64);
+            if let Some(dst) = act.send_to.filter(|_| walk != Walk::Drain) {
+                let pidx = plan.peer_slot(dst).expect("scheduled peer is in the plan");
+                comm.send(dst, tag, plan.pack(ws, kind, pidx, batch));
+            }
+            if walk == Walk::Post {
+                continue;
+            }
+            if let Some(src) = act.recv_from {
+                let failed = match walk {
+                    Walk::Drain => "pipelined gather failed",
+                    _ => "scheduled exchange failed",
+                };
+                let buf = comm.recv(src, tag).expect(failed);
+                let pidx = plan.peer_slot(src).expect("scheduled peer is in the plan");
+                plan.unpack(ws, kind, pidx, batch, buf);
+            }
+            if act.send_to.is_some() || act.recv_from.is_some() {
+                comm.count_round();
+            }
+        }
+        comm.clear_round();
+    }
+}
+
+/// Which halves of each scheduled round one [`RankContext`] round walk
+/// performs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Walk {
+    /// Send, then receive: the barrier exchange of one phase.
+    Exchange,
+    /// Sends only: the pipelined serving loop stages a batch's gather.
+    Post,
+    /// Receives only, of the messages a `Post` walk announced: the
+    /// pipelined serving loop's gather drain.
+    Drain,
 }
 
 /// How [`parallel_sttsv_with`] runs.
@@ -844,9 +552,6 @@ pub struct SttsvOptions {
     /// sequential kernels. Results are bit-identical across thread counts
     /// above 1, and communication does not depend on it.
     pub threads: usize,
-    /// Run the overlapped exchange engine instead of the barrier one (same
-    /// output bits and [`CostReport`]; only event timing differs).
-    pub overlapped: bool,
     /// Also record each rank's full [`CommEvent`] log (phase-annotated
     /// sends and receives, round annotations), ready for the
     /// `symtensor-obs` exporters. Tracing never touches the cost counters.
@@ -854,9 +559,9 @@ pub struct SttsvOptions {
 }
 
 impl SttsvOptions {
-    /// Barrier exchange, sequential kernels, no event log.
+    /// Sequential kernels, no event log.
     pub fn new(mode: Mode) -> Self {
-        SttsvOptions { mode, threads: 1, overlapped: false, trace: false }
+        SttsvOptions { mode, threads: 1, trace: false }
     }
 }
 
@@ -1031,8 +736,8 @@ pub fn parallel_sttsv(
 /// `B = xs.len()` contractions share one pair of exchange phases, so each
 /// rank's message and round counts equal a **single** STTSV while words
 /// scale with `B`. `opts` picks the communication mode, the per-rank worker
-/// threads, the barrier or overlapped exchange, and whether to record the
-/// event logs; none of them changes an output bit or a cost counter.
+/// threads and whether to record the event logs; none of them changes an
+/// output bit or a cost counter.
 ///
 /// Returns [`InputError`] when the tensor or any vector is not
 /// `part.dim()`-dimensional.
@@ -1049,11 +754,7 @@ pub fn parallel_sttsv_with<X: AsRef<[f64]> + Sync>(
     let (outs, report, traces, flight) = machine.run(universe, opts.trace, |comm, ctx| {
         let shards: Vec<Vec<Vec<f64>>> =
             xs.iter().map(|x| part.shards_of(comm.rank(), x.as_ref())).collect();
-        if opts.overlapped {
-            ctx.sttsv_multi_overlapped(comm, &shards)
-        } else {
-            ctx.sttsv_multi(comm, &shards)
-        }
+        ctx.sttsv_multi(comm, &shards)
     });
     let mut ys = vec![vec![0.0; n]; xs.len()];
     let mut ternary_per_rank = Vec::with_capacity(outs.len());
@@ -1377,6 +1078,12 @@ mod tests {
         let small = SymTensor3::zeros(20);
         let err = parallel_sttsv_with(&small, &part, &xs[..1], opts).unwrap_err();
         assert_eq!(err, InputError::TensorDim { expected: n, got: 20 });
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut xs = vec![vec![1.0; n], vec![1.0; n]];
+            xs[1][7] = bad;
+            let err = parallel_sttsv_with(&tensor, &part, &xs, opts).unwrap_err();
+            assert_eq!(err, InputError::NonFinite { index: 1, entry: 7 });
+        }
     }
 
     #[test]

@@ -37,13 +37,13 @@ fn tet_idx(a: usize, b: usize, c: usize) -> usize {
     a * (a + 1) * (a + 2) / 6 + b * (b + 1) / 2 + c
 }
 
-/// Chunk-count cap for the parallel compute paths: bounds the
+/// Chunk-count cap for the pooled compute: bounds the
 /// `chunks · batch · |R_p| · b` words of partial-accumulator workspace while still
 /// leaving plenty of stealable units for any realistic worker count. The
 /// chunk decomposition is a function of the block count alone — never of
 /// the thread count — which is what makes the parallel paths bit-identical
 /// across thread counts.
-pub(crate) const MAX_COMPUTE_CHUNKS: usize = 32;
+const MAX_COMPUTE_CHUNKS: usize = 32;
 
 /// One extracted tensor block with its data in the kind-specific layout.
 #[derive(Clone, Debug)]

@@ -130,7 +130,7 @@ pub fn comp_cost_leading(n: usize, p: usize) -> f64 {
 /// The non-central term is `3b²(b−1)/2 + 2b²` per block — a non-central
 /// block holds `b·b(b−1)/2` entries with three distinct global indices
 /// (3 multiplications each) and `b²` entries with exactly two equal
-/// (2 each) — matching [`ternary_mults_in_block`], which is pinned against
+/// (2 each) — matching [`crate::tetra::ternary_mults_in_block`], which is pinned against
 /// a brute-force block enumeration in `tetra`'s tests. This is attained
 /// exactly by the ranks owning a central diagonal block (the heaviest
 /// assignment: `(q+1)q(q−1)/6` off-diagonal + `q` non-central + 1 central).

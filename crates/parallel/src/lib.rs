@@ -49,7 +49,7 @@ pub use algorithm5::{
     BatchSpans, InputError, Mode, RankContext, SttsvMultiRun, SttsvOptions, SttsvRun,
 };
 pub use partition::TetraPartition;
-pub use plan::{BlockClass, OverlapState, PlanWorkspace, RankPlan};
+pub use plan::{PlanWorkspace, RankPlan};
 pub use schedule::CommSchedule;
 pub use serve::{
     parallel_sttsv_serve, parallel_sttsv_serve_chaos, parallel_sttsv_serve_chaos_with,

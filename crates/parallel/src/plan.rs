@@ -44,7 +44,6 @@
 use crate::blocks::LANES;
 use crate::blocks::{
     add_into, block_kernel_batch, chunked_compute_flat, extract_block, lane_words, OwnedBlocks,
-    MAX_COMPUTE_CHUNKS,
 };
 use crate::partition::TetraPartition;
 use crate::schedule::shared_row_blocks;
@@ -52,26 +51,10 @@ use crate::tetra::{BlockIdx, BlockKind};
 use symtensor_core::SymTensor3;
 use symtensor_pool::Pool;
 
-/// Classification of a [`PlanBlock`] by its gather-x dependency set: how
-/// many distinct peers must deliver x pieces before the block's three row
-/// slots are complete and the block is computable. The overlapped exchange
-/// computes `OwnedOnly` blocks while the gather is still in flight and
-/// unlocks the rest as their last contributing peer's message lands.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BlockClass {
-    /// No peer contribution needed — computable from locally loaded shards
-    /// before any gather message arrives.
-    OwnedOnly,
-    /// Unlocked by exactly one peer's gather message.
-    SinglePeer,
-    /// Needs pieces from two or more peers.
-    MultiPeer,
-}
-
 /// One owned block inside the packed arena.
 #[derive(Clone, Copy, Debug)]
 pub struct PlanBlock {
-    /// Offset of the block's data within [`RankPlan::arena`].
+    /// Offset of the block's data within the plan's packed arena.
     pub offset: usize,
     /// Stored words.
     pub len: usize,
@@ -146,21 +129,6 @@ pub struct RankPlan {
     /// both phases (incl. padding) — the buffer promotion target that
     /// makes recycled buffers grow at most once machine-wide.
     max_msg_unit: usize,
-    /// Distinct contributing peers per block — the readiness partition of
-    /// the overlapped exchange (0 ⇒ owned-only).
-    block_deps: Vec<usize>,
-    /// Per-block [`BlockClass`], in arena order.
-    block_class: Vec<BlockClass>,
-    /// Dependency table: peer slot → ascending block indices that need a
-    /// piece of that peer's gather message.
-    peer_unlocks: Vec<Vec<usize>>,
-    /// row slot → peer slots holding a non-empty shard of that row (both
-    /// the gather contributors to the row and the recipients of its
-    /// reduce pieces — the shard geometry is symmetric across phases).
-    row_peers: Vec<Vec<usize>>,
-    /// row slot → number of owned blocks writing that row's `y` (the
-    /// early-flush countdown base of the overlapped reduce).
-    row_writers: Vec<usize>,
 }
 
 impl RankPlan {
@@ -266,52 +234,6 @@ impl RankPlan {
             peers.push(PeerPlan { peer, pieces, my_words, peer_words });
         }
 
-        // Readiness partition: which peers must deliver x pieces before a
-        // block's three row slots are complete. A peer's gather message
-        // carries *all* its pieces at once, so readiness is a per-block
-        // count of distinct contributing peers — decremented per arriving
-        // message, not per piece.
-        let mut row_peers: Vec<Vec<usize>> = vec![Vec::new(); t_count];
-        for (pidx, pp) in peers.iter().enumerate() {
-            for pc in &pp.pieces {
-                if pc.peer_len > 0 {
-                    row_peers[pc.t].push(pidx);
-                }
-            }
-        }
-        let mut block_deps = Vec::with_capacity(blocks.len());
-        let mut peer_unlocks = vec![Vec::new(); peers.len()];
-        let mut row_writers = vec![0usize; t_count];
-        for (bi, blk) in blocks.iter().enumerate() {
-            let mut slots = blk.slots;
-            slots.sort_unstable();
-            let mut deps: Vec<usize> = Vec::new();
-            for (s, &t) in slots.iter().enumerate() {
-                if s > 0 && slots[s - 1] == t {
-                    continue;
-                }
-                // Distinct slots are exactly the rows the kernel reads
-                // from x *and* writes to y (central: i; iik/ikk: i,k;
-                // off-diagonal: i,j,k).
-                row_writers[t] += 1;
-                deps.extend(row_peers[t].iter().copied());
-            }
-            deps.sort_unstable();
-            deps.dedup();
-            for &pidx in &deps {
-                peer_unlocks[pidx].push(bi);
-            }
-            block_deps.push(deps.len());
-        }
-        let block_class = block_deps
-            .iter()
-            .map(|&d| match d {
-                0 => BlockClass::OwnedOnly,
-                1 => BlockClass::SinglePeer,
-                _ => BlockClass::MultiPeer,
-            })
-            .collect();
-
         let pad_unit = 2 * b.div_ceil(part.lambda1());
         // Global (machine-wide) per-vector message maximum: recycled
         // buffers migrate between ranks with every send, so promoting to
@@ -342,11 +264,6 @@ impl RankPlan {
             my_shards,
             pad_unit,
             max_msg_unit,
-            block_deps,
-            block_class,
-            peer_unlocks,
-            row_peers,
-            row_writers,
         }
     }
 
@@ -579,292 +496,6 @@ impl RankPlan {
             .sum()
     }
 
-    /// Per-block gather-dependency classification, in arena order.
-    #[inline]
-    pub fn block_classes(&self) -> &[BlockClass] {
-        &self.block_class
-    }
-
-    /// Block indices (ascending) that need a piece of peer slot `pidx`'s
-    /// gather message — the dependency table of the overlapped exchange.
-    #[inline]
-    pub fn peer_unlocks(&self, pidx: usize) -> &[usize] {
-        &self.peer_unlocks[pidx]
-    }
-
-    /// Counts of `(owned-only, single-peer, multi-peer)` blocks.
-    pub fn readiness_histogram(&self) -> (usize, usize, usize) {
-        let mut h = (0, 0, 0);
-        for c in &self.block_class {
-            match c {
-                BlockClass::OwnedOnly => h.0 += 1,
-                BlockClass::SinglePeer => h.1 += 1,
-                BlockClass::MultiPeer => h.2 += 1,
-            }
-        }
-        h
-    }
-
-    /// Creates the runtime readiness state for one overlapped STTSV
-    /// invocation over `batch` vectors. `pooled` must match the `pool`
-    /// argument of the subsequent [`RankPlan::compute_overlapped`] /
-    /// [`RankPlan::finish_overlapped`] calls: without a pool the
-    /// overlapped compute extends the arena-order prefix block by block;
-    /// with one it mirrors [`chunked_compute_flat`]'s fixed chunk
-    /// decomposition so the reduction tree — and therefore every output
-    /// bit — matches the barrier path.
-    pub fn overlap_state(&self, batch: usize, pooled: bool) -> OverlapState {
-        let batch = batch.max(1);
-        let n = self.blocks.len();
-        let block_pending = self.block_deps.clone();
-        let mut chunk_of = None;
-        let mut chunk_pending = Vec::new();
-        let mut ready_chunks = Vec::new();
-        let mut chunks = 0;
-        let mut partials = Vec::new();
-        if pooled {
-            chunks = n.min(MAX_COMPUTE_CHUNKS);
-            let mut of = vec![0usize; n];
-            chunk_pending = vec![0usize; chunks];
-            for (c, pending) in chunk_pending.iter_mut().enumerate() {
-                let lo = c * n / chunks;
-                let hi = (c + 1) * n / chunks;
-                for slot in &mut of[lo..hi] {
-                    *slot = c;
-                }
-                *pending = hi - lo;
-            }
-            for bi in 0..n {
-                if block_pending[bi] == 0 {
-                    chunk_pending[of[bi]] -= 1;
-                    if chunk_pending[of[bi]] == 0 {
-                        ready_chunks.push(of[bi]);
-                    }
-                }
-            }
-            chunk_of = Some(of);
-            partials = vec![None; chunks];
-        }
-        let mut peer_rows_pending = vec![0usize; self.peers.len()];
-        for (t, peers) in self.row_peers.iter().enumerate() {
-            if self.row_writers[t] > 0 {
-                for &pidx in peers {
-                    peer_rows_pending[pidx] += 1;
-                }
-            }
-        }
-        OverlapState {
-            batch,
-            started: false,
-            block_pending,
-            next_block: 0,
-            chunks,
-            chunk_of,
-            chunk_pending,
-            ready_chunks,
-            partials,
-            row_pending: self.row_writers.clone(),
-            peer_rows_pending,
-            flushable: Vec::new(),
-            computed: 0,
-            ternary: 0,
-        }
-    }
-
-    /// Records the arrival of peer slot `pidx`'s gather message (call
-    /// right after [`RankPlan::unpack`]ing it): decrements the pending
-    /// count of every block in its dependency table, promoting blocks —
-    /// and, in pooled mode, whole chunks — to ready.
-    pub fn note_gather_arrival(&self, st: &mut OverlapState, pidx: usize) {
-        for &bi in &self.peer_unlocks[pidx] {
-            st.block_pending[bi] -= 1;
-            if st.block_pending[bi] == 0 {
-                if let Some(chunk_of) = &st.chunk_of {
-                    let c = chunk_of[bi];
-                    st.chunk_pending[c] -= 1;
-                    if st.chunk_pending[c] == 0 {
-                        st.ready_chunks.push(c);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Advances the overlapped compute over everything currently ready.
-    /// Call once before draining the gather (computes owned-only work)
-    /// and after each [`RankPlan::note_gather_arrival`]. Without a pool
-    /// this extends the arena-order prefix (block-major over the batch —
-    /// bit-identical to the barrier order because distinct vectors write
-    /// disjoint slabs) and finalizes rows for the early reduce flush; with
-    /// a pool it computes ready chunks into leased zeroed partials that
-    /// [`RankPlan::finish_overlapped`] reduces in canonical chunk order.
-    pub fn compute_overlapped(
-        &self,
-        ws: &mut PlanWorkspace,
-        st: &mut OverlapState,
-        pool: Option<&Pool>,
-    ) {
-        if !st.started {
-            st.started = true;
-            let stride = self.stride();
-            ws.y[..st.batch * stride].fill(0.0);
-            // Peers whose reduce pieces touch only writer-less rows are
-            // flushable immediately: those y ranges are final (zero).
-            for (pidx, &pending) in st.peer_rows_pending.iter().enumerate() {
-                if pending == 0 {
-                    st.flushable.push(pidx);
-                }
-            }
-        }
-        match pool {
-            None => self.advance_prefix(ws, st),
-            Some(pool) => self.advance_chunks(ws, st, pool),
-        }
-    }
-
-    /// Completes the overlapped compute after every gather message has
-    /// been received and noted: computes any remaining chunks on the pool,
-    /// runs the canonical per-vector reduction tree (pooled mode), marks
-    /// every remaining peer's reduce message flushable, and returns the
-    /// exact ternary-multiplication count — equal to what
-    /// [`RankPlan::compute`] reports for the same inputs.
-    pub fn finish_overlapped(
-        &self,
-        ws: &mut PlanWorkspace,
-        st: &mut OverlapState,
-        pool: Option<&Pool>,
-    ) -> u64 {
-        self.compute_overlapped(ws, st, pool);
-        match pool {
-            None => {
-                assert_eq!(
-                    st.next_block,
-                    self.blocks.len(),
-                    "finish_overlapped before all gather arrivals were noted"
-                );
-            }
-            Some(pool) => {
-                // Tail chunks (typically unlocked by the final arrivals)
-                // run in parallel on the pool, like the barrier path.
-                let tail = std::mem::take(&mut st.ready_chunks);
-                let (batch, chunk_count) = (st.batch, st.chunks);
-                let len = batch * self.stride();
-                let wsp = pool.workspaces();
-                if !tail.is_empty() {
-                    let x = &ws.x[..len];
-                    let results = pool.run_chunks(tail.len(), |i| {
-                        let c = tail[i];
-                        let mut buf = wsp.lease_zeroed(len + lane_words(self.b));
-                        let (partial, lanes) = buf.split_at_mut(len);
-                        let ternary = self.run_chunk(c, chunk_count, batch, x, partial, lanes);
-                        (c, buf, ternary)
-                    });
-                    let n = self.blocks.len();
-                    for (c, buf, ternary) in results {
-                        st.ternary += ternary;
-                        st.computed += (c + 1) * n / chunk_count - c * n / chunk_count;
-                        st.partials[c] = Some(buf);
-                    }
-                }
-                // Canonical reduction: the same fixed pairwise tree over
-                // the per-chunk partials in chunk order as
-                // `chunked_compute_flat` (elementwise, so per vector too)
-                // — chunk *completion* order never leaks into the result.
-                let parts: Vec<Vec<f64>> = st
-                    .partials
-                    .iter_mut()
-                    .map(|p| p.take().expect("every chunk computed before finish"))
-                    .collect();
-                if let Some(acc) = symtensor_pool::tree_reduce(parts, |mut a, bb| {
-                    add_into(&mut a[..len], &bb[..len]);
-                    wsp.give_back(bb);
-                    a
-                }) {
-                    add_into(&mut ws.y[..len], &acc[..len]);
-                    wsp.give_back(acc);
-                }
-                // All rows are final now; release every unflushed peer.
-                for (pidx, pending) in st.peer_rows_pending.iter_mut().enumerate() {
-                    if *pending > 0 {
-                        *pending = 0;
-                        st.flushable.push(pidx);
-                    }
-                }
-            }
-        }
-        st.ternary
-    }
-
-    /// No-pool overlapped compute: extend the computed prefix of the
-    /// arena while the next block's dependencies are satisfied, each block
-    /// applied to the whole batch at once.
-    fn advance_prefix(&self, ws: &mut PlanWorkspace, st: &mut OverlapState) {
-        let len = st.batch * self.stride();
-        let PlanWorkspace { x, y, lanes, .. } = ws;
-        while st.next_block < self.blocks.len() && st.block_pending[st.next_block] == 0 {
-            let bi = st.next_block;
-            st.ternary += self.run_blocks(bi..bi + 1, st.batch, &x[..len], &mut y[..len], lanes);
-            st.next_block += 1;
-            st.computed += 1;
-            self.note_block_done(st, bi);
-        }
-    }
-
-    /// Pooled overlapped compute: run chunks that became fully ready,
-    /// inline on the calling (comm) thread, each into one leased zeroed
-    /// partial holding the whole batch's slabs.
-    fn advance_chunks(&self, ws: &mut PlanWorkspace, st: &mut OverlapState, pool: &Pool) {
-        let len = st.batch * self.stride();
-        let ready = std::mem::take(&mut st.ready_chunks);
-        let wsp = pool.workspaces();
-        let n = self.blocks.len();
-        for c in ready {
-            let mut buf = wsp.lease_zeroed(len + lane_words(self.b));
-            let (partial, lanes) = buf.split_at_mut(len);
-            st.ternary += self.run_chunk(c, st.chunks, st.batch, &ws.x[..len], partial, lanes);
-            st.partials[c] = Some(buf);
-            st.computed += (c + 1) * n / st.chunks - c * n / st.chunks;
-        }
-    }
-
-    /// Runs chunk `c` of the canonical `chunks`-way decomposition over
-    /// slabs `0..batch`, accumulating into `partial` (same bounds
-    /// arithmetic as [`chunked_compute_flat`]).
-    fn run_chunk(
-        &self,
-        c: usize,
-        chunks: usize,
-        batch: usize,
-        x: &[f64],
-        partial: &mut [f64],
-        lanes: &mut [f64],
-    ) -> u64 {
-        let n = self.blocks.len();
-        self.run_blocks(c * n / chunks..(c + 1) * n / chunks, batch, x, partial, lanes)
-    }
-
-    /// Bookkeeping after a block finished for all batch vectors: count
-    /// down its rows; a row hitting zero finalizes the corresponding y
-    /// ranges, releasing peers whose reduce pieces are now all final.
-    fn note_block_done(&self, st: &mut OverlapState, bi: usize) {
-        let mut slots = self.blocks[bi].slots;
-        slots.sort_unstable();
-        for (s, &t) in slots.iter().enumerate() {
-            if s > 0 && slots[s - 1] == t {
-                continue;
-            }
-            st.row_pending[t] -= 1;
-            if st.row_pending[t] == 0 {
-                for &pidx in &self.row_peers[t] {
-                    st.peer_rows_pending[pidx] -= 1;
-                    if st.peer_rows_pending[pidx] == 0 {
-                        st.flushable.push(pidx);
-                    }
-                }
-            }
-        }
-    }
-
     /// Copies this rank's shards of output slab `v` into caller-provided
     /// shard vectors (allocation-free when `out` has the right lengths).
     pub fn extract_into(&self, ws: &PlanWorkspace, v: usize, out: &mut [Vec<f64>]) {
@@ -888,69 +519,6 @@ impl RankPlan {
                 ws.y[base + t * self.b + start..base + t * self.b + start + len].to_vec()
             })
             .collect()
-    }
-}
-
-/// Runtime readiness state of one overlapped exchange: per-block pending
-/// counts driven by [`RankPlan::note_gather_arrival`], the compute cursor
-/// (arena prefix without a pool, chunk partials with one), and the
-/// early-flush countdowns that release peers' reduce messages as their y
-/// rows finalize. Created fresh per invocation by
-/// [`RankPlan::overlap_state`]; all advancement goes through
-/// [`RankPlan::compute_overlapped`] / [`RankPlan::finish_overlapped`].
-#[derive(Debug)]
-pub struct OverlapState {
-    /// Vectors in this invocation (fixed at creation).
-    batch: usize,
-    /// First `compute_overlapped` call zeroes the y slabs and seeds the
-    /// initially flushable peers.
-    started: bool,
-    /// Un-arrived contributing peers per block.
-    block_pending: Vec<usize>,
-    /// Arena cursor of the no-pool prefix extension.
-    next_block: usize,
-    /// Canonical chunk count (pooled mode; 0 otherwise).
-    chunks: usize,
-    /// block index → chunk (pooled mode only).
-    chunk_of: Option<Vec<usize>>,
-    /// Not-yet-ready blocks per chunk (pooled mode).
-    chunk_pending: Vec<usize>,
-    /// Chunks whose blocks are all unlocked but not yet computed.
-    ready_chunks: Vec<usize>,
-    /// Computed per-chunk partials over the whole batch, indexed by
-    /// chunk (pooled mode).
-    partials: Vec<Option<Vec<f64>>>,
-    /// Uncomputed blocks per row slot.
-    row_pending: Vec<usize>,
-    /// Unfinalized rows per peer's reduce message.
-    peer_rows_pending: Vec<usize>,
-    /// Peer slots whose reduce message became flushable and has not been
-    /// taken yet.
-    flushable: Vec<usize>,
-    /// Blocks computed so far (across all batch vectors at once).
-    computed: usize,
-    /// Ternary multiplications accumulated so far.
-    ternary: u64,
-}
-
-impl OverlapState {
-    /// Drains the peer slots whose reduce message became flushable since
-    /// the last call (each peer appears exactly once over the whole
-    /// invocation). The caller may pack and send those y contributions
-    /// immediately — their piece ranges are final.
-    pub fn take_flushable(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.flushable)
-    }
-
-    /// Blocks whose dependencies have not all arrived yet.
-    pub fn pending_blocks(&self) -> usize {
-        self.block_pending.iter().filter(|&&p| p > 0).count()
-    }
-
-    /// Blocks already computed (prefix length in no-pool mode; sum of
-    /// computed chunks' spans in pooled mode).
-    pub fn computed_blocks(&self) -> usize {
-        self.computed
     }
 }
 
@@ -1091,94 +659,6 @@ mod tests {
             assert_eq!(plan.peer_slot(pp.peer), Some(plan.peer_index[pp.peer]));
         }
         assert_eq!(plan.peer_slot(0), None);
-    }
-
-    #[test]
-    fn readiness_partition_covers_every_block() {
-        let (_part, _owned, plan) = plan_for(30, 2, 2);
-        let (owned_only, single, multi) = plan.readiness_histogram();
-        assert_eq!(owned_only + single + multi, plan.block_count());
-        // peer_unlocks inverts block_deps: each block appears in exactly
-        // `deps` peers' tables, ascending.
-        let mut appearances = vec![0usize; plan.block_count()];
-        for pidx in 0..plan.peers().len() {
-            let unlocks = plan.peer_unlocks(pidx);
-            assert!(unlocks.windows(2).all(|w| w[0] < w[1]), "ascending, no dups");
-            for &bi in unlocks {
-                appearances[bi] += 1;
-            }
-        }
-        for (bi, (&count, class)) in appearances.iter().zip(plan.block_classes()).enumerate() {
-            match class {
-                BlockClass::OwnedOnly => assert_eq!(count, 0, "block {bi}"),
-                BlockClass::SinglePeer => assert_eq!(count, 1, "block {bi}"),
-                BlockClass::MultiPeer => assert!(count >= 2, "block {bi}"),
-            }
-        }
-    }
-
-    #[test]
-    fn overlapped_compute_is_bitwise_identical_to_barrier() {
-        use rand::Rng;
-        for (threads, batch) in [(0usize, 1usize), (0, 3), (3, 1), (3, 2)] {
-            let (_part, _owned, plan) = plan_for(30, 2, 1);
-            let pool = (threads > 0).then(|| Pool::new(threads));
-            let mut rng = StdRng::seed_from_u64(42 + threads as u64);
-            let x_full: Vec<Vec<Vec<f64>>> = (0..batch)
-                .map(|v| {
-                    (0..plan.row_block_count())
-                        .map(|t| {
-                            (0..plan.block_size())
-                                .map(|w| ((v * 131 + t * 17 + w) % 23) as f64 - 11.0)
-                                .collect()
-                        })
-                        .collect()
-                })
-                .collect();
-            // Barrier reference.
-            let mut ws_ref = PlanWorkspace::new();
-            plan.ensure_capacity(&mut ws_ref, batch);
-            for (v, xf) in x_full.iter().enumerate() {
-                plan.load_full(&mut ws_ref, v, xf);
-            }
-            let ternary_ref = plan.compute(&mut ws_ref, batch, pool.as_ref());
-            // Overlapped, with peer arrivals in a shuffled order.
-            let mut ws = PlanWorkspace::new();
-            plan.ensure_capacity(&mut ws, batch);
-            for (v, xf) in x_full.iter().enumerate() {
-                plan.load_full(&mut ws, v, xf);
-            }
-            let mut st = plan.overlap_state(batch, pool.is_some());
-            plan.compute_overlapped(&mut ws, &mut st, pool.as_ref());
-            let mut order: Vec<usize> = (0..plan.peers().len()).collect();
-            for i in (1..order.len()).rev() {
-                order.swap(i, rng.gen_range(0..i + 1));
-            }
-            let mut flushed = Vec::new();
-            flushed.extend(st.take_flushable());
-            for pidx in order {
-                plan.note_gather_arrival(&mut st, pidx);
-                plan.compute_overlapped(&mut ws, &mut st, pool.as_ref());
-                flushed.extend(st.take_flushable());
-            }
-            let ternary = plan.finish_overlapped(&mut ws, &mut st, pool.as_ref());
-            flushed.extend(st.take_flushable());
-            assert_eq!(ternary, ternary_ref, "threads={threads} batch={batch}");
-            assert_eq!(st.pending_blocks(), 0);
-            assert_eq!(st.computed_blocks(), plan.block_count());
-            // Every peer's reduce message flushes exactly once.
-            flushed.sort_unstable();
-            let expect: Vec<usize> = (0..plan.peers().len()).collect();
-            assert_eq!(flushed, expect, "threads={threads} batch={batch}");
-            for v in 0..batch {
-                let got = plan.output_slab(&ws, v);
-                let want = plan.output_slab(&ws_ref, v);
-                assert!(
-                    got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "slab {v} differs (threads={threads} batch={batch})"
-                );
-            }
-        }
     }
 
     #[test]

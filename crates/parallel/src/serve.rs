@@ -56,7 +56,8 @@ pub enum ServeError {
     /// `batch_cap == 0`: the batch loop could never make progress.
     ZeroBatchCap,
     /// The tensor or a request vector does not match the partition's
-    /// dimension (the vector index is the request's position).
+    /// dimension, or a request vector holds a NaN or an infinity (the
+    /// vector index is the request's position).
     Input(InputError),
 }
 
@@ -265,7 +266,7 @@ impl ServeTelemetry<'_> {
 /// rank.
 /// Returns [`ServeError::ZeroBatchCap`] when `batch_cap == 0` and
 /// [`ServeError::Input`] when the tensor or a request vector has the wrong
-/// dimension.
+/// dimension, or a request vector is not finite.
 pub fn parallel_sttsv_serve(
     tensor: &SymTensor3,
     part: &TetraPartition,
@@ -667,6 +668,80 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn pipelined_serve_puts_the_same_messages_on_the_wire() {
+        use symtensor_mpsim::{CommEvent, CommEventKind};
+        type Wire = (&'static str, bool, usize, u64, u64, Option<u64>);
+        // One rank's traffic as a sorted multiset of (phase, is-send,
+        // peer, tag, words, round annotation).
+        fn wire(trace: &[CommEvent]) -> Vec<Wire> {
+            let mut out: Vec<Wire> = trace
+                .iter()
+                .filter_map(|e| {
+                    let (send, peer, tag, words) = match e.kind {
+                        CommEventKind::Send { dst, tag, words } => (true, dst, tag, words),
+                        CommEventKind::Recv { src, tag, words } => (false, src, tag, words),
+                        _ => return None,
+                    };
+                    Some((e.phase.unwrap_or(""), send, peer, tag, words, e.round))
+                })
+                .collect();
+            out.sort_unstable();
+            out
+        }
+        let bits = |b: &ServedBatch| -> Vec<u64> {
+            b.ys.iter().flatten().flatten().map(|v| v.to_bits()).collect()
+        };
+        for q in [2u64, 3] {
+            let (tensor, part, n) = setup(q);
+            let requests: Vec<ServeRequest> = vectors(n, 5)
+                .into_iter()
+                .enumerate()
+                .map(|(i, x)| ServeRequest::new(i as u64, x))
+                .collect();
+            let batches: Vec<&[ServeRequest]> = requests.chunks(2).collect();
+            let machine = Machine::new(&tensor, &part, Mode::Scheduled, 1);
+            let run = |pipelined: bool| {
+                let universe = Universe::new(part.num_procs());
+                machine.run(universe, true, |comm, ctx| {
+                    let form = |k: usize| form_batch(comm, &part, batches[k]);
+                    if pipelined {
+                        ctx.sttsv_serve_pipelined(comm, batches.len(), form)
+                    } else {
+                        ctx.sttsv_serve(comm, batches.len(), form)
+                    }
+                })
+            };
+            let (seq, _, seq_traces, _) = run(false);
+            let (pipe, _, pipe_traces, _) = run(true);
+            for p in 0..part.num_procs() {
+                let expect = wire(&seq_traces[p]);
+                assert!(expect.iter().any(|w| w.0 == "gather-x" && w.1), "q={q} rank {p}");
+                assert!(expect.iter().any(|w| w.0 == "reduce-y" && !w.1), "q={q} rank {p}");
+                assert_eq!(wire(&pipe_traces[p]), expect, "q={q} rank {p}: wire traffic");
+                assert_eq!(pipe[p].len(), batches.len());
+                for (k, (a, b)) in pipe[p].iter().zip(&seq[p]).enumerate() {
+                    assert_eq!(bits(a), bits(b), "q={q} rank {p} batch {k}: output bits");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_request_is_a_typed_error() {
+        let (tensor, part, n) = setup(2);
+        let mut requests: Vec<ServeRequest> = vectors(n, 3)
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| ServeRequest::new(i as u64, x))
+            .collect();
+        requests[2].x[5] = f64::NAN;
+        let err = parallel_sttsv_serve_pipelined(&tensor, &part, &requests, Mode::Scheduled, 1, 2)
+            .unwrap_err();
+        assert_eq!(err, ServeError::Input(InputError::NonFinite { index: 2, entry: 5 }));
+        assert!(format!("{err}").contains("non-finite"));
     }
 
     #[test]

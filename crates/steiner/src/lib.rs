@@ -6,7 +6,7 @@
 //! (Definition 6.1 of the paper). The paper needs `s = 3`:
 //!
 //! * the infinite spherical family `(q² + 1, q + 1, 3)` built from
-//!   `PGL₂(q²)` acting on `PG(1, q²)` ([`spherical`], Theorem 6.5), used for
+//!   `PGL₂(q²)` acting on `PG(1, q²)` ([`spherical`](fn@spherical), Theorem 6.5), used for
 //!   the main algorithm with `P = q(q² + 1)` processors;
 //! * the Boolean quadruple system `SQS(8) = S(8, 4, 3)` ([`sqs8`]) used in
 //!   the paper's Appendix A example (`m = 8`, `P = 14`);

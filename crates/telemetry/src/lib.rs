@@ -51,7 +51,7 @@ pub use scrape::{
 pub use slo::SloBurnRate;
 
 /// Conventional metric names shared by the publishers (mpsim's `Comm`,
-/// the serve loop, the overlapped-exchange driver) and the consumers
+/// the serve loop) and the consumers
 /// (scraper derived gauges, SLO evaluator, exposition). Using the
 /// constants keeps publisher and consumer agreeing on interned slots.
 pub mod keys {
@@ -69,10 +69,11 @@ pub mod keys {
     /// Serve gauge (monotone): requests completed.
     pub const REQUESTS_DONE: &str = "serve:requests_done";
     /// Per-rank gauge (monotone): exchange nanoseconds hidden behind
-    /// overlapped compute (PR-7 decomposition, live counterpart).
+    /// compute. No in-tree publisher writes it today; the key and its
+    /// exposition series stay so scrapers keep a stable name.
     pub const HIDDEN_NS: &str = "overlap:hidden_ns";
-    /// Per-rank gauge (monotone): exchange nanoseconds left exposed
-    /// (blocked in `recv_any` with nothing to compute).
+    /// Per-rank gauge (monotone): exchange nanoseconds spent blocked with
+    /// nothing to compute. No in-tree publisher, like [`HIDDEN_NS`].
     pub const EXPOSED_NS: &str = "overlap:exposed_ns";
     /// Per-rank gauge: flight-recorder self-measured overhead. Published
     /// from the recorder's monotone non-negative counter, so this can

@@ -58,8 +58,8 @@ pub struct DerivedGauges {
     /// `None` without a configured budget or before any vector
     /// completed.
     pub budget_ratio: Option<f64>,
-    /// Exchange nanoseconds hidden behind overlapped compute, summed
-    /// over ranks (live counterpart of the PR-7 decomposition).
+    /// Exchange nanoseconds hidden behind compute, summed over ranks
+    /// (the [`crate::keys::HIDDEN_NS`] gauges).
     pub hidden_comm_ns: u64,
     /// Exchange nanoseconds left exposed, summed over ranks.
     pub exposed_comm_ns: u64,
