@@ -109,7 +109,7 @@ fn chaos(args: &[String]) {
     use std::time::Duration;
     use symtensor_core::seq::sttsv_sym;
     use symtensor_mpsim::{CrashSpec, FaultPlan};
-    use symtensor_parallel::{parallel_sttsv_serve, parallel_sttsv_serve_chaos, ChaosPolicy};
+    use symtensor_parallel::{parallel_sttsv_serve, serve, ChaosPolicy, ServeConfig};
 
     let fail = |msg: &str| -> ! {
         eprintln!("error: {msg}");
@@ -173,9 +173,8 @@ fn chaos(args: &[String]) {
     // keep the default hook from dumping a backtrace for each one.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let chaotic =
-        parallel_sttsv_serve_chaos(&tensor, &part, &requests, Mode::Scheduled, 1, 2, &policy)
-            .expect("chaos serving run");
+    let cfg = ServeConfig { chaos: Some(&policy), ..ServeConfig::new(Mode::Scheduled, 2) };
+    let chaotic = serve(&tensor, &part, &requests, cfg).expect("chaos serving run");
     std::panic::set_hook(prev_hook);
 
     println!("{:>4} {:>6} {:>8} {:>9} | {:>10}", "id", "batch", "retries", "degraded", "output");
@@ -222,7 +221,7 @@ fn chaos(args: &[String]) {
 fn telemetry_ab(threads: usize) {
     use std::sync::Arc;
     use std::time::Instant;
-    use symtensor_parallel::{parallel_sttsv_serve, parallel_sttsv_serve_with};
+    use symtensor_parallel::{parallel_sttsv_serve, serve, ServeConfig};
     use symtensor_telemetry::{ScrapeConfig, Scraper, TelemetryPlane};
 
     println!("== E17: telemetry scrape-overhead A/B (q = 2, P = 10, threads = {threads}) ==");
@@ -255,16 +254,12 @@ fn telemetry_ab(threads: usize) {
             .with_budget_words_per_vector(budget);
         let t0 = Instant::now();
         let (run, series) = Scraper::run_scoped(plane.clone(), cfg, || {
-            parallel_sttsv_serve_with(
-                &tensor,
-                &part,
-                &requests,
-                Mode::Scheduled,
+            let cfg = ServeConfig {
                 threads,
-                3,
-                Some(&plane),
-            )
-            .expect("telemetry serving run")
+                telemetry: Some(&plane),
+                ..ServeConfig::new(Mode::Scheduled, 3)
+            };
+            serve(&tensor, &part, &requests, cfg).expect("telemetry serving run")
         });
         let wall_ns = t0.elapsed().as_nanos() as u64;
         // The tentpole invariant: telemetry observes, it never steers.

@@ -26,8 +26,7 @@ use symtensor_core::generate::random_symmetric;
 use symtensor_mpsim::FaultPlan;
 use symtensor_obs::telemetry_json;
 use symtensor_parallel::{
-    bounds, parallel_sttsv_serve_chaos_with, parallel_sttsv_serve_with, ChaosPolicy, Mode,
-    ServeRequest, TetraPartition,
+    bounds, serve, ChaosPolicy, Mode, ServeConfig, ServeRequest, TetraPartition,
 };
 use symtensor_steiner::spherical;
 use symtensor_telemetry::{
@@ -175,31 +174,14 @@ fn main() {
             }
             let mut passes = 0u64;
             while !stop.load(Ordering::Acquire) {
-                if opts_chaos {
-                    parallel_sttsv_serve_chaos_with(
-                        &tensor,
-                        &part,
-                        &requests,
-                        Mode::Scheduled,
-                        threads,
-                        batch,
-                        &policy,
-                        Some(&plane),
-                        Some(&mut slo),
-                    )
-                    .expect("chaos serving run");
-                } else {
-                    parallel_sttsv_serve_with(
-                        &tensor,
-                        &part,
-                        &requests,
-                        Mode::Scheduled,
-                        threads,
-                        batch,
-                        Some(&plane),
-                    )
-                    .expect("serving run");
-                }
+                let cfg = ServeConfig {
+                    threads,
+                    telemetry: Some(&plane),
+                    chaos: opts_chaos.then_some(&policy),
+                    slo: opts_chaos.then_some(&mut slo),
+                    ..ServeConfig::new(Mode::Scheduled, batch)
+                };
+                serve(&tensor, &part, &requests, cfg).expect("serving run");
                 passes += 1;
             }
             passes

@@ -180,15 +180,8 @@ fn check_telemetry(doc: &Value, what: &str) -> Result<(), String> {
         }
         last = t;
         let derived = require(s, "derived", &ctx)?;
-        for key in [
-            "total_words_sent",
-            "hidden_comm_ns",
-            "exposed_comm_ns",
-            "queue_depth",
-            "batch_occupancy_pct",
-            "retries",
-            "degraded",
-        ] {
+        for key in ["total_words_sent", "queue_depth", "batch_occupancy_pct", "retries", "degraded"]
+        {
             require_u64(derived, key, &ctx)?;
         }
         for (r, cell) in require_array(s, "ranks", &ctx)?.iter().enumerate() {

@@ -85,9 +85,6 @@ fn sample_json(s: &ClusterSnapshot) -> Value {
         .with("total_words_sent", d.total_words_sent)
         .with("straggler_lambda", opt_f64(d.straggler_lambda))
         .with("budget_ratio", opt_f64(d.budget_ratio))
-        .with("hidden_comm_ns", d.hidden_comm_ns)
-        .with("exposed_comm_ns", d.exposed_comm_ns)
-        .with("overlap_efficiency", opt_f64(d.overlap_efficiency))
         .with("queue_depth", d.queue_depth)
         .with("batch_occupancy_pct", d.batch_occupancy_pct)
         .with("retries", d.retries)

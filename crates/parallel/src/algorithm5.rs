@@ -14,9 +14,9 @@
 //! packed into one arena, every message layout precomputed. A batch of
 //! `B` vectors moves through one exchange pair whose messages carry the
 //! `B` pieces back-to-back; a single vector is a batch of one, and an
-//! `r`-column MTTKRP is a batch of `r`. In scheduled mode every message
-//! goes through one private round walker, shared by the barrier exchange
-//! and the pipelined serving loop.
+//! `r`-column MTTKRP is a batch of `r`. Every exchange goes through one
+//! private dispatcher, shared by the barrier calls and the double-buffered
+//! serving loop; in scheduled mode it walks the edge-colored rounds.
 //!
 //! Communication modes:
 //!
@@ -293,13 +293,13 @@ impl<'a> RankContext<'a> {
         self.load(&mut ws, plan, my_shards);
         let gather_t0 = comm.elapsed_ns();
         comm.with_phase("gather-x", || {
-            self.plan_exchange(comm, plan, &mut ws, TAG_X, ExchangeKind::Gather, batch)
+            self.plan_exchange(comm, plan, &mut ws, ExchangeKind::Gather, batch, Walk::Exchange)
         });
         let gather_ns = comm.elapsed_ns().saturating_sub(gather_t0);
         let (ternary, compute_ns) = self.kernels(comm, plan, &mut ws, batch);
         let reduce_t0 = comm.elapsed_ns();
         comm.with_phase("reduce-y", || {
-            self.plan_exchange(comm, plan, &mut ws, TAG_Y, ExchangeKind::Reduce, batch)
+            self.plan_exchange(comm, plan, &mut ws, ExchangeKind::Reduce, batch, Walk::Exchange)
         });
         let reduce_ns = comm.elapsed_ns().saturating_sub(reduce_t0);
         let ys = (0..batch).map(|v| plan.extract(&ws, v)).collect();
@@ -331,58 +331,36 @@ impl<'a> RankContext<'a> {
         })
     }
 
-    /// Serves `n_batches` request batches back to back, each through
-    /// [`RankContext::sttsv_multi_requests`]. `form(k)` produces batch
-    /// `k`'s shards and request ids when the loop admits it.
-    pub(crate) fn sttsv_serve(
-        &self,
-        comm: &Comm,
-        n_batches: usize,
-        mut form: impl FnMut(usize) -> (Vec<Vec<Vec<f64>>>, Vec<u64>),
-    ) -> Vec<ServedBatch> {
-        (0..n_batches)
-            .map(|k| {
-                let begin_ns = comm.elapsed_ns();
-                let (shards, ids) = form(k);
-                let formed_ns = comm.elapsed_ns();
-                let (ys, ternary, spans) = self.sttsv_multi_requests(comm, &shards, &ids);
-                ServedBatch { begin_ns, formed_ns, spans, ys, ternary }
-            })
-            .collect()
-    }
-
     /// Serves `n_batches` request batches through a **double-buffered
-    /// pipeline**: while batch `k` computes, batch `k + 1`'s gather-x
-    /// messages are already in flight, alternating between two leased
-    /// [`PlanWorkspace`]s so the in-flight batch never clobbers the
+    /// pipeline**, the one serving loop: while batch `k` computes, batch
+    /// `k + 1` is already formed and loaded, alternating between two
+    /// leased [`PlanWorkspace`]s so the staged batch never clobbers the
     /// computing one. `form(k)` produces batch `k`'s shards and request
     /// ids the moment the pipeline is ready to admit it — which is when
     /// its queue wait ends.
     ///
-    /// Per-sender FIFO delivery makes the overlap safe without new tags:
-    /// batch `k`'s gather message on a given `(src, round)` link is always
-    /// claimed before batch `k + 1`'s (the mailbox preserves arrival order
-    /// per `(src, tag)`), so the wire format, cost counters and output
-    /// bits are identical to the sequential serving loop — only the
+    /// In scheduled mode a staged batch's gather-x messages also go on
+    /// the wire before the current batch computes. Per-sender FIFO
+    /// delivery makes that safe without new tags: batch `k`'s gather
+    /// message on a given `(src, round)` link is always claimed before
+    /// batch `k + 1`'s (the mailbox preserves arrival order per
+    /// `(src, tag)`), so the wire traffic, cost counters and output bits
+    /// are those of one [`RankContext::sttsv_multi`] per batch — only the
     /// *timing* moves. Both halves of the gather run on the barrier
     /// exchange's round walker, split into a send-only and a receive-only
-    /// pass. Scheduled mode pipelines; the all-to-all modes fall
-    /// back to sequential barrier batches (their collective is a single
-    /// indivisible step).
+    /// pass. The all-to-all modes stage form + load only: their
+    /// collective is one indivisible step, run when the batch drains.
     pub fn sttsv_serve_pipelined(
         &self,
         comm: &Comm,
         n_batches: usize,
         mut form: impl FnMut(usize) -> (Vec<Vec<Vec<f64>>>, Vec<u64>),
     ) -> Vec<ServedBatch> {
-        if self.mode != Mode::Scheduled {
-            return self.sttsv_serve(comm, n_batches, form);
-        }
         let plan = self.compile(comm.rank());
         let mut wss = [PlanWorkspace::new(), PlanWorkspace::new()];
-        // Admits batch `k` into workspace `ws`: form, load, and put its
-        // gather messages on the wire. Receives are deferred to the
-        // batch's own turn — that deferral is the pipeline.
+        // Admits batch `k` into workspace `ws`: form, load, and post its
+        // gather. Receives are deferred to the batch's own turn — that
+        // deferral is the pipeline.
         let mut stage = |k: usize, ws: &mut PlanWorkspace| -> (u64, u64, Vec<u64>) {
             let begin_ns = comm.elapsed_ns();
             let (shards, ids) = form(k);
@@ -390,7 +368,7 @@ impl<'a> RankContext<'a> {
             self.load(ws, plan, &shards);
             let formed_ns = comm.elapsed_ns();
             comm.with_phase("gather-x", || {
-                self.walk_rounds(comm, plan, ws, TAG_X, ExchangeKind::Gather, batch, Walk::Post)
+                self.plan_exchange(comm, plan, ws, ExchangeKind::Gather, batch, Walk::Post)
             });
             (begin_ns, formed_ns, ids)
         };
@@ -404,24 +382,26 @@ impl<'a> RankContext<'a> {
             let (begin_ns, formed_ns, ids) =
                 pending[cur].take().expect("batch was staged before its turn");
             let batch = ids.len();
-            // Drain this batch's gather receives — the *exposed* gather
-            // time; everything hidden behind the previous batch's compute
-            // has already arrived and costs only a mailbox claim.
+            // Drain this batch's gather — the *exposed* gather time; in
+            // scheduled mode everything hidden behind the previous batch's
+            // compute has already arrived and costs only a mailbox claim.
             let gather_t0 = comm.elapsed_ns();
             comm.with_phase("gather-x", || {
                 let ws = &mut wss[cur];
-                self.walk_rounds(comm, plan, ws, TAG_X, ExchangeKind::Gather, batch, Walk::Drain)
+                self.plan_exchange(comm, plan, ws, ExchangeKind::Gather, batch, Walk::Drain)
             });
             let gather_ns = comm.elapsed_ns().saturating_sub(gather_t0);
-            // Admit the next batch before this one computes: its gather
-            // traffic rides under our kernel time.
+            // Admit the next batch before this one computes: its forming,
+            // and in scheduled mode its gather traffic, ride under our
+            // kernel time.
             if k + 1 < n_batches {
                 pending[1 - cur] = Some(stage(k + 1, &mut wss[1 - cur]));
             }
             let (ternary, compute_ns) = self.kernels(comm, plan, &mut wss[cur], batch);
             let reduce_t0 = comm.elapsed_ns();
             comm.with_phase("reduce-y", || {
-                self.plan_exchange(comm, plan, &mut wss[cur], TAG_Y, ExchangeKind::Reduce, batch)
+                let ws = &mut wss[cur];
+                self.plan_exchange(comm, plan, ws, ExchangeKind::Reduce, batch, Walk::Exchange)
             });
             let reduce_ns = comm.elapsed_ns().saturating_sub(reduce_t0);
             let ys = (0..batch).map(|v| plan.extract(&wss[cur], v)).collect();
@@ -437,25 +417,25 @@ impl<'a> RankContext<'a> {
         out
     }
 
-    /// The barrier exchange of one phase: packs from / unpacks into the
-    /// flat slabs using the precompiled piece layouts, with message buffers
-    /// drawn from (and recycled into) the workspace free list. Scheduled
-    /// mode walks the edge-colored rounds; the all-to-all modes run one
-    /// collective, padded to `batch · pad_unit` words in
-    /// [`Mode::AllToAllPadded`], and apply arrivals in ascending peer order.
+    /// The exchange of one phase, or the half of it that `walk` names:
+    /// packs from / unpacks into the flat slabs using the precompiled piece
+    /// layouts, with message buffers drawn from (and recycled into) the
+    /// workspace free list. Scheduled mode walks the edge-colored rounds.
+    /// The all-to-all modes run one collective on `Exchange` or `Drain`,
+    /// padded to `batch · pad_unit` words in [`Mode::AllToAllPadded`], and
+    /// apply arrivals in ascending peer order; their `Post` is a no-op.
     fn plan_exchange(
         &self,
         comm: &Comm,
         plan: &RankPlan,
         ws: &mut PlanWorkspace,
-        tag_base: u64,
         kind: ExchangeKind,
         batch: usize,
+        walk: Walk,
     ) {
         match self.mode {
-            Mode::Scheduled => {
-                self.walk_rounds(comm, plan, ws, tag_base, kind, batch, Walk::Exchange)
-            }
+            Mode::Scheduled => self.walk_rounds(comm, plan, ws, kind, batch, walk),
+            Mode::AllToAllPadded | Mode::AllToAllSparse if walk == Walk::Post => {}
             Mode::AllToAllPadded | Mode::AllToAllSparse => {
                 let p_count = self.part.num_procs();
                 let pad_len = batch * plan.pad_unit();
@@ -491,18 +471,20 @@ impl<'a> RankContext<'a> {
     /// event stream while it runs. A walk that takes receives counts every
     /// round in which this rank sends or receives, so a `Post` followed by
     /// a `Drain` counts the rounds of one `Exchange`.
-    #[allow(clippy::too_many_arguments)]
     fn walk_rounds(
         &self,
         comm: &Comm,
         plan: &RankPlan,
         ws: &mut PlanWorkspace,
-        tag_base: u64,
         kind: ExchangeKind,
         batch: usize,
         walk: Walk,
     ) {
         let schedule = self.schedule.expect("scheduled mode requires a schedule");
+        let tag_base = match kind {
+            ExchangeKind::Gather => TAG_X,
+            ExchangeKind::Reduce => TAG_Y,
+        };
         for (round, act) in schedule.actions(comm.rank()).iter().enumerate() {
             let tag = tag_base + round as u64;
             comm.annotate_round(round as u64);
@@ -530,16 +512,17 @@ impl<'a> RankContext<'a> {
     }
 }
 
-/// Which halves of each scheduled round one [`RankContext`] round walk
-/// performs.
+/// Which halves of one phase's exchange a [`RankContext`] call performs.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Walk {
     /// Send, then receive: the barrier exchange of one phase.
     Exchange,
-    /// Sends only: the pipelined serving loop stages a batch's gather.
+    /// Sends only: the serving loop stages a batch's gather. A no-op for
+    /// the all-to-all collective.
     Post,
-    /// Receives only, of the messages a `Post` walk announced: the
-    /// pipelined serving loop's gather drain.
+    /// Receives only, of the messages a `Post` announced: the serving
+    /// loop's gather drain. The all-to-all modes run their whole
+    /// collective here.
     Drain,
 }
 
@@ -678,19 +661,18 @@ impl BatchSpans {
     }
 }
 
-/// One rank's measurement of a served batch ([`RankContext::sttsv_serve_pipelined`]
-/// or the sequential serving loop): when the batch was admitted and formed
-/// on this rank, its timing decomposition, and its outputs.
+/// One rank's measurement of a batch served by
+/// [`RankContext::sttsv_serve_pipelined`]: when the batch was admitted and
+/// formed on this rank, its timing decomposition, and its outputs.
 #[derive(Clone, Debug)]
 pub struct ServedBatch {
     /// Batch admitted on this rank (absolute) — its queue wait ends here.
     pub begin_ns: u64,
-    /// Shards extracted and loaded (absolute); in the pipeline, gather
-    /// traffic is on the wire too.
+    /// Shards extracted and loaded (absolute).
     pub formed_ns: u64,
-    /// The batch's timing decomposition. In the pipeline `gather_ns` is the
-    /// *exposed* gather time (drain only) — the pipeline's win shows up as
-    /// this shrinking relative to the sequential loop.
+    /// The batch's timing decomposition. `gather_ns` is the *exposed*
+    /// gather time, the drain only: in scheduled mode the sends were
+    /// posted while the previous batch computed.
     pub spans: BatchSpans,
     /// This rank's output shards, indexed `[v][t]`.
     pub ys: Vec<Vec<Vec<f64>>>,

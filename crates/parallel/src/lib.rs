@@ -52,7 +52,6 @@ pub use partition::TetraPartition;
 pub use plan::{PlanWorkspace, RankPlan};
 pub use schedule::CommSchedule;
 pub use serve::{
-    parallel_sttsv_serve, parallel_sttsv_serve_chaos, parallel_sttsv_serve_chaos_with,
-    parallel_sttsv_serve_pipelined, parallel_sttsv_serve_with, ChaosPolicy, RequestRecord,
-    ServeError, ServeRequest, ServeRun,
+    parallel_sttsv_serve, parallel_sttsv_serve_pipelined, serve, ChaosPolicy, RequestRecord,
+    ServeConfig, ServeError, ServeRequest, ServeRun,
 };

@@ -5,25 +5,28 @@
 //! answers only "how long did the batch take". A serving system needs the
 //! *per-request* decomposition: how long did request 17 queue, how long
 //! did its batch take to form, how long was the kernel pass and the
-//! exchange it shared with its batch. [`parallel_sttsv_serve`] runs a
-//! stream of [`ServeRequest`]s through the compiled-plan batched kernel and
-//! measures exactly that, with straggler semantics (a span is as slow as
-//! its slowest rank — the time a client would actually observe). The
+//! exchange it shared with its batch. [`serve`] runs a stream of
+//! [`ServeRequest`]s through the compiled-plan batched kernel and measures
+//! exactly that, with straggler semantics (a span is as slow as its
+//! slowest rank — the time a client would actually observe). The
 //! per-request work — cutting each request's shards — runs in its own
 //! `batch-form` phase tagged with the request's id in the flight recorder
 //! and the `CommEvent` log; the fused kernel pass and the exchange serve
 //! the whole batch and stay unattributed.
 //!
-//! Results are bit-identical to [`parallel_sttsv_multi_planned`] over the
-//! same batches: the serving layer changes *when* things are measured,
-//! never *what* is computed.
+//! There is one serving loop, the double-buffered one, and one driver
+//! scaffold; [`ServeConfig`] adds a telemetry plane, chaos recovery and an
+//! SLO evaluator to it. Results are bit-identical to
+//! [`parallel_sttsv_multi_planned`] over the same batches: the serving
+//! layer changes *when* things are measured, never *what* is computed.
 //!
 //! [`parallel_sttsv_multi_planned`]: crate::algorithm5::parallel_sttsv_multi_planned
 
-use crate::algorithm5::{check_dims, InputError, Machine, Mode, ServedBatch};
+use crate::algorithm5::{check_dims, InputError, Machine, Mode, RankContext, ServedBatch};
 use crate::partition::TetraPartition;
+use std::ops::Range;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use symtensor_core::seq::sttsv_sym;
 use symtensor_core::SymTensor3;
 use symtensor_mpsim::{Comm, CostReport, FaultPlan, FlightSnapshot, RankCost, Universe};
@@ -35,8 +38,9 @@ pub struct ServeRequest {
     /// Caller-chosen request id — threaded through flight-recorder
     /// records and trace events while this request's shards are cut.
     pub id: u64,
-    /// Arrival time on the serving clock (ns). Queue wait is measured
-    /// from here to the start of the batch that carries the request.
+    /// Arrival time on the serving clock (ns), which starts when [`serve`]
+    /// is called. Queue wait is measured from here to the start of the
+    /// batch that carries the request.
     pub arrival_ns: u64,
     /// The input vector (`part.dim()` long).
     pub x: Vec<f64>,
@@ -92,7 +96,8 @@ pub struct RequestRecord {
     pub batch: usize,
     /// The request's slab index within its batch.
     pub batch_index: usize,
-    /// Arrival → the carrying batch starting to form.
+    /// Arrival → the carrying batch starting to form, on the serving
+    /// clock that starts with the [`serve`] call.
     pub queue_wait_ns: u64,
     /// Shard extraction / batch assembly.
     pub batch_form_ns: u64,
@@ -100,8 +105,9 @@ pub struct RequestRecord {
     /// request in the batch, like `exchange_ns`: each tensor row is applied
     /// to every request's vector in one pass.
     pub compute_ns: u64,
-    /// The batch's gather + reduce exchange phases (slowest rank each) —
-    /// shared by every request in the batch.
+    /// The batch's *exposed* gather plus its reduce (slowest rank each) —
+    /// shared by every request in the batch. The gather's sends were
+    /// posted while the previous batch computed, so only its drain counts.
     pub exchange_ns: u64,
     /// Arrival → every rank finished extracting the batch's outputs.
     pub e2e_ns: u64,
@@ -171,27 +177,29 @@ fn form_batch(
 }
 
 /// Straggler-merges one batch's per-rank measurements into request
-/// records and assembles its slice of the outputs.
-#[allow(clippy::too_many_arguments)]
+/// records and assembles its slice of the outputs. `clock_ns` is where the
+/// batch's universe started on the serve-wide clock: each rank's spans are
+/// on that universe's clock, and shifting them puts every record on the
+/// one serving clock the request arrivals use. The batch's requests start
+/// at `run.records.len()`, since records are kept in submission order.
 fn merge_batch(
+    run: &mut ServeRun,
     part: &TetraPartition,
-    batch: &[ServeRequest],
     k: usize,
+    batch: &[ServeRequest],
     per_rank: &[&ServedBatch],
+    clock_ns: u64,
     retries: u32,
-    offset: usize,
-    ys: &mut [Vec<f64>],
-    ternary_per_rank: &mut [u64],
-    records: &mut Vec<RequestRecord>,
 ) {
-    let begin = per_rank.iter().map(|b| b.begin_ns).max().unwrap_or(0);
+    let begin = per_rank.iter().map(|b| b.begin_ns).max().unwrap_or(0) + clock_ns;
     let form = per_rank.iter().map(|b| b.formed_ns.saturating_sub(b.begin_ns)).max().unwrap_or(0);
     let gather = per_rank.iter().map(|b| b.spans.gather_ns).max().unwrap_or(0);
     let reduce = per_rank.iter().map(|b| b.spans.reduce_ns).max().unwrap_or(0);
-    let end = per_rank.iter().map(|b| b.spans.end_ns).max().unwrap_or(0);
+    let end = per_rank.iter().map(|b| b.spans.end_ns).max().unwrap_or(0) + clock_ns;
     let compute = per_rank.iter().map(|b| b.spans.compute_ns).max().unwrap_or(0);
+    let first = run.records.len();
     for (v, r) in batch.iter().enumerate() {
-        records.push(RequestRecord {
+        run.records.push(RequestRecord {
             id: r.id,
             batch: k,
             batch_index: v,
@@ -205,9 +213,9 @@ fn merge_batch(
         });
     }
     for (p, rb) in per_rank.iter().enumerate() {
-        ternary_per_rank[p] += rb.ternary;
+        run.ternary_per_rank[p] += rb.ternary;
         for (v, shards) in rb.ys.iter().enumerate() {
-            part.place_shards(p, shards, &mut ys[offset + v]);
+            part.place_shards(p, shards, &mut run.ys[first + v]);
         }
     }
 }
@@ -232,7 +240,7 @@ impl ServeTelemetry<'_> {
         );
     }
 
-    /// A batch's straggler-merged records are final: feed the latency
+    /// A segment's straggler-merged records are final: feed the latency
     /// histograms and bump the completion/degradation counters.
     fn batch_done(&self, records: &[RequestRecord], retries: u32) {
         let cell = self.plane.serve_cell();
@@ -259,133 +267,6 @@ impl ServeTelemetry<'_> {
     }
 }
 
-/// Serves `requests` through the compiled-plan batched STTSV kernel.
-///
-/// Requests are carried in submission order, `batch_cap` per batch (the
-/// last batch may be smaller). `threads > 1` attaches a worker pool per
-/// rank.
-/// Returns [`ServeError::ZeroBatchCap`] when `batch_cap == 0` and
-/// [`ServeError::Input`] when the tensor or a request vector has the wrong
-/// dimension, or a request vector is not finite.
-pub fn parallel_sttsv_serve(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    requests: &[ServeRequest],
-    mode: Mode,
-    threads: usize,
-    batch_cap: usize,
-) -> Result<ServeRun, ServeError> {
-    serve(tensor, part, requests, mode, threads, batch_cap, None, false)
-}
-
-/// [`parallel_sttsv_serve`] with an optional live telemetry plane.
-///
-/// When a plane is attached, every rank publishes its per-phase word
-/// counts into its plane cell as it communicates, rank 0 publishes queue
-/// depth and batch occupancy into the serve cell as each batch is
-/// admitted, and the driver feeds the per-request latency histograms once
-/// the straggler merge is done. The computed `ys` and [`CostReport`] are
-/// bit-identical with and without the plane — telemetry observes, it
-/// never steers.
-pub fn parallel_sttsv_serve_with(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    requests: &[ServeRequest],
-    mode: Mode,
-    threads: usize,
-    batch_cap: usize,
-    telemetry: Option<&Arc<TelemetryPlane>>,
-) -> Result<ServeRun, ServeError> {
-    serve(tensor, part, requests, mode, threads, batch_cap, telemetry, false)
-}
-
-/// [`parallel_sttsv_serve`] with the **double-buffered pipeline**: while
-/// batch `k` computes, batch `k + 1` is formed and its gather-x messages
-/// are already in flight, alternating between two plan workspaces per
-/// rank ([`RankContext::sttsv_serve_pipelined`]). Outputs, ternary counts
-/// and the [`CostReport`] are bit-identical to the sequential serving
-/// loop — per-sender FIFO delivery keeps back-to-back batches on the same
-/// round tags unambiguous — while each batch's recorded exchange span now
-/// measures only its *exposed* gather time (the part its predecessor's
-/// compute could not hide). Scheduled mode pipelines; the all-to-all
-/// modes run sequential barrier batches (their collective is one
-/// indivisible step) and produce records identical in structure.
-///
-/// [`RankContext::sttsv_serve_pipelined`]: crate::RankContext::sttsv_serve_pipelined
-pub fn parallel_sttsv_serve_pipelined(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    requests: &[ServeRequest],
-    mode: Mode,
-    threads: usize,
-    batch_cap: usize,
-) -> Result<ServeRun, ServeError> {
-    serve(tensor, part, requests, mode, threads, batch_cap, None, true)
-}
-
-/// The scaffold of the one-universe serving drivers: validate and chunk
-/// the requests, run every batch in one universe (sequentially or
-/// `pipelined`), then straggler-merge the per-rank batches.
-#[allow(clippy::too_many_arguments)]
-fn serve(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    requests: &[ServeRequest],
-    mode: Mode,
-    threads: usize,
-    batch_cap: usize,
-    telemetry: Option<&Arc<TelemetryPlane>>,
-    pipelined: bool,
-) -> Result<ServeRun, ServeError> {
-    let batches = batches(tensor, part, requests, batch_cap)?;
-    let mut universe = Universe::new(part.num_procs());
-    if let Some(plane) = telemetry {
-        universe = universe.with_telemetry(plane.clone());
-    }
-    let machine = Machine::new(tensor, part, mode, threads);
-    let (rank_results, report, _, flight) = machine.run(universe, false, |comm, ctx| {
-        let form = |k: usize| {
-            // All batches run inside one universe, so the live queue-depth
-            // view has to come from within: rank 0 publishes it as each
-            // batch is admitted.
-            if let (0, Some(plane)) = (comm.rank(), telemetry) {
-                let queued = requests.len() - k * batch_cap;
-                ServeTelemetry { plane }.batch_admitted(queued, batches[k].len(), batch_cap);
-            }
-            form_batch(comm, part, batches[k])
-        };
-        if pipelined {
-            ctx.sttsv_serve_pipelined(comm, batches.len(), form)
-        } else {
-            ctx.sttsv_serve(comm, batches.len(), form)
-        }
-    });
-
-    let mut ys = vec![vec![0.0; part.dim()]; requests.len()];
-    let mut ternary_per_rank = vec![0u64; part.num_procs()];
-    let mut records = Vec::with_capacity(requests.len());
-    for (k, batch) in batches.iter().enumerate() {
-        let per_rank: Vec<&ServedBatch> = rank_results.iter().map(|b| &b[k]).collect();
-        merge_batch(
-            part,
-            batch,
-            k,
-            &per_rank,
-            0,
-            k * batch_cap,
-            &mut ys,
-            &mut ternary_per_rank,
-            &mut records,
-        );
-    }
-    // The straggler merge needs every rank, so the latency histograms are
-    // fed once, after the universe has returned.
-    if let Some(plane) = telemetry {
-        ServeTelemetry { plane }.batch_done(&records, 0);
-    }
-    Ok(ServeRun { ys, report, ternary_per_rank, records, flight })
-}
-
 /// How the chaos serving layer injects faults and recovers from them.
 #[derive(Clone, Debug)]
 pub struct ChaosPolicy {
@@ -402,170 +283,226 @@ pub struct ChaosPolicy {
     pub recv_timeout: Duration,
 }
 
-impl ChaosPolicy {
-    /// A policy with serving-friendly defaults: 2 retries, 10 ms base
-    /// backoff, 250 ms recv timeout.
-    pub fn new(plan: FaultPlan) -> Self {
-        ChaosPolicy {
-            plan,
-            max_retries: 2,
-            backoff: Duration::from_millis(10),
-            recv_timeout: Duration::from_millis(250),
-        }
+/// How [`serve`] runs.
+pub struct ServeConfig<'a> {
+    /// Communication strategy for the vector phases.
+    pub mode: Mode,
+    /// Worker threads per rank for the local-compute phase; `≤ 1` runs the
+    /// sequential kernels. Results are bit-identical across thread counts
+    /// above 1, and communication does not depend on it.
+    pub threads: usize,
+    /// Requests per batch, in submission order (the last batch may be
+    /// smaller). Must be positive.
+    pub batch_cap: usize,
+    /// A live telemetry plane. Every rank publishes its per-phase word
+    /// counts into its plane cell as it communicates, rank 0 publishes
+    /// queue depth and batch occupancy into the serve cell as each batch
+    /// is admitted, and the driver feeds the per-request latency
+    /// histograms once each segment's straggler merge is done.
+    pub telemetry: Option<&'a Arc<TelemetryPlane>>,
+    /// Deterministic fault injection with bounded-retry recovery; `None`
+    /// serves fault-free, and a rank panic then propagates.
+    pub chaos: Option<&'a ChaosPolicy>,
+    /// An SLO burn-rate evaluator, run against `telemetry` after each
+    /// segment; ignored without a plane.
+    pub slo: Option<&'a mut SloBurnRate>,
+}
+
+impl ServeConfig<'_> {
+    /// Sequential kernels, no telemetry, no chaos, no SLO.
+    pub fn new(mode: Mode, batch_cap: usize) -> Self {
+        ServeConfig { mode, threads: 1, batch_cap, telemetry: None, chaos: None, slo: None }
     }
 }
 
-/// [`parallel_sttsv_serve`] with deterministic fault injection and
-/// bounded-retry recovery.
-///
-/// Each batch runs in its own [`Universe`] with `policy.plan` installed.
-/// When a rank fails (injected crash, or a timeout forced by dropped
-/// messages), the whole batch is retried with exponential backoff, up to
-/// `policy.max_retries` times; each retry re-keys the plan's PRNG streams
-/// via [`FaultPlan::for_attempt`], so an attempt-0 crash spec lets the
-/// retry succeed. A batch that exhausts its retries is *degraded*: every
-/// request in it is answered by the sequential [`sttsv_sym`] fallback and
-/// its records carry `degraded = true` with zeroed timing spans.
-///
-/// Recovered (non-degraded) outputs are bit-identical to the fault-free
-/// [`parallel_sttsv_serve`] run — a retried batch recomputes from the
-/// original request vectors in a fresh universe, and the arithmetic is
-/// deterministic. The merged [`CostReport`] includes the words actually
-/// moved by *failed* attempts too: retries have a real communication
-/// cost. `flight` holds the final attempt of the last batch (earlier
-/// windows are superseded); with an inert plan (`drop_prob = 0`, no
-/// crash) the per-batch costs equal the fault-free path's.
-pub fn parallel_sttsv_serve_chaos(
+/// Serves `requests` with the fault-free defaults of [`ServeConfig`]:
+/// `threads` workers per rank, `batch_cap` requests per batch. A one-line
+/// wrapper over [`serve`], kept because the benchmark calls it by name.
+pub fn parallel_sttsv_serve(
     tensor: &SymTensor3,
     part: &TetraPartition,
     requests: &[ServeRequest],
     mode: Mode,
     threads: usize,
     batch_cap: usize,
-    policy: &ChaosPolicy,
 ) -> Result<ServeRun, ServeError> {
-    parallel_sttsv_serve_chaos_with(
-        tensor, part, requests, mode, threads, batch_cap, policy, None, None,
-    )
+    serve(tensor, part, requests, ServeConfig { threads, ..ServeConfig::new(mode, batch_cap) })
 }
 
-/// [`parallel_sttsv_serve_chaos`] with an optional live telemetry plane
-/// and an optional SLO burn-rate evaluator.
+/// [`parallel_sttsv_serve`] under its pipelined name. Every serve runs the
+/// one double-buffered loop ([`RankContext::sttsv_serve_pipelined`]), so
+/// the two are the same call; both stay because the benchmark calls them
+/// by name.
 ///
-/// The chaos loop runs one universe per batch attempt, so the driver is
-/// free between batches: it publishes queue depth / occupancy as each
-/// batch is admitted, feeds the latency histograms and retry/degraded
-/// counters as each batch's records merge, and — when `slo` is given —
-/// evaluates the burn rate there too. An alert raised between batches is
-/// stamped into *every* rank's flight ring by the next batch's
-/// communicators (fresh ranks start with an empty seen-alert mark), so a
-/// post-mortem window shows which alerts were already burning when the
-/// batch failed.
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_sttsv_serve_chaos_with(
+/// [`RankContext::sttsv_serve_pipelined`]: crate::RankContext::sttsv_serve_pipelined
+pub fn parallel_sttsv_serve_pipelined(
     tensor: &SymTensor3,
     part: &TetraPartition,
     requests: &[ServeRequest],
     mode: Mode,
     threads: usize,
     batch_cap: usize,
-    policy: &ChaosPolicy,
-    telemetry: Option<&Arc<TelemetryPlane>>,
-    mut slo: Option<&mut SloBurnRate>,
 ) -> Result<ServeRun, ServeError> {
+    parallel_sttsv_serve(tensor, part, requests, mode, threads, batch_cap)
+}
+
+/// Serves `requests` through the compiled-plan batched STTSV kernel, as
+/// `cfg` says.
+///
+/// The requests are cut into batches of `cfg.batch_cap`, and the batches
+/// run in *segments*, each in one [`Universe`] through the double-buffered
+/// serving loop ([`RankContext::sttsv_serve_pipelined`]): while batch `k`
+/// computes, batch `k + 1` is formed and, in scheduled mode, its gather
+/// is in flight. Without `cfg.chaos` one segment carries every batch.
+/// With it, each batch is its own segment, run with `chaos.plan`
+/// installed: when a rank fails (injected crash, or a timeout forced by
+/// dropped messages), the batch is retried with exponential backoff, up
+/// to `chaos.max_retries` times, and each retry re-keys the plan's PRNG
+/// streams via [`FaultPlan::for_attempt`], so an attempt-0 crash spec
+/// lets the retry succeed. A batch that exhausts its retries is
+/// *degraded*: every request in it is answered by the sequential
+/// [`sttsv_sym`] fallback and its records carry `degraded = true` with
+/// zeroed timing spans.
+///
+/// Every record is on one serving clock that starts with the call, the
+/// clock `ServeRequest::arrival_ns` is on: queue wait and end-to-end
+/// latency include earlier segments, failed attempts and backoff.
+/// `exchange_ns` is the *exposed* gather plus the reduce.
+///
+/// Outputs are bit-identical to [`parallel_sttsv_multi_planned`] over the
+/// same batches, with or without telemetry, and recovered (non-degraded)
+/// chaos outputs are bit-identical to the fault-free run: a retried batch
+/// recomputes from the original request vectors in a fresh universe, and
+/// the arithmetic is deterministic. The merged [`CostReport`] includes the
+/// words moved by *failed* attempts too: retries have a real
+/// communication cost. `flight` holds the last segment's final attempt;
+/// with an inert plan (`drop_prob = 0`, no crash) the costs equal the
+/// fault-free run's.
+///
+/// After each segment the driver feeds the latency histograms and evaluates
+/// `cfg.slo`. An alert raised there is stamped into *every* rank's flight
+/// ring by the next segment's communicators (fresh ranks start with an
+/// empty seen-alert mark), so a post-mortem window shows which alerts were
+/// already burning when a batch failed.
+///
+/// Returns [`ServeError::ZeroBatchCap`] when `batch_cap == 0` and
+/// [`ServeError::Input`] when the tensor or a request vector has the wrong
+/// dimension, or a request vector is not finite.
+///
+/// [`RankContext::sttsv_serve_pipelined`]: crate::RankContext::sttsv_serve_pipelined
+/// [`parallel_sttsv_multi_planned`]: crate::algorithm5::parallel_sttsv_multi_planned
+pub fn serve(
+    tensor: &SymTensor3,
+    part: &TetraPartition,
+    requests: &[ServeRequest],
+    cfg: ServeConfig<'_>,
+) -> Result<ServeRun, ServeError> {
+    let ServeConfig { mode, threads, batch_cap, telemetry, chaos, mut slo } = cfg;
     let batches = batches(tensor, part, requests, batch_cap)?;
     let p_count = part.num_procs();
     let machine = Machine::new(tensor, part, mode, threads);
-
-    let mut ys = vec![vec![0.0; part.dim()]; requests.len()];
-    let mut report = CostReport { per_rank: vec![RankCost::default(); p_count] };
-    let mut ternary_per_rank = vec![0u64; p_count];
-    let mut records = Vec::with_capacity(requests.len());
-    let mut flight: Vec<FlightSnapshot> = Vec::new();
-    let mut offset = 0usize;
-    for (k, batch) in batches.iter().enumerate() {
-        if let Some(plane) = telemetry {
-            ServeTelemetry { plane }.batch_admitted(
-                requests.len() - offset,
-                batch.len(),
-                batch_cap,
-            );
+    let clock = Instant::now();
+    let clock_ns = || clock.elapsed().as_nanos() as u64;
+    let universe = || {
+        let universe = Universe::new(p_count);
+        match telemetry {
+            Some(plane) => universe.with_telemetry(plane.clone()),
+            None => universe,
         }
-        let rank_main = |comm: &Comm| {
-            machine.with_rank(comm, |ctx| {
-                let mut served = ctx.sttsv_serve(comm, 1, |_| form_batch(comm, part, batch));
-                served.pop().expect("one batch served")
+    };
+    let segments: Vec<Range<usize>> = match chaos {
+        Some(_) => (0..batches.len()).map(|k| k..k + 1).collect(),
+        None => std::iter::once(0..batches.len()).collect(),
+    };
+
+    let mut run = ServeRun {
+        ys: vec![vec![0.0; part.dim()]; requests.len()],
+        report: CostReport { per_rank: vec![RankCost::default(); p_count] },
+        ternary_per_rank: vec![0; p_count],
+        records: Vec::with_capacity(requests.len()),
+        flight: Vec::new(),
+    };
+    for segment in segments {
+        let rank_main = |comm: &Comm, ctx: &RankContext<'_>| {
+            ctx.sttsv_serve_pipelined(comm, segment.len(), |j| {
+                let k = segment.start + j;
+                // Batches are admitted inside the universe, so rank 0
+                // publishes the live queue-depth view as each one forms.
+                if let (0, Some(plane)) = (comm.rank(), telemetry) {
+                    let queued = requests.len() - k * batch_cap;
+                    ServeTelemetry { plane }.batch_admitted(queued, batches[k].len(), batch_cap);
+                }
+                form_batch(comm, part, batches[k])
             })
         };
-
-        let mut attempt = 0u32;
-        let survived = loop {
-            let mut universe = Universe::new(p_count)
-                .with_recv_timeout(policy.recv_timeout)
-                .with_faults(policy.plan.for_attempt(attempt));
-            if let Some(plane) = telemetry {
-                universe = universe.with_telemetry(plane.clone());
+        // The per-rank batches and where their universe started on the
+        // serving clock, or `None` once a chaos batch is out of retries.
+        let mut retries = 0u32;
+        let served = match chaos {
+            None => {
+                let start_ns = clock_ns();
+                let (served, report, _, flight) = machine.run(universe(), false, rank_main);
+                run.report = report;
+                run.flight = flight;
+                Some((served, start_ns))
             }
-            match universe.try_run_traced(rank_main) {
-                Ok((per_rank, batch_report, _traces, batch_flight)) => {
-                    report = report.merged(&batch_report);
-                    flight = batch_flight;
-                    break Some(per_rank);
-                }
-                Err(failure) => {
-                    // Failed attempts still moved real words — keep them.
-                    report = report.merged(&failure.report);
-                    flight = failure.flight;
-                    if attempt >= policy.max_retries {
-                        break None;
+            Some(policy) => loop {
+                let attempt = universe()
+                    .with_recv_timeout(policy.recv_timeout)
+                    .with_faults(policy.plan.for_attempt(retries));
+                let start_ns = clock_ns();
+                let result = attempt
+                    .try_run_traced(|comm| machine.with_rank(comm, |ctx| rank_main(comm, ctx)));
+                match result {
+                    Ok((served, report, _traces, flight)) => {
+                        run.report = run.report.merged(&report);
+                        run.flight = flight;
+                        break Some((served, start_ns));
                     }
-                    std::thread::sleep(policy.backoff * (1u32 << attempt.min(16)));
-                    attempt += 1;
+                    Err(failure) => {
+                        // Failed attempts still moved real words — keep them.
+                        run.report = run.report.merged(&failure.report);
+                        run.flight = failure.flight;
+                        if retries >= policy.max_retries {
+                            break None;
+                        }
+                        std::thread::sleep(policy.backoff * (1u32 << retries.min(16)));
+                        retries += 1;
+                    }
                 }
-            }
+            },
         };
 
-        match survived {
-            Some(per_rank) => {
-                let refs: Vec<&ServedBatch> = per_rank.iter().collect();
-                merge_batch(
-                    part,
-                    batch,
-                    k,
-                    &refs,
-                    attempt,
-                    offset,
-                    &mut ys,
-                    &mut ternary_per_rank,
-                    &mut records,
-                );
-            }
-            None => {
-                for (v, r) in batch.iter().enumerate() {
-                    let (y, _ops) = sttsv_sym(tensor, &r.x);
-                    ys[offset + v] = y;
-                    records.push(RequestRecord {
-                        id: r.id,
-                        batch: k,
-                        batch_index: v,
-                        retries: policy.max_retries,
-                        degraded: true,
-                        ..RequestRecord::default()
-                    });
+        let first = run.records.len();
+        for (j, k) in segment.enumerate() {
+            match &served {
+                Some((per_rank, start_ns)) => {
+                    let refs: Vec<&ServedBatch> = per_rank.iter().map(|b| &b[j]).collect();
+                    merge_batch(&mut run, part, k, batches[k], &refs, *start_ns, retries);
+                }
+                None => {
+                    for (v, r) in batches[k].iter().enumerate() {
+                        run.ys[run.records.len()] = sttsv_sym(tensor, &r.x).0;
+                        run.records.push(RequestRecord {
+                            id: r.id,
+                            batch: k,
+                            batch_index: v,
+                            retries,
+                            degraded: true,
+                            ..RequestRecord::default()
+                        });
+                    }
                 }
             }
         }
         if let Some(plane) = telemetry {
-            ServeTelemetry { plane }.batch_done(&records[records.len() - batch.len()..], attempt);
-            // Evaluate the SLO between batches: an alert raised here is
-            // stamped into the next batch's flight rings by every rank.
+            ServeTelemetry { plane }.batch_done(&run.records[first..], retries);
             if let Some(slo) = slo.as_deref_mut() {
                 slo.evaluate(plane);
             }
         }
-        offset += batch.len();
     }
-    Ok(ServeRun { ys, report, ternary_per_rank, records, flight })
+    Ok(run)
 }
 
 #[cfg(test)]
@@ -575,6 +512,7 @@ mod tests {
     use rand::prelude::*;
     use symtensor_core::generate::random_symmetric;
     use symtensor_mpsim::FlightKind;
+    use symtensor_mpsim::RankCost;
     use symtensor_steiner::spherical;
 
     fn setup(q: u64) -> (SymTensor3, TetraPartition, usize) {
@@ -636,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_serve_is_bit_identical_to_sequential() {
+    fn served_batches_match_the_batched_oracle() {
         let (tensor, part, n) = setup(2);
         let xs = vectors(n, 7);
         let requests: Vec<ServeRequest> = xs
@@ -646,25 +584,32 @@ mod tests {
             .collect();
         for mode in [Mode::Scheduled, Mode::AllToAllPadded, Mode::AllToAllSparse] {
             for threads in [1usize, 3] {
-                let seq =
+                let run =
                     parallel_sttsv_serve(&tensor, &part, &requests, mode, threads, 3).unwrap();
-                let pipe =
-                    parallel_sttsv_serve_pipelined(&tensor, &part, &requests, mode, threads, 3)
-                        .unwrap();
-                assert_eq!(pipe.ys, seq.ys, "{mode:?}/{threads}: outputs must be bit-identical");
-                assert_eq!(pipe.ternary_per_rank, seq.ternary_per_rank);
-                assert_eq!(
-                    pipe.report, seq.report,
-                    "{mode:?}/{threads}: pipelining must not move a single word"
-                );
-                assert_eq!(pipe.records.len(), seq.records.len());
-                for (pr, sr) in pipe.records.iter().zip(&seq.records) {
+                // The oracle: one barrier call per batch of 3.
+                let mut ys = Vec::new();
+                let mut report =
+                    CostReport { per_rank: vec![RankCost::default(); part.num_procs()] };
+                let mut ternary = vec![0u64; part.num_procs()];
+                for chunk in xs.chunks(3) {
+                    let multi = parallel_sttsv_multi_planned(&tensor, &part, chunk, mode, threads);
+                    ys.extend(multi.ys);
+                    report = report.merged(&multi.report);
+                    for (t, m) in ternary.iter_mut().zip(&multi.ternary_per_rank) {
+                        *t += m;
+                    }
+                }
+                assert_eq!(run.ys, ys, "{mode:?}/{threads}: outputs must be bit-identical");
+                assert_eq!(run.ternary_per_rank, ternary, "{mode:?}/{threads}: ternary counts");
+                assert_eq!(run.report, report, "{mode:?}/{threads}: serving must not move a word");
+                assert_eq!(run.records.len(), requests.len());
+                for (i, rec) in run.records.iter().enumerate() {
                     assert_eq!(
-                        (pr.id, pr.batch, pr.batch_index),
-                        (sr.id, sr.batch, sr.batch_index)
+                        (rec.id, rec.batch, rec.batch_index),
+                        (200 + i as u64, i / 3, i % 3)
                     );
-                    assert!(pr.compute_ns > 0);
-                    assert!(pr.e2e_ns >= pr.compute_ns);
+                    assert!(rec.compute_ns > 0);
+                    assert!(rec.e2e_ns >= rec.compute_ns);
                 }
             }
         }
@@ -691,10 +636,16 @@ mod tests {
             out.sort_unstable();
             out
         }
-        let bits = |b: &ServedBatch| -> Vec<u64> {
-            b.ys.iter().flatten().flatten().map(|v| v.to_bits()).collect()
+        let bits = |ys: &[Vec<Vec<f64>>]| -> Vec<u64> {
+            ys.iter().flatten().flatten().map(|v| v.to_bits()).collect()
         };
-        for q in [2u64, 3] {
+        let cases = [
+            (2u64, Mode::Scheduled),
+            (3, Mode::Scheduled),
+            (2, Mode::AllToAllSparse),
+            (2, Mode::AllToAllPadded),
+        ];
+        for (q, mode) in cases {
             let (tensor, part, n) = setup(q);
             let requests: Vec<ServeRequest> = vectors(n, 5)
                 .into_iter()
@@ -702,28 +653,30 @@ mod tests {
                 .map(|(i, x)| ServeRequest::new(i as u64, x))
                 .collect();
             let batches: Vec<&[ServeRequest]> = requests.chunks(2).collect();
-            let machine = Machine::new(&tensor, &part, Mode::Scheduled, 1);
-            let run = |pipelined: bool| {
-                let universe = Universe::new(part.num_procs());
-                machine.run(universe, true, |comm, ctx| {
-                    let form = |k: usize| form_batch(comm, &part, batches[k]);
-                    if pipelined {
-                        ctx.sttsv_serve_pipelined(comm, batches.len(), form)
-                    } else {
-                        ctx.sttsv_serve(comm, batches.len(), form)
-                    }
+            let machine = Machine::new(&tensor, &part, mode, 1);
+            let universe = || Universe::new(part.num_procs());
+            // The reference: one barrier call per batch.
+            let (barrier, _, barrier_traces, _) = machine.run(universe(), true, |comm, ctx| {
+                let batch_ys: Vec<_> = batches
+                    .iter()
+                    .map(|batch| ctx.sttsv_multi(comm, &form_batch(comm, &part, batch).0).0)
+                    .collect();
+                batch_ys
+            });
+            let (pipe, _, pipe_traces, _) = machine.run(universe(), true, |comm, ctx| {
+                ctx.sttsv_serve_pipelined(comm, batches.len(), |k| {
+                    form_batch(comm, &part, batches[k])
                 })
-            };
-            let (seq, _, seq_traces, _) = run(false);
-            let (pipe, _, pipe_traces, _) = run(true);
+            });
             for p in 0..part.num_procs() {
-                let expect = wire(&seq_traces[p]);
-                assert!(expect.iter().any(|w| w.0 == "gather-x" && w.1), "q={q} rank {p}");
-                assert!(expect.iter().any(|w| w.0 == "reduce-y" && !w.1), "q={q} rank {p}");
-                assert_eq!(wire(&pipe_traces[p]), expect, "q={q} rank {p}: wire traffic");
+                let expect = wire(&barrier_traces[p]);
+                let case = format!("q={q} {mode:?} rank {p}");
+                assert!(expect.iter().any(|w| w.0 == "gather-x" && w.1), "{case}");
+                assert!(expect.iter().any(|w| w.0 == "reduce-y" && !w.1), "{case}");
+                assert_eq!(wire(&pipe_traces[p]), expect, "{case}: wire traffic");
                 assert_eq!(pipe[p].len(), batches.len());
-                for (k, (a, b)) in pipe[p].iter().zip(&seq[p]).enumerate() {
-                    assert_eq!(bits(a), bits(b), "q={q} rank {p} batch {k}: output bits");
+                for (k, (a, b)) in pipe[p].iter().zip(&barrier[p]).enumerate() {
+                    assert_eq!(bits(&a.ys), bits(b), "{case} batch {k}: output bits");
                 }
             }
         }

@@ -50,7 +50,7 @@ fn hist_family(out: &mut String, name: &str, help: &str, w: &HistogramWindow) {
 /// The output is deterministic for a given snapshot: metric families
 /// appear in a fixed order, and series within a family are sorted by
 /// their label values. Optional derived gauges (budget ratio, straggler
-/// λ, overlap efficiency) are emitted only when defined.
+/// λ) are emitted only when defined.
 pub fn prometheus_text(snap: &ClusterSnapshot) -> String {
     let mut out = String::new();
     let d = &snap.derived;
@@ -83,30 +83,6 @@ pub fn prometheus_text(snap: &ClusterSnapshot) -> String {
         "counter",
     );
     let _ = writeln!(out, "symtensor_degraded_total {}", d.degraded);
-
-    if let Some(eff) = d.overlap_efficiency {
-        family(
-            &mut out,
-            "symtensor_overlap_efficiency",
-            "Hidden fraction of overlapped exchange time.",
-            "gauge",
-        );
-        let _ = writeln!(out, "symtensor_overlap_efficiency {eff}");
-    }
-    family(
-        &mut out,
-        "symtensor_overlap_exposed_ns_total",
-        "Exchange nanoseconds left exposed, summed over ranks.",
-        "counter",
-    );
-    let _ = writeln!(out, "symtensor_overlap_exposed_ns_total {}", d.exposed_comm_ns);
-    family(
-        &mut out,
-        "symtensor_overlap_hidden_ns_total",
-        "Exchange nanoseconds hidden behind compute, summed over ranks.",
-        "counter",
-    );
-    let _ = writeln!(out, "symtensor_overlap_hidden_ns_total {}", d.hidden_comm_ns);
 
     // Per-rank, per-phase traffic: series sorted by (rank, phase, dir).
     type Pick = fn(&crate::PhaseSnapshot) -> u64;
@@ -220,13 +196,10 @@ pub fn render_table(snap: &ClusterSnapshot) -> String {
     let fmt_opt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.3}"));
     let _ = writeln!(
         out,
-        "words_sent={}  budget_ratio={}  lambda={}  overlap_eff={}  hidden={}ns exposed={}ns",
+        "words_sent={}  budget_ratio={}  lambda={}",
         d.total_words_sent,
         fmt_opt(d.budget_ratio),
         fmt_opt(d.straggler_lambda),
-        fmt_opt(d.overlap_efficiency),
-        d.hidden_comm_ns,
-        d.exposed_comm_ns,
     );
     if let Some(h) = snap.serve.hist(crate::keys::E2E_NS) {
         let q =

@@ -22,7 +22,7 @@
 //!   names interned to slot indices), the cells, and the alert log.
 //! - [`Scraper`] — samples all cells into [`ClusterSnapshot`]s with
 //!   derived gauges (budget ratio vs `2·scheduled_words_per_vector`,
-//!   straggler λ, overlap efficiency, serve queue state).
+//!   straggler λ, serve queue state).
 //! - [`SloBurnRate`] — multi-window burn-rate evaluator (fast-burn short
 //!   window AND sustained long window) raising [`SloAlert`]s that ranks
 //!   also stamp into their flight recorders.
@@ -68,13 +68,6 @@ pub mod keys {
     pub const VECTORS_DONE: &str = "serve:vectors_done";
     /// Serve gauge (monotone): requests completed.
     pub const REQUESTS_DONE: &str = "serve:requests_done";
-    /// Per-rank gauge (monotone): exchange nanoseconds hidden behind
-    /// compute. No in-tree publisher writes it today; the key and its
-    /// exposition series stay so scrapers keep a stable name.
-    pub const HIDDEN_NS: &str = "overlap:hidden_ns";
-    /// Per-rank gauge (monotone): exchange nanoseconds spent blocked with
-    /// nothing to compute. No in-tree publisher, like [`HIDDEN_NS`].
-    pub const EXPOSED_NS: &str = "overlap:exposed_ns";
     /// Per-rank gauge: flight-recorder self-measured overhead. Published
     /// from the recorder's monotone non-negative counter, so this can
     /// never go negative even on coarse clocks.

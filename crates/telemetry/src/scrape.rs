@@ -1,8 +1,8 @@
 //! The scraper: samples every cell of a [`TelemetryPlane`] at a
 //! configurable interval, deriving the cluster-level gauges that turn
 //! raw counters into checkable health — budget ratio against the
-//! paper's `2·scheduled_words_per_vector`, straggler λ, overlap
-//! efficiency, and the serve queue state.
+//! paper's `2·scheduled_words_per_vector`, straggler λ, and the serve
+//! queue state.
 
 use crate::cell::CellSnapshot;
 use crate::keys;
@@ -58,13 +58,6 @@ pub struct DerivedGauges {
     /// `None` without a configured budget or before any vector
     /// completed.
     pub budget_ratio: Option<f64>,
-    /// Exchange nanoseconds hidden behind compute, summed over ranks
-    /// (the [`crate::keys::HIDDEN_NS`] gauges).
-    pub hidden_comm_ns: u64,
-    /// Exchange nanoseconds left exposed, summed over ranks.
-    pub exposed_comm_ns: u64,
-    /// `hidden / (hidden + exposed)`; `None` before any overlap ran.
-    pub overlap_efficiency: Option<f64>,
     /// Requests admitted but not yet completed.
     pub queue_depth: u64,
     /// Current batch fill as a percentage of capacity.
@@ -223,17 +216,10 @@ fn derive(ranks: &[CellSnapshot], serve: &CellSnapshot, cfg: &ScrapeConfig) -> D
         }
         _ => None,
     };
-    let hidden_comm_ns: u64 = ranks.iter().filter_map(|c| c.gauge(keys::HIDDEN_NS)).sum();
-    let exposed_comm_ns: u64 = ranks.iter().filter_map(|c| c.gauge(keys::EXPOSED_NS)).sum();
-    let overlap_efficiency = (hidden_comm_ns + exposed_comm_ns > 0)
-        .then(|| hidden_comm_ns as f64 / (hidden_comm_ns + exposed_comm_ns) as f64);
     DerivedGauges {
         total_words_sent,
         straggler_lambda,
         budget_ratio,
-        hidden_comm_ns,
-        exposed_comm_ns,
-        overlap_efficiency,
         queue_depth: serve.gauge(keys::QUEUE_DEPTH).unwrap_or(0),
         batch_occupancy_pct: serve.gauge(keys::BATCH_OCCUPANCY_PCT).unwrap_or(0),
         retries: serve.gauge(keys::RETRIES).unwrap_or(0),
@@ -261,20 +247,6 @@ mod tests {
         assert_eq!(snap.derived.straggler_lambda, Some(1.5));
         // 120 / (3 ranks · 2 vectors · 20 words) = 1.0: exactly on budget.
         assert_eq!(snap.derived.budget_ratio, Some(1.0));
-    }
-
-    #[test]
-    fn overlap_efficiency_comes_from_rank_gauges() {
-        let plane = Arc::new(TelemetryPlane::new(2));
-        let hidden = plane.gauge_slot(keys::HIDDEN_NS);
-        let exposed = plane.gauge_slot(keys::EXPOSED_NS);
-        plane.rank_cell(0).gauge_add(hidden, 300);
-        plane.rank_cell(1).gauge_add(hidden, 450);
-        plane.rank_cell(1).gauge_add(exposed, 250);
-        let snap = sample_plane(&plane, &ScrapeConfig::default());
-        assert_eq!(snap.derived.hidden_comm_ns, 750);
-        assert_eq!(snap.derived.exposed_comm_ns, 250);
-        assert_eq!(snap.derived.overlap_efficiency, Some(0.75));
     }
 
     #[test]

@@ -16,8 +16,8 @@ use symtensor_core::SymTensor3;
 use symtensor_mpsim::{CommEventKind, CrashSpec, FaultPlan, FlightKind, InjectedFault, Universe};
 use symtensor_obs::{flight_json, validate, ArtifactKind};
 use symtensor_parallel::{
-    parallel_sttsv_serve, parallel_sttsv_serve_chaos, ChaosPolicy, CommSchedule, Mode, RankContext,
-    ServeRequest, TetraPartition,
+    parallel_sttsv_serve, serve, ChaosPolicy, CommSchedule, Mode, RankContext, ServeConfig,
+    ServeRequest, ServeRun, TetraPartition,
 };
 use symtensor_steiner::spherical;
 
@@ -45,6 +45,17 @@ fn policy(plan: FaultPlan) -> ChaosPolicy {
         backoff: Duration::from_millis(5),
         recv_timeout: Duration::from_millis(250),
     }
+}
+
+/// Serves `reqs` in batches of 2 under the chaos `policy`.
+fn serve_chaos(
+    tensor: &SymTensor3,
+    part: &TetraPartition,
+    reqs: &[ServeRequest],
+    policy: &ChaosPolicy,
+) -> ServeRun {
+    let cfg = ServeConfig { chaos: Some(policy), ..ServeConfig::new(Mode::Scheduled, 2) };
+    serve(tensor, part, reqs, cfg).unwrap()
 }
 
 /// One single-request scheduled plan-path run under `plan`, driven through
@@ -81,16 +92,7 @@ fn inert_plan_is_bit_identical_to_no_chaos() {
     let (tensor, part) = setup(2);
     let reqs = requests(part.dim(), 5);
     let base = parallel_sttsv_serve(&tensor, &part, &reqs, Mode::Scheduled, 1, 2).unwrap();
-    let chaos = parallel_sttsv_serve_chaos(
-        &tensor,
-        &part,
-        &reqs,
-        Mode::Scheduled,
-        1,
-        2,
-        &policy(FaultPlan::seeded(42)),
-    )
-    .unwrap();
+    let chaos = serve_chaos(&tensor, &part, &reqs, &policy(FaultPlan::seeded(42)));
 
     assert_eq!(chaos.report, base.report, "inert chaos must not change the cost report");
     assert_eq!(chaos.ternary_per_rank, base.ternary_per_rank);
@@ -214,16 +216,7 @@ fn crash_on_first_attempt_recovers_bit_identically() {
         .position(|a| a.send_to.is_some() || a.recv_from.is_some())
         .expect("rank 1 participates in some round") as u64;
     let spec = CrashSpec { rank: crash_rank, phase: "gather-x".into(), round, on_attempt: Some(0) };
-    let chaos = parallel_sttsv_serve_chaos(
-        &tensor,
-        &part,
-        &reqs,
-        Mode::Scheduled,
-        1,
-        2,
-        &policy(FaultPlan::seeded(5).with_crash(spec)),
-    )
-    .unwrap();
+    let chaos = serve_chaos(&tensor, &part, &reqs, &policy(FaultPlan::seeded(5).with_crash(spec)));
 
     for rec in &chaos.records {
         assert_eq!(rec.retries, 1, "request {}: every batch crashes once then recovers", rec.id);
@@ -237,6 +230,47 @@ fn crash_on_first_attempt_recovers_bit_identically() {
     }
     // Retries moved real words: the merged report is strictly larger.
     assert!(chaos.report.total_words_sent() > base.report.total_words_sent());
+}
+
+/// Chaos records are on one serving clock: a retried request's latency
+/// includes its failed attempt and the backoff before the retry, and
+/// later batches never report a shorter queue wait than earlier ones,
+/// although each attempt runs in a fresh universe with its own clock.
+#[test]
+fn chaos_records_share_one_serving_clock() {
+    let (tensor, part) = setup(2);
+    let reqs = requests(part.dim(), 6);
+    let schedule = CommSchedule::build(&part);
+    let round = schedule
+        .actions(1)
+        .iter()
+        .position(|a| a.send_to.is_some() || a.recv_from.is_some())
+        .expect("rank 1 participates in some round") as u64;
+    let spec = CrashSpec { rank: 1, phase: "gather-x".into(), round, on_attempt: Some(0) };
+    let mut pol = policy(FaultPlan::seeded(5).with_crash(spec));
+    pol.backoff = Duration::from_millis(50);
+    let chaos = serve_chaos(&tensor, &part, &reqs, &pol);
+
+    let backoff_ns = pol.backoff.as_nanos() as u64;
+    for rec in &chaos.records {
+        assert_eq!(rec.retries, 1, "request {}: every batch crashes once", rec.id);
+        assert!(
+            rec.e2e_ns >= backoff_ns,
+            "request {}: e2e {} ns leaves out the {backoff_ns} ns backoff",
+            rec.id,
+            rec.e2e_ns
+        );
+    }
+    for pair in chaos.records.windows(2) {
+        assert!(
+            pair[1].queue_wait_ns >= pair[0].queue_wait_ns,
+            "request {} queued {} ns, less than request {}'s {} ns",
+            pair[1].id,
+            pair[1].queue_wait_ns,
+            pair[0].id,
+            pair[0].queue_wait_ns
+        );
+    }
 }
 
 /// A persistent crash exhausts the retries and degrades every request to
@@ -256,8 +290,7 @@ fn persistent_crash_degrades_to_sequential_fallback() {
     let mut pol = policy(FaultPlan::seeded(5).with_crash(spec));
     pol.max_retries = 1;
     pol.recv_timeout = Duration::from_millis(150);
-    let chaos =
-        parallel_sttsv_serve_chaos(&tensor, &part, &reqs, Mode::Scheduled, 1, 2, &pol).unwrap();
+    let chaos = serve_chaos(&tensor, &part, &reqs, &pol);
 
     for rec in &chaos.records {
         assert!(rec.degraded, "request {}: a persistent crash must degrade", rec.id);
@@ -281,7 +314,7 @@ fn chaos_serving_runs_are_seed_deterministic() {
     let run = || {
         let mut pol = policy(FaultPlan::seeded(1234).with_drop_prob(0.02));
         pol.recv_timeout = Duration::from_millis(150);
-        parallel_sttsv_serve_chaos(&tensor, &part, &reqs, Mode::Scheduled, 1, 2, &pol).unwrap()
+        serve_chaos(&tensor, &part, &reqs, &pol)
     };
     let a = run();
     let b = run();
@@ -313,8 +346,7 @@ fn chaos_soak_recovers_or_degrades_every_request() {
         let drop_prob = [0.0, 0.01, 0.05][seed as usize % 3];
         let mut pol = policy(FaultPlan::seeded(seed).with_drop_prob(drop_prob));
         pol.recv_timeout = Duration::from_millis(150);
-        let chaos =
-            parallel_sttsv_serve_chaos(&tensor, &part, &reqs, Mode::Scheduled, 1, 2, &pol).unwrap();
+        let chaos = serve_chaos(&tensor, &part, &reqs, &pol);
 
         assert_eq!(chaos.records.len(), reqs.len());
         for (i, rec) in chaos.records.iter().enumerate() {

@@ -5,7 +5,7 @@
 use std::time::Duration;
 use symtensor_mpsim::{CommError, Universe};
 use symtensor_parallel::{
-    parallel_sttsv, parallel_sttsv_serve, Mode, ServeError, ServeRequest, TetraPartition,
+    parallel_sttsv, serve, Mode, ServeConfig, ServeError, ServeRequest, TetraPartition,
 };
 use symtensor_steiner::{spherical, sqs8, SteinerSystem};
 
@@ -74,7 +74,7 @@ fn zero_batch_cap_is_a_structured_error() {
     let part = TetraPartition::new(spherical(2), 30).unwrap();
     let tensor = symtensor_core::SymTensor3::zeros(30);
     let requests = vec![ServeRequest::new(0, vec![0.0; 30])];
-    let err = parallel_sttsv_serve(&tensor, &part, &requests, Mode::Scheduled, 1, 0).unwrap_err();
+    let err = serve(&tensor, &part, &requests, ServeConfig::new(Mode::Scheduled, 0)).unwrap_err();
     assert_eq!(err, ServeError::ZeroBatchCap);
     assert!(format!("{err}").contains("batch capacity"));
 }

@@ -10,7 +10,7 @@ use symtensor_core::SymTensor3;
 use symtensor_mpsim::{Comm, Universe};
 use symtensor_obs::{flight_json, validate, ArtifactKind, RequestLatency, SloReport};
 use symtensor_parallel::{
-    parallel_sttsv, parallel_sttsv_serve, CommSchedule, Mode, RankContext, ServeRequest,
+    parallel_sttsv, serve, CommSchedule, Mode, RankContext, ServeConfig, ServeRequest,
     TetraPartition,
 };
 use symtensor_steiner::spherical;
@@ -84,7 +84,7 @@ fn serving_slo_report_links_p99_to_a_real_request() {
             ServeRequest { id: 100 + v as u64, arrival_ns: 0, x }
         })
         .collect();
-    let run = parallel_sttsv_serve(&tensor, &part, &requests, Mode::Scheduled, 1, 2).unwrap();
+    let run = serve(&tensor, &part, &requests, ServeConfig::new(Mode::Scheduled, 2)).unwrap();
 
     // Served outputs are the single-vector answers, bit for bit.
     for (req, y) in requests.iter().zip(&run.ys) {
@@ -127,7 +127,7 @@ fn serve_flight_window_validates_and_carries_request_ids() {
     let (tensor, part) = setup(2);
     let n = part.dim();
     let requests: Vec<ServeRequest> = (0..3).map(|v| ServeRequest::new(7 + v, input(n))).collect();
-    let run = parallel_sttsv_serve(&tensor, &part, &requests, Mode::Scheduled, 1, 3).unwrap();
+    let run = serve(&tensor, &part, &requests, ServeConfig::new(Mode::Scheduled, 3)).unwrap();
 
     let doc = flight_json(&run.flight);
     assert_eq!(validate(&doc), Ok(ArtifactKind::Flight));

@@ -21,6 +21,10 @@ fn crash_run() -> Box<symtensor_mpsim::RankFailure> {
             comm.with_phase("gather-x", || {
                 comm.annotate_round(2);
                 comm.send((p + 1) % 3, 0, vec![1.0; 6]);
+                // No rank may exit before every send has reached a live
+                // mailbox: a send to an exited rank is not charged or
+                // recorded, and the tests below count every send.
+                comm.barrier();
                 if p == 1 {
                     panic!("injected mid-exchange failure");
                 }

@@ -13,8 +13,8 @@ use symtensor_core::generate::random_symmetric;
 use symtensor_core::SymTensor3;
 use symtensor_mpsim::{FaultPlan, FlightKind};
 use symtensor_parallel::{
-    bounds, parallel_sttsv_serve, parallel_sttsv_serve_chaos_with, parallel_sttsv_serve_with,
-    ChaosPolicy, Mode, ServeRequest, TetraPartition,
+    bounds, parallel_sttsv_serve, serve, ChaosPolicy, Mode, ServeConfig, ServeRequest,
+    TetraPartition,
 };
 use symtensor_steiner::spherical;
 use symtensor_telemetry::{
@@ -50,9 +50,8 @@ fn serve_outputs_are_bit_identical_with_telemetry_on_and_off() {
         let base = parallel_sttsv_serve(&tensor, &part, &reqs, Mode::Scheduled, 1, 2)
             .expect("baseline serve");
         let plane = Arc::new(TelemetryPlane::new(part.num_procs()));
-        let run =
-            parallel_sttsv_serve_with(&tensor, &part, &reqs, Mode::Scheduled, 1, 2, Some(&plane))
-                .expect("telemetered serve");
+        let cfg = ServeConfig { telemetry: Some(&plane), ..ServeConfig::new(Mode::Scheduled, 2) };
+        let run = serve(&tensor, &part, &reqs, cfg).expect("telemetered serve");
         assert_eq!(base.ys.len(), run.ys.len());
         for (a, b) in base.ys.iter().zip(&run.ys) {
             assert_eq!(a.len(), b.len());
@@ -73,9 +72,8 @@ fn live_word_gauges_reconcile_with_the_final_cost_report() {
         let (tensor, part) = setup(q);
         let reqs = requests(part.dim(), 6);
         let plane = Arc::new(TelemetryPlane::new(part.num_procs()));
-        let run =
-            parallel_sttsv_serve_with(&tensor, &part, &reqs, Mode::Scheduled, 1, 3, Some(&plane))
-                .expect("telemetered serve");
+        let cfg = ServeConfig { telemetry: Some(&plane), ..ServeConfig::new(Mode::Scheduled, 3) };
+        let run = serve(&tensor, &part, &reqs, cfg).expect("telemetered serve");
         let budget = 2 * bounds::scheduled_words_per_vector(part.dim(), q as usize) as u64;
         let cfg = ScrapeConfig::default().with_budget_words_per_vector(budget);
         let snap = sample_plane(&plane, &cfg);
@@ -122,18 +120,13 @@ fn chaos_slo_alert_fires_and_is_stamped_into_the_flight_window() {
         backoff: Duration::from_millis(5),
         recv_timeout: Duration::from_millis(250),
     };
-    let run = parallel_sttsv_serve_chaos_with(
-        &tensor,
-        &part,
-        &reqs,
-        Mode::Scheduled,
-        1,
-        2,
-        &policy,
-        Some(&plane),
-        Some(&mut slo),
-    )
-    .expect("chaos serve");
+    let cfg = ServeConfig {
+        telemetry: Some(&plane),
+        chaos: Some(&policy),
+        slo: Some(&mut slo),
+        ..ServeConfig::new(Mode::Scheduled, 2)
+    };
+    let run = serve(&tensor, &part, &reqs, cfg).expect("chaos serve");
     let alerts = plane.alerts();
     assert!(!alerts.is_empty(), "a 1 ns budget must burn the SLO");
     let stamped: Vec<u64> = run
@@ -163,11 +156,6 @@ fn golden_snapshot() -> ClusterSnapshot {
     plane.rank_cell(1).on_recv(gather, 15);
     plane.rank_cell(1).on_send(reduce, 15);
     plane.rank_cell(1).on_recv(reduce, 15);
-    let hidden = plane.gauge_slot(keys::HIDDEN_NS);
-    let exposed = plane.gauge_slot(keys::EXPOSED_NS);
-    plane.rank_cell(0).gauge_add(hidden, 900);
-    plane.rank_cell(0).gauge_add(exposed, 100);
-    plane.rank_cell(1).gauge_add(hidden, 600);
     let e2e = plane.hist_slot(keys::E2E_NS);
     plane.serve_cell().observe(e2e, 0, 800);
     plane.serve_cell().observe(e2e, 0, 1300);
