@@ -48,14 +48,14 @@ fn bench_parallel_mttkrp(c: &mut Criterion) {
     let tensor = bench_tensor(n, 9);
     for r in [2usize, 4] {
         let x = factor(n, r, 10);
-        let run = parallel_mttkrp(&tensor, &part, &x, Mode::Scheduled);
+        let run = parallel_mttkrp(&tensor, &part, &x, Mode::Scheduled).expect("valid inputs");
         eprintln!(
             "[mttkrp] n={n} r={r}: {} words/rank in {} rounds (1 STTSV's round count)",
             run.report.bandwidth_cost(),
             run.report.max_rounds()
         );
         group.bench_with_input(BenchmarkId::new("scheduled_p10", r), &r, |bench, _| {
-            bench.iter(|| parallel_mttkrp(black_box(&tensor), &part, &x, Mode::Scheduled))
+            bench.iter(|| parallel_mttkrp(black_box(&tensor), &part, &x, Mode::Scheduled).unwrap())
         });
     }
     group.finish();

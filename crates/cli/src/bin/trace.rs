@@ -2,33 +2,25 @@
 //! and prints/exports everything `symtensor-obs` can see about it.
 //!
 //! Usage: `trace [--q Q] [--scale S] [--mode scheduled|padded|sparse]
-//!               [--critical-path] [--replay ALPHA,BETA,GAMMA]
-//!               [--trace out.json] [--metrics out.json]`
+//!               [--trace out.json] [--metrics out.json] [--flight out.json]`
 //!
 //! Defaults: `--q 3`, `--scale 1`, `--mode scheduled`. The printed report
-//! covers the per-phase cost breakdown (which partitions the run's total
-//! traffic exactly), the P×P communication matrix marginals, and the
-//! round-occupancy check against the paper's `q³/2 + 3q²/2 − 1` step
-//! bound. `--critical-path` replays the trace under the pure-bandwidth
-//! model (α=0, β=1, γ=0), prints the per-rank critical-path attribution
-//! and — in scheduled mode — asserts the modeled makespan reconciles
-//! exactly with `2·W_sched`, the closed-form per-vector word count.
-//! `--replay A,B,G` replays under a custom α-β-γ model and prints the
-//! modeled-vs-measured drift table plus latency-histogram quantiles.
-//! `--trace` writes a Perfetto-loadable Chrome trace (open at
-//! `ui.perfetto.dev`), `--metrics` the flat metrics JSON, `--flight` the
-//! per-rank flight-recorder window (`symtensor-flight-v1`).
+//! holds only measured figures and exact counts: the per-phase cost
+//! breakdown (which partitions the run's total traffic exactly), the P×P
+//! communication matrix marginals, the round-occupancy check against the
+//! paper's `q³/2 + 3q²/2 − 1` step bound, the bandwidth cost (in scheduled
+//! mode asserted equal to `2·W_sched`, the closed-form per-vector word
+//! count, ±0 words), and the measured round-step and receive-transit
+//! latency quantiles. `--trace` writes a Perfetto-loadable Chrome trace
+//! (open at `ui.perfetto.dev`), `--metrics` the flat metrics JSON,
+//! `--flight` the per-rank flight-recorder window (`symtensor-flight-v1`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use symtensor_cli::obsout::ObsSink;
 use symtensor_core::generate::random_symmetric;
 use symtensor_obs::occupancy::spherical_step_bound;
-use symtensor_obs::replay::replay_with_drift;
-use symtensor_obs::{
-    flight_json, phase_stats, quantile_cell, AlphaBetaModel, CriticalPath, RunObservation,
-    StragglerReport,
-};
+use symtensor_obs::{flight_json, phase_stats, quantile_cell, RunObservation};
 use symtensor_parallel::schedule::spherical_round_count;
 use symtensor_parallel::{
     bounds, parallel_sttsv_with, CommSchedule, Mode, SttsvOptions, TetraPartition,
@@ -40,8 +32,6 @@ fn main() {
     let mut q = 3usize;
     let mut scale = 1usize;
     let mut mode = Mode::Scheduled;
-    let mut critical_path = false;
-    let mut replay_model: Option<AlphaBetaModel> = None;
     let mut flight_path: Option<String> = None;
     let mut iter = rest.iter();
     while let Some(arg) = iter.next() {
@@ -56,8 +46,6 @@ fn main() {
                     other => usage(&format!("unknown --mode {other:?}")),
                 }
             }
-            "--critical-path" => critical_path = true,
-            "--replay" => replay_model = Some(parse_model(iter.next())),
             "--flight" => {
                 flight_path = Some(match iter.next() {
                     Some(path) => path.clone(),
@@ -164,84 +152,36 @@ fn main() {
         assert_eq!(occ.unannotated_words, 0, "every word must carry a round annotation");
     }
 
+    let bandwidth = obs.report.bandwidth_cost();
     println!(
-        "\nbandwidth cost = {} words (lower bound {:.1})",
-        obs.report.bandwidth_cost(),
+        "\nbandwidth cost = {bandwidth} words (lower bound {:.1})",
         bounds::lower_bound_words(n, p)
     );
-
-    if critical_path {
-        // Replay under the pure-bandwidth model: 1 ns per word, free
-        // latency and compute — virtual time *is* the word count.
-        let rep = obs.replay(AlphaBetaModel::bandwidth_only());
-        let cp = CriticalPath::extract(&rep);
-        println!("\n-- critical path (α=0, β=1, γ=0: virtual time = words) --");
-        print!("{}", cp.render_attribution());
-        let w = bounds::scheduled_words_per_vector(n, q);
-        if mode == Mode::Scheduled {
-            println!(
-                "modeled makespan = {} words | closed-form 2·W_sched = {} ({} per phase)",
-                rep.makespan_ns,
-                2 * w,
-                w
-            );
-            assert_eq!(
-                rep.makespan_ns,
-                (2 * w) as f64,
-                "scheduled makespan must reconcile (±0 words) with 2·scheduled_words_per_vector"
-            );
-            println!("makespan reconciles with the closed-form schedule cost ✓");
-        } else {
-            println!(
-                "modeled makespan = {} words | scheduled closed form would be {} (2·W_sched)",
-                rep.makespan_ns,
-                2 * w
-            );
-        }
+    let w = bounds::scheduled_words_per_vector(n, q) as u64;
+    if mode == Mode::Scheduled {
+        assert_eq!(
+            bandwidth,
+            2 * w,
+            "scheduled bandwidth cost must reconcile (±0 words) with 2·scheduled_words_per_vector"
+        );
+        println!("bandwidth cost reconciles with the closed form 2·W_sched = {} ✓", 2 * w);
+    } else {
+        println!("scheduled closed form would be 2·W_sched = {}", 2 * w);
     }
 
-    if let Some(model) = replay_model {
-        let (rep, drift) = match replay_with_drift(&obs.traces, model) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("error: replay failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        println!("\n-- α-β-γ replay (α={}, β={}, γ={}) --", model.alpha, model.beta, model.gamma);
+    // Measured latencies from send/recv matching (no model involved).
+    let hists = obs.histograms();
+    println!("\n-- measured latency --");
+    for (label, h) in
+        [("round-step ns:  ", &hists.round_step_ns), ("recv transit ns:", &hists.recv_wait_ns)]
+    {
         println!(
-            "modeled makespan = {:.1} ns | max send-busy = {:.1} | max compute = {:.1}",
-            rep.makespan_ns,
-            rep.max_send_busy_ns(),
-            rep.max_compute_ns()
+            "{label} p50={} p90={} p99={} max={}",
+            quantile_cell(h, 0.50),
+            quantile_cell(h, 0.90),
+            quantile_cell(h, 0.99),
+            h.max
         );
-        println!("{:<16} {:>14} {:>14} {:>8}", "phase", "modeled ns", "measured ns", "ratio");
-        for d in &drift {
-            println!(
-                "{:<16} {:>14.1} {:>14.1} {:>8.3}",
-                d.phase,
-                d.modeled_ns,
-                d.measured_ns,
-                d.ratio()
-            );
-        }
-        let hists = obs.histograms();
-        println!(
-            "round-step latency ns: p50={} p90={} p99={} max={}",
-            quantile_cell(&hists.round_step_ns, 0.50),
-            quantile_cell(&hists.round_step_ns, 0.90),
-            quantile_cell(&hists.round_step_ns, 0.99),
-            hists.round_step_ns.max
-        );
-        println!(
-            "recv transit ns:       p50={} p90={} p99={} max={}",
-            quantile_cell(&hists.recv_wait_ns, 0.50),
-            quantile_cell(&hists.recv_wait_ns, 0.90),
-            quantile_cell(&hists.recv_wait_ns, 0.99),
-            hists.recv_wait_ns.max
-        );
-        let stragglers = StragglerReport::from_spans(&obs.spans(), obs.traces.len(), 5);
-        print!("{}", stragglers.render());
     }
 
     if let Some(path) = &flight_path {
@@ -281,25 +221,10 @@ fn parse_num(arg: Option<&String>, flag: &str) -> usize {
     }
 }
 
-fn parse_model(arg: Option<&String>) -> AlphaBetaModel {
-    let parts: Vec<f64> = arg
-        .map(|s| s.split(',').filter_map(|p| p.trim().parse().ok()).collect())
-        .unwrap_or_default();
-    match parts.as_slice() {
-        [alpha, beta, gamma] => {
-            AlphaBetaModel { alpha: *alpha, beta: *beta, gamma: *gamma, link_ns: 0.0 }
-        }
-        [alpha, beta, gamma, link] => {
-            AlphaBetaModel { alpha: *alpha, beta: *beta, gamma: *gamma, link_ns: *link }
-        }
-        _ => usage("--replay requires ALPHA,BETA,GAMMA[,LINK] (e.g. --replay 1000,0.5,1)"),
-    }
-}
-
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: trace [--q Q] [--scale S] [--mode scheduled|padded|sparse] [--critical-path] [--replay A,B,G] [--trace out.json] [--metrics out.json] [--flight out.json]"
+        "usage: trace [--q Q] [--scale S] [--mode scheduled|padded|sparse] [--trace out.json] [--metrics out.json] [--flight out.json]"
     );
     std::process::exit(2);
 }

@@ -2,8 +2,8 @@
 //!
 //! The profiler (`symtensor-obs`) needs to know, for every received
 //! message, *which* send produced it: that pairing is the happens-before
-//! edge set of the run, from which virtual-clock replay and critical-path
-//! extraction follow. The simulator delivers messages over one unbounded
+//! edge set of the run, from which the measured per-message transit and
+//! round-step latency histograms follow. The simulator delivers messages over one unbounded
 //! channel per destination and [`crate::Comm::recv`] claims them by
 //! `(src, tag)` in arrival order, so within a `(src, dst, tag)` triple
 //! message order is FIFO — matching the k-th send to the k-th recv of the

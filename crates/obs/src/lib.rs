@@ -1,7 +1,8 @@
 #![warn(missing_docs)]
-//! Observability for the simulated α-β-γ machine: phase-scoped spans, a
-//! metrics registry, the P×P communication matrix, schedule-step occupancy
-//! and Perfetto-loadable trace export.
+//! Observability for the simulated message-passing machine: phase-scoped
+//! spans, a metrics registry, the P×P communication matrix, schedule-step
+//! occupancy, measured latency histograms and Perfetto-loadable trace
+//! export.
 //!
 //! The `symtensor-mpsim` runtime counts every word on the send/recv hot
 //! path and — when tracing is enabled — records timestamped, phase- and
@@ -36,7 +37,6 @@
 //! [`Universe::run_traced`]: symtensor_mpsim::Universe::run_traced
 
 pub mod chrome;
-pub mod critical;
 pub mod flight;
 pub mod histogram;
 pub mod json;
@@ -44,7 +44,6 @@ pub mod matrix;
 pub mod metrics;
 pub mod occupancy;
 pub mod regress;
-pub mod replay;
 pub mod schema;
 pub mod slo;
 pub mod span;
@@ -53,14 +52,12 @@ pub mod telemetry;
 pub use chrome::{
     chrome_trace, chrome_trace_multi, chrome_trace_string, chrome_trace_with_profile,
 };
-pub use critical::{CriticalPath, StragglerReport};
 pub use flight::{chrome_from_flight, flight_json, postmortem_json, reconcile_postmortem};
 pub use histogram::{Histogram, ProfileHistograms};
 pub use matrix::CommMatrix;
 pub use metrics::MetricsRegistry;
 pub use occupancy::{spherical_step_bound, OccupancyReport};
 pub use regress::{parse_snapshot, BenchKey, BenchRecord, RegressionReport};
-pub use replay::{AlphaBetaModel, ReplayReport};
 pub use schema::{validate, ArtifactKind};
 pub use slo::{quantile_cell, Exemplar, ExemplarHistogram, RequestLatency, SloReport};
 pub use span::{
@@ -110,24 +107,6 @@ impl RunObservation {
     /// Chrome trace-event JSON document.
     pub fn chrome_trace(&self) -> json::Value {
         chrome_trace(&self.traces)
-    }
-
-    /// Virtual-clock replay of the traced run under `model`.
-    ///
-    /// # Panics
-    /// Panics if the trace is not replayable (a receive with no matching
-    /// send) — a run that completed on the simulator cannot produce such a
-    /// trace unless events were dropped.
-    pub fn replay(&self, model: AlphaBetaModel) -> ReplayReport {
-        match replay::replay(&self.traces, model) {
-            Ok(rep) => rep,
-            Err(e) => panic!("trace is not replayable: {e}"),
-        }
-    }
-
-    /// Critical path of the replayed run under `model`.
-    pub fn critical_path(&self, model: AlphaBetaModel) -> CriticalPath {
-        CriticalPath::extract(&self.replay(model))
     }
 
     /// Latency/profile histograms (round-step span, per-message transit,

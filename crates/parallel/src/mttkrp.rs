@@ -15,7 +15,7 @@
 //! Algorithm 2 (`Y = X·[(XᵀX)∗(XᵀX)] − MTTKRP(𝓐, X)`) with the Gram matrix
 //! assembled by an `r²`-word all-reduce of per-rank partial Grams.
 
-use crate::algorithm5::{check_dims, Machine, Mode, RankContext};
+use crate::algorithm5::{check_dims, InputError, Machine, Mode, RankContext};
 use crate::partition::TetraPartition;
 use symtensor_core::ops::Matrix;
 use symtensor_core::SymTensor3;
@@ -76,20 +76,20 @@ pub struct MttkrpRun {
 /// Runs `per_rank(comm, ctx, columns)` on every rank, `columns[col][t]`
 /// being the rank's shard of row block `R_p[t]` of column `col` of `x_mat`,
 /// and assembles the per-column output shards each rank returns (same
-/// keying) into an `n × r` matrix. Panics with the
-/// [`InputError`](crate::InputError) when the tensor or a column of `x_mat`
-/// is not `part.dim()`-dimensional.
+/// keying) into an `n × r` matrix. Returns an [`InputError`] when the
+/// tensor or a column of `x_mat` is not `part.dim()`-dimensional, or a
+/// column holds a non-finite entry (`index` is the column).
 fn run_columns(
     tensor: &SymTensor3,
     part: &TetraPartition,
     x_mat: &Matrix,
     mode: Mode,
     per_rank: impl Fn(&Comm, &RankContext<'_>, Vec<Vec<Vec<f64>>>) -> (Vec<Vec<Vec<f64>>>, u64) + Sync,
-) -> MttkrpRun {
+) -> Result<MttkrpRun, InputError> {
     let n = part.dim();
     let r = x_mat.cols();
     let x_cols: Vec<Vec<f64>> = (0..r).map(|col| x_mat.col(col)).collect();
-    check_dims(n, tensor, x_cols.iter().map(Vec::as_slice)).unwrap_or_else(|e| panic!("{e}"));
+    check_dims(n, tensor, x_cols.iter().map(Vec::as_slice))?;
     let machine = Machine::new(tensor, part, mode, 1);
     let (rank_results, report, _, _) =
         machine.run(Universe::new(part.num_procs()), false, |comm, ctx| {
@@ -105,16 +105,20 @@ fn run_columns(
         y.set_col(col, &y_col);
     }
     let ternary_per_rank = rank_results.iter().map(|&(_, ternary)| ternary).collect();
-    MttkrpRun { y, report, ternary_per_rank }
+    Ok(MttkrpRun { y, report, ternary_per_rank })
 }
 
 /// Runs the distributed symmetric MTTKRP on the simulated machine.
+///
+/// # Errors
+/// [`InputError`] when the tensor or `x_mat`'s row count is not
+/// `part.dim()`, or `x_mat` holds a NaN or an infinity.
 pub fn parallel_mttkrp(
     tensor: &SymTensor3,
     part: &TetraPartition,
     x_mat: &Matrix,
     mode: Mode,
-) -> MttkrpRun {
+) -> Result<MttkrpRun, InputError> {
     run_columns(tensor, part, x_mat, mode, |comm, ctx, columns| ctx.sttsv_multi(comm, &columns))
 }
 
@@ -122,12 +126,15 @@ pub fn parallel_mttkrp(
 /// `Y = X·[(XᵀX)∗(XᵀX)] − MTTKRP(𝓐, X)`, with the `r × r` Gram matrix
 /// assembled by an all-reduce of per-rank partial Grams (`r²` words, a
 /// lower-order term next to the MTTKRP traffic).
+///
+/// # Errors
+/// As [`parallel_mttkrp`].
 pub fn parallel_cp_gradient(
     tensor: &SymTensor3,
     part: &TetraPartition,
     x_mat: &Matrix,
     mode: Mode,
-) -> MttkrpRun {
+) -> Result<MttkrpRun, InputError> {
     let r = x_mat.cols();
     run_columns(tensor, part, x_mat, mode, |comm, ctx, columns| {
         let t_count = part.r_set(comm.rank()).len();
@@ -210,7 +217,7 @@ mod tests {
         let x = random_factor(n, r, 52);
         let (y_ref, _) = mttkrp_sym(&tensor, &x);
         for mode in [Mode::Scheduled, Mode::AllToAllPadded, Mode::AllToAllSparse] {
-            let run = parallel_mttkrp(&tensor, &part, &x, mode);
+            let run = parallel_mttkrp(&tensor, &part, &x, mode).unwrap();
             assert_matrix_close(&run.y, &y_ref, 1e-9);
         }
     }
@@ -224,7 +231,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(53);
         let tensor = random_symmetric(n, &mut rng);
         let x = random_factor(n, r, 54);
-        let run = parallel_mttkrp(&tensor, &part, &x, Mode::Scheduled);
+        let run = parallel_mttkrp(&tensor, &part, &x, Mode::Scheduled).unwrap();
         let per_vec = bounds::scheduled_words_per_vector(n, q) as u64;
         for cost in &run.report.per_rank {
             assert_eq!(cost.words_sent, 2 * per_vec * r as u64);
@@ -247,7 +254,7 @@ mod tests {
         let x = random_factor(n, r, 56);
         let y_ref = cp_gradient(&tensor, &x);
         for mode in [Mode::Scheduled, Mode::AllToAllPadded] {
-            let run = parallel_cp_gradient(&tensor, &part, &x, mode);
+            let run = parallel_cp_gradient(&tensor, &part, &x, mode).unwrap();
             assert_matrix_close(&run.y, &y_ref, 1e-8);
         }
     }
@@ -264,7 +271,7 @@ mod tests {
         let tensor = random_symmetric(n, &mut rng);
         let x = random_factor(n, r, 58);
         for mode in [Mode::Scheduled, Mode::AllToAllPadded, Mode::AllToAllSparse] {
-            let mrun = parallel_mttkrp(&tensor, &part, &x, mode);
+            let mrun = parallel_mttkrp(&tensor, &part, &x, mode).unwrap();
             for col in 0..r {
                 let srun = crate::parallel_sttsv(&tensor, &part, &x.col(col), mode);
                 for i in 0..n {
@@ -282,6 +289,28 @@ mod tests {
                     srun.ternary_per_rank.iter().map(|t| r as u64 * t).collect();
                 assert_eq!(mrun.ternary_per_rank, ternary);
             }
+        }
+    }
+
+    #[test]
+    fn bad_inputs_return_typed_errors() {
+        let n = 30;
+        let r = 2;
+        let part = TetraPartition::new(spherical(2), n).unwrap();
+        let tensor = SymTensor3::zeros(n);
+        let drivers: [fn(&SymTensor3, &TetraPartition, &Matrix, Mode) -> _; 2] =
+            [parallel_mttkrp, parallel_cp_gradient];
+        for driver in drivers {
+            let small = SymTensor3::zeros(20);
+            let err = driver(&small, &part, &random_factor(n, r, 59), Mode::Scheduled).unwrap_err();
+            assert_eq!(err, InputError::TensorDim { expected: n, got: 20 });
+            let short = random_factor(n - 1, r, 60);
+            let err = driver(&tensor, &part, &short, Mode::Scheduled).unwrap_err();
+            assert_eq!(err, InputError::VectorDim { index: 0, expected: n, got: n - 1 });
+            let mut x = random_factor(n, r, 61);
+            x.set(7, 1, f64::NAN);
+            let err = driver(&tensor, &part, &x, Mode::Scheduled).unwrap_err();
+            assert_eq!(err, InputError::NonFinite { index: 1, entry: 7 });
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Live metrics plane for the symtensor runtime.
 //!
-//! Every observability layer before this one (trace spans, the αβγ replay
-//! profiler, the flight recorder) is post-hoc: you learn a rank straggled
+//! Every observability layer before this one (trace spans, the latency
+//! histograms, the flight recorder) is post-hoc: you learn a rank straggled
 //! or an SLO burned only after the run ends. This crate is the *live*
 //! plane: ranks publish into lock-free per-rank [`TelemetryCell`]s at
 //! near-zero cost while a [`Scraper`] samples the whole cluster at a
