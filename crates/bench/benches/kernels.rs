@@ -16,8 +16,10 @@
 //! subset and writes `BENCH_kernels.json` at the repository root
 //! (`{kernel, n, q, ns_per_iter, flops_per_sec}` per case; `q = null` marks
 //! sequential kernels with no partition) so CI can archive kernel
-//! throughput as an artifact. The offline Criterion shim has no JSON
-//! machinery, so the rows come from a best-of-three wall-clock loop here.
+//! throughput as an artifact. The top-level `kernel_isa` field names the
+//! batch-kernel instance the plan rows ran (`blocks::kernel_isa`). The
+//! offline Criterion shim has no JSON machinery, so the rows come from a
+//! best-of-three wall-clock loop here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -26,7 +28,7 @@ use symtensor_bench::{bench_partition, bench_tensor, bench_vector};
 use symtensor_core::seq::{sttsv_sym, sttsv_sym_blocked, sttsv_sym_multi, sttsv_sym_ref};
 use symtensor_core::{sttsv_sym_par, sttsv_sym_par_multi, Pool};
 use symtensor_obs::json::Value;
-use symtensor_parallel::blocks::OwnedBlocks;
+use symtensor_parallel::blocks::{kernel_isa, OwnedBlocks};
 use symtensor_parallel::{PlanWorkspace, RankPlan};
 
 /// Ternary-multiplication count of one STTSV — the paper's work measure,
@@ -230,6 +232,7 @@ fn bench_kernels(c: &mut Criterion) {
     let json = Value::object()
         .with("benchmark", "kernels")
         .with("flops_model", "3 flops per ternary multiplication (2 mul + 1 accumulate)")
+        .with("kernel_isa", kernel_isa())
         .with("results", Value::Array(rows));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     std::fs::write(path, json.to_string_pretty() + "\n").expect("write BENCH_kernels.json");

@@ -5,9 +5,11 @@
 //!               [--trace out.json] [--metrics out.json] [--flight out.json]`
 //!
 //! Defaults: `--q 3`, `--scale 1`, `--mode scheduled`. The printed report
-//! holds only measured figures and exact counts: the per-phase cost
-//! breakdown (which partitions the run's total traffic exactly), the P×P
-//! communication matrix marginals, the round-occupancy check against the
+//! names the batch-kernel instance the ranks ran (`avx512f`, `avx2` or
+//! `baseline`, all bit-identical) and otherwise holds only measured
+//! figures and exact counts: the per-phase cost breakdown (which
+//! partitions the run's total traffic exactly), the P×P communication
+//! matrix marginals, the round-occupancy check against the
 //! paper's `q³/2 + 3q²/2 − 1` step bound, the bandwidth cost (in scheduled
 //! mode asserted equal to `2·W_sched`, the closed-form per-vector word
 //! count, ±0 words), and the measured round-step and receive-transit
@@ -21,6 +23,7 @@ use symtensor_cli::obsout::ObsSink;
 use symtensor_core::generate::random_symmetric;
 use symtensor_obs::occupancy::spherical_step_bound;
 use symtensor_obs::{flight_json, phase_stats, quantile_cell, RunObservation};
+use symtensor_parallel::blocks::kernel_isa;
 use symtensor_parallel::schedule::spherical_round_count;
 use symtensor_parallel::{
     bounds, parallel_sttsv_with, CommSchedule, Mode, SttsvOptions, TetraPartition,
@@ -67,6 +70,7 @@ fn main() {
         Mode::AllToAllSparse => "sparse",
     };
     println!("== traced Algorithm-5 STTSV: q = {q}, P = {p}, n = {n}, mode = {mode_label} ==");
+    println!("batch kernel: {}", kernel_isa());
 
     let part = TetraPartition::new(spherical(q as u64), n).unwrap();
     let mut rng = StdRng::seed_from_u64(4242);

@@ -304,6 +304,16 @@ mod tests {
     }
 
     #[test]
+    fn top_level_kernel_isa_is_ignored() {
+        let rows = r#"[{"kernel": "plan_arena_x8", "n": 120, "q": 2, "ns_per_iter": 5.0}]"#;
+        let plain = format!(r#"{{"benchmark": "kernels", "results": {rows}}}"#);
+        let tagged =
+            format!(r#"{{"benchmark": "kernels", "kernel_isa": "avx512f", "results": {rows}}}"#);
+        assert_eq!(parse_snapshot(&tagged).unwrap(), parse_snapshot(&plain).unwrap());
+        assert_eq!(parse_snapshot(&tagged).unwrap(), vec![rec("plan_arena_x8", 120, Some(2), 5.0)]);
+    }
+
+    #[test]
     fn parse_errors_are_descriptive() {
         assert!(parse_snapshot("not json").is_err());
         assert!(parse_snapshot("{}").is_err());

@@ -25,6 +25,16 @@
 //! instead of once per vector, and every vector sees exactly the
 //! floating-point operations of the one-vector kernel, in the same order,
 //! so the output bits do not depend on the batch.
+//!
+//! The batch kernel is compiled three times: for the baseline target and,
+//! on x86-64, inside `avx2` and `avx512f` `#[target_feature]` wrappers
+//! (one [`LANES`] group of `f64` fills one `zmm` register). The widest
+//! instance the host supports is detected once per process, and each
+//! compiled plan calls it through its kernel pointer; [`kernel_isa`] names
+//! it. The instances return the same bits: the body uses no intrinsics,
+//! and Rust never contracts `a * b + c` into a fused multiply-add, even
+//! when the target has FMA, so each lane keeps the baseline's operations
+//! and rounding.
 
 use crate::partition::TetraPartition;
 use crate::tetra::{BlockIdx, BlockKind};
@@ -472,6 +482,145 @@ pub(crate) const fn lane_words(b: usize) -> usize {
     6 * b * LANES
 }
 
+/// The signature of every [`BatchKernel`] instance: [`block_kernel_batch`]'s,
+/// `unsafe` because a `#[target_feature]` instance may only run on a host
+/// that has its feature.
+type BatchFn = unsafe fn(
+    BlockKind,
+    &[f64],
+    usize,
+    [usize; 3],
+    usize,
+    usize,
+    &[f64],
+    &mut [f64],
+    &mut [f64],
+) -> u64;
+
+/// One compiled instance of the batch kernel: the same
+/// [`block_kernel_batch`] body built for the baseline target or, on
+/// x86-64, inside an `avx2` or `avx512f` `#[target_feature]` wrapper. A
+/// [`RankPlan`](crate::RankPlan) holds the instance it runs, and every
+/// compute path, sequential or pooled, calls it through
+/// [`BatchKernel::run`]. Every instance returns the same bits (see the
+/// module docs).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct BatchKernel {
+    isa: &'static str,
+    /// [`block_kernel_batch`] itself, or a `#[target_feature]` wrapper
+    /// whose feature [`BatchKernel::supported`] saw the host report.
+    call: BatchFn,
+}
+
+impl BatchKernel {
+    /// The instance built for the baseline target, which every host runs.
+    pub(crate) const BASELINE: Self = BatchKernel { isa: "baseline", call: block_kernel_batch };
+
+    /// Every instance this host can run, widest first; the baseline is
+    /// always last.
+    pub(crate) fn supported() -> Vec<Self> {
+        let mut kernels = Vec::with_capacity(3);
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") {
+                kernels.push(BatchKernel { isa: "avx512f", call: block_kernel_batch_avx512f });
+            }
+            if is_x86_feature_detected!("avx2") {
+                kernels.push(BatchKernel { isa: "avx2", call: block_kernel_batch_avx2 });
+            }
+        }
+        kernels.push(Self::BASELINE);
+        kernels
+    }
+
+    /// The widest instance the host supports, detected once per process.
+    pub(crate) fn detected() -> Self {
+        static DETECTED: std::sync::OnceLock<BatchKernel> = std::sync::OnceLock::new();
+        *DETECTED.get_or_init(|| Self::supported()[0])
+    }
+
+    /// The instance a newly built plan runs: [`BatchKernel::detected`],
+    /// unless a test has forced the baseline.
+    pub(crate) fn for_plan() -> Self {
+        #[cfg(test)]
+        if tests::FORCE_BASELINE.load(std::sync::atomic::Ordering::SeqCst) {
+            return Self::BASELINE;
+        }
+        Self::detected()
+    }
+
+    /// The instruction set this instance was compiled for.
+    pub(crate) fn isa(&self) -> &'static str {
+        self.isa
+    }
+
+    /// Runs [`block_kernel_batch`] through this instance.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub(crate) fn run(
+        &self,
+        kind: BlockKind,
+        data: &[f64],
+        b: usize,
+        slots: [usize; 3],
+        stride: usize,
+        batch: usize,
+        x: &[f64],
+        y: &mut [f64],
+        lanes: &mut [f64],
+    ) -> u64 {
+        // SAFETY: `call` is either the baseline `block_kernel_batch`, which
+        // has no requirement, or a `#[target_feature]` wrapper, which only
+        // `BatchKernel::supported` constructs, right after
+        // `is_x86_feature_detected!` reported that feature on this host.
+        unsafe { (self.call)(kind, data, b, slots, stride, batch, x, y, lanes) }
+    }
+}
+
+/// The instruction set of the batch kernel compiled plans run on this
+/// host: `"avx512f"`, `"avx2"` or `"baseline"`. Detected once per
+/// process; every instance returns the same bits.
+pub fn kernel_isa() -> &'static str {
+    BatchKernel::detected().isa()
+}
+
+/// [`block_kernel_batch`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn block_kernel_batch_avx2(
+    kind: BlockKind,
+    data: &[f64],
+    b: usize,
+    slots: [usize; 3],
+    stride: usize,
+    batch: usize,
+    x: &[f64],
+    y: &mut [f64],
+    lanes: &mut [f64],
+) -> u64 {
+    block_kernel_batch(kind, data, b, slots, stride, batch, x, y, lanes)
+}
+
+/// [`block_kernel_batch`] compiled for AVX-512F, where the [`LANES`]
+/// `f64` of one group fill one `zmm` register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+fn block_kernel_batch_avx512f(
+    kind: BlockKind,
+    data: &[f64],
+    b: usize,
+    slots: [usize; 3],
+    stride: usize,
+    batch: usize,
+    x: &[f64],
+    y: &mut [f64],
+    lanes: &mut [f64],
+) -> u64 {
+    block_kernel_batch(kind, data, b, slots, stride, batch, x, y, lanes)
+}
+
 /// Applies one block to every vector of a batch. `x`/`y` hold `batch`
 /// vector-major slabs of `stride` words, keyed by row slot like
 /// [`block_kernel_flat`]'s; `lanes` is [`lane_words`]`(b)` words of
@@ -479,8 +628,13 @@ pub(crate) const fn lane_words(b: usize) -> usize {
 /// instance of the same kernel for its size. Returns the batch's exact
 /// ternary count. Every vector's `y` bits equal those of
 /// [`block_kernel_flat`] on that vector alone.
+///
+/// The group-size `match` calls the lane instances directly, so the whole
+/// body inlines into each [`BatchKernel`] wrapper and compiles for its
+/// instruction set.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn block_kernel_batch(
+#[inline(always)]
+fn block_kernel_batch(
     kind: BlockKind,
     data: &[f64],
     b: usize,
@@ -497,18 +651,17 @@ pub(crate) fn block_kernel_batch(
         let n = (batch - v0).min(LANES);
         let group = v0 * stride..(v0 + n) * stride;
         let (x, y) = (&x[group.clone()], &mut y[group]);
-        let kernel: LaneKernel = match n {
-            1 => block_kernel_lanes::<1>,
-            2 => block_kernel_lanes::<2>,
-            3 => block_kernel_lanes::<3>,
-            4 => block_kernel_lanes::<4>,
-            5 => block_kernel_lanes::<5>,
-            6 => block_kernel_lanes::<6>,
-            7 => block_kernel_lanes::<7>,
-            8 => block_kernel_lanes::<8>,
+        ternary += match n {
+            1 => block_kernel_lanes::<1>(kind, data, b, slots, stride, x, y, lanes),
+            2 => block_kernel_lanes::<2>(kind, data, b, slots, stride, x, y, lanes),
+            3 => block_kernel_lanes::<3>(kind, data, b, slots, stride, x, y, lanes),
+            4 => block_kernel_lanes::<4>(kind, data, b, slots, stride, x, y, lanes),
+            5 => block_kernel_lanes::<5>(kind, data, b, slots, stride, x, y, lanes),
+            6 => block_kernel_lanes::<6>(kind, data, b, slots, stride, x, y, lanes),
+            7 => block_kernel_lanes::<7>(kind, data, b, slots, stride, x, y, lanes),
+            8 => block_kernel_lanes::<8>(kind, data, b, slots, stride, x, y, lanes),
             _ => unreachable!("group size {n} exceeds LANES"),
         };
-        ternary += kernel(kind, data, b, slots, stride, x, y, lanes);
         v0 += n;
     }
     ternary
@@ -516,10 +669,6 @@ pub(crate) fn block_kernel_batch(
 
 // `block_kernel_batch` dispatches group sizes 1..=8.
 const _: () = assert!(LANES >= 1 && LANES <= 8);
-
-/// One instance of [`block_kernel_lanes`].
-type LaneKernel =
-    fn(BlockKind, &[f64], usize, [usize; 3], usize, &[f64], &mut [f64], &mut [f64]) -> u64;
 
 /// One group of `N` vectors: gathers the block's `x` rows into
 /// lane-interleaved staging (element `e` of vector `l` at `e·N + l`), runs
@@ -532,6 +681,7 @@ type LaneKernel =
 /// That is what keeps every vector's bits independent of the batch; a
 /// change to either family must be made to both.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn block_kernel_lanes<const N: usize>(
     kind: BlockKind,
     data: &[f64],
@@ -746,14 +896,121 @@ fn central_lanes<const N: usize>(data: &[f64], b: usize, x: &[f64], y: &mut [f64
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::tetra::ternary_mults_in_block;
+    use crate::tetra::{entries_in_block, ternary_mults_in_block};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Mutex, MutexGuard};
     use symtensor_core::generate::random_symmetric;
     use symtensor_core::seq::sttsv_sym;
     use symtensor_steiner::{spherical, sqs8};
+
+    /// While set, newly built plans run [`BatchKernel::BASELINE`].
+    pub(crate) static FORCE_BASELINE: AtomicBool = AtomicBool::new(false);
+
+    static KERNEL_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Serializes the tests that force or observe the instance a plan
+    /// runs; other tests may build plans meanwhile, and every instance
+    /// gives them the same bits.
+    pub(crate) fn kernel_lock() -> MutexGuard<'static, ()> {
+        KERNEL_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Runs `f` with every plan it builds on the baseline instance.
+    pub(crate) fn with_baseline_plans<R>(f: impl FnOnce() -> R) -> R {
+        struct Forced(#[allow(dead_code)] MutexGuard<'static, ()>);
+        impl Drop for Forced {
+            fn drop(&mut self) {
+                FORCE_BASELINE.store(false, Ordering::SeqCst);
+            }
+        }
+        let _forced = Forced(kernel_lock());
+        FORCE_BASELINE.store(true, Ordering::SeqCst);
+        f()
+    }
+
+    /// The widest instance the host reports, by direct feature detection.
+    pub(crate) fn widest_isa() -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") {
+                return "avx512f";
+            }
+            if is_x86_feature_detected!("avx2") {
+                return "avx2";
+            }
+        }
+        "baseline"
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn detection_picks_the_widest_supported_instance() {
+        let supported: Vec<&str> = BatchKernel::supported().iter().map(|k| k.isa()).collect();
+        assert_eq!(supported[0], widest_isa());
+        assert_eq!(supported.last(), Some(&"baseline"));
+        assert_eq!(kernel_isa(), widest_isa());
+        assert_eq!(BatchKernel::detected().isa(), widest_isa());
+    }
+
+    /// Every instance the host runs gives the baseline's bits and ternary
+    /// count, and the baseline gives [`block_kernel_flat`]'s per vector:
+    /// every block kind, batches `1..=LANES + 2` (full and remainder
+    /// groups), and block sizes that are not multiples of 8 (tails).
+    #[test]
+    fn every_supported_instance_matches_the_baseline_bitwise() {
+        let mut rng = StdRng::seed_from_u64(76);
+        let kinds = [
+            (BlockKind::OffDiagonal, [0, 1, 2]),
+            (BlockKind::NonCentralIIK, [2, 2, 0]),
+            (BlockKind::NonCentralIKK, [2, 1, 1]),
+            (BlockKind::CentralDiagonal, [1, 1, 1]),
+        ];
+        let t_count = 3;
+        for b in [1, 3, 7, 12] {
+            let stride = t_count * b;
+            for (kind, slots) in kinds {
+                let data: Vec<f64> =
+                    (0..entries_in_block(kind, b)).map(|_| rng.gen::<f64>() - 0.5).collect();
+                for batch in 1..=LANES + 2 {
+                    let x: Vec<f64> = (0..batch * stride).map(|_| rng.gen::<f64>() - 0.5).collect();
+                    let y0: Vec<f64> = (0..batch * stride).map(|_| rng.gen::<f64>()).collect();
+                    let run = |kernel: BatchKernel| {
+                        let (mut y, mut lanes) = (y0.clone(), vec![0.0; lane_words(b)]);
+                        let ternary = kernel
+                            .run(kind, &data, b, slots, stride, batch, &x, &mut y, &mut lanes);
+                        (bits(&y), ternary)
+                    };
+                    let case = format!("b = {b}, {kind:?}, batch = {batch}");
+                    let baseline = run(BatchKernel::BASELINE);
+                    for v in 0..batch {
+                        let slab = v * stride..(v + 1) * stride;
+                        let (mut y, mut scratch) = (y0[slab.clone()].to_vec(), vec![0.0; 3 * b]);
+                        let ternary = block_kernel_flat(
+                            kind,
+                            &data,
+                            b,
+                            slots,
+                            &x[slab.clone()],
+                            &mut y,
+                            &mut scratch,
+                        );
+                        assert_eq!(bits(&y), baseline.0[slab], "{case}, vector {v}");
+                        assert_eq!(batch as u64 * ternary, baseline.1, "{case}");
+                    }
+                    for kernel in BatchKernel::supported() {
+                        assert_eq!(run(kernel), baseline, "{} on {case}", kernel.isa());
+                    }
+                }
+            }
+        }
+    }
 
     /// Reference: run every rank's kernels serially and assemble the global
     /// y; must equal sequential Algorithm 4.

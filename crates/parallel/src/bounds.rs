@@ -52,7 +52,7 @@ pub fn spherical_procs(q: usize) -> usize {
 /// sizes) use [`scheduled_words_per_vector_f64`].
 pub fn scheduled_words_per_vector(n: usize, q: usize) -> usize {
     debug_assert!(
-        n % (q * q + 1) == 0 && (n / (q * q + 1)) % (q * (q + 1)) == 0,
+        n.is_multiple_of(q * q + 1) && (n / (q * q + 1)).is_multiple_of(q * (q + 1)),
         "scheduled_words_per_vector(n={n}, q={q}): requires q(q+1) | b with b = n/(q²+1); \
          use scheduled_words_per_vector_f64 for non-divisible n"
     );
@@ -92,7 +92,7 @@ pub fn scheduled_words_total_f64(n: usize, q: usize) -> f64 {
 /// arbitrary `n` use [`alltoall_words_total_f64`].
 pub fn alltoall_words_total(n: usize, q: usize) -> usize {
     debug_assert!(
-        n % (q * q + 1) == 0 && (2 * n / (q * q + 1)) % (q * (q + 1)) == 0,
+        n.is_multiple_of(q * q + 1) && (2 * n / (q * q + 1)).is_multiple_of(q * (q + 1)),
         "alltoall_words_total(n={n}, q={q}): requires q(q+1)(q²+1) | 2n; \
          use alltoall_words_total_f64 for non-divisible n"
     );

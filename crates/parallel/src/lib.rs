@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 //! Communication-optimal parallel STTSV via tetrahedral block partitioning —
 //! the reproduction of the paper's primary contribution.
 //!

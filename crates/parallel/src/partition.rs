@@ -92,7 +92,7 @@ impl TetraPartition {
         let m = system.num_points();
         let r = system.block_size();
         let p_count = system.num_blocks();
-        if n % m != 0 {
+        if !n.is_multiple_of(m) {
             return Err(PartitionError::DimensionNotDivisible { n, m });
         }
         let b = n / m;
@@ -101,7 +101,7 @@ impl TetraPartition {
         let q_sets = system.point_to_blocks();
 
         // --- Non-central diagonal blocks via d disjoint matchings. ---
-        if (r * (r - 1)) % lambda2 != 0 {
+        if !(r * (r - 1)).is_multiple_of(lambda2) {
             return Err(PartitionError::NonCentralCountFractional { r, lambda2 });
         }
         let d = r * (r - 1) / lambda2;

@@ -29,9 +29,10 @@
 //! The plan computes a whole batch in one pass over the arena: each
 //! block, and within it each packed tensor row, is loaded once and applied
 //! to up to [`LANES`] vectors with independent accumulator chains
-//! ([`crate::blocks`]' batch kernel). The arena is therefore read once per
-//! batch (once per `LANES` vectors for larger batches), not once per
-//! vector. Every vector sees the floating-point operations of
+//! ([`crate::blocks`]' batch kernel, in the widest instruction-set
+//! instance the host supports; every instance gives the same bits). The
+//! arena is therefore read once per batch (once per `LANES` vectors for
+//! larger batches), not once per vector. Every vector sees the floating-point operations of
 //! [`OwnedBlocks::compute`]'s one-vector kernels in the same order, so its
 //! bits do not depend on the batch it rides in. The pooled compute funnels
 //! through one fixed chunk decomposition and
@@ -43,7 +44,7 @@
 #[cfg(doc)]
 use crate::blocks::LANES;
 use crate::blocks::{
-    add_into, block_kernel_batch, chunked_compute_flat, extract_block, lane_words, OwnedBlocks,
+    add_into, chunked_compute_flat, extract_block, lane_words, BatchKernel, OwnedBlocks,
 };
 use crate::partition::TetraPartition;
 use crate::schedule::shared_row_blocks;
@@ -129,6 +130,9 @@ pub struct RankPlan {
     /// both phases (incl. padding) — the buffer promotion target that
     /// makes recycled buffers grow at most once machine-wide.
     max_msg_unit: usize,
+    /// The batch kernel instance every compute path runs: the widest the
+    /// host supports, chosen once per process.
+    kernel: BatchKernel,
 }
 
 impl RankPlan {
@@ -264,6 +268,7 @@ impl RankPlan {
             my_shards,
             pad_unit,
             max_msg_unit,
+            kernel: BatchKernel::for_plan(),
         }
     }
 
@@ -481,7 +486,7 @@ impl RankPlan {
         self.blocks[range]
             .iter()
             .map(|blk| {
-                block_kernel_batch(
+                self.kernel.run(
                     blk.kind,
                     &self.arena[blk.offset..blk.offset + blk.len],
                     self.b,
@@ -589,6 +594,7 @@ impl PlanWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocks::tests::{kernel_lock, widest_isa, with_baseline_plans};
     use crate::partition::TetraPartition;
     use symtensor_core::generate::random_symmetric;
     use symtensor_steiner::spherical;
@@ -623,6 +629,9 @@ mod tests {
 
     #[test]
     fn from_tensor_equals_build_over_extracted_blocks() {
+        // Both plans must pick the same kernel instance for the `Debug`
+        // comparison below.
+        let _kernel = kernel_lock();
         for (n, q) in [(30, 2u64), (60, 3)] {
             let part = TetraPartition::new(spherical(q), n).unwrap();
             let tensor = random_symmetric(n, &mut StdRng::seed_from_u64(q));
@@ -636,6 +645,18 @@ mod tests {
                 assert_eq!(format!("{built:?}"), format!("{direct:?}"), "q={q} rank {rank}");
             }
         }
+    }
+
+    #[test]
+    fn plans_run_the_widest_supported_instance() {
+        let (part, owned, _) = plan_for(30, 2, 0);
+        let build = || RankPlan::build(&part, &owned, 0).kernel.isa();
+        let widest = {
+            let _kernel = kernel_lock();
+            build()
+        };
+        assert_eq!(widest, widest_isa());
+        assert_eq!(with_baseline_plans(build), "baseline");
     }
 
     #[test]

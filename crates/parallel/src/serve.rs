@@ -509,6 +509,7 @@ pub fn serve(
 mod tests {
     use super::*;
     use crate::algorithm5::{parallel_sttsv, parallel_sttsv_multi_planned};
+    use crate::blocks::tests::{kernel_lock, with_baseline_plans};
     use rand::prelude::*;
     use symtensor_core::generate::random_symmetric;
     use symtensor_mpsim::FlightKind;
@@ -526,6 +527,36 @@ mod tests {
 
     fn vectors(n: usize, count: usize) -> Vec<Vec<f64>> {
         (0..count).map(|v| (0..n).map(|i| ((i + 3 * v) % 11) as f64 - 4.0).collect()).collect()
+    }
+
+    /// The kernel instance a plan runs changes no bit and no count: the
+    /// serve over the detected instance equals the serve with every plan
+    /// forced to the baseline, on the sequential and the pooled compute.
+    #[test]
+    fn forcing_the_baseline_kernel_changes_no_bit() {
+        let n = 120;
+        let part = TetraPartition::new(spherical(2), n).unwrap();
+        let mut rng = StdRng::seed_from_u64(18);
+        let tensor = random_symmetric(n, &mut rng);
+        let requests: Vec<ServeRequest> = (0..20)
+            .map(|i| ServeRequest::new(i, (0..n).map(|_| rng.gen::<f64>() - 0.5).collect()))
+            .collect();
+        let bits = |run: &ServeRun| -> Vec<Vec<u64>> {
+            run.ys.iter().map(|y| y.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        for threads in [1, 4] {
+            let serve = || {
+                parallel_sttsv_serve(&tensor, &part, &requests, Mode::Scheduled, threads, 8)
+                    .unwrap()
+            };
+            let detected = {
+                let _kernel = kernel_lock();
+                serve()
+            };
+            let baseline = with_baseline_plans(serve);
+            assert_eq!(bits(&detected), bits(&baseline), "threads = {threads}");
+            assert_eq!(detected.report, baseline.report, "threads = {threads}");
+        }
     }
 
     #[test]

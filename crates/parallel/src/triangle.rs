@@ -58,7 +58,7 @@ impl TrianglePartition {
     pub fn from_system(plane: Steiner2, n: usize) -> Result<Self, String> {
         plane.verify()?;
         let m = plane.num_points();
-        if n % m != 0 {
+        if !n.is_multiple_of(m) {
             return Err(format!("n = {n} is not a multiple of m = {m}"));
         }
         let b = n / m;

@@ -58,7 +58,7 @@ fn assert_words(part: &TetraPartition, q: u64, mode: Mode, batch: u64, report: &
     for (p, cost) in report.per_rank.iter().enumerate() {
         let want = batch * words_per_vector(part, mode, p);
         assert_eq!((cost.words_sent, cost.words_recv), (want, want), "{mode:?} rank {p}");
-        if mode != Mode::AllToAllPadded && part.block_size() % (q * (q + 1)) == 0 {
+        if mode != Mode::AllToAllPadded && part.block_size().is_multiple_of(q * (q + 1)) {
             let paper = 2 * scheduled_words_per_vector(part.dim(), q) as u64;
             assert_eq!(words_per_vector(part, mode, p), paper, "{mode:?} rank {p}");
         }

@@ -97,6 +97,8 @@ fn trace_binary_reconciles_and_reports_measured_latency() {
         out.contains(&format!("bandwidth cost reconciles with the closed form 2·W_sched = {w2} ✓")),
         "missing the 2·W_sched reconciliation line:\n{out}"
     );
+    let isa = symtensor_parallel::blocks::kernel_isa();
+    assert!(out.contains(&format!("batch kernel: {isa}\n")), "missing the kernel line:\n{out}");
     assert!(out.contains("round-step ns:"), "missing round-step quantiles:\n{out}");
     assert!(out.contains("recv transit ns:"), "missing recv-transit quantiles:\n{out}");
 }
