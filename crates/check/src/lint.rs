@@ -21,7 +21,8 @@
 //!   Escape: `// lint: allow-raw-atomic`.
 //! * **no-clock-in-record-path** — no `Instant::now()` /
 //!   `SystemTime::now()` in `crates/telemetry/src` or
-//!   `crates/mpsim/src/flight.rs` except blessed anchors tagged
+//!   `crates/mpsim/src/flight.rs` (the recorder module, which holds every
+//!   clock read of the one record call) except blessed anchors tagged
 //!   `// lint: clock-anchor`: unplanned clock reads are exactly the
 //!   self-overhead the flight recorder exists to measure.
 //!
@@ -208,6 +209,20 @@ mod tests {
         // flight.rs is in scope, the rest of mpsim is not.
         assert_eq!(lint_source("crates/mpsim/src/flight.rs", src).len(), 1);
         assert!(lint_source("crates/mpsim/src/cost.rs", src).is_empty());
+    }
+
+    #[test]
+    fn the_record_paths_clock_read_is_gated() {
+        // The real recorder module is clean only because its one clock
+        // read is anchored; strip the tag and the read is a finding.
+        let rel = "crates/mpsim/src/flight.rs";
+        let src = include_str!("../../mpsim/src/flight.rs");
+        assert!(lint_source(rel, src).is_empty());
+        let untagged = src.replace("// lint: clock-anchor", "//");
+        let findings = lint_source(rel, &untagged);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, "no-clock-in-record-path");
+        assert!(findings[0].excerpt.contains("Instant::now()"));
     }
 
     #[test]

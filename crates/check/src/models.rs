@@ -127,10 +127,11 @@ fn seqlock() -> ModelDef {
 const RING_CAP: usize = 3;
 const RING_EVENTS: u64 = 5;
 
-/// Mirror of `FlightRecorder`'s write-at-head ring
-/// (`crates/mpsim/src/flight.rs`): record at `head`, advance modulo
-/// capacity, saturate `len`; drain oldest-first from `head` once
-/// wrapped.
+/// Mirror of `FlightRecorder`'s write-at-head ring of `CommEvent`
+/// records (`crates/mpsim/src/flight.rs`): record at `head`, advance
+/// modulo capacity, saturate `len`; drain oldest-first from `head` once
+/// wrapped. (The recorder appends while filling — at index `len`, which
+/// is where this `head` points — and writes at its own `head` once full.)
 #[derive(Hash)]
 struct RingState {
     buf: [u64; RING_CAP],

@@ -363,7 +363,7 @@ fn run_alg5(
         let opts = SttsvOptions { trace: true, ..SttsvOptions::new(mode) };
         let mut run = parallel_sttsv_with(tensor, part, std::slice::from_ref(&x), opts)
             .expect("inputs match the partition");
-        sink.record(label, RunObservation::new(run.report.clone(), run.traces));
+        sink.record(label, RunObservation::new(run.report.clone(), run.traces()));
         SttsvRun { y: run.ys.remove(0), report: run.report, ternary_per_rank: run.ternary_per_rank }
     } else {
         parallel_sttsv(tensor, part, x, mode)
@@ -738,19 +738,24 @@ fn kernels(threads: usize, batch: usize, flight: bool) {
 
 /// E14 (`kernels --flight`): the always-on flight recorder vs recording
 /// disabled — steady-state per-iteration wall time of the compiled-plan
-/// batched STTSV with the default 4096-record ring in every rank vs
-/// `with_flight_capacity(0)`. Outputs and [`CostReport`]s are asserted
+/// batched STTSV with the default ring ([`DEFAULT_FLIGHT_CAPACITY`]
+/// records) in every rank vs `with_flight_capacity(0)`. Outputs and [`CostReport`]s are asserted
 /// bit-identical between the two configurations; the wall-clock delta
 /// (single host, 10–30 oversubscribed simulated ranks, so expect noise)
 /// and the recorder's own self-measured overhead are printed side by side.
 ///
 /// [`CostReport`]: symtensor_mpsim::CostReport
+/// [`DEFAULT_FLIGHT_CAPACITY`]: symtensor_mpsim::DEFAULT_FLIGHT_CAPACITY
 fn flight_ab(threads: usize) {
     use std::time::Instant;
-    use symtensor_mpsim::Universe;
+    use symtensor_mpsim::{CommEvent, Universe, DEFAULT_FLIGHT_CAPACITY};
     use symtensor_parallel::RankContext;
 
-    println!("== E14: flight recorder on (ring = 4096) vs off (plan path, Mode::Scheduled) ==");
+    println!(
+        "== E14: flight recorder on (ring = {DEFAULT_FLIGHT_CAPACITY} records, {} B per rank) \
+         vs off (plan path, Mode::Scheduled) ==",
+        DEFAULT_FLIGHT_CAPACITY * std::mem::size_of::<CommEvent>()
+    );
     println!(
         "{:>3} {:>4} {:>5} {:>6} | {:>12} {:>12} {:>9} | {:>12} {:>10}",
         "q", "P", "n", "batch", "on/iter", "off/iter", "delta", "self ns/rank", "records"
@@ -811,7 +816,7 @@ fn flight_ab(threads: usize) {
                 let (t_hi, results, report, flight) = best(hi);
                 (((t_hi - t_lo).max(0.0) / span) * 1e9, results, report, flight)
             };
-            let (on_ns, on_results, on_report, on_flight) = measure(4096);
+            let (on_ns, on_results, on_report, on_flight) = measure(DEFAULT_FLIGHT_CAPACITY);
             let (off_ns, off_results, off_report, off_flight) = measure(0);
 
             // The recorder must be invisible in everything but the window.

@@ -44,7 +44,7 @@ fn main() {
                 if sink.enabled() {
                     sink.record(
                         format!("sweep q={q} n={n} {label}"),
-                        RunObservation::new(run.report.clone(), run.traces),
+                        RunObservation::new(run.report.clone(), run.traces()),
                     );
                 }
                 records.push(

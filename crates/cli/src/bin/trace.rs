@@ -78,8 +78,8 @@ fn main() {
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
     let opts = SttsvOptions { trace: true, ..SttsvOptions::new(mode) };
     let run = parallel_sttsv_with(&tensor, &part, &[x], opts).expect("inputs match the partition");
+    let obs = RunObservation::new(run.report.clone(), run.traces());
     let flight = run.flight;
-    let obs = RunObservation::new(run.report.clone(), run.traces);
 
     // Per-phase breakdown (top-level spans partition the totals exactly).
     println!("\n-- per-phase cost breakdown --");

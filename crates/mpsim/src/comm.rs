@@ -1,10 +1,10 @@
 //! The per-rank communicator handle: point-to-point messaging with tags,
 //! an out-of-order mailbox, cost counting, deadlock-surfacing timeouts and
-//! (when enabled) timestamped event tracing with phase/round annotation.
+//! one timestamped, annotated event log per rank ([`crate::flight`]).
 
-use crate::cost::{CommEvent, CommEventKind, SharedCounters};
+use crate::cost::{CommEventKind, SharedCounters};
 use crate::fault::{FaultPlan, FaultState, InjectedFault, SendAction};
-use crate::flight::{FlightKind, FlightRecorder, FlightSnapshot};
+use crate::flight::{FlightRecorder, FlightSnapshot};
 use crate::sync::{AtomicBool, Ordering};
 use std::cell::{Cell, RefCell};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -180,12 +180,11 @@ pub struct Comm {
     /// Schedule-round annotation currently active.
     round: Cell<Option<u64>>,
     /// Request-id annotation currently active (batched serving paths tag
-    /// per-vector work so flight records are attributable to a request).
+    /// per-vector work so recorded events are attributable to a request).
     request: Cell<Option<u64>>,
-    /// Event log, populated only when the universe enables tracing.
-    trace: Option<RefCell<Vec<CommEvent>>>,
-    /// Always-on bounded flight recorder (capacity 0 disables).
-    flight: RefCell<FlightRecorder>,
+    /// This rank's event log: a bounded ring by default, unbounded in a
+    /// traced run.
+    log: RefCell<FlightRecorder>,
     /// Chaos state when the universe has a [`FaultPlan`] installed that can
     /// actually inject something this attempt; `None` otherwise, so an
     /// inert plan costs one branch per send and nothing per receive.
@@ -198,7 +197,7 @@ pub struct Comm {
 /// This rank's view of the shared [`TelemetryPlane`]: the plane, a
 /// one-entry phase-slot cache (so a publish costs a label compare, not a
 /// registry scan) and the high-water mark of alerts already stamped into
-/// the flight ring.
+/// the rank's log.
 struct TelemetryHandle {
     plane: Arc<TelemetryPlane>,
     cached_label: Cell<Option<&'static str>>,
@@ -220,8 +219,7 @@ impl Comm {
         poll_interval: Duration,
         abort: Arc<AbortState>,
         epoch: Instant,
-        tracing: bool,
-        flight_capacity: usize,
+        log: FlightRecorder,
         faults: Option<FaultPlan>,
         telemetry: Option<Arc<TelemetryPlane>>,
     ) -> Self {
@@ -239,8 +237,7 @@ impl Comm {
             phase: Cell::new(None),
             round: Cell::new(None),
             request: Cell::new(None),
-            trace: tracing.then(|| RefCell::new(Vec::new())),
-            flight: RefCell::new(FlightRecorder::new(flight_capacity)),
+            log: RefCell::new(log),
             faults: faults
                 .filter(FaultPlan::is_active)
                 .map(|plan| RefCell::new(FaultState::new(plan, rank))),
@@ -256,100 +253,64 @@ impl Comm {
         }
     }
 
-    /// Whether event tracing is enabled for this run.
+    /// Whether this run keeps every event (a traced run) rather than a
+    /// bounded window.
     #[inline]
     pub fn tracing(&self) -> bool {
-        self.trace.is_some()
+        self.log.borrow().is_unbounded()
     }
 
-    /// Crate-internal trace drain: the universe calls this exactly once
-    /// per rank, after the rank's closure has returned, to collect the
-    /// full event log for [`crate::Universe::run_traced`].
-    pub(crate) fn drain_trace(&self) -> Vec<CommEvent> {
-        self.trace.as_ref().map(|t| t.borrow_mut().split_off(0)).unwrap_or_default()
-    }
-
-    /// Nanoseconds since the universe epoch (monotonic).
-    #[inline]
-    fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Nanoseconds since the universe epoch — the same clock every trace
-    /// and flight record uses, exposed so serving layers can timestamp
+    /// Nanoseconds since the universe epoch — the same clock every
+    /// recorded event uses, exposed so serving layers can timestamp
     /// request spans on a comparable axis.
     #[inline]
     pub fn elapsed_ns(&self) -> u64 {
-        self.now_ns()
+        self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Appends one record to the always-on flight ring, charging the
-    /// measured recording cost (one extra clock read) to the recorder's
-    /// self-overhead counter. One branch and no clock read when the
-    /// recorder is disabled.
-    ///
-    /// The overhead is measured as `Instant::elapsed` of a single
-    /// monotonic anchor — non-negative by construction, so the recorder's
-    /// self-tax (and the telemetry gauge fed from it) can never go
-    /// negative on coarse clocks, unlike a difference of two epoch reads.
-    #[inline]
-    fn record_flight(&self, kind: FlightKind, peer: Option<usize>, words: u64) {
-        let mut flight = self.flight.borrow_mut();
-        if !flight.enabled() {
-            return;
-        }
-        let anchor = Instant::now();
-        // Saturating: `anchor` was read after `epoch`, but be explicit
-        // that a record timestamp can never underflow.
-        let t0 = anchor.saturating_duration_since(self.epoch).as_nanos() as u64;
-        flight.record(
-            t0,
-            kind,
-            self.phase.get(),
-            self.round.get(),
-            peer,
-            words,
-            self.request.get(),
-        );
-        flight.add_overhead(anchor.elapsed().as_nanos() as u64);
-    }
-
-    /// Drains (non-destructively decodes) this rank's flight ring.
+    /// This rank's log, oldest event first.
     pub fn flight_snapshot(&self) -> FlightSnapshot {
-        self.flight.borrow().snapshot(self.rank)
+        self.log.borrow().snapshot(self.rank)
     }
 
+    /// Records one event, annotated with the active phase, round and
+    /// request, into this rank's log, and feeds sends and receives to the
+    /// attached telemetry plane. The one record call: nothing else writes
+    /// the log or the plane's traffic counters.
     #[inline]
     fn record(&self, kind: CommEventKind) {
-        // Tracing disabled ⇒ a single branch, no clock read, no allocation.
-        if let Some(trace) = &self.trace {
-            trace.borrow_mut().push(CommEvent {
-                t_ns: self.now_ns(),
-                phase: self.phase.get(),
-                round: self.round.get(),
-                kind,
-            });
+        self.log.borrow_mut().record(
+            self.epoch,
+            self.phase.get(),
+            self.round.get(),
+            self.request.get(),
+            kind,
+        );
+        if let Some(h) = &self.telemetry {
+            match kind {
+                CommEventKind::Send { words, .. } => {
+                    h.plane.rank_cell(self.rank).on_send(self.tele_slot(h), words)
+                }
+                CommEventKind::Recv { words, .. } => {
+                    h.plane.rank_cell(self.rank).on_recv(self.tele_slot(h), words)
+                }
+                _ => return,
+            }
+            self.poll_alerts(h);
         }
     }
 
-    /// Runs `f` inside a named phase. When tracing is enabled, a
-    /// `PhaseEnter`/`PhaseExit` pair with counter snapshots brackets the
-    /// call and every event recorded inside carries the phase label; when
-    /// tracing is disabled this is two `Cell` stores. Phases nest — the
-    /// innermost label wins for event attribution.
+    /// Runs `f` inside a named phase: a `PhaseEnter`/`PhaseExit` pair with
+    /// counter snapshots brackets the call and every event recorded inside
+    /// carries the phase label. Phases nest — the innermost label wins for
+    /// event attribution.
     pub fn with_phase<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
         let prev = self.phase.replace(Some(name));
-        if self.trace.is_some() {
-            let snapshot = self.counters.rank(self.rank).snapshot();
-            self.record(CommEventKind::PhaseEnter { name, snapshot });
-        }
-        self.record_flight(FlightKind::PhaseEnter, None, 0);
+        let snapshot = self.counters.rank(self.rank).snapshot();
+        self.record(CommEventKind::PhaseEnter { name, snapshot });
         let result = f();
-        if self.trace.is_some() {
-            let snapshot = self.counters.rank(self.rank).snapshot();
-            self.record(CommEventKind::PhaseExit { name, snapshot });
-        }
-        self.record_flight(FlightKind::PhaseExit, None, 0);
+        let snapshot = self.counters.rank(self.rank).snapshot();
+        self.record(CommEventKind::PhaseExit { name, snapshot });
         self.phase.set(prev);
         result
     }
@@ -394,7 +355,7 @@ impl Comm {
         self.round.get()
     }
 
-    /// Tags subsequently recorded flight events with a request id, so the
+    /// Tags subsequently recorded events with a request id, so the
     /// per-vector work of a batched serving run is attributable to the
     /// concrete request it serves. Clear with [`Comm::clear_request`].
     #[inline]
@@ -415,11 +376,9 @@ impl Comm {
     }
 
     /// Records a named numeric sample ([`CommEventKind::Counter`]) in the
-    /// event trace, attributed to the innermost active phase — e.g. the
+    /// rank's log, attributed to the innermost active phase — e.g. the
     /// compiled-plan kernel's `plan:arena_bytes` / `plan:fresh_allocs`
-    /// gauges. Free when tracing is disabled (one branch, no clock read,
-    /// no allocation) — the zero-cost-tracing guarantee extends to
-    /// counters.
+    /// gauges. Never touches the cost counters.
     #[inline]
     pub fn annotate_counter(&self, key: &'static str, value: u64) {
         self.record(CommEventKind::Counter { key, value });
@@ -437,11 +396,10 @@ impl Comm {
         self.senders.len()
     }
 
-    /// Records one injected fault in the trace and the flight ring, so a
-    /// post-mortem can tell chaos apart from organic failures.
+    /// Records one injected fault, so a post-mortem can tell chaos apart
+    /// from organic failures.
     fn record_fault(&self, fault: InjectedFault, peer: usize, words: u64) {
         self.record(CommEventKind::Fault { fault, peer, words });
-        self.record_flight(FlightKind::Fault, Some(peer), words);
     }
 
     /// Trips the universe's shared abort flag, attributed to this rank at
@@ -464,7 +422,7 @@ impl Comm {
     /// Sends `data` to `dst` with a user `tag`. Non-blocking (links are
     /// unbounded); counts `data.len()` words and one message.
     ///
-    /// Counters, trace and flight records are charged only for messages
+    /// Counters and the log's send record are charged only for messages
     /// that actually enter the network: a send to a rank that has already
     /// exited (its receiver is gone) and a chaos-injected drop both leave
     /// the word counters untouched, so a post-mortem's counter/matrix
@@ -524,11 +482,6 @@ impl Comm {
             counters.words_sent.fetch_add(words, Ordering::Relaxed);
             counters.msgs_sent.fetch_add(1, Ordering::Relaxed);
             self.record(CommEventKind::Send { dst, tag, words });
-            self.record_flight(FlightKind::Send, Some(dst), words);
-            if let Some(h) = &self.telemetry {
-                h.plane.rank_cell(self.rank).on_send(self.tele_slot(h), words);
-                self.poll_alerts(h);
-            }
         }
     }
 
@@ -612,11 +565,6 @@ impl Comm {
             tag: msg.tag,
             words: msg.data.len() as u64,
         });
-        self.record_flight(FlightKind::Recv, Some(msg.src), msg.data.len() as u64);
-        if let Some(h) = &self.telemetry {
-            h.plane.rank_cell(self.rank).on_recv(self.tele_slot(h), msg.data.len() as u64);
-            self.poll_alerts(h);
-        }
         msg.data
     }
 
@@ -645,16 +593,15 @@ impl Comm {
     }
 
     /// Stamps any alerts raised on the plane since this rank last looked
-    /// into the rank's own flight ring ([`FlightKind::Alert`], alert id in
-    /// the word field). The steady-state cost — no new alerts — is one
-    /// relaxed load.
+    /// into the rank's own log ([`CommEventKind::Alert`]). The
+    /// steady-state cost — no new alerts — is one relaxed load.
     fn poll_alerts(&self, h: &TelemetryHandle) {
         let count = h.plane.alert_count();
         if count == h.seen_alerts.get() {
             return;
         }
         for alert in h.plane.alerts_since(h.seen_alerts.get()) {
-            self.record_flight(FlightKind::Alert, None, alert.id);
+            self.record(CommEventKind::Alert { id: alert.id });
         }
         h.seen_alerts.set(count);
     }
@@ -685,7 +632,7 @@ impl Comm {
     pub(crate) fn publish_flight_overhead(&self) {
         if let Some(h) = &self.telemetry {
             let slot = h.plane.gauge_slot(telemetry_keys::FLIGHT_OVERHEAD_NS);
-            h.plane.rank_cell(self.rank).gauge_set(slot, self.flight.borrow().overhead_ns());
+            h.plane.rank_cell(self.rank).gauge_set(slot, self.log.borrow().overhead_ns());
         }
     }
 
@@ -864,6 +811,7 @@ mod tests {
                     CommEventKind::Recv { .. } => "recv".to_string(),
                     CommEventKind::Counter { key, .. } => format!("#{key}"),
                     CommEventKind::Fault { fault, .. } => format!("!{}", fault.label()),
+                    CommEventKind::Alert { id } => format!("@{id}"),
                 })
                 .collect();
             assert_eq!(labels[..3], ["+outer", "+inner", "-inner"]);
@@ -912,7 +860,7 @@ mod tests {
                 vec![("plan:arena_bytes", 4096, Some("compute:kernel")), ("loose", 1, None)]
             );
         }
-        // Untraced, counters leave no trace and no cost.
+        // Counters never touch the cost counters.
         let (_, report) = Universe::new(2).run(|comm| {
             comm.annotate_counter("plan:fresh_allocs", 7);
         });

@@ -5,20 +5,21 @@
 //! exactly that, plus message counts (the latency term) and the number of
 //! synchronous communication rounds a rank participated in.
 //!
-//! When tracing is enabled ([`crate::Universe::with_tracing`] /
-//! [`crate::Universe::run_traced`]) every send, receive and phase
-//! transition is additionally recorded as a [`CommEvent`] carrying a
-//! monotonic timestamp and the phase/round annotation active at the time.
-//! The `symtensor-obs` crate consumes these logs to build span trees,
-//! communication matrices and Perfetto traces.
+//! Every send, receive, phase transition, counter sample, injected fault
+//! and observed alert is also recorded, once, as a [`CommEvent`] carrying
+//! a monotonic timestamp and the phase/round/request annotation active at
+//! the time (see [`crate::flight`]: a bounded ring by default, the whole
+//! run under [`crate::Universe::run_traced`]). The `symtensor-obs` crate
+//! consumes these logs to build span trees, communication matrices,
+//! Perfetto traces and post-mortem dumps.
 
 use crate::sync::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// What happened in one trace event.
+/// What happened in one recorded event.
 ///
-/// All payloads are `Copy` so that recording an event is a single `Vec`
-/// push with no further allocation.
+/// All payloads are `Copy` so that recording an event is a single store
+/// into the rank's log with no further allocation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CommEventKind {
     /// A message left this rank.
@@ -77,9 +78,17 @@ pub enum CommEventKind {
         /// Words in the affected message (0 for a crash inside `recv`).
         words: u64,
     },
+    /// An SLO burn-rate alert raised on the live telemetry plane, stamped
+    /// by this rank when it noticed it (ranks poll the plane's alert count
+    /// on every send and receive), so a post-mortem window shows what the
+    /// live plane saw — and when each rank saw it — before a failure.
+    Alert {
+        /// The plane's alert id.
+        id: u64,
+    },
 }
 
-/// One timestamped, phase-annotated event recorded when tracing is enabled.
+/// One timestamped, annotated event in a rank's log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CommEvent {
     /// Nanoseconds since the universe's epoch (monotonic within a rank).
@@ -89,6 +98,9 @@ pub struct CommEvent {
     /// Schedule round annotation active when the event was recorded, if any
     /// (see [`crate::Comm::annotate_round`]).
     pub round: Option<u64>,
+    /// Request-id annotation active when the event was recorded, if any
+    /// (see [`crate::Comm::annotate_request`]).
+    pub request: Option<u64>,
     /// The event payload.
     pub kind: CommEventKind,
 }
@@ -332,6 +344,7 @@ mod tests {
             t_ns: 1,
             phase: Some("gather-x"),
             round: Some(0),
+            request: None,
             kind: CommEventKind::Send { dst: 1, tag: 0, words: 7 },
         };
         assert_eq!(send.words(), 7);
@@ -339,6 +352,7 @@ mod tests {
             t_ns: 2,
             phase: None,
             round: None,
+            request: None,
             kind: CommEventKind::PhaseEnter { name: "x", snapshot: RankCost::default() },
         };
         assert_eq!(marker.words(), 0);

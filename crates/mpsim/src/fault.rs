@@ -3,10 +3,10 @@
 //! A [`FaultPlan`] describes which messages to drop, delay or duplicate and
 //! (optionally) which rank to crash at which `(phase, round)`. Install it
 //! with [`crate::Universe::with_faults`]; the communicator consults the
-//! plan on every send and receive. Every injected fault is recorded as a
-//! [`crate::CommEventKind::Fault`] trace event and a
-//! [`crate::FlightKind::Fault`] flight record, so a post-mortem dump can
-//! distinguish *injected* failures from *organic* ones.
+//! plan on every send and receive. Every injected fault is recorded, once,
+//! as a [`crate::CommEventKind::Fault`] event in the rank's log, so a
+//! post-mortem dump can distinguish *injected* failures from *organic*
+//! ones.
 //!
 //! Determinism is the whole point: the plan carries a seed for a xorshift
 //! PRNG (no ambient entropy anywhere), each rank derives its own stream
@@ -17,8 +17,8 @@
 //! (still deterministic) faults.
 //!
 //! With every probability at zero and no crash scheduled, the layer is
-//! observationally inert: counters, traces and flight windows are
-//! bit-identical to a run without the plan installed.
+//! observationally inert: counters and event logs are bit-identical to a
+//! run without the plan installed.
 
 use std::time::Duration;
 

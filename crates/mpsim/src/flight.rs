@@ -1,341 +1,190 @@
-//! symtensor-flight: a fixed-capacity, bounded-memory ring-buffer flight
-//! recorder embedded in every rank.
+//! symtensor-flight: the one per-rank event log every [`crate::Comm`]
+//! records into.
 //!
-//! Unlike the opt-in event trace ([`crate::cost::CommEvent`]), the flight
-//! recorder is **always on**: every send, receive and phase transition is
-//! packed into a preallocated ring of compact 20-byte records, so the last
-//! window of activity on every rank survives a crash and can be drained
-//! into a post-mortem dump. The design constraints, in order:
+//! Every send, receive, phase edge, counter sample, injected fault and
+//! observed alert is written here exactly once, as a [`CommEvent`]. The
+//! log has two shapes:
 //!
-//! 1. **never allocate after construction** — recording into a full ring
-//!    overwrites the oldest record (counted in
-//!    [`FlightOverhead::dropped`]), preserving the compiled-plan
-//!    steady-state zero-allocation property witnessed by the counting
-//!    global-allocator test;
-//! 2. **bounded memory** — capacity × 20 bytes per rank, fixed up front;
-//! 3. **measured self-overhead** — every record costs two clock reads; the
-//!    second one charges the recording cost to
-//!    [`FlightOverhead::overhead_ns`] so the recorder reports its own tax.
+//! * **a bounded ring** (the default, [`FlightRecorder::new`]) — always
+//!   on, so the last window of activity on every rank survives a crash
+//!   and can be drained into a post-mortem dump;
+//! * **an unbounded log** ([`FlightRecorder::unbounded`], used by
+//!   [`crate::Universe::run_traced`]) — the complete run, for span trees,
+//!   comm matrices and Perfetto traces. A traced run's log *is* its window.
 //!
-//! Timestamps are delta-encoded as `u32` nanoseconds against the previous
-//! record (deltas beyond ~4.29 s saturate and are counted in
-//! [`FlightOverhead::saturated_deltas`]); phase labels are interned into a
-//! small fixed table; peer / words / request-id are width-reduced with
-//! saturation. Decoding ([`FlightRecorder::snapshot`]) reconstructs
-//! absolute epoch-relative timestamps by walking the deltas backwards from
-//! the last recorded instant.
+//! The ring's design constraints, in order:
+//!
+//! 1. **never allocate after construction** — the ring is allocated once;
+//!    recording into a full ring overwrites the oldest record at the
+//!    write head (counted in [`FlightOverhead::dropped`]), preserving the
+//!    compiled-plan steady-state zero-allocation property witnessed by the
+//!    counting global-allocator test;
+//! 2. **bounded memory** — [`DEFAULT_FLIGHT_CAPACITY`] records are 80 KiB
+//!    per rank;
+//! 3. **measured self-overhead** — every record costs two clock reads,
+//!    both in [`FlightRecorder::record`]; the second one charges the
+//!    recording cost to [`FlightOverhead::overhead_ns`] so the recorder
+//!    reports its own tax.
+
+use crate::cost::{CommEvent, CommEventKind};
+use std::time::Instant;
 
 /// Default ring capacity (records per rank) used by
-/// [`crate::Universe::new`]. At 20 bytes per record this is 80 KiB per
-/// rank — enough to hold the final schedule window of every experiment in
-/// this repository.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
-
-/// Size of the phase-label intern table. The workspace uses about a dozen
-/// distinct phase labels; overflow records carry no phase label (they are
-/// not dropped).
-const MAX_PHASES: usize = 32;
-
-/// What a flight record describes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlightKind {
-    /// A message left this rank.
-    Send,
-    /// A message was claimed by this rank's `recv`.
-    Recv,
-    /// A [`crate::Comm::with_phase`] scope opened.
-    PhaseEnter,
-    /// A [`crate::Comm::with_phase`] scope closed.
-    PhaseExit,
-    /// A chaos-injected fault (see [`crate::fault::FaultPlan`]); `words`
-    /// carries the affected message's size, `peer` its counterpart.
-    Fault,
-    /// An SLO burn-rate alert from the live telemetry plane, stamped by
-    /// this rank when it noticed the alert (ranks poll the plane's alert
-    /// count on every send/recv); `words` carries the alert id, so a
-    /// post-mortem window shows exactly what the live plane saw — and
-    /// when each rank saw it — before a failure.
-    Alert,
-}
-
-/// Flag bit in [`Packed::kind`] marking a record in which at least one
-/// field was clamped by width reduction — decoded into
-/// [`FlightEvent::saturated`] so consumers never mistake an aliased value
-/// (a clamped round, a >4 s delta, a truncated word count) for an exact
-/// one.
-const KIND_SATURATED: u8 = 0x80;
-
-/// One packed ring record. 20 bytes; all lossy narrowings saturate and are
-/// flagged per record (plus counted globally for deltas), never silently
-/// wrapped.
-#[derive(Clone, Copy, Default)]
-struct Packed {
-    /// Nanoseconds since the previous record (saturating).
-    dt_ns: u32,
-    /// [`FlightKind`] discriminant, with [`KIND_SATURATED`] in the top bit.
-    kind: u8,
-    /// Phase intern index + 1; 0 = no phase.
-    phase: u8,
-    /// Round + 1, saturating; 0 = no round annotation.
-    round: u16,
-    /// Peer rank; `u32::MAX` = not a point-to-point record.
-    peer: u32,
-    /// Payload words (saturating).
-    words: u32,
-    /// Request id + 1, saturating; 0 = no request annotation.
-    request: u32,
-}
-
-/// A decoded flight record with absolute epoch-relative timestamp.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FlightEvent {
-    /// Nanoseconds since the universe epoch.
-    pub t_ns: u64,
-    /// Record kind.
-    pub kind: FlightKind,
-    /// Innermost phase label active when recorded.
-    pub phase: Option<&'static str>,
-    /// Schedule-round annotation active when recorded.
-    pub round: Option<u64>,
-    /// Peer rank for `Send`/`Recv`.
-    pub peer: Option<usize>,
-    /// Payload words for `Send`/`Recv` (0 for phase records).
-    pub words: u64,
-    /// Request-id annotation active when recorded (batched serving).
-    pub request: Option<u64>,
-    /// True when any field of the packed record was clamped during width
-    /// reduction (round ≥ 65535, timestamp delta > ~4.29 s, words or peer
-    /// or request id beyond `u32` range) — the decoded values above are
-    /// then lower bounds, not exact.
-    pub saturated: bool,
-}
+/// [`crate::Universe::new`]: 80 KiB of [`CommEvent`] records per rank —
+/// enough to hold the final schedule window of every experiment in this
+/// repository.
+pub const DEFAULT_FLIGHT_CAPACITY: usize = 80 * 1024 / std::mem::size_of::<CommEvent>();
 
 /// The recorder's self-accounting: how much it recorded, lost and cost.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlightOverhead {
-    /// Ring capacity in records (0 = recorder disabled).
+    /// Records the log can hold: the ring size, or — for an unbounded
+    /// (traced) log — the number it holds, since it grew to fit every
+    /// record. 0 = recorder disabled.
     pub capacity: usize,
-    /// Total records ever offered to the ring.
+    /// Total records ever offered to the log.
     pub recorded: u64,
-    /// Records evicted by wraparound (oldest-first). When non-zero the
-    /// ring holds only the final `capacity`-record window and word-sum
+    /// Records evicted by ring wraparound (oldest-first). When non-zero
+    /// the ring holds only the final `capacity`-record window and word-sum
     /// reconciliation against the cost counters is no longer exact.
     pub dropped: u64,
-    /// Timestamp deltas that exceeded `u32::MAX` ns and were clamped.
-    pub saturated_deltas: u64,
-    /// Nanoseconds spent inside `record` calls, measured by the recorder
-    /// itself (one extra clock read per record).
+    /// Nanoseconds spent inside [`FlightRecorder::record`], measured by
+    /// the recorder itself (one extra clock read per record).
     pub overhead_ns: u64,
 }
 
-/// Everything drained from one rank's ring at the end of a run (or at a
-/// crash), decoded into self-describing events.
+/// Everything drained from one rank's log at the end of a run (or at a
+/// crash).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlightSnapshot {
-    /// The rank this ring belonged to.
+    /// The rank this log belonged to.
     pub rank: usize,
-    /// Decoded records, oldest first, timestamps non-decreasing.
-    pub events: Vec<FlightEvent>,
+    /// Recorded events, oldest first, timestamps non-decreasing.
+    pub events: Vec<CommEvent>,
     /// Self-accounting counters.
     pub overhead: FlightOverhead,
 }
 
 impl FlightSnapshot {
-    /// Total words in `Send` records — reconciled against the comm matrix
+    /// Total words in `Send` events — reconciled against the comm matrix
     /// and hot-path counters by the post-mortem pipeline (exact only when
     /// `overhead.dropped == 0`).
     pub fn words_sent(&self) -> u64 {
-        self.events.iter().filter(|e| e.kind == FlightKind::Send).map(|e| e.words).sum()
+        self.events
+            .iter()
+            .filter(|e| matches!(e.kind, CommEventKind::Send { .. }))
+            .map(CommEvent::words)
+            .sum()
     }
 
-    /// Total words in `Recv` records.
+    /// Total words in `Recv` events.
     pub fn words_recv(&self) -> u64 {
-        self.events.iter().filter(|e| e.kind == FlightKind::Recv).map(|e| e.words).sum()
+        self.events
+            .iter()
+            .filter(|e| matches!(e.kind, CommEventKind::Recv { .. }))
+            .map(CommEvent::words)
+            .sum()
     }
 }
 
-/// The per-rank ring buffer. All storage is allocated in [`new`]; every
-/// later call is allocation-free.
-///
-/// [`new`]: FlightRecorder::new
+/// One rank's event log: a ring allocated once, or an unbounded log.
 pub struct FlightRecorder {
-    ring: Vec<Packed>,
-    /// Next write position (== oldest record once the ring has wrapped).
+    log: Vec<CommEvent>,
+    /// Ring size; `None` for an unbounded log.
+    ring: Option<usize>,
+    /// Next write position once the ring is full (== the oldest record).
     head: usize,
-    /// Live records (≤ capacity).
-    len: usize,
-    /// Timestamp of the most recent record.
-    last_ns: u64,
-    phases: [Option<&'static str>; MAX_PHASES],
-    phase_count: usize,
     recorded: u64,
     dropped: u64,
-    saturated_deltas: u64,
     overhead_ns: u64,
 }
 
 impl FlightRecorder {
-    /// A recorder with room for `capacity` records; `capacity == 0`
-    /// disables recording entirely (no ring, no clock reads).
+    /// A ring with room for `capacity` records, allocated here and never
+    /// again; `capacity == 0` disables recording entirely (no clock reads).
     pub fn new(capacity: usize) -> Self {
-        FlightRecorder {
-            ring: vec![Packed::default(); capacity],
-            head: 0,
-            len: 0,
-            last_ns: 0,
-            phases: [None; MAX_PHASES],
-            phase_count: 0,
-            recorded: 0,
-            dropped: 0,
-            saturated_deltas: 0,
-            overhead_ns: 0,
-        }
+        FlightRecorder::with_log(Vec::with_capacity(capacity), Some(capacity))
     }
 
-    /// Whether the ring records anything. Callers check this before
-    /// reading the clock so a disabled recorder costs one branch.
+    /// A log that keeps every record (a traced run).
+    pub fn unbounded() -> Self {
+        FlightRecorder::with_log(Vec::new(), None)
+    }
+
+    fn with_log(log: Vec<CommEvent>, ring: Option<usize>) -> Self {
+        FlightRecorder { log, ring, head: 0, recorded: 0, dropped: 0, overhead_ns: 0 }
+    }
+
+    /// Whether anything is recorded. A disabled recorder costs one branch.
     #[inline]
     pub fn enabled(&self) -> bool {
-        !self.ring.is_empty()
+        self.ring != Some(0)
     }
 
-    /// Interns a phase label; returns index + 1, or 0 when the label is
-    /// `None` or the table is full (the record is still kept, unlabelled).
-    fn intern_phase(&mut self, phase: Option<&'static str>) -> u8 {
-        let Some(name) = phase else { return 0 };
-        for (i, slot) in self.phases[..self.phase_count].iter().enumerate() {
-            if *slot == Some(name) {
-                return (i + 1) as u8;
-            }
-        }
-        if self.phase_count < MAX_PHASES {
-            self.phases[self.phase_count] = Some(name);
-            self.phase_count += 1;
-            self.phase_count as u8
-        } else {
-            0
-        }
+    /// Whether this log keeps every record.
+    #[inline]
+    pub fn is_unbounded(&self) -> bool {
+        self.ring.is_none()
     }
 
-    /// Appends one record. `now_ns` is the caller's clock read (nanoseconds
-    /// since the universe epoch); the recorder never reads a clock itself.
-    /// No-op when disabled. Never allocates.
-    #[allow(clippy::too_many_arguments)]
+    /// Records one event stamped with nanoseconds since `epoch`, charging
+    /// the measured recording cost to the self-overhead counter. No-op
+    /// when disabled; never allocates into a ring.
+    ///
+    /// The overhead is `Instant::elapsed` of a single monotonic anchor —
+    /// non-negative by construction, so the recorder's self-tax (and the
+    /// telemetry gauge fed from it) can never go negative on coarse
+    /// clocks, unlike a difference of two epoch reads.
+    #[inline]
     pub fn record(
         &mut self,
-        now_ns: u64,
-        kind: FlightKind,
+        epoch: Instant,
         phase: Option<&'static str>,
         round: Option<u64>,
-        peer: Option<usize>,
-        words: u64,
         request: Option<u64>,
+        kind: CommEventKind,
     ) {
         if !self.enabled() {
             return;
         }
-        let mut saturated = false;
-        let dt = now_ns.saturating_sub(self.last_ns);
-        let dt_ns = if dt > u32::MAX as u64 {
-            self.saturated_deltas += 1;
-            saturated = true;
-            u32::MAX
-        } else {
-            dt as u32
-        };
-        self.last_ns = now_ns;
-        // Rounds ≥ u16::MAX and request ids ≥ u32::MAX would alias to the
-        // clamped maximum after decode; flag the record instead of letting
-        // distinct values read back equal.
-        saturated |= round.is_some_and(|r| r >= u16::MAX as u64)
-            || peer.is_some_and(|p| p as u64 > u32::MAX as u64 - 1)
-            || words > u32::MAX as u64
-            || request.is_some_and(|r| r >= u32::MAX as u64);
-        let packed = Packed {
-            dt_ns,
-            kind: kind as u8 | if saturated { KIND_SATURATED } else { 0 },
-            phase: self.intern_phase(phase),
-            round: round.map_or(0, |r| r.saturating_add(1).min(u16::MAX as u64) as u16),
-            peer: peer.map_or(u32::MAX, |p| p.min(u32::MAX as usize - 1) as u32),
-            words: words.min(u32::MAX as u64) as u32,
-            request: request.map_or(0, |r| r.saturating_add(1).min(u32::MAX as u64) as u32),
-        };
-        self.ring[self.head] = packed;
-        self.head = (self.head + 1) % self.ring.len();
-        if self.len < self.ring.len() {
-            self.len += 1;
-        } else {
-            self.dropped += 1;
-        }
-        self.recorded += 1;
+        // lint: clock-anchor — the record's timestamp and overhead origin.
+        let anchor = Instant::now();
+        let t_ns = anchor.saturating_duration_since(epoch).as_nanos() as u64;
+        self.push(CommEvent { t_ns, phase, round, request, kind });
+        self.overhead_ns = self.overhead_ns.saturating_add(anchor.elapsed().as_nanos() as u64);
     }
 
-    /// Charges `ns` of measured recording cost to the self-overhead
-    /// counter (the caller times its own `record` call with a monotonic
-    /// `Instant`, so `ns` is non-negative by construction; the counter
-    /// saturates rather than wrapping).
-    #[inline]
-    pub fn add_overhead(&mut self, ns: u64) {
-        self.overhead_ns = self.overhead_ns.saturating_add(ns);
+    /// Appends `event`; a full ring overwrites its oldest record.
+    fn push(&mut self, event: CommEvent) {
+        self.recorded += 1;
+        match self.ring {
+            Some(cap) if self.log.len() == cap => {
+                self.log[self.head] = event;
+                self.head = (self.head + 1) % cap;
+                self.dropped += 1;
+            }
+            _ => self.log.push(event),
+        }
     }
 
     /// The accumulated self-overhead in nanoseconds — the lightweight
-    /// getter behind the telemetry plane's recorder-overhead gauge
-    /// (monotone and never negative, unlike a wall-clock difference on a
-    /// coarse clock).
+    /// getter behind the telemetry plane's recorder-overhead gauge.
     #[inline]
     pub fn overhead_ns(&self) -> u64 {
         self.overhead_ns
     }
 
-    /// Decodes the ring into chronological events with absolute
-    /// timestamps. Allocates (it is called once, at drain time, outside
-    /// the measured steady state).
+    /// The log in chronological order. Allocates (it is called once, at
+    /// drain time, outside the measured steady state).
     pub fn snapshot(&self, rank: usize) -> FlightSnapshot {
-        // Oldest-first ring order.
-        let start = if self.len < self.ring.len() { 0 } else { self.head };
-        let packed: Vec<&Packed> =
-            (0..self.len).map(|i| &self.ring[(start + i) % self.ring.len().max(1)]).collect();
-        // Walk backwards from the last absolute timestamp: the newest
-        // record sits at `last_ns`; each predecessor is its successor's
-        // time minus the successor's delta.
-        let mut times = vec![0u64; packed.len()];
-        let mut t = self.last_ns;
-        for i in (0..packed.len()).rev() {
-            times[i] = t;
-            if i > 0 {
-                t = t.saturating_sub(packed[i].dt_ns as u64);
-            }
-        }
-        let events = packed
-            .iter()
-            .zip(&times)
-            .map(|(p, &t_ns)| FlightEvent {
-                t_ns,
-                kind: match p.kind & !KIND_SATURATED {
-                    0 => FlightKind::Send,
-                    1 => FlightKind::Recv,
-                    2 => FlightKind::PhaseEnter,
-                    3 => FlightKind::PhaseExit,
-                    4 => FlightKind::Fault,
-                    _ => FlightKind::Alert,
-                },
-                phase: if p.phase == 0 { None } else { self.phases[(p.phase - 1) as usize] },
-                round: if p.round == 0 { None } else { Some(p.round as u64 - 1) },
-                peer: if p.peer == u32::MAX { None } else { Some(p.peer as usize) },
-                words: p.words as u64,
-                request: if p.request == 0 { None } else { Some(p.request as u64 - 1) },
-                saturated: p.kind & KIND_SATURATED != 0,
-            })
-            .collect();
+        let (newer, older) = self.log.split_at(self.head);
         FlightSnapshot {
             rank,
-            events,
+            events: older.iter().chain(newer).copied().collect(),
             overhead: FlightOverhead {
-                capacity: self.ring.len(),
+                capacity: self.ring.unwrap_or(self.log.len()),
                 recorded: self.recorded,
                 dropped: self.dropped,
-                saturated_deltas: self.saturated_deltas,
                 overhead_ns: self.overhead_ns,
             },
         }
@@ -346,120 +195,82 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
-    fn send(rec: &mut FlightRecorder, t: u64, peer: usize, words: u64) {
-        rec.record(t, FlightKind::Send, Some("gather-x"), Some(3), Some(peer), words, Some(42));
-    }
-
-    #[test]
-    fn roundtrip_preserves_fields_and_absolute_times() {
-        let mut rec = FlightRecorder::new(8);
-        send(&mut rec, 100, 1, 64);
-        rec.record(250, FlightKind::Recv, None, None, Some(2), 32, None);
-        rec.record(260, FlightKind::PhaseExit, Some("gather-x"), None, None, 0, None);
-        let snap = rec.snapshot(5);
-        assert_eq!(snap.rank, 5);
-        assert_eq!(snap.events.len(), 3);
-        assert_eq!(
-            snap.events[0],
-            FlightEvent {
-                t_ns: 100,
-                kind: FlightKind::Send,
-                phase: Some("gather-x"),
-                round: Some(3),
-                peer: Some(1),
-                words: 64,
-                request: Some(42),
-                saturated: false,
-            }
-        );
-        assert_eq!(snap.events[1].t_ns, 250);
-        assert_eq!(snap.events[1].phase, None);
-        assert_eq!(snap.events[2].t_ns, 260);
-        assert_eq!(snap.events[2].kind, FlightKind::PhaseExit);
-        assert_eq!(snap.overhead.recorded, 3);
-        assert_eq!(snap.overhead.dropped, 0);
-        assert_eq!(snap.words_sent(), 64);
-        assert_eq!(snap.words_recv(), 32);
+    fn send(t_ns: u64, words: u64) -> CommEvent {
+        CommEvent {
+            t_ns,
+            phase: Some("gather-x"),
+            round: Some(3),
+            request: Some(42),
+            kind: CommEventKind::Send { dst: 1, tag: 0, words },
+        }
     }
 
     #[test]
     fn wraparound_keeps_the_newest_window_and_counts_drops() {
         let mut rec = FlightRecorder::new(4);
         for i in 0..10u64 {
-            send(&mut rec, i * 10, (i % 3) as usize, i);
+            rec.push(send(i * 10, i));
         }
         let snap = rec.snapshot(0);
         assert_eq!(snap.events.len(), 4);
+        assert_eq!(snap.overhead.capacity, 4);
         assert_eq!(snap.overhead.recorded, 10);
         assert_eq!(snap.overhead.dropped, 6);
         // The surviving window is the last four records, in order.
-        let times: Vec<u64> = snap.events.iter().map(|e| e.t_ns).collect();
-        assert_eq!(times, vec![60, 70, 80, 90]);
-        let words: Vec<u64> = snap.events.iter().map(|e| e.words).collect();
+        let words: Vec<u64> = snap.events.iter().map(CommEvent::words).collect();
         assert_eq!(words, vec![6, 7, 8, 9]);
+        assert_eq!(snap.words_sent(), 30);
+        assert_eq!(snap.words_recv(), 0);
     }
 
     #[test]
-    fn timestamps_stay_monotone_even_with_saturated_deltas() {
+    fn roundtrip_preserves_fields_and_absolute_times() {
+        let epoch = Instant::now();
         let mut rec = FlightRecorder::new(8);
-        send(&mut rec, 0, 0, 1);
-        // A delta far beyond u32::MAX ns saturates but must not corrupt
-        // ordering of later records.
-        send(&mut rec, 20_000_000_000, 0, 2);
-        send(&mut rec, 20_000_000_100, 0, 3);
-        let snap = rec.snapshot(0);
-        assert_eq!(snap.overhead.saturated_deltas, 1);
-        let times: Vec<u64> = snap.events.iter().map(|e| e.t_ns).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]), "non-monotone: {times:?}");
-        assert_eq!(*times.last().unwrap(), 20_000_000_100);
-        // The record whose delta clamped is flagged; its neighbours are not.
-        let flags: Vec<bool> = snap.events.iter().map(|e| e.saturated).collect();
-        assert_eq!(flags, vec![false, true, false]);
-    }
-
-    #[test]
-    fn clamped_rounds_are_flagged_not_silently_aliased() {
-        let mut rec = FlightRecorder::new(8);
-        // Exactly representable: round 65533 (stored as 65534).
-        rec.record(0, FlightKind::Send, None, Some(u16::MAX as u64 - 2), Some(0), 1, None);
-        // First aliasing value and far beyond: both clamp to the same
-        // stored maximum, so both must carry the saturated flag.
-        rec.record(1, FlightKind::Send, None, Some(u16::MAX as u64), Some(0), 1, None);
-        rec.record(2, FlightKind::Send, None, Some(u64::MAX), Some(0), 1, None);
-        // Word counts beyond u32 clamp and flag too.
-        rec.record(3, FlightKind::Send, None, None, Some(0), u64::MAX, None);
-        let snap = rec.snapshot(0);
-        assert_eq!(snap.events[0].round, Some(u16::MAX as u64 - 2));
-        assert!(!snap.events[0].saturated, "exactly-representable round must not be flagged");
-        assert!(snap.events[1].saturated && snap.events[2].saturated);
-        assert_eq!(snap.events[1].round, snap.events[2].round, "clamped values alias…");
-        assert!(snap.events[1].saturated, "…but the flag says they are not exact");
-        assert!(snap.events[3].saturated);
-        assert_eq!(snap.events[3].words, u32::MAX as u64);
+        let kind = CommEventKind::Send { dst: 1, tag: 4, words: u64::MAX };
+        rec.record(epoch, Some("gather-x"), Some(u64::MAX), Some(u64::MAX), kind);
+        let before_second = epoch.elapsed().as_nanos() as u64;
+        rec.record(epoch, None, Some(1), None, CommEventKind::Recv { src: 2, tag: 5, words: 9 });
+        let snap = rec.snapshot(5);
+        assert_eq!(snap.rank, 5);
+        assert_eq!(snap.events.len(), 2);
+        // Every field is kept at full width: no clamping, no aliasing.
+        let first = snap.events[0];
+        assert_eq!(first.kind, kind);
+        assert_eq!(first.phase, Some("gather-x"));
+        assert_eq!((first.round, first.request), (Some(u64::MAX), Some(u64::MAX)));
+        // Timestamps are absolute nanoseconds since the epoch.
+        assert!(first.t_ns <= before_second && before_second <= snap.events[1].t_ns);
+        assert_eq!(snap.events[1].round, Some(1));
+        assert_eq!((snap.words_sent(), snap.words_recv()), (u64::MAX, 9));
+        assert_eq!((snap.overhead.recorded, snap.overhead.dropped), (2, 0));
     }
 
     #[test]
     fn fault_kind_roundtrips() {
         let mut rec = FlightRecorder::new(4);
-        rec.record(5, FlightKind::Fault, Some("gather-x"), Some(1), Some(2), 9, None);
+        let fault = crate::InjectedFault::Drop;
+        rec.record(
+            Instant::now(),
+            Some("gather-x"),
+            Some(1),
+            None,
+            CommEventKind::Fault { fault, peer: 2, words: 9 },
+        );
         let snap = rec.snapshot(1);
         assert_eq!(snap.events.len(), 1);
-        assert_eq!(snap.events[0].kind, FlightKind::Fault);
-        assert_eq!(snap.events[0].peer, Some(2));
-        assert_eq!(snap.events[0].words, 9);
-        assert!(!snap.events[0].saturated);
+        assert_eq!(snap.events[0].kind, CommEventKind::Fault { fault, peer: 2, words: 9 });
         // Fault records are not Send records: word sums stay clean.
         assert_eq!(snap.words_sent(), 0);
     }
 
     #[test]
-    fn alert_kind_roundtrips_with_its_id_in_the_word_field() {
+    fn alert_kind_roundtrips_with_its_id() {
         let mut rec = FlightRecorder::new(4);
-        rec.record(5, FlightKind::Alert, Some("reduce-y"), None, None, 3, None);
+        rec.record(Instant::now(), Some("reduce-y"), None, None, CommEventKind::Alert { id: 3 });
         let snap = rec.snapshot(2);
         assert_eq!(snap.events.len(), 1);
-        assert_eq!(snap.events[0].kind, FlightKind::Alert);
-        assert_eq!(snap.events[0].words, 3, "alert id travels in the word field");
+        assert_eq!(snap.events[0].kind, CommEventKind::Alert { id: 3 });
         assert_eq!(snap.events[0].phase, Some("reduce-y"));
         // Alert records are neither sends nor receives: word sums stay clean.
         assert_eq!(snap.words_sent() + snap.words_recv(), 0);
@@ -467,41 +278,40 @@ mod tests {
 
     #[test]
     fn overhead_counter_is_monotone_and_saturates() {
+        let epoch = Instant::now();
         let mut rec = FlightRecorder::new(4);
         assert_eq!(rec.overhead_ns(), 0);
-        rec.add_overhead(10);
-        rec.add_overhead(5);
-        assert_eq!(rec.overhead_ns(), 15);
-        rec.add_overhead(u64::MAX);
+        let mut last = 0;
+        for id in 0..8 {
+            rec.record(epoch, None, None, None, CommEventKind::Alert { id });
+            assert!(rec.overhead_ns() >= last, "self-overhead went backwards");
+            last = rec.overhead_ns();
+        }
+        rec.overhead_ns = u64::MAX;
+        rec.record(epoch, None, None, None, CommEventKind::Alert { id: 8 });
         assert_eq!(rec.overhead_ns(), u64::MAX, "saturates instead of wrapping");
         assert_eq!(rec.snapshot(0).overhead.overhead_ns, u64::MAX);
+    }
+
+    #[test]
+    fn unbounded_log_keeps_everything() {
+        let mut rec = FlightRecorder::unbounded();
+        assert!(rec.enabled() && rec.is_unbounded());
+        for i in 0..100u64 {
+            rec.push(send(i, 1));
+        }
+        let snap = rec.snapshot(0);
+        assert_eq!(snap.events.len(), 100);
+        assert_eq!((snap.overhead.capacity, snap.overhead.dropped), (100, 0));
     }
 
     #[test]
     fn disabled_recorder_is_inert() {
         let mut rec = FlightRecorder::new(0);
         assert!(!rec.enabled());
-        send(&mut rec, 100, 0, 7);
+        rec.record(Instant::now(), None, None, None, CommEventKind::Alert { id: 0 });
         let snap = rec.snapshot(0);
         assert!(snap.events.is_empty());
-        assert_eq!(snap.overhead.recorded, 0);
-        assert_eq!(snap.overhead.capacity, 0);
-    }
-
-    #[test]
-    fn phase_table_overflow_drops_labels_not_records() {
-        // MAX_PHASES distinct labels fit; one more loses its label only.
-        let labels: Vec<&'static str> = (0..MAX_PHASES + 1)
-            .map(|i| &*Box::leak(format!("phase-{i}").into_boxed_str()))
-            .collect();
-        let mut rec = FlightRecorder::new(64);
-        for (i, name) in labels.iter().enumerate() {
-            rec.record(i as u64, FlightKind::PhaseEnter, Some(name), None, None, 0, None);
-        }
-        let snap = rec.snapshot(0);
-        assert_eq!(snap.events.len(), MAX_PHASES + 1);
-        assert_eq!(snap.events[0].phase, Some(labels[0]));
-        assert_eq!(snap.events[MAX_PHASES - 1].phase, Some(labels[MAX_PHASES - 1]));
-        assert_eq!(snap.events[MAX_PHASES].phase, None, "overflow label dropped, record kept");
+        assert_eq!(snap.overhead, FlightOverhead::default());
     }
 }

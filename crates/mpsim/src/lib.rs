@@ -34,10 +34,7 @@ pub(crate) mod sync;
 pub use comm::{AbortInfo, Comm, CommError, Msg};
 pub use cost::{CommEvent, CommEventKind, CostReport, RankCost};
 pub use fault::{CrashSpec, FaultPlan, InjectedFault, XorShift64};
-pub use flight::{
-    FlightEvent, FlightKind, FlightOverhead, FlightRecorder, FlightSnapshot,
-    DEFAULT_FLIGHT_CAPACITY,
-};
+pub use flight::{FlightOverhead, FlightRecorder, FlightSnapshot, DEFAULT_FLIGHT_CAPACITY};
 pub use matching::{match_messages, MatchReport, MessageMatch};
 
 use comm::AbortState;
@@ -52,7 +49,6 @@ pub struct Universe {
     size: usize,
     recv_timeout: Duration,
     poll_interval: Duration,
-    tracing: bool,
     flight_capacity: usize,
     faults: Option<FaultPlan>,
     telemetry: Option<Arc<TelemetryPlane>>,
@@ -60,25 +56,17 @@ pub struct Universe {
 
 impl Universe {
     /// A machine with `size` ranks, the default 60 s receive timeout and
-    /// the always-on flight recorder at [`DEFAULT_FLIGHT_CAPACITY`].
+    /// every rank's event log a ring of [`DEFAULT_FLIGHT_CAPACITY`] records.
     pub fn new(size: usize) -> Self {
         assert!(size >= 1, "need at least one rank");
         Universe {
             size,
             recv_timeout: Duration::from_secs(60),
             poll_interval: comm::DEFAULT_POLL_INTERVAL,
-            tracing: false,
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
             faults: None,
             telemetry: None,
         }
-    }
-
-    /// Enables per-rank event tracing: every send/recv is recorded and
-    /// collected at the end of the run by the traced entry points.
-    pub fn with_tracing(mut self, tracing: bool) -> Self {
-        self.tracing = tracing;
-        self
     }
 
     /// Overrides the receive timeout (use a short one in failure-injection
@@ -98,9 +86,10 @@ impl Universe {
         self
     }
 
-    /// Overrides the per-rank flight-recorder ring capacity (records, not
-    /// bytes; 20 bytes each). `0` disables the recorder entirely — the
-    /// recorder-off arm of overhead A/B measurements.
+    /// Overrides the per-rank ring capacity (records of
+    /// `size_of::<CommEvent>()` bytes each) of untraced runs. `0` disables
+    /// the recorder entirely — the recorder-off arm of overhead A/B
+    /// measurements. Traced runs keep every event regardless.
     pub fn with_flight_capacity(mut self, capacity: usize) -> Self {
         self.flight_capacity = capacity;
         self
@@ -153,14 +142,14 @@ impl Universe {
         F: Fn(&Comm) -> R + Sync,
         R: Send,
     {
-        let (outcomes, report) = self.run_inner(self.tracing, &f);
-        let (results, _, _) = unwrap_outcomes(outcomes);
+        let (outcomes, report) = self.run_inner(false, &f);
+        let (results, _) = unwrap_outcomes(outcomes);
         (results, report)
     }
 
-    /// Runs `f` on every rank with tracing forced **on** and returns, in
-    /// addition to the results and cost report, each rank's complete event
-    /// log (indexed by rank).
+    /// Runs `f` on every rank with unbounded logs and returns, in addition
+    /// to the results and cost report, each rank's complete event log
+    /// (indexed by rank).
     ///
     /// The log is collected after every rank closure has returned, so it is
     /// complete and in recording order — rank code never observes or
@@ -174,12 +163,12 @@ impl Universe {
         R: Send,
     {
         let (outcomes, report) = self.run_inner(true, &f);
-        let (results, traces, _) = unwrap_outcomes(outcomes);
-        (results, report, traces)
+        let (results, logs) = unwrap_outcomes(outcomes);
+        (results, report, logs.into_iter().map(|log| log.events).collect())
     }
 
     /// Like [`Universe::run`] but additionally returns every rank's
-    /// decoded flight-recorder window (indexed by rank).
+    /// flight-recorder window (indexed by rank).
     ///
     /// # Panics
     /// Propagates a panic from any rank.
@@ -188,39 +177,22 @@ impl Universe {
         F: Fn(&Comm) -> R + Sync,
         R: Send,
     {
-        let (outcomes, report) = self.run_inner(self.tracing, &f);
-        let (results, _, flight) = unwrap_outcomes(outcomes);
+        let (outcomes, report) = self.run_inner(false, &f);
+        let (results, flight) = unwrap_outcomes(outcomes);
         (results, report, flight)
     }
 
-    /// [`Universe::run_traced`] plus the per-rank flight snapshots.
-    ///
-    /// # Panics
-    /// Propagates a panic from any rank.
-    pub fn run_traced_flight<F, R>(
-        &self,
-        f: F,
-    ) -> (Vec<R>, CostReport, Vec<Vec<CommEvent>>, Vec<FlightSnapshot>)
-    where
-        F: Fn(&Comm) -> R + Sync,
-        R: Send,
-    {
-        let (outcomes, report) = self.run_inner(true, &f);
-        let (results, traces, flight) = unwrap_outcomes(outcomes);
-        (results, report, traces, flight)
-    }
-
-    /// Runs `f` on every rank with tracing forced on, and converts a rank
+    /// Runs `f` on every rank with unbounded logs, and converts a rank
     /// panic into a structured [`RankFailure`] instead of propagating it:
     /// the post-mortem path. The failure carries the aborting rank's
     /// identity, its last phase/round annotation, the panic message, the
     /// cost report accumulated up to the abort, and **every** rank's event
-    /// log and flight-recorder window — the raw material for a crash dump.
+    /// log — the raw material for a crash dump.
     #[allow(clippy::type_complexity)]
     pub fn try_run_traced<F, R>(
         &self,
         f: F,
-    ) -> Result<(Vec<R>, CostReport, Vec<Vec<CommEvent>>, Vec<FlightSnapshot>), Box<RankFailure>>
+    ) -> Result<(Vec<R>, CostReport, Vec<FlightSnapshot>), Box<RankFailure>>
     where
         F: Fn(&Comm) -> R + Sync,
         R: Send,
@@ -228,8 +200,8 @@ impl Universe {
         let (outcomes, report) = self.run_inner(true, &f);
         let failed = outcomes.iter().position(|o| o.result.is_err());
         let Some(first_failed) = failed else {
-            let (results, traces, flight) = unwrap_outcomes(outcomes);
-            return Ok((results, report, traces, flight));
+            let (results, flight) = unwrap_outcomes(outcomes);
+            return Ok((results, report, flight));
         };
         // Root-cause attribution: the abort state records the first rank
         // whose panic tripped the flag; fall back to the lowest failed
@@ -250,16 +222,13 @@ impl Universe {
             Err(payload) => panic_message(payload.as_ref()),
             Ok(_) => unreachable!("attributed rank must have failed"),
         };
-        let mut traces = Vec::with_capacity(outcomes.len());
-        let mut flight = Vec::with_capacity(outcomes.len());
-        for o in outcomes {
-            traces.push(o.trace);
-            flight.push(o.flight);
-        }
-        Err(Box::new(RankFailure { rank, phase, round, message, report, traces, flight }))
+        let flight = outcomes.into_iter().map(|o| o.log).collect();
+        Err(Box::new(RankFailure { rank, phase, round, message, report, flight }))
     }
 
-    fn run_inner<F, R>(&self, tracing: bool, f: &F) -> (Vec<RankOutcome<R>>, CostReport)
+    /// Runs `f` on every rank, each recording into a ring of the
+    /// configured capacity — or, when `traced`, into an unbounded log.
+    fn run_inner<F, R>(&self, traced: bool, f: &F) -> (Vec<RankOutcome<R>>, CostReport)
     where
         F: Fn(&Comm) -> R + Sync,
         R: Send,
@@ -299,6 +268,11 @@ impl Universe {
                 let faults = self.faults.clone();
                 let telemetry = self.telemetry.clone();
                 handles.push(scope.spawn(move || {
+                    let log = if traced {
+                        FlightRecorder::unbounded()
+                    } else {
+                        FlightRecorder::new(flight_capacity)
+                    };
                     let comm = Comm::new(
                         rank,
                         senders,
@@ -309,8 +283,7 @@ impl Universe {
                         poll_interval,
                         abort.clone(),
                         epoch,
-                        tracing,
-                        flight_capacity,
+                        log,
                         faults,
                         telemetry,
                     );
@@ -331,12 +304,7 @@ impl Universe {
                     comm.publish_flight_overhead();
                     // Drain telemetry even from a failed rank — the crash
                     // dump needs its final window most of all.
-                    RankOutcome {
-                        result,
-                        trace: comm.drain_trace(),
-                        flight: comm.flight_snapshot(),
-                        abort_info: abort.info(),
-                    }
+                    RankOutcome { result, log: comm.flight_snapshot(), abort_info: abort.info() }
                 }));
             }
             handles
@@ -350,21 +318,18 @@ impl Universe {
 }
 
 /// Everything one rank thread hands back to the universe: its closure
-/// outcome (panic payload preserved), telemetry, and the abort attribution
-/// it observed at exit.
+/// outcome (panic payload preserved), its event log, and the abort
+/// attribution it observed at exit.
 struct RankOutcome<R> {
     result: Result<R, Box<dyn std::any::Any + Send + 'static>>,
-    trace: Vec<CommEvent>,
-    flight: FlightSnapshot,
+    log: FlightSnapshot,
     abort_info: Option<AbortInfo>,
 }
 
 /// Unwraps per-rank outcomes, resuming the root-cause panic if any rank
 /// failed (the rank named by the abort attribution when available, so the
 /// panic the caller observes is the one that started the cascade).
-fn unwrap_outcomes<R>(
-    outcomes: Vec<RankOutcome<R>>,
-) -> (Vec<R>, Vec<Vec<CommEvent>>, Vec<FlightSnapshot>) {
+fn unwrap_outcomes<R>(outcomes: Vec<RankOutcome<R>>) -> (Vec<R>, Vec<FlightSnapshot>) {
     if outcomes.iter().any(|o| o.result.is_err()) {
         let root = outcomes
             .iter()
@@ -378,15 +343,7 @@ fn unwrap_outcomes<R>(
         };
         std::panic::resume_unwind(payload);
     }
-    let mut results = Vec::with_capacity(outcomes.len());
-    let mut traces = Vec::with_capacity(outcomes.len());
-    let mut flight = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        results.push(o.result.unwrap_or_else(|_| unreachable!()));
-        traces.push(o.trace);
-        flight.push(o.flight);
-    }
-    (results, traces, flight)
+    outcomes.into_iter().map(|o| (o.result.unwrap_or_else(|_| unreachable!()), o.log)).unzip()
 }
 
 /// Best-effort extraction of a human-readable panic message.
@@ -402,8 +359,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// A structured rank failure produced by [`Universe::try_run_traced`]: the
 /// aborting rank, where it was (last phase/round annotation), what it said,
-/// and the full telemetry of **all** ranks up to the abort — everything a
-/// post-mortem dump needs.
+/// and the complete event log of **all** ranks up to the abort —
+/// everything a post-mortem dump needs.
 #[derive(Debug)]
 pub struct RankFailure {
     /// The rank whose panic tripped the abort flag.
@@ -416,9 +373,7 @@ pub struct RankFailure {
     pub message: String,
     /// Cost counters accumulated up to the abort.
     pub report: CostReport,
-    /// Per-rank event logs (tracing is forced on).
-    pub traces: Vec<Vec<CommEvent>>,
-    /// Per-rank flight-recorder windows, failed rank included.
+    /// Per-rank event logs (unbounded), failed rank included.
     pub flight: Vec<FlightSnapshot>,
 }
 
@@ -575,9 +530,8 @@ mod tests {
         assert_eq!(failure.rank, 2);
         assert_eq!(failure.phase, Some("reduce-y"));
         assert!(failure.message.contains("mid-exchange failure"));
-        assert_eq!(failure.traces.len(), 3, "every rank's trace is drained");
-        assert_eq!(failure.flight.len(), 3, "every rank's flight ring is drained");
-        // The failing rank's send made it into counters, trace and flight.
+        assert_eq!(failure.flight.len(), 3, "every rank's log is drained");
+        // The failing rank's send made it into counters and its log.
         assert_eq!(failure.report.per_rank[2].words_sent, 4);
         assert_eq!(failure.flight[2].words_sent(), 4);
         let text = format!("{failure}");
@@ -586,7 +540,7 @@ mod tests {
 
     #[test]
     fn try_run_traced_returns_ok_on_a_clean_run() {
-        let (results, report, traces, flight) = Universe::new(2)
+        let (results, report, flight) = Universe::new(2)
             .try_run_traced(|comm| {
                 let partner = 1 - comm.rank();
                 comm.with_phase("swap", || comm.exchange(partner, 0, vec![0.5; 3]).unwrap());
@@ -595,7 +549,6 @@ mod tests {
             .unwrap();
         assert_eq!(results, vec![0, 1]);
         assert_eq!(report.total_words_sent(), 6);
-        assert_eq!(traces.len(), 2);
         assert_eq!(flight.len(), 2);
         for snap in &flight {
             assert_eq!(snap.words_sent(), 3);
@@ -611,17 +564,16 @@ mod tests {
                 comm.exchange(partner, 0, vec![1.0, 2.0]).unwrap();
             });
         };
-        // Default universe: untraced run still records flight events.
+        // Default universe: untraced run still records every event.
         let (_, _, flight) = Universe::new(2).run_flight(body);
         for snap in &flight {
             // PhaseEnter, Send, Recv, PhaseExit.
             assert_eq!(snap.events.len(), 4);
             assert_eq!(snap.overhead.capacity, DEFAULT_FLIGHT_CAPACITY);
             assert!(snap.overhead.recorded == 4 && snap.overhead.dropped == 0);
-            let send = snap.events.iter().find(|e| e.kind == FlightKind::Send).unwrap();
+            let send = snap.events.iter().find(|e| e.words() > 0).unwrap();
             assert_eq!(send.phase, Some("swap"));
-            assert_eq!(send.peer, Some(1 - snap.rank));
-            assert_eq!(send.words, 2);
+            assert_eq!(send.kind, CommEventKind::Send { dst: 1 - snap.rank, tag: 0, words: 2 });
             let times: Vec<u64> = snap.events.iter().map(|e| e.t_ns).collect();
             assert!(times.windows(2).all(|w| w[0] <= w[1]), "non-monotone: {times:?}");
         }
@@ -644,10 +596,10 @@ mod tests {
             comm.recv(partner, 0).unwrap();
         });
         for snap in &flight {
-            let send = snap.events.iter().find(|e| e.kind == FlightKind::Send).unwrap();
-            assert_eq!(send.request, Some(7));
-            let recv = snap.events.iter().find(|e| e.kind == FlightKind::Recv).unwrap();
-            assert_eq!(recv.request, None, "recv happened after clear_request");
+            let send = snap.events.iter().find(|e| matches!(e.kind, CommEventKind::Send { .. }));
+            assert_eq!(send.unwrap().request, Some(7));
+            let recv = snap.events.iter().find(|e| matches!(e.kind, CommEventKind::Recv { .. }));
+            assert_eq!(recv.unwrap().request, None, "recv happened after clear_request");
         }
     }
 
@@ -682,6 +634,7 @@ mod tests {
                         }
                         CommEventKind::Counter { key, value } => format!("#{key}={value}"),
                         CommEventKind::Fault { fault, .. } => format!("!{}", fault.label()),
+                        CommEventKind::Alert { id } => format!("@{id}"),
                     };
                     (kind, e.phase, e.round)
                 })

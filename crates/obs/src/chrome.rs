@@ -6,9 +6,18 @@
 //! * one track per rank (`pid` 1, `tid` = rank, named via `M` metadata
 //!   events),
 //! * every completed phase as an `X` (complete) event with `ts`/`dur` in
-//!   microseconds and the phase's exact word/message deltas in `args`,
+//!   microseconds and the phase's exact word/message deltas in `args`;
+//!   a phase still open at the end of a rank's log (the phase a rank
+//!   panicked in) is closed at the log's last timestamp and flagged
+//!   `unterminated`,
 //! * every send and receive as an `i` (instant) event carrying peer, tag,
-//!   word count and (when present) the schedule round.
+//!   word count and (when present) the schedule round and request, and
+//!   every injected fault and SLO alert as an instant of its own category,
+//! * every annotated counter as a `C` (counter) sample.
+//!
+//! The post-mortem dump ([`crate::flight::postmortem_json`]) embeds the
+//! same trace over the crashed run's logs, with the failing rank's track
+//! renamed `rank N [FAILED]` and a `panic` instant at its last event.
 //!
 //! Timestamps are the simulator's shared-epoch nanoseconds converted to the
 //! fractional microseconds the format requires, so cross-rank ordering in
@@ -29,8 +38,17 @@ fn us(t_ns: u64) -> f64 {
 /// Builds the Chrome trace document from per-rank event logs (indexed by
 /// rank, as returned by [`symtensor_mpsim::Universe::run_traced`]).
 pub fn chrome_trace(traces: &[Vec<CommEvent>]) -> Value {
+    chrome_trace_failing(traces, None)
+}
+
+/// [`chrome_trace`] with `failing`'s track renamed `rank N [FAILED]` and a
+/// `panic` instant at its last recorded event.
+pub(crate) fn chrome_trace_failing<L: AsRef<[CommEvent]>>(
+    traces: &[L],
+    failing: Option<usize>,
+) -> Value {
     Value::object()
-        .with("traceEvents", Value::Array(chrome_trace_events(PID, None, traces)))
+        .with("traceEvents", Value::Array(chrome_trace_events(PID, None, traces, failing)))
         .with("displayTimeUnit", "ns")
 }
 
@@ -42,17 +60,46 @@ pub fn chrome_trace(traces: &[Vec<CommEvent>]) -> Value {
 pub fn chrome_trace_multi(runs: &[(String, Vec<Vec<CommEvent>>)]) -> Value {
     let mut events = Vec::new();
     for (idx, (label, traces)) in runs.iter().enumerate() {
-        events.extend(chrome_trace_events(idx as u64 + 1, Some(label), traces));
+        events.extend(chrome_trace_events(idx as u64 + 1, Some(label), traces, None));
     }
     Value::object().with("traceEvents", Value::Array(events)).with("displayTimeUnit", "ns")
 }
 
+/// Phases still open at the end of one rank's log, as `(name, entry ns)`.
+fn open_phases(events: &[CommEvent]) -> Vec<(&'static str, u64)> {
+    let mut stack = Vec::new();
+    for event in events {
+        match event.kind {
+            CommEventKind::PhaseEnter { name, .. } => stack.push((name, event.t_ns)),
+            // A bounded window may have evicted the matching enter.
+            CommEventKind::PhaseExit { .. } => {
+                stack.pop();
+            }
+            _ => {}
+        }
+    }
+    stack
+}
+
+fn instant(name: &str, cat: &str, pid: u64, tid: usize, t_ns: u64, args: Value) -> Value {
+    Value::object()
+        .with("name", name)
+        .with("cat", cat)
+        .with("ph", "i")
+        .with("s", "t") // thread-scoped instant
+        .with("pid", pid)
+        .with("tid", tid)
+        .with("ts", us(t_ns))
+        .with("args", args)
+}
+
 /// The flat event list for one run under process id `pid` (optionally
-/// named `process_name`).
-fn chrome_trace_events(
+/// named `process_name`), with `failing`'s track flagged.
+fn chrome_trace_events<L: AsRef<[CommEvent]>>(
     pid: u64,
     process_name: Option<&str>,
-    traces: &[Vec<CommEvent>],
+    traces: &[L],
+    failing: Option<usize>,
 ) -> Vec<Value> {
     let mut events: Vec<Value> = Vec::new();
 
@@ -68,17 +115,24 @@ fn chrome_trace_events(
     }
     for rank in 0..traces.len() {
         // Track naming metadata.
+        let name = if failing == Some(rank) {
+            format!("rank {rank} [FAILED]")
+        } else {
+            format!("rank {rank}")
+        };
         events.push(
             Value::object()
                 .with("name", "thread_name")
                 .with("ph", "M")
                 .with("pid", pid)
                 .with("tid", rank)
-                .with("args", Value::object().with("name", format!("rank {rank}"))),
+                .with("args", Value::object().with("name", name)),
         );
     }
 
     for (rank, rank_events) in traces.iter().enumerate() {
+        let rank_events = rank_events.as_ref();
+        let window_end = rank_events.last().map_or(0, |e| e.t_ns);
         // Completed phases as X (complete) duration events.
         for span in spans_of_rank(rank, rank_events) {
             events.push(
@@ -101,11 +155,50 @@ fn chrome_trace_events(
                     ),
             );
         }
-        // Sends/recvs as instants, annotated counters as counter tracks.
+        // A panic leaves the enclosing phases open — precisely the signal
+        // a post-mortem reader needs.
+        for (name, start_ns) in open_phases(rank_events) {
+            events.push(
+                Value::object()
+                    .with("name", name)
+                    .with("cat", "phase")
+                    .with("ph", "X")
+                    .with("pid", pid)
+                    .with("tid", rank)
+                    .with("ts", us(start_ns))
+                    .with("dur", us(window_end.saturating_sub(start_ns)))
+                    .with("args", Value::object().with("unterminated", true)),
+            );
+        }
+        if failing == Some(rank) {
+            events.push(instant("panic", "abort", pid, rank, window_end, Value::object()));
+        }
+        // Sends/recvs, faults and alerts as instants, annotated counters as
+        // counter tracks.
         for event in rank_events {
-            let (name, cat, peer_key, peer, tag, words) = match event.kind {
-                CommEventKind::Send { dst, tag, words } => ("send", "comm", "dst", dst, tag, words),
-                CommEventKind::Recv { src, tag, words } => ("recv", "comm", "src", src, tag, words),
+            let (name, cat, mut args) = match event.kind {
+                CommEventKind::Send { dst, tag, words } => (
+                    "send",
+                    "comm",
+                    Value::object().with("dst", dst).with("tag", tag).with("words", words),
+                ),
+                CommEventKind::Recv { src, tag, words } => (
+                    "recv",
+                    "comm",
+                    Value::object().with("src", src).with("tag", tag).with("words", words),
+                ),
+                // Injected faults and SLO alerts get their own categories
+                // so a reader can separate chaos and burning SLOs from
+                // organic traffic at a glance.
+                CommEventKind::Fault { fault, peer, words } => (
+                    "fault",
+                    "fault",
+                    Value::object()
+                        .with("fault", fault.label())
+                        .with("peer", peer)
+                        .with("words", words),
+                ),
+                CommEventKind::Alert { id } => ("alert", "alert", Value::object().with("id", id)),
                 CommEventKind::Counter { key, value } => {
                     // `C` events render as a per-rank counter track in
                     // Perfetto; the args key names the series.
@@ -121,27 +214,18 @@ fn chrome_trace_events(
                     );
                     continue;
                 }
-                _ => continue,
+                CommEventKind::PhaseEnter { .. } | CommEventKind::PhaseExit { .. } => continue,
             };
-            let mut args =
-                Value::object().with(peer_key, peer).with("tag", tag).with("words", words);
             if let Some(round) = event.round {
                 args.set("round", round);
             }
             if let Some(phase) = event.phase {
                 args.set("phase", phase);
             }
-            events.push(
-                Value::object()
-                    .with("name", name)
-                    .with("cat", cat)
-                    .with("ph", "i")
-                    .with("s", "t") // thread-scoped instant
-                    .with("pid", pid)
-                    .with("tid", rank)
-                    .with("ts", us(event.t_ns))
-                    .with("args", args),
-            );
+            if let Some(request) = event.request {
+                args.set("request", request);
+            }
+            events.push(instant(name, cat, pid, rank, event.t_ns, args));
         }
     }
 
@@ -179,7 +263,7 @@ pub fn chrome_trace_string(traces: &[Vec<CommEvent>]) -> String {
 /// These are the same quantities [`crate::ProfileHistograms`] aggregates;
 /// the counter tracks let Perfetto plot them over virtual time.
 pub fn chrome_trace_with_profile(traces: &[Vec<CommEvent>]) -> Value {
-    let mut events = chrome_trace_events(PID, None, traces);
+    let mut events = chrome_trace_events(PID, None, traces, None);
     events.extend(profile_counter_events(traces));
     Value::object().with("traceEvents", Value::Array(events)).with("displayTimeUnit", "ns")
 }
@@ -227,6 +311,7 @@ fn profile_counter_events(traces: &[Vec<CommEvent>]) -> Vec<Value> {
 mod tests {
     use super::*;
     use crate::json;
+    use crate::validate;
     use symtensor_mpsim::Universe;
 
     fn sample_traces() -> Vec<Vec<CommEvent>> {
@@ -353,6 +438,32 @@ mod tests {
             .filter(|e| e.get("name").and_then(Value::as_str) == Some("round_step_ns"))
             .collect();
         assert_eq!(steps.len(), 1);
+    }
+
+    #[test]
+    fn open_phases_are_closed_and_flagged_unterminated() {
+        let failure = Universe::new(2)
+            .try_run_traced(|comm| {
+                comm.with_phase("gather-x", || {
+                    if comm.rank() == 1 {
+                        panic!("crash inside gather-x");
+                    }
+                })
+            })
+            .unwrap_err();
+        let traces: Vec<_> = failure.flight.iter().map(|snap| snap.events.clone()).collect();
+        let doc = chrome_trace(&traces);
+        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+        let flagged = |tid: u64| {
+            events.iter().any(|e| {
+                e.get("name").and_then(Value::as_str) == Some("gather-x")
+                    && e.get("tid").and_then(Value::as_u64) == Some(tid)
+                    && e.get("args").and_then(|a| a.get("unterminated")) == Some(&Value::Bool(true))
+            })
+        };
+        assert!(flagged(1), "the phase rank 1 crashed in must be an unterminated span");
+        assert!(!flagged(0), "rank 0 closed its phase");
+        assert_eq!(validate(&doc), Ok(crate::ArtifactKind::ChromeTrace));
     }
 
     #[test]

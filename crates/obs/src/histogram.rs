@@ -2,10 +2,6 @@
 //! p50/p90/p99/max readouts, plus the profiler's standard set
 //! ([`ProfileHistograms`]) recording per-round step latency and
 //! per-message recv-wait from a traced run.
-//!
-//! [`Histogram`] started life in [`crate::metrics`] (which re-exports it
-//! for compatibility); it lives here so the profiling layer and the
-//! metrics registry share one implementation.
 
 use crate::json::Value;
 use std::collections::BTreeMap;

@@ -5,9 +5,11 @@
 //! export.
 //!
 //! The `symtensor-mpsim` runtime counts every word on the send/recv hot
-//! path and — when tracing is enabled — records timestamped, phase- and
-//! round-annotated [`CommEvent`]s per rank. This crate turns those raw logs
-//! into things a person can look at:
+//! path and records one stream of timestamped, phase-, round- and
+//! request-annotated [`CommEvent`]s per rank — a bounded flight window by
+//! default, the complete run when traced. This crate turns those raw logs
+//! into things a person can look at, every one derived from the same
+//! events:
 //!
 //! * [`span`] — reconstructs the tree of [`Comm::with_phase`] regions as
 //!   [`span::PhaseSpan`]s whose cost deltas are *exact* (snapshot
@@ -23,8 +25,11 @@
 //!   round-annotated schedules, checked against the paper's
 //!   `q³/2 + 3q²/2 − 1` step bound.
 //! * [`chrome`] — Chrome trace-event JSON export (one track per rank,
-//!   phases as duration events, sends/recvs as instants) loadable in
-//!   Perfetto.
+//!   phases as duration events, sends/recvs/faults/alerts as instants)
+//!   loadable in Perfetto.
+//! * [`flight`] — the `symtensor-flight-v1` window export and the
+//!   post-mortem crash dump, whose embedded Chrome trace is [`chrome`]
+//!   over the crashed run's logs.
 //! * [`json`] — the minimal JSON value/serializer/parser the exporters are
 //!   built on (the build environment is offline; no `serde_json`).
 //!
@@ -52,7 +57,7 @@ pub mod telemetry;
 pub use chrome::{
     chrome_trace, chrome_trace_multi, chrome_trace_string, chrome_trace_with_profile,
 };
-pub use flight::{chrome_from_flight, flight_json, postmortem_json, reconcile_postmortem};
+pub use flight::{flight_json, postmortem_json, reconcile_postmortem};
 pub use histogram::{Histogram, ProfileHistograms};
 pub use matrix::CommMatrix;
 pub use metrics::MetricsRegistry;

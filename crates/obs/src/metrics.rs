@@ -5,16 +5,12 @@
 //! power-of-two buckets, which is the right resolution for message sizes
 //! (the quantities the α-β-γ model counts) and for nanosecond latencies.
 
+use crate::histogram::Histogram;
 use crate::json::Value;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use symtensor_mpsim::cost::CommEventKind;
 use symtensor_mpsim::{CommEvent, CostReport};
-
-// The histogram implementation moved to `crate::histogram` (where the
-// profiling layer extends it with merge + percentile readouts); re-exported
-// here so existing `metrics::Histogram` users keep working.
-pub use crate::histogram::Histogram;
 
 #[derive(Default)]
 struct Inner {

@@ -112,7 +112,7 @@ fn check_flight_ranks(doc: &Value, what: &str) -> Result<(), String> {
         require_u64(r, "words_sent", &ctx)?;
         require_u64(r, "words_recv", &ctx)?;
         let overhead = require(r, "overhead", &ctx)?;
-        for key in ["capacity", "recorded", "dropped", "saturated_deltas", "overhead_ns"] {
+        for key in ["capacity", "recorded", "dropped", "overhead_ns"] {
             require_u64(overhead, key, &ctx)?;
         }
         let mut last = 0u64;
@@ -124,15 +124,10 @@ fn check_flight_ranks(doc: &Value, what: &str) -> Result<(), String> {
             }
             last = t;
             let kind = require_str(e, "kind", &ectx)?;
-            if !["send", "recv", "phase_enter", "phase_exit", "fault", "alert"].contains(&kind) {
+            const KINDS: [&str; 7] =
+                ["send", "recv", "phase_enter", "phase_exit", "counter", "fault", "alert"];
+            if !KINDS.contains(&kind) {
                 return Err(format!("{ectx}: unknown kind `{kind}`"));
-            }
-            // The saturation flag is optional but, when present, must be a
-            // boolean — a numeric 1 would be ambiguous with a word count.
-            if let Some(sat) = e.get("saturated") {
-                if !matches!(sat, Value::Bool(_)) {
-                    return Err(format!("{ectx}: `saturated` is not a boolean"));
-                }
             }
         }
     }
@@ -365,11 +360,15 @@ mod tests {
     #[test]
     fn registry_and_chrome_and_flight_docs_validate() {
         use symtensor_mpsim::Universe;
-        let (_, report, traces, flight) = Universe::new(2)
+        let (_, report, flight) = Universe::new(2)
             .try_run_traced(|comm| {
-                comm.with_phase("swap", || comm.exchange(1 - comm.rank(), 0, vec![0.0; 2]).unwrap())
+                comm.with_phase("swap", || {
+                    comm.exchange(1 - comm.rank(), 0, vec![0.0; 2]).unwrap()
+                });
+                comm.annotate_counter("plan:arena_bytes", 64);
             })
             .unwrap();
+        let traces: Vec<_> = flight.iter().map(|snap| snap.events.clone()).collect();
         let metrics = crate::MetricsRegistry::new();
         metrics.record_run(&report, &traces);
         assert_eq!(validate(&metrics.to_json()), Ok(ArtifactKind::Metrics));
@@ -386,25 +385,20 @@ mod tests {
         let doc = json::parse(r#"{"version": "symtensor-flight-v9"}"#).unwrap();
         assert!(validate(&doc).unwrap_err().contains("version"));
 
-        // `saturated` must be a real boolean, and `fault` is a known kind.
-        let doc = json::parse(
-            r#"{"version": "symtensor-flight-v1", "ranks": [
-                {"rank": 0, "words_sent": 0, "words_recv": 0,
-                 "overhead": {"capacity": 1, "recorded": 1, "dropped": 0,
-                              "saturated_deltas": 0, "overhead_ns": 0},
-                 "events": [{"t_ns": 1, "kind": "fault", "saturated": 1}]}]}"#,
-        )
-        .unwrap();
-        assert!(validate(&doc).unwrap_err().contains("saturated"));
-        let doc = json::parse(
-            r#"{"version": "symtensor-flight-v1", "ranks": [
-                {"rank": 0, "words_sent": 0, "words_recv": 0,
-                 "overhead": {"capacity": 1, "recorded": 1, "dropped": 0,
-                              "saturated_deltas": 0, "overhead_ns": 0},
-                 "events": [{"t_ns": 1, "kind": "fault", "words": 6, "saturated": true}]}]}"#,
-        )
-        .unwrap();
-        assert_eq!(validate(&doc), Ok(ArtifactKind::Flight));
+        // Event kinds are a closed set: `fault` and `counter` are known,
+        // anything else is named.
+        let flight_doc = |kind: &str| {
+            json::parse(&format!(
+                r#"{{"version": "symtensor-flight-v1", "ranks": [
+                    {{"rank": 0, "words_sent": 0, "words_recv": 0,
+                      "overhead": {{"capacity": 1, "recorded": 1, "dropped": 0, "overhead_ns": 0}},
+                      "events": [{{"t_ns": 1, "kind": "{kind}"}}]}}]}}"#
+            ))
+            .unwrap()
+        };
+        assert_eq!(validate(&flight_doc("fault")), Ok(ArtifactKind::Flight));
+        assert_eq!(validate(&flight_doc("counter")), Ok(ArtifactKind::Flight));
+        assert!(validate(&flight_doc("packed")).unwrap_err().contains("packed"));
 
         let doc =
             json::parse(r#"{"rows": [{"kernel": "k"}], "threshold": 0.25, "regressed": false}"#)

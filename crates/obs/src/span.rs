@@ -302,7 +302,7 @@ mod tests {
         let tensor = random_symmetric(n, &mut rng);
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
         let opts = SttsvOptions { trace: true, ..SttsvOptions::new(Mode::Scheduled) };
-        let traces = parallel_sttsv_with(&tensor, &part, &[x], opts).unwrap().traces;
+        let traces = parallel_sttsv_with(&tensor, &part, &[x], opts).unwrap().traces();
 
         let all = spans(&traces);
         // Every rank opens exactly one compute:kernel span, nested at depth
@@ -416,6 +416,7 @@ mod tests {
             t_ns: 1,
             phase: None,
             round: None,
+            request: None,
             kind: CommEventKind::PhaseEnter { name: "open", snapshot: RankCost::default() },
         }];
         assert!(spans_of_rank(0, &events).is_empty());

@@ -535,21 +535,22 @@ pub struct SttsvOptions {
     /// sequential kernels. Results are bit-identical across thread counts
     /// above 1, and communication does not depend on it.
     pub threads: usize,
-    /// Also record each rank's full [`CommEvent`] log (phase-annotated
-    /// sends and receives, round annotations), ready for the
-    /// `symtensor-obs` exporters. Tracing never touches the cost counters.
+    /// Keep each rank's complete [`CommEvent`] log (phase-annotated
+    /// sends and receives, round annotations) instead of the bounded
+    /// flight window, ready for the `symtensor-obs` exporters. Tracing
+    /// never touches the cost counters.
     pub trace: bool,
 }
 
 impl SttsvOptions {
-    /// Sequential kernels, no event log.
+    /// Sequential kernels, bounded event logs.
     pub fn new(mode: Mode) -> Self {
         SttsvOptions { mode, threads: 1, trace: false }
     }
 }
 
-/// One rank's results, the run's cost report, and whatever was recorded.
-pub(crate) type Ranks<R> = (Vec<R>, CostReport, Vec<Vec<CommEvent>>, Vec<FlightSnapshot>);
+/// One rank's results, the run's cost report, and every rank's event log.
+pub(crate) type Ranks<R> = (Vec<R>, CostReport, Vec<FlightSnapshot>);
 
 /// The simulated machine every driver runs on: one [`RankContext`] per
 /// processor, with the tensor blocks extracted per rank (never
@@ -590,8 +591,12 @@ impl<'a> Machine<'a> {
         f(&ctx)
     }
 
-    /// Runs `f` on every rank of `universe`. The event logs are empty
-    /// unless `trace`; the flight windows are always returned.
+    /// Runs `f` on every rank of `universe`. The event logs are complete
+    /// when `trace`, the bounded flight windows otherwise.
+    ///
+    /// # Panics
+    /// Propagates a rank's panic (a traced run reports the failing rank
+    /// and its phase in the message).
     pub(crate) fn run<R: Send>(
         &self,
         universe: Universe,
@@ -600,10 +605,9 @@ impl<'a> Machine<'a> {
     ) -> Ranks<R> {
         let rank_main = |comm: &Comm| self.with_rank(comm, |ctx| f(comm, ctx));
         if trace {
-            universe.run_traced_flight(rank_main)
+            universe.try_run_traced(rank_main).unwrap_or_else(|failure| panic!("{failure}"))
         } else {
-            let (outs, report, flight) = universe.run_flight(rank_main);
-            (outs, report, Vec::new(), flight)
+            universe.run_flight(rank_main)
         }
     }
 }
@@ -629,11 +633,18 @@ pub struct SttsvMultiRun {
     /// Per-rank ternary-multiplication counts summed over the batch
     /// (`B ×` the single-vector counts).
     pub ternary_per_rank: Vec<u64>,
-    /// Each rank's event log; empty unless [`SttsvOptions::trace`].
-    pub traces: Vec<Vec<CommEvent>>,
-    /// Each rank's flight-recorder window: the always-on bounded ring of
-    /// delta-encoded send/recv/phase records.
+    /// Each rank's event log: the complete run under
+    /// [`SttsvOptions::trace`], the always-on bounded flight window
+    /// otherwise.
     pub flight: Vec<FlightSnapshot>,
+}
+
+impl SttsvMultiRun {
+    /// Each rank's recorded events, in the shape the `symtensor-obs`
+    /// exporters take (complete only under [`SttsvOptions::trace`]).
+    pub fn traces(&self) -> Vec<Vec<CommEvent>> {
+        self.flight.iter().map(|log| log.events.clone()).collect()
+    }
 }
 
 /// One rank's timing decomposition of a request-annotated batch
@@ -733,7 +744,7 @@ pub fn parallel_sttsv_with<X: AsRef<[f64]> + Sync>(
     check_dims(n, tensor, xs.iter().map(AsRef::as_ref))?;
     let machine = Machine::new(tensor, part, opts.mode, opts.threads);
     let universe = Universe::new(part.num_procs());
-    let (outs, report, traces, flight) = machine.run(universe, opts.trace, |comm, ctx| {
+    let (outs, report, flight) = machine.run(universe, opts.trace, |comm, ctx| {
         let shards: Vec<Vec<Vec<f64>>> =
             xs.iter().map(|x| part.shards_of(comm.rank(), x.as_ref())).collect();
         ctx.sttsv_multi(comm, &shards)
@@ -746,7 +757,7 @@ pub fn parallel_sttsv_with<X: AsRef<[f64]> + Sync>(
             part.place_shards(p, shards, y);
         }
     }
-    Ok(SttsvMultiRun { ys, report, ternary_per_rank, traces, flight })
+    Ok(SttsvMultiRun { ys, report, ternary_per_rank, flight })
 }
 
 /// [`parallel_sttsv_with`] on the barrier exchange without event logs —

@@ -64,7 +64,7 @@ pub fn parallel_shifted_hopm_planned(
     let n = part.dim();
     check_dims(n, tensor, [x0]).unwrap_or_else(|e| panic!("{e}"));
     let machine = Machine::new(tensor, part, mode, threads);
-    let (rank_results, report, _, _) =
+    let (rank_results, report, _) =
         machine.run(Universe::new(part.num_procs()), false, |comm, ctx| {
             rank_hopm(comm, ctx, part.shards_of(comm.rank(), x0), alpha, opts)
         });

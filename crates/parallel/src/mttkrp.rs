@@ -91,7 +91,7 @@ fn run_columns(
     let x_cols: Vec<Vec<f64>> = (0..r).map(|col| x_mat.col(col)).collect();
     check_dims(n, tensor, x_cols.iter().map(Vec::as_slice))?;
     let machine = Machine::new(tensor, part, mode, 1);
-    let (rank_results, report, _, _) =
+    let (rank_results, report, _) =
         machine.run(Universe::new(part.num_procs()), false, |comm, ctx| {
             let p = comm.rank();
             per_rank(comm, ctx, x_cols.iter().map(|x| part.shards_of(p, x)).collect())

@@ -441,7 +441,7 @@ pub fn serve(
         let served = match chaos {
             None => {
                 let start_ns = clock_ns();
-                let (served, report, _, flight) = machine.run(universe(), false, rank_main);
+                let (served, report, flight) = machine.run(universe(), false, rank_main);
                 run.report = report;
                 run.flight = flight;
                 Some((served, start_ns))
@@ -454,7 +454,7 @@ pub fn serve(
                 let result = attempt
                     .try_run_traced(|comm| machine.with_rank(comm, |ctx| rank_main(comm, ctx)));
                 match result {
-                    Ok((served, report, _traces, flight)) => {
+                    Ok((served, report, flight)) => {
                         run.report = run.report.merged(&report);
                         run.flight = flight;
                         break Some((served, start_ns));
@@ -512,8 +512,7 @@ mod tests {
     use crate::blocks::tests::{kernel_lock, with_baseline_plans};
     use rand::prelude::*;
     use symtensor_core::generate::random_symmetric;
-    use symtensor_mpsim::FlightKind;
-    use symtensor_mpsim::RankCost;
+    use symtensor_mpsim::{CommEventKind, RankCost};
     use symtensor_steiner::spherical;
 
     fn setup(q: u64) -> (SymTensor3, TetraPartition, usize) {
@@ -648,7 +647,7 @@ mod tests {
 
     #[test]
     fn pipelined_serve_puts_the_same_messages_on_the_wire() {
-        use symtensor_mpsim::{CommEvent, CommEventKind};
+        use symtensor_mpsim::CommEvent;
         type Wire = (&'static str, bool, usize, u64, u64, Option<u64>);
         // One rank's traffic as a sorted multiset of (phase, is-send,
         // peer, tag, words, round annotation).
@@ -687,24 +686,24 @@ mod tests {
             let machine = Machine::new(&tensor, &part, mode, 1);
             let universe = || Universe::new(part.num_procs());
             // The reference: one barrier call per batch.
-            let (barrier, _, barrier_traces, _) = machine.run(universe(), true, |comm, ctx| {
+            let (barrier, _, barrier_logs) = machine.run(universe(), true, |comm, ctx| {
                 let batch_ys: Vec<_> = batches
                     .iter()
                     .map(|batch| ctx.sttsv_multi(comm, &form_batch(comm, &part, batch).0).0)
                     .collect();
                 batch_ys
             });
-            let (pipe, _, pipe_traces, _) = machine.run(universe(), true, |comm, ctx| {
+            let (pipe, _, pipe_logs) = machine.run(universe(), true, |comm, ctx| {
                 ctx.sttsv_serve_pipelined(comm, batches.len(), |k| {
                     form_batch(comm, &part, batches[k])
                 })
             });
             for p in 0..part.num_procs() {
-                let expect = wire(&barrier_traces[p]);
+                let expect = wire(&barrier_logs[p].events);
                 let case = format!("q={q} {mode:?} rank {p}");
                 assert!(expect.iter().any(|w| w.0 == "gather-x" && w.1), "{case}");
                 assert!(expect.iter().any(|w| w.0 == "reduce-y" && !w.1), "{case}");
-                assert_eq!(wire(&pipe_traces[p]), expect, "{case}: wire traffic");
+                assert_eq!(wire(&pipe_logs[p].events), expect, "{case}: wire traffic");
                 assert_eq!(pipe[p].len(), batches.len());
                 for (k, (a, b)) in pipe[p].iter().zip(&barrier[p]).enumerate() {
                     assert_eq!(bits(&a.ys), bits(b), "{case} batch {k}: output bits");
@@ -768,8 +767,7 @@ mod tests {
             for id in 40..43u64 {
                 assert!(
                     snap.events.iter().any(|e| e.request == Some(id)
-                        && e.kind == FlightKind::PhaseEnter
-                        && e.phase == Some("batch-form")),
+                        && matches!(e.kind, CommEventKind::PhaseEnter { name: "batch-form", .. })),
                     "rank {} has no batch-form record for request {id}",
                     snap.rank
                 );
@@ -779,7 +777,9 @@ mod tests {
             let kernel: Vec<_> = snap
                 .events
                 .iter()
-                .filter(|e| e.kind == FlightKind::PhaseEnter && e.phase == Some("compute:kernel"))
+                .filter(|e| {
+                    matches!(e.kind, CommEventKind::PhaseEnter { name: "compute:kernel", .. })
+                })
                 .collect();
             assert_eq!(kernel.len(), 1, "rank {}: one kernel pass per batch", snap.rank);
             assert!(kernel.iter().all(|e| e.request.is_none()));
@@ -787,7 +787,7 @@ mod tests {
             assert!(snap
                 .events
                 .iter()
-                .filter(|e| e.kind == FlightKind::Send)
+                .filter(|e| matches!(e.kind, CommEventKind::Send { .. }))
                 .all(|e| e.request.is_none()));
         }
     }

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use symtensor_core::generate::random_symmetric;
-use symtensor_mpsim::{FlightKind, FlightRecorder};
+use symtensor_mpsim::{CommEvent, CommEventKind, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 use symtensor_parallel::blocks::OwnedBlocks;
 use symtensor_parallel::plan::ExchangeKind;
 use symtensor_parallel::{PlanWorkspace, RankPlan, TetraPartition};
@@ -142,26 +142,27 @@ fn steady_state_sttsv_performs_zero_heap_allocations() {
 
     // The always-on flight recorder shares the steady state's zero-alloc
     // contract: once constructed, recording never touches the heap — not
-    // even when the ring wraps and starts evicting. 10 000 records into a
-    // 512-slot ring exercise both the fill and the wrap regimes.
-    let mut rec = FlightRecorder::new(512);
+    // even when the ring wraps and starts evicting. Ten rings' worth of
+    // records into the default 80 KiB ring exercise both the fill and the
+    // wrap regimes.
+    let cap = DEFAULT_FLIGHT_CAPACITY;
+    assert!(cap * std::mem::size_of::<CommEvent>() <= 80 * 1024, "ring exceeds 80 KiB");
+    let mut rec = FlightRecorder::new(cap);
+    let epoch = std::time::Instant::now();
     let before = allocs();
-    for i in 0..10_000u64 {
-        rec.record(
-            i * 100,
-            if i % 2 == 0 { FlightKind::Send } else { FlightKind::Recv },
-            Some("gather-x"),
-            Some(i % 7),
-            Some((i % 5) as usize),
-            6,
-            (i % 3 == 0).then_some(i),
-        );
+    for i in 0..10 * cap as u64 {
+        let kind = if i % 2 == 0 {
+            CommEventKind::Send { dst: (i % 5) as usize, tag: 0, words: 6 }
+        } else {
+            CommEventKind::Recv { src: (i % 5) as usize, tag: 0, words: 6 }
+        };
+        rec.record(epoch, Some("gather-x"), Some(i % 7), (i % 3 == 0).then_some(i), kind);
     }
     let after = allocs();
     assert_eq!(after - before, 0, "flight recording must not touch the heap");
     let snap = rec.snapshot(0);
-    assert_eq!(snap.events.len(), 512, "the ring retains exactly its capacity");
-    assert_eq!(snap.overhead.recorded, 10_000);
-    assert_eq!(snap.overhead.dropped, 9_488);
+    assert_eq!(snap.events.len(), cap, "the ring retains exactly its capacity");
+    assert_eq!(snap.overhead.recorded, 10 * cap as u64);
+    assert_eq!(snap.overhead.dropped, 9 * cap as u64);
     assert!(snap.events.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
 }

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use symtensor_core::generate::random_symmetric;
 use symtensor_core::seq::sttsv_sym;
 use symtensor_core::SymTensor3;
-use symtensor_mpsim::{CommEventKind, CrashSpec, FaultPlan, FlightKind, InjectedFault, Universe};
+use symtensor_mpsim::{CommEventKind, CrashSpec, FaultPlan, InjectedFault, Universe};
 use symtensor_obs::{flight_json, validate, ArtifactKind};
 use symtensor_parallel::{
     parallel_sttsv_serve, serve, ChaosPolicy, CommSchedule, Mode, RankContext, ServeConfig,
@@ -105,7 +105,7 @@ fn inert_plan_is_bit_identical_to_no_chaos() {
         assert!(!rec.degraded);
     }
     for snap in &chaos.flight {
-        assert!(snap.events.iter().all(|e| e.kind != FlightKind::Fault));
+        assert!(snap.events.iter().all(|e| !matches!(e.kind, CommEventKind::Fault { .. })));
     }
 }
 
@@ -123,7 +123,7 @@ fn any_single_dropped_message_fails_the_run() {
         let schedule = CommSchedule::build(&part);
         let n = part.dim();
         let x: Vec<f64> = (0..n).map(|i| (i % 7) as f64 - 3.0).collect();
-        let (_, _, traces, _) = Universe::new(p_count)
+        let (_, _, logs) = Universe::new(p_count)
             .try_run_traced(|comm| {
                 let p = comm.rank();
                 let ctx = RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule));
@@ -131,9 +131,11 @@ fn any_single_dropped_message_fails_the_run() {
                 ctx.sttsv_multi_requests(comm, &[shards], &[1])
             })
             .expect("fault-free run succeeds");
-        let sends: Vec<usize> = traces
+        let sends: Vec<usize> = logs
             .iter()
-            .map(|t| t.iter().filter(|e| matches!(e.kind, CommEventKind::Send { .. })).count())
+            .map(|t| {
+                t.events.iter().filter(|e| matches!(e.kind, CommEventKind::Send { .. })).count()
+            })
             .collect();
 
         let ranks = if q == 2 { vec![0, p_count / 2, p_count - 1] } else { vec![0, p_count - 1] };
@@ -183,7 +185,8 @@ fn injected_fault_sequence_is_seed_deterministic() {
                 ctx.sttsv_multi_requests(comm, &[shards], &[1])
             })
             .expect_err("a dropped message must fail the run");
-        failure.traces[1]
+        failure.flight[1]
+            .events
             .iter()
             .filter_map(|e| match e.kind {
                 CommEventKind::Fault { fault, peer, words } => Some((fault, peer, words)),

@@ -7,7 +7,7 @@
 use rand::prelude::*;
 use symtensor_core::generate::random_symmetric;
 use symtensor_core::SymTensor3;
-use symtensor_mpsim::{Comm, Universe};
+use symtensor_mpsim::{Comm, CommEvent, Universe};
 use symtensor_obs::{flight_json, validate, ArtifactKind, RequestLatency, SloReport};
 use symtensor_parallel::{
     parallel_sttsv, serve, CommSchedule, Mode, RankContext, ServeConfig, ServeRequest,
@@ -68,6 +68,33 @@ fn recorder_on_and_off_runs_are_bit_identical() {
                 a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
             assert!(identical, "rank {p}: output shards are not bit-identical");
         }
+    }
+}
+
+/// One event stream: a traced run and a default (bounded-ring) run of
+/// the same STTSV record the same events on every rank, in the same
+/// order, timestamps aside — the ring is a window onto the one stream,
+/// not a second format.
+#[test]
+fn traced_and_ring_runs_record_the_same_event_stream() {
+    let (tensor, part) = setup(2);
+    let x = input(part.dim());
+    let schedule = CommSchedule::build(&part);
+    let rank_main = |comm: &Comm| {
+        let p = comm.rank();
+        let ctx = RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule));
+        ctx.sttsv(comm, &part.shards_of(p, &x))
+    };
+    let (_, traced_report, traces) = Universe::new(part.num_procs()).run_traced(rank_main);
+    let (_, ring_report, rings) = Universe::new(part.num_procs()).run_flight(rank_main);
+    assert_eq!(traced_report, ring_report);
+    let untimed = |events: &[CommEvent]| -> Vec<CommEvent> {
+        events.iter().map(|e| CommEvent { t_ns: 0, ..*e }).collect()
+    };
+    for (p, (trace, ring)) in traces.iter().zip(&rings).enumerate() {
+        assert_eq!(ring.overhead.dropped, 0, "rank {p}: one q = 2 call must not wrap the ring");
+        assert!(trace.iter().any(|e| e.words() > 0), "rank {p}: no traffic recorded");
+        assert_eq!(untimed(trace), untimed(&ring.events), "rank {p}: the two logs differ");
     }
 }
 

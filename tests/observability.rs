@@ -23,8 +23,8 @@ fn traced(
 ) -> (SttsvRun, Vec<Vec<CommEvent>>) {
     let opts = SttsvOptions { trace: true, ..SttsvOptions::new(mode) };
     let mut run = parallel_sttsv_with(tensor, part, std::slice::from_ref(&x), opts).unwrap();
-    let y = run.ys.remove(0);
-    (SttsvRun { y, report: run.report, ternary_per_rank: run.ternary_per_rank }, run.traces)
+    let (y, traces) = (run.ys.remove(0), run.traces());
+    (SttsvRun { y, report: run.report, ternary_per_rank: run.ternary_per_rank }, traces)
 }
 
 fn traced_alg5(q: usize, seed: u64, mode: Mode) -> (SttsvRun, Vec<Vec<CommEvent>>) {

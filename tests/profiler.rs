@@ -22,7 +22,7 @@ fn traced_run(q: usize, mode: Mode) -> (Vec<f64>, Vec<Vec<CommEvent>>, CostRepor
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.013).sin()).collect();
     let opts = SttsvOptions { trace: true, ..SttsvOptions::new(mode) };
     let mut run = parallel_sttsv_with(&tensor, &part, &[x], opts).unwrap();
-    (run.ys.remove(0), run.traces, run.report, n)
+    (run.ys.remove(0), run.traces(), run.report, n)
 }
 
 /// The traced scheduled run's bandwidth cost reconciles *exactly* (±0

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use symtensor_mpsim::Universe;
 use symtensor_obs::json::{self, Value};
 use symtensor_obs::{
-    chrome_from_flight, chrome_trace, flight_json, postmortem_json, telemetry_json, validate,
-    ArtifactKind, BenchKey, BenchRecord, MetricsRegistry, RegressionReport, RunObservation,
+    chrome_trace, flight_json, postmortem_json, telemetry_json, validate, ArtifactKind, BenchKey,
+    BenchRecord, MetricsRegistry, RegressionReport, RunObservation,
 };
 use symtensor_telemetry::{ScrapeConfig, Scraper, TelemetryPlane};
 
@@ -19,11 +19,12 @@ fn traced_run() -> (
     Vec<Vec<symtensor_mpsim::cost::CommEvent>>,
     Vec<symtensor_mpsim::FlightSnapshot>,
 ) {
-    let (_, report, traces, flight) = Universe::new(2)
+    let (_, report, flight) = Universe::new(2)
         .try_run_traced(|comm| {
             comm.with_phase("swap", || comm.exchange(1 - comm.rank(), 0, vec![0.0; 4]).unwrap())
         })
         .expect("clean run");
+    let traces = flight.iter().map(|log| log.events.clone()).collect();
     (report, traces, flight)
 }
 
@@ -57,9 +58,8 @@ fn every_artifact_family_passes_the_shared_validator() {
     );
     assert_eq!(validate(&bundle), Ok(ArtifactKind::Metrics));
 
-    // 3. Chrome traces — from trace events and rebuilt from flight records.
+    // 3. Chrome trace.
     assert_eq!(validate(&chrome_trace(&traces)), Ok(ArtifactKind::ChromeTrace));
-    assert_eq!(validate(&chrome_from_flight(&flight, None)), Ok(ArtifactKind::ChromeTrace));
 
     // 4. Perf-regression diff, from a real evaluate.
     let diff = RegressionReport::evaluate(&bench_records(1.0), &bench_records(1.3), 0.15);

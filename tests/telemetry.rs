@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use symtensor_core::generate::random_symmetric;
 use symtensor_core::SymTensor3;
-use symtensor_mpsim::{FaultPlan, FlightKind};
+use symtensor_mpsim::{CommEventKind, FaultPlan};
 use symtensor_parallel::{
     bounds, parallel_sttsv_serve, serve, ChaosPolicy, Mode, ServeConfig, ServeRequest,
     TetraPartition,
@@ -133,8 +133,10 @@ fn chaos_slo_alert_fires_and_is_stamped_into_the_flight_window() {
         .flight
         .iter()
         .flat_map(|f| f.events.iter())
-        .filter(|e| e.kind == FlightKind::Alert)
-        .map(|e| e.words)
+        .filter_map(|e| match e.kind {
+            CommEventKind::Alert { id } => Some(id),
+            _ => None,
+        })
         .collect();
     assert!(!stamped.is_empty(), "alert records must land in the flight window");
     for id in &stamped {
