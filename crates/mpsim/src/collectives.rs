@@ -8,10 +8,13 @@
 //!   paper charges `P − 1` rounds,
 //! * [`Comm::all_gather`] — ring, `P − 1` steps, each rank moves
 //!   `total − own` words,
-//! * [`Comm::reduce_scatter`] — pairwise exchange with on-the-fly reduction,
-//! * [`Comm::all_reduce`] / [`Comm::broadcast`] / [`Comm::gather`] — simple
-//!   star algorithms; used only for tiny payloads (norms, convergence flags)
-//!   where the asymmetric root cost is irrelevant.
+//! * [`Comm::all_reduce`] — a star through rank 0; used only for tiny
+//!   payloads (the solver's norms and convergence scalars) where the
+//!   asymmetric root cost is irrelevant.
+//!
+//! These are the only collectives a workload calls: Algorithm 5 itself is
+//! point-to-point rounds, its comparison modes use the All-to-All, and the
+//! eigen-solver adds the all-reduce.
 //!
 //! All collectives must be called by **every** rank with consistent
 //! arguments; mismatches surface as [`crate::CommError::Timeout`].
@@ -22,7 +25,6 @@ use crate::comm::{Comm, CommError};
 /// FIFO ordering makes tag reuse across successive collectives safe.
 const TAG_ALL_TO_ALL: u64 = 1 << 48;
 const TAG_ALL_GATHER: u64 = 2 << 48;
-const TAG_REDUCE_SCATTER: u64 = 3 << 48;
 const TAG_STAR: u64 = 4 << 48;
 
 impl Comm {
@@ -111,40 +113,6 @@ impl Comm {
         })
     }
 
-    /// Reduce-scatter: rank `r` contributes `contribs[d]` toward rank `d`'s
-    /// result and returns `Σ_s contribs_s[r]` (element-wise). All
-    /// contributions toward a given rank must have equal length. Pairwise
-    /// exchange, `P − 1` steps; the accumulation order is fixed by the
-    /// schedule, so results are deterministic across runs.
-    pub fn reduce_scatter(&self, mut contribs: Vec<Vec<f64>>) -> Result<Vec<f64>, CommError> {
-        self.with_fallback_phase("coll:reduce-scatter", || {
-            let p = self.size();
-            assert_eq!(contribs.len(), p, "reduce_scatter needs one contribution per rank");
-            let rank = self.rank();
-            let mut acc = std::mem::take(&mut contribs[rank]);
-            for step in 1..p {
-                let dst = (rank + step) % p;
-                let src = (rank + p - step) % p;
-                self.send(
-                    dst,
-                    TAG_REDUCE_SCATTER + step as u64,
-                    std::mem::take(&mut contribs[dst]),
-                );
-                let piece = self.recv_or_abort(src, TAG_REDUCE_SCATTER + step as u64)?;
-                assert_eq!(
-                    piece.len(),
-                    acc.len(),
-                    "reduce_scatter length mismatch from rank {src}"
-                );
-                for (a, b) in acc.iter_mut().zip(&piece) {
-                    *a += b;
-                }
-                self.count_round();
-            }
-            Ok(acc)
-        })
-    }
-
     /// All-reduce (element-wise sum): star algorithm through rank 0 with a
     /// deterministic rank-ascending summation order. Intended for small
     /// payloads only.
@@ -175,43 +143,6 @@ impl Comm {
             } else {
                 self.send(0, TAG_STAR, local);
                 self.recv_or_abort(0, TAG_STAR + 1)
-            }
-        })
-    }
-
-    /// Broadcast `data` from `root` to all ranks (star).
-    pub fn broadcast(&self, root: usize, data: Vec<f64>) -> Result<Vec<f64>, CommError> {
-        self.with_fallback_phase("coll:broadcast", || {
-            let rank = self.rank();
-            if rank == root {
-                for dst in 0..self.size() {
-                    if dst != root {
-                        self.send(dst, TAG_STAR + 2, data.clone());
-                    }
-                }
-                Ok(data)
-            } else {
-                self.recv_or_abort(root, TAG_STAR + 2)
-            }
-        })
-    }
-
-    /// Gather every rank's `local` at `root`; non-root ranks get `None`.
-    pub fn gather(&self, root: usize, local: Vec<f64>) -> Result<Option<Vec<Vec<f64>>>, CommError> {
-        self.with_fallback_phase("coll:gather", || {
-            let rank = self.rank();
-            if rank == root {
-                let mut out: Vec<Vec<f64>> = vec![Vec::new(); self.size()];
-                out[root] = local;
-                for (src, slot) in out.iter_mut().enumerate() {
-                    if src != root {
-                        *slot = self.recv_or_abort(src, TAG_STAR + 3)?;
-                    }
-                }
-                Ok(Some(out))
-            } else {
-                self.send(root, TAG_STAR + 3, local);
-                Ok(None)
             }
         })
     }
@@ -262,46 +193,12 @@ mod tests {
     }
 
     #[test]
-    fn reduce_scatter_sums_contributions() {
-        let p = 4;
-        let (results, _) = Universe::new(p).run(|comm| {
-            let rank = comm.rank();
-            // contribs[d] = [rank + d] repeated 3 times.
-            let contribs: Vec<Vec<f64>> = (0..p).map(|d| vec![(rank + d) as f64; 3]).collect();
-            comm.reduce_scatter(contribs).unwrap()
-        });
-        for (rank, out) in results.iter().enumerate() {
-            // Σ_s (s + rank) = P*rank + P(P-1)/2.
-            let expected = (p * rank + p * (p - 1) / 2) as f64;
-            assert_eq!(out, &vec![expected; 3]);
-        }
-    }
-
-    #[test]
     fn all_reduce_and_broadcast() {
         let p = 7;
-        let (results, _) = Universe::new(p).run(|comm| {
-            let sum = comm.all_reduce(vec![comm.rank() as f64]).unwrap();
-            let bc = comm.broadcast(2, vec![sum[0] * 2.0]).unwrap();
-            (sum[0], bc[0])
-        });
-        let total = (p * (p - 1) / 2) as f64;
-        for &(s, b) in &results {
-            assert_eq!(s, total);
-            assert_eq!(b, total * 2.0);
-        }
-    }
-
-    #[test]
-    fn gather_collects_at_root() {
-        let p = 4;
         let (results, _) =
-            Universe::new(p).run(|comm| comm.gather(1, vec![comm.rank() as f64]).unwrap());
-        assert!(results[0].is_none());
-        let at_root = results[1].as_ref().unwrap();
-        for (src, buf) in at_root.iter().enumerate() {
-            assert_eq!(buf, &vec![src as f64]);
-        }
+            Universe::new(p).run(|comm| comm.all_reduce(vec![comm.rank() as f64]).unwrap()[0]);
+        let total = (p * (p - 1) / 2) as f64;
+        assert!(results.iter().all(|&s| s == total));
     }
 
     #[test]
@@ -309,11 +206,10 @@ mod tests {
         let (results, report) = Universe::new(1).run(|comm| {
             let a2a = comm.all_to_all_v(vec![vec![1.0]]).unwrap();
             let ag = comm.all_gather(vec![2.0]).unwrap();
-            let rs = comm.reduce_scatter(vec![vec![3.0]]).unwrap();
             let ar = comm.all_reduce(vec![4.0]).unwrap();
-            (a2a[0][0], ag[0][0], rs[0], ar[0])
+            (a2a[0][0], ag[0][0], ar[0])
         });
-        assert_eq!(results[0], (1.0, 2.0, 3.0, 4.0));
+        assert_eq!(results[0], (1.0, 2.0, 4.0));
         assert_eq!(report.total_words_sent(), 0);
     }
 }
@@ -352,14 +248,9 @@ mod edge_case_tests {
         let (results, _) = Universe::new(2).run(|comm| {
             let r = comm.rank() as f64;
             let ag = comm.all_gather(vec![r]).unwrap();
-            let rs = comm.reduce_scatter(vec![vec![r], vec![r + 10.0]]).unwrap();
             let ar = comm.all_reduce(vec![r]).unwrap();
-            (ag[0][0], ag[1][0], rs[0], ar[0])
+            (ag[0][0], ag[1][0], ar[0])
         });
-        // reduce_scatter: rank d receives Σ_s contribs_s[d].
-        // Toward rank 0: [0.0] from rank 0 plus [1.0] from rank 1 = 1.0.
-        // Toward rank 1: [10.0] from rank 0 plus [11.0] from rank 1 = 21.0.
-        assert_eq!(results[0], (0.0, 1.0, 1.0, 1.0));
-        assert_eq!(results[1], (0.0, 1.0, 21.0, 1.0));
+        assert_eq!(results, vec![(0.0, 1.0, 1.0); 2]);
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::cost::{CommEventKind, SharedCounters};
 use crate::fault::{FaultPlan, FaultState, InjectedFault, SendAction};
-use crate::flight::{FlightRecorder, FlightSnapshot};
+use crate::flight::FlightRecorder;
 use crate::sync::{AtomicBool, Ordering};
 use std::cell::{Cell, RefCell};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -268,9 +268,10 @@ impl Comm {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// This rank's log, oldest event first.
-    pub fn flight_snapshot(&self) -> FlightSnapshot {
-        self.log.borrow().snapshot(self.rank)
+    /// Hands this rank's log over by value, once the rank's closure has
+    /// returned.
+    pub(crate) fn into_log(self) -> FlightRecorder {
+        self.log.into_inner()
     }
 
     /// Records one event, annotated with the active phase, round and
@@ -467,10 +468,6 @@ impl Comm {
                         dup: true,
                     });
                 }
-                SendAction::Delay(delay) => {
-                    self.record_fault(InjectedFault::Delay, dst, data.len() as u64);
-                    std::thread::sleep(delay);
-                }
             }
         }
         let words = data.len() as u64;
@@ -568,12 +565,6 @@ impl Comm {
         msg.data
     }
 
-    /// Whether a live telemetry plane is attached to this run.
-    #[inline]
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
-    }
-
     /// The telemetry phase slot for the innermost active phase, via the
     /// handle's one-entry cache: the common case (same phase as the last
     /// publish) is a single pointer compare; a miss resolves the label
@@ -604,26 +595,6 @@ impl Comm {
             self.record(CommEventKind::Alert { id: alert.id });
         }
         h.seen_alerts.set(count);
-    }
-
-    /// Sets the named telemetry gauge on this rank's cell to `value`.
-    /// No-op (one branch) when no plane is attached.
-    #[inline]
-    pub fn telemetry_gauge_set(&self, name: &'static str, value: u64) {
-        if let Some(h) = &self.telemetry {
-            let slot = h.plane.gauge_slot(name);
-            h.plane.rank_cell(self.rank).gauge_set(slot, value);
-        }
-    }
-
-    /// Records `value` into the named telemetry rolling histogram on this
-    /// rank's cell. No-op (one branch) when no plane is attached.
-    #[inline]
-    pub fn telemetry_observe(&self, name: &'static str, value: u64) {
-        if let Some(h) = &self.telemetry {
-            let slot = h.plane.hist_slot(name);
-            h.plane.rank_cell(self.rank).observe(slot, h.plane.now_ns(), value);
-        }
     }
 
     /// Publishes the flight recorder's accumulated self-overhead as the

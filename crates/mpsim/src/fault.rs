@@ -1,6 +1,6 @@
 //! symtensor-chaos: deterministic, seed-driven fault injection.
 //!
-//! A [`FaultPlan`] describes which messages to drop, delay or duplicate and
+//! A [`FaultPlan`] describes which messages to drop or duplicate and
 //! (optionally) which rank to crash at which `(phase, round)`. Install it
 //! with [`crate::Universe::with_faults`]; the communicator consults the
 //! plan on every send and receive. Every injected fault is recorded, once,
@@ -19,8 +19,6 @@
 //! With every probability at zero and no crash scheduled, the layer is
 //! observationally inert: counters and event logs are bit-identical to a
 //! run without the plan installed.
-
-use std::time::Duration;
 
 /// A tiny xorshift64* PRNG — deterministic, seedable, no global state.
 /// Used for fault decisions only; quality requirements are mild.
@@ -99,8 +97,6 @@ impl CrashSpec {
 pub enum InjectedFault {
     /// The message was silently discarded before reaching the network.
     Drop,
-    /// Delivery was delayed by the plan's configured latency.
-    Delay,
     /// A second, receiver-deduplicated copy was delivered.
     Duplicate,
     /// The rank was crashed at its scheduled `(phase, round)`.
@@ -112,7 +108,6 @@ impl InjectedFault {
     pub fn label(&self) -> &'static str {
         match self {
             InjectedFault::Drop => "drop",
-            InjectedFault::Delay => "delay",
             InjectedFault::Duplicate => "duplicate",
             InjectedFault::Crash => "crash",
         }
@@ -130,10 +125,6 @@ pub struct FaultPlan {
     pub drop_prob: f64,
     /// Per-message probability of an injected duplicate delivery.
     pub dup_prob: f64,
-    /// Per-message probability of an injected delivery delay.
-    pub delay_prob: f64,
-    /// How long a delayed delivery waits.
-    pub delay: Duration,
     /// Deterministic crash of one rank at one `(phase, round)`.
     pub crash: Option<CrashSpec>,
     /// Exact drops: `(rank, nth)` discards the `nth` send (0-based, counted
@@ -153,8 +144,6 @@ impl FaultPlan {
             seed,
             drop_prob: 0.0,
             dup_prob: 0.0,
-            delay_prob: 0.0,
-            delay: Duration::from_micros(200),
             crash: None,
             drop_exact: Vec::new(),
             attempt: 0,
@@ -172,14 +161,6 @@ impl FaultPlan {
     pub fn with_dup_prob(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "duplicate probability must be in [0, 1]");
         self.dup_prob = p;
-        self
-    }
-
-    /// Sets the per-message delay probability and the delay itself.
-    pub fn with_delay(mut self, p: f64, delay: Duration) -> Self {
-        assert!((0.0..=1.0).contains(&p), "delay probability must be in [0, 1]");
-        self.delay_prob = p;
-        self.delay = delay;
         self
     }
 
@@ -210,7 +191,6 @@ impl FaultPlan {
     pub fn is_active(&self) -> bool {
         self.drop_prob > 0.0
             || self.dup_prob > 0.0
-            || self.delay_prob > 0.0
             || !self.drop_exact.is_empty()
             || self.crash.as_ref().is_some_and(|c| c.on_attempt.is_none_or(|a| a == self.attempt))
     }
@@ -222,7 +202,6 @@ pub(crate) enum SendAction {
     Deliver,
     Drop,
     Duplicate,
-    Delay(Duration),
 }
 
 /// Per-rank chaos state held by the communicator: the plan, this rank's
@@ -256,8 +235,6 @@ impl FaultState {
             SendAction::Drop
         } else if u < self.plan.drop_prob + self.plan.dup_prob {
             SendAction::Duplicate
-        } else if u < self.plan.drop_prob + self.plan.dup_prob + self.plan.delay_prob {
-            SendAction::Delay(self.plan.delay)
         } else {
             SendAction::Deliver
         }

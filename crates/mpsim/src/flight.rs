@@ -7,7 +7,7 @@
 //!
 //! * **a bounded ring** (the default, [`FlightRecorder::new`]) — always
 //!   on, so the last window of activity on every rank survives a crash
-//!   and can be drained into a post-mortem dump;
+//!   and can be handed over, by value, into a post-mortem dump;
 //! * **an unbounded log** ([`FlightRecorder::unbounded`], used by
 //!   [`crate::Universe::run_traced`]) — the complete run, for span trees,
 //!   comm matrices and Perfetto traces. A traced run's log *is* its window.
@@ -53,8 +53,8 @@ pub struct FlightOverhead {
     pub overhead_ns: u64,
 }
 
-/// Everything drained from one rank's log at the end of a run (or at a
-/// crash).
+/// One rank's log, oldest record first, handed over at the end of a run
+/// (or at a crash).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlightSnapshot {
     /// The rank this log belonged to.
@@ -174,19 +174,20 @@ impl FlightRecorder {
         self.overhead_ns
     }
 
-    /// The log in chronological order. Allocates (it is called once, at
-    /// drain time, outside the measured steady state).
-    pub fn snapshot(&self, rank: usize) -> FlightSnapshot {
-        let (newer, older) = self.log.split_at(self.head);
+    /// The log in chronological order, taken by value: a wrapped ring is
+    /// rotated in place so its oldest record comes first; nothing is
+    /// allocated or copied.
+    pub fn into_snapshot(mut self, rank: usize) -> FlightSnapshot {
+        self.log.rotate_left(self.head);
         FlightSnapshot {
             rank,
-            events: older.iter().chain(newer).copied().collect(),
             overhead: FlightOverhead {
                 capacity: self.ring.unwrap_or(self.log.len()),
                 recorded: self.recorded,
                 dropped: self.dropped,
                 overhead_ns: self.overhead_ns,
             },
+            events: self.log,
         }
     }
 }
@@ -211,7 +212,7 @@ mod tests {
         for i in 0..10u64 {
             rec.push(send(i * 10, i));
         }
-        let snap = rec.snapshot(0);
+        let snap = rec.into_snapshot(0);
         assert_eq!(snap.events.len(), 4);
         assert_eq!(snap.overhead.capacity, 4);
         assert_eq!(snap.overhead.recorded, 10);
@@ -231,7 +232,7 @@ mod tests {
         rec.record(epoch, Some("gather-x"), Some(u64::MAX), Some(u64::MAX), kind);
         let before_second = epoch.elapsed().as_nanos() as u64;
         rec.record(epoch, None, Some(1), None, CommEventKind::Recv { src: 2, tag: 5, words: 9 });
-        let snap = rec.snapshot(5);
+        let snap = rec.into_snapshot(5);
         assert_eq!(snap.rank, 5);
         assert_eq!(snap.events.len(), 2);
         // Every field is kept at full width: no clamping, no aliasing.
@@ -257,7 +258,7 @@ mod tests {
             None,
             CommEventKind::Fault { fault, peer: 2, words: 9 },
         );
-        let snap = rec.snapshot(1);
+        let snap = rec.into_snapshot(1);
         assert_eq!(snap.events.len(), 1);
         assert_eq!(snap.events[0].kind, CommEventKind::Fault { fault, peer: 2, words: 9 });
         // Fault records are not Send records: word sums stay clean.
@@ -268,7 +269,7 @@ mod tests {
     fn alert_kind_roundtrips_with_its_id() {
         let mut rec = FlightRecorder::new(4);
         rec.record(Instant::now(), Some("reduce-y"), None, None, CommEventKind::Alert { id: 3 });
-        let snap = rec.snapshot(2);
+        let snap = rec.into_snapshot(2);
         assert_eq!(snap.events.len(), 1);
         assert_eq!(snap.events[0].kind, CommEventKind::Alert { id: 3 });
         assert_eq!(snap.events[0].phase, Some("reduce-y"));
@@ -290,7 +291,7 @@ mod tests {
         rec.overhead_ns = u64::MAX;
         rec.record(epoch, None, None, None, CommEventKind::Alert { id: 8 });
         assert_eq!(rec.overhead_ns(), u64::MAX, "saturates instead of wrapping");
-        assert_eq!(rec.snapshot(0).overhead.overhead_ns, u64::MAX);
+        assert_eq!(rec.into_snapshot(0).overhead.overhead_ns, u64::MAX);
     }
 
     #[test]
@@ -300,7 +301,7 @@ mod tests {
         for i in 0..100u64 {
             rec.push(send(i, 1));
         }
-        let snap = rec.snapshot(0);
+        let snap = rec.into_snapshot(0);
         assert_eq!(snap.events.len(), 100);
         assert_eq!((snap.overhead.capacity, snap.overhead.dropped), (100, 0));
     }
@@ -310,7 +311,7 @@ mod tests {
         let mut rec = FlightRecorder::new(0);
         assert!(!rec.enabled());
         rec.record(Instant::now(), None, None, None, CommEventKind::Alert { id: 0 });
-        let snap = rec.snapshot(0);
+        let snap = rec.into_snapshot(0);
         assert!(snap.events.is_empty());
         assert_eq!(snap.overhead, FlightOverhead::default());
     }

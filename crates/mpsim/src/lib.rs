@@ -12,10 +12,10 @@
 //! * each rank is an OS thread; links are unbounded channels,
 //! * every [`Comm::send`] / [`Comm::recv`] updates per-rank counters of
 //!   words and messages moved,
-//! * collectives ([`Comm::all_to_all_v`], [`Comm::all_gather`], …) are built
-//!   from point-to-point operations using the standard algorithms cited by
-//!   the paper (Thakur et al.), so their measured cost is what a real MPI
-//!   run would charge,
+//! * the collectives ([`Comm::all_to_all_v`], [`Comm::all_gather`],
+//!   [`Comm::all_reduce`]) are built from point-to-point operations using
+//!   the standard algorithms cited by the paper (Thakur et al.), so their
+//!   measured cost is what a real MPI run would charge,
 //! * [`Universe::run`] returns both the per-rank results and a
 //!   [`CostReport`] with the exact counts.
 //!
@@ -23,7 +23,6 @@
 //! (mismatched schedules, missing sends) surface as errors instead of hangs.
 
 pub mod collectives;
-pub mod collectives_tree;
 pub mod comm;
 pub mod cost;
 pub mod fault;
@@ -96,7 +95,7 @@ impl Universe {
     }
 
     /// Installs a deterministic [`FaultPlan`] (symtensor-chaos): every rank
-    /// consults it on send/recv to drop, delay or duplicate messages and to
+    /// consults it on send/recv to drop or duplicate messages and to
     /// fire scheduled crashes. A plan that can inject nothing (all
     /// probabilities zero, no exact drops, no crash due this attempt) is
     /// observationally inert — counters, traces and flight windows are
@@ -164,7 +163,7 @@ impl Universe {
     {
         let (outcomes, report) = self.run_inner(true, &f);
         let (results, logs) = unwrap_outcomes(outcomes);
-        (results, report, logs.into_iter().map(|log| log.events).collect())
+        (results, report, into_snapshots(logs).into_iter().map(|log| log.events).collect())
     }
 
     /// Like [`Universe::run`] but additionally returns every rank's
@@ -178,8 +177,8 @@ impl Universe {
         R: Send,
     {
         let (outcomes, report) = self.run_inner(false, &f);
-        let (results, flight) = unwrap_outcomes(outcomes);
-        (results, report, flight)
+        let (results, logs) = unwrap_outcomes(outcomes);
+        (results, report, into_snapshots(logs))
     }
 
     /// Runs `f` on every rank with unbounded logs, and converts a rank
@@ -200,8 +199,8 @@ impl Universe {
         let (outcomes, report) = self.run_inner(true, &f);
         let failed = outcomes.iter().position(|o| o.result.is_err());
         let Some(first_failed) = failed else {
-            let (results, flight) = unwrap_outcomes(outcomes);
-            return Ok((results, report, flight));
+            let (results, logs) = unwrap_outcomes(outcomes);
+            return Ok((results, report, into_snapshots(logs)));
         };
         // Root-cause attribution: the abort state records the first rank
         // whose panic tripped the flag; fall back to the lowest failed
@@ -222,7 +221,7 @@ impl Universe {
             Err(payload) => panic_message(payload.as_ref()),
             Ok(_) => unreachable!("attributed rank must have failed"),
         };
-        let flight = outcomes.into_iter().map(|o| o.log).collect();
+        let flight = into_snapshots(outcomes.into_iter().map(|o| o.log).collect());
         Err(Box::new(RankFailure { rank, phase, round, message, report, flight }))
     }
 
@@ -302,9 +301,9 @@ impl Universe {
                     // Final live-metrics flush: the recorder's self-tax is
                     // only known once the closure is done.
                     comm.publish_flight_overhead();
-                    // Drain telemetry even from a failed rank — the crash
-                    // dump needs its final window most of all.
-                    RankOutcome { result, log: comm.flight_snapshot(), abort_info: abort.info() }
+                    // Hand the log over even from a failed rank — the
+                    // crash dump needs its final window most of all.
+                    RankOutcome { result, log: comm.into_log(), abort_info: abort.info() }
                 }));
             }
             handles
@@ -318,18 +317,24 @@ impl Universe {
 }
 
 /// Everything one rank thread hands back to the universe: its closure
-/// outcome (panic payload preserved), its event log, and the abort
-/// attribution it observed at exit.
+/// outcome (panic payload preserved), its event log (moved, not copied;
+/// [`Universe::run`] drops it unconverted), and the abort attribution it
+/// observed at exit.
 struct RankOutcome<R> {
     result: Result<R, Box<dyn std::any::Any + Send + 'static>>,
-    log: FlightSnapshot,
+    log: FlightRecorder,
     abort_info: Option<AbortInfo>,
+}
+
+/// Converts per-rank logs (indexed by rank) into chronological snapshots.
+fn into_snapshots(logs: Vec<FlightRecorder>) -> Vec<FlightSnapshot> {
+    logs.into_iter().enumerate().map(|(rank, log)| log.into_snapshot(rank)).collect()
 }
 
 /// Unwraps per-rank outcomes, resuming the root-cause panic if any rank
 /// failed (the rank named by the abort attribution when available, so the
 /// panic the caller observes is the one that started the cascade).
-fn unwrap_outcomes<R>(outcomes: Vec<RankOutcome<R>>) -> (Vec<R>, Vec<FlightSnapshot>) {
+fn unwrap_outcomes<R>(outcomes: Vec<RankOutcome<R>>) -> (Vec<R>, Vec<FlightRecorder>) {
     if outcomes.iter().any(|o| o.result.is_err()) {
         let root = outcomes
             .iter()

@@ -58,7 +58,7 @@ pub use chrome::{
     chrome_trace, chrome_trace_multi, chrome_trace_string, chrome_trace_with_profile,
 };
 pub use flight::{flight_json, postmortem_json, reconcile_postmortem};
-pub use histogram::{Histogram, ProfileHistograms};
+pub use histogram::{histogram_json, Histogram, ProfileHistograms};
 pub use matrix::CommMatrix;
 pub use metrics::MetricsRegistry;
 pub use occupancy::{spherical_step_bound, OccupancyReport};

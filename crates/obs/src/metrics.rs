@@ -5,7 +5,7 @@
 //! power-of-two buckets, which is the right resolution for message sizes
 //! (the quantities the α-β-γ model counts) and for nanosecond latencies.
 
-use crate::histogram::Histogram;
+use crate::histogram::{histogram_json, Histogram};
 use crate::json::Value;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -103,8 +103,9 @@ impl MetricsRegistry {
         );
         let gauges =
             Value::Object(inner.gauges.iter().map(|(k, &v)| (k.clone(), Value::from(v))).collect());
-        let histograms =
-            Value::Object(inner.histograms.iter().map(|(k, h)| (k.clone(), h.to_json())).collect());
+        let histograms = Value::Object(
+            inner.histograms.iter().map(|(k, h)| (k.clone(), histogram_json(h))).collect(),
+        );
         Value::object()
             .with("counters", counters)
             .with("gauges", gauges)

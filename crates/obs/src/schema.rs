@@ -66,7 +66,7 @@ fn require_str<'a>(doc: &'a Value, key: &str, what: &str) -> Result<&'a str, Str
     require(doc, key, what)?.as_str().ok_or_else(|| format!("{what}: `{key}` is not a string"))
 }
 
-/// A histogram object as emitted by `Histogram::to_json`: exact stats plus
+/// A histogram object as emitted by `histogram_json`: exact stats plus
 /// quantiles that are numbers — or `null` for an empty histogram, never a
 /// fake 0.
 fn check_histogram(h: &Value, what: &str) -> Result<(), String> {
@@ -164,6 +164,20 @@ fn check_alerts(doc: &Value, what: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// A telemetry cell's `hists`: `{name: {long, short}}`, both windows in
+/// the shared histogram shape.
+fn check_cell_hists(cell: &Value, what: &str) -> Result<(), String> {
+    let Value::Object(hists) = require(cell, "hists", what)? else {
+        return Err(format!("{what}: `hists` is not an object"));
+    };
+    for (name, h) in hists {
+        for window in ["long", "short"] {
+            check_histogram(require(h, window, what)?, &format!("{what}: hists.{name}.{window}"))?;
+        }
+    }
+    Ok(())
+}
+
 fn check_telemetry(doc: &Value, what: &str) -> Result<(), String> {
     require_u64(doc, "interval_ns", what)?;
     let mut last = 0u64;
@@ -189,7 +203,9 @@ fn check_telemetry(doc: &Value, what: &str) -> Result<(), String> {
                     require_u64(phase, key, &pctx)?;
                 }
             }
+            check_cell_hists(cell, &rctx)?;
         }
+        check_cell_hists(require(s, "serve", &ctx)?, &format!("{ctx}: serve"))?;
         check_alerts(s, &ctx)?;
     }
     check_alerts(doc, what)
@@ -418,6 +434,28 @@ mod tests {
         .unwrap();
         let err = validate(&doc).unwrap_err();
         assert!(err.contains("p50"), "a 0-quantile on an empty histogram must be rejected: {err}");
+    }
+
+    #[test]
+    fn empty_telemetry_window_must_report_null_quantiles_not_zero() {
+        let doc = |p50: &str| {
+            json::parse(&format!(
+                r#"{{"version": "symtensor-telemetry-v1", "interval_ns": 1, "alerts": [],
+                    "samples": [{{"t_ns": 0, "alerts": [], "ranks": [],
+                      "derived": {{"total_words_sent": 0, "queue_depth": 0,
+                                   "batch_occupancy_pct": 0, "retries": 0, "degraded": 0}},
+                      "serve": {{"phases": [], "gauges": {{}}, "hists": {{"serve:e2e_ns": {{
+                        "long": {{"count": 0, "sum": 0, "min": 0, "max": 0, "mean": 0.0,
+                                 "p50": null, "p90": null, "p99": null, "buckets": []}},
+                        "short": {{"count": 0, "sum": 0, "min": 0, "max": 0, "mean": 0.0,
+                                  "p50": {p50}, "p90": null, "p99": null, "buckets": []}}
+                      }}}}}}}}]}}"#
+            ))
+            .unwrap()
+        };
+        assert_eq!(validate(&doc("null")), Ok(ArtifactKind::Telemetry));
+        let err = validate(&doc("0")).unwrap_err();
+        assert!(err.contains("hists.serve:e2e_ns.short") && err.contains("p50"), "{err}");
     }
 
     #[test]

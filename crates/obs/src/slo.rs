@@ -4,8 +4,9 @@
 //! remembers one concrete request that landed in it, so a p99 readout
 //! links to a request id whose flight-recorder trace can be pulled up.
 
-use crate::histogram::{bucket_index, Histogram};
+use crate::histogram::{histogram_json, Histogram};
 use crate::json::Value;
+use symtensor_telemetry::{bucket_index, bucket_upper_bound};
 
 /// One concrete observation kept as the representative of a bucket.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,7 +59,7 @@ impl ExemplarHistogram {
     /// JSON form: the histogram plus `{bucket_le, request, value}` exemplar
     /// links for every non-empty bucket.
     pub fn to_json(&self) -> Value {
-        self.hist.to_json().with(
+        histogram_json(&self.hist).with(
             "exemplars",
             Value::Array(
                 self.exemplars
@@ -67,7 +68,7 @@ impl ExemplarHistogram {
                     .filter_map(|(i, e)| e.as_ref().map(|e| (i, e)))
                     .map(|(i, e)| {
                         Value::object()
-                            .with("bucket_le", 1u64 << i)
+                            .with("bucket_le", bucket_upper_bound(i))
                             .with("request", e.request)
                             .with("value", e.value)
                     })

@@ -3,10 +3,9 @@
 //! can be archived next to the flight / post-mortem dumps and validated
 //! by the same [`crate::schema::validate`] entry point.
 
+use crate::histogram::histogram_json;
 use crate::json::Value;
-use symtensor_telemetry::{
-    CellSnapshot, ClusterSnapshot, HistogramWindow, SloAlert, TelemetrySeries,
-};
+use symtensor_telemetry::{CellSnapshot, ClusterSnapshot, SloAlert, TelemetrySeries};
 
 fn opt_u64(v: Option<u64>) -> Value {
     v.map(Value::from).unwrap_or(Value::Null)
@@ -14,29 +13,6 @@ fn opt_u64(v: Option<u64>) -> Value {
 
 fn opt_f64(v: Option<f64>) -> Value {
     v.map(Value::from).unwrap_or(Value::Null)
-}
-
-fn window_json(w: &HistogramWindow) -> Value {
-    // Only populated buckets are emitted (`le` is the bucket's upper
-    // bound); the fixed 40-bucket layout would otherwise bloat every
-    // sample with zeros.
-    let buckets: Vec<Value> = w
-        .buckets
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c > 0)
-        .map(|(i, &c)| {
-            Value::object().with("le", symtensor_telemetry::bucket_upper_bound(i)).with("count", c)
-        })
-        .collect();
-    Value::object()
-        .with("count", w.count)
-        .with("sum", w.sum)
-        .with("min", opt_u64(w.min))
-        .with("max", opt_u64(w.max))
-        .with("p50", opt_u64(w.quantile(0.50)))
-        .with("p99", opt_u64(w.quantile(0.99)))
-        .with("buckets", buckets)
 }
 
 fn cell_json(cell: &CellSnapshot) -> Value {
@@ -61,7 +37,9 @@ fn cell_json(cell: &CellSnapshot) -> Value {
     for h in &cell.hists {
         hists.set(
             h.name,
-            Value::object().with("long", window_json(&h.long)).with("short", window_json(&h.short)),
+            Value::object()
+                .with("long", histogram_json(&h.long))
+                .with("short", histogram_json(&h.short)),
         );
     }
     Value::object().with("phases", phases).with("gauges", gauges).with("hists", hists)

@@ -577,11 +577,6 @@ impl PlanWorkspace {
         self.bufs.push(buf);
     }
 
-    /// Buffers currently in the free list.
-    pub fn pooled_bufs(&self) -> usize {
-        self.bufs.len()
-    }
-
     /// Cumulative heap-touching events (slab growth and message-buffer
     /// promotions). A flat reading across iterations is the
     /// steady-state-zero-allocation witness (the `compute:kernel` span's

@@ -142,27 +142,43 @@ fn steady_state_sttsv_performs_zero_heap_allocations() {
 
     // The always-on flight recorder shares the steady state's zero-alloc
     // contract: once constructed, recording never touches the heap — not
-    // even when the ring wraps and starts evicting. Ten rings' worth of
-    // records into the default 80 KiB ring exercise both the fill and the
-    // wrap regimes.
+    // even when the ring wraps and starts evicting — and neither does
+    // handing the log over at exit. Ten and a third rings' worth of
+    // records into the default 80 KiB ring exercise the fill and the wrap
+    // regimes and leave the write head mid-ring, so the by-value
+    // conversion has a real rotation to do.
     let cap = DEFAULT_FLIGHT_CAPACITY;
     assert!(cap * std::mem::size_of::<CommEvent>() <= 80 * 1024, "ring exceeds 80 KiB");
+    let total = 10 * cap as u64 + cap as u64 / 3;
     let mut rec = FlightRecorder::new(cap);
     let epoch = std::time::Instant::now();
     let before = allocs();
-    for i in 0..10 * cap as u64 {
+    for i in 0..total {
+        // The tag carries the record's sequence number.
         let kind = if i % 2 == 0 {
-            CommEventKind::Send { dst: (i % 5) as usize, tag: 0, words: 6 }
+            CommEventKind::Send { dst: (i % 5) as usize, tag: i, words: 6 }
         } else {
-            CommEventKind::Recv { src: (i % 5) as usize, tag: 0, words: 6 }
+            CommEventKind::Recv { src: (i % 5) as usize, tag: i, words: 6 }
         };
         rec.record(epoch, Some("gather-x"), Some(i % 7), (i % 3 == 0).then_some(i), kind);
     }
     let after = allocs();
     assert_eq!(after - before, 0, "flight recording must not touch the heap");
-    let snap = rec.snapshot(0);
+    let before = allocs();
+    let snap = rec.into_snapshot(0);
+    assert_eq!(allocs() - before, 0, "converting the ring by value must not touch the heap");
     assert_eq!(snap.events.len(), cap, "the ring retains exactly its capacity");
-    assert_eq!(snap.overhead.recorded, 10 * cap as u64);
-    assert_eq!(snap.overhead.dropped, 9 * cap as u64);
+    assert_eq!(snap.overhead.recorded, total);
+    assert_eq!(snap.overhead.dropped, total - cap as u64);
+    // Oldest first: exactly the last `cap` records, in recording order.
+    let tags: Vec<u64> = snap
+        .events
+        .iter()
+        .map(|e| match e.kind {
+            CommEventKind::Send { tag, .. } | CommEventKind::Recv { tag, .. } => tag,
+            other => panic!("unexpected record {other:?}"),
+        })
+        .collect();
+    assert!(tags.iter().copied().eq(total - cap as u64..total), "chronological order");
     assert!(snap.events.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
 }

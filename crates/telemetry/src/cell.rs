@@ -2,7 +2,8 @@
 //! gauges and rolling histograms, written lock-free by the owning thread
 //! and snapshot by the scraper without ever blocking the writer.
 
-use crate::rolling::{HistogramWindow, RollingHistogram};
+use crate::histogram::Histogram;
+use crate::rolling::RollingHistogram;
 use crate::sync::{fence, AtomicU64, Ordering};
 
 /// Traffic counters for one phase slot (see
@@ -117,7 +118,7 @@ impl TelemetryCell {
     }
 
     /// Reads the last `n_slices` slices of histogram slot `slot`.
-    pub fn hist_window(&self, slot: usize, now_ns: u64, n_slices: usize) -> HistogramWindow {
+    pub fn hist_window(&self, slot: usize, now_ns: u64, n_slices: usize) -> Histogram {
         self.hists[slot].window(now_ns, n_slices)
     }
 
@@ -241,9 +242,9 @@ pub struct HistSnapshot {
     /// Interned histogram name (see [`crate::keys`]).
     pub name: &'static str,
     /// Merge of all live slices.
-    pub long: HistogramWindow,
+    pub long: Histogram,
     /// Merge of the most recent `short_slices` slices.
-    pub short: HistogramWindow,
+    pub short: Histogram,
 }
 
 /// One cell, fully decoded. Only slots registered at snapshot time

@@ -2,7 +2,7 @@
 //! table the `monitor` binary renders. Both are pure functions of a
 //! [`ClusterSnapshot`], so golden-file tests pin the exact bytes.
 
-use crate::rolling::{bucket_upper_bound, HistogramWindow};
+use crate::histogram::{bucket_upper_bound, Histogram};
 use crate::scrape::ClusterSnapshot;
 use std::fmt::Write;
 
@@ -32,12 +32,12 @@ fn family(out: &mut String, name: &str, help: &str, kind: &str) {
     let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
-fn hist_family(out: &mut String, name: &str, help: &str, w: &HistogramWindow) {
+fn hist_family(out: &mut String, name: &str, help: &str, w: &Histogram) {
     family(out, name, help, "histogram");
     let mut cum = 0u64;
-    let last = w.buckets.iter().rposition(|&c| c > 0).unwrap_or(0);
-    for (i, &c) in w.buckets[..=last].iter().enumerate() {
-        cum += c;
+    // An empty window still prints its first bucket (`le="1"} 0`).
+    for i in 0..w.buckets.len().max(1) {
+        cum += w.buckets.get(i).copied().unwrap_or(0);
         let _ = writeln!(out, "{name}_bucket{{le=\"{}\"}} {cum}", bucket_upper_bound(i));
     }
     let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", w.count);
@@ -203,14 +203,14 @@ pub fn render_table(snap: &ClusterSnapshot) -> String {
     );
     if let Some(h) = snap.serve.hist(crate::keys::E2E_NS) {
         let q =
-            |w: &HistogramWindow, p: f64| w.quantile(p).map_or("-".to_string(), |v| format!("{v}"));
+            |w: &Histogram, p: f64| w.try_quantile(p).map_or("-".to_string(), |v| v.to_string());
         let _ = writeln!(
             out,
             "e2e_ns: count={} p50={} p99={} max={}  (short: count={} p99={})",
             h.long.count,
             q(&h.long, 0.5),
             q(&h.long, 0.99),
-            h.long.max.map_or("-".to_string(), |v| v.to_string()),
+            q(&h.long, 1.0),
             h.short.count,
             q(&h.short, 0.99),
         );
@@ -278,6 +278,22 @@ mod tests {
         assert!(a.contains("symtensor_serve_e2e_ns_count 1"));
         assert_eq!(escape_label("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(sanitize("serve:e2e-ns"), "serve_e2e_ns");
+    }
+
+    #[test]
+    fn an_empty_window_still_prints_its_first_bucket_and_zero_totals() {
+        let plane = TelemetryPlane::new(1);
+        plane.hist_slot(keys::E2E_NS);
+        let text = prometheus_text(&sample_plane(&plane, &ScrapeConfig::default()));
+        for line in [
+            "symtensor_serve_e2e_ns_bucket{le=\"1\"} 0",
+            "symtensor_serve_e2e_ns_bucket{le=\"+Inf\"} 0",
+            "symtensor_serve_e2e_ns_sum 0",
+            "symtensor_serve_e2e_ns_count 0",
+        ] {
+            assert!(text.lines().any(|l| l == line), "missing `{line}` in:\n{text}");
+        }
+        assert!(!text.contains("le=\"2\""), "no bucket past the first");
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //!   per-phase word/message counters, named gauges and rolling-window
 //!   histograms. Writes are single-writer relaxed atomics (the owning
 //!   thread), reads are epoch-consistent and never block the writer.
-//! - [`RollingHistogram`] — fixed power-of-two buckets (the same bucket
-//!   boundaries as `symtensor-obs`) over `SLICES` time slices, so recent
-//!   windows can be read separately from the whole history: the raw
-//!   material for multi-window burn rates.
+//! - [`Histogram`] — the workspace's one power-of-two latency histogram
+//!   (`symtensor-obs` re-exports it for its post-hoc reports).
+//! - [`RollingHistogram`] — the same buckets over `SLICES` time slices,
+//!   so recent windows can be read separately from the whole history: the
+//!   raw material for multi-window burn rates. A window reads out as a
+//!   [`Histogram`].
 //! - [`TelemetryPlane`] — the shared registry (phase/gauge/histogram
 //!   names interned to slot indices), the cells, and the alert log.
 //! - [`Scraper`] — samples all cells into [`ClusterSnapshot`]s with
@@ -34,6 +36,7 @@
 
 pub mod cell;
 pub mod expose;
+pub mod histogram;
 pub mod plane;
 pub mod rolling;
 pub mod scrape;
@@ -42,9 +45,9 @@ pub(crate) mod sync;
 
 pub use cell::{CellSnapshot, GaugeSnapshot, HistSnapshot, PhaseSnapshot, TelemetryCell};
 pub use expose::{prometheus_text, render_table};
+pub use histogram::{bucket_index, bucket_upper_bound, Histogram};
 pub use plane::{PlaneConfig, SloAlert, TelemetryPlane, UNPHASED};
-pub use rolling::{bucket_index, bucket_upper_bound, HistogramWindow, RollingHistogram};
-pub use rolling::{BUCKETS, SLICES};
+pub use rolling::{RollingHistogram, BUCKETS, SLICES};
 pub use scrape::{
     sample_plane, ClusterSnapshot, DerivedGauges, ScrapeConfig, Scraper, TelemetrySeries,
 };

@@ -107,12 +107,6 @@ impl PlaneConfig {
         self.slice_ns = slice_ns;
         self
     }
-
-    /// Overrides the short-window width (in slices).
-    pub fn with_short_slices(mut self, short_slices: usize) -> Self {
-        self.short_slices = short_slices;
-        self
-    }
 }
 
 /// A structured alert raised by the [`crate::SloBurnRate`] evaluator.

@@ -2,33 +2,18 @@
 //! time slices, so "the last 100 ms" and "the whole run" can be read from
 //! the same structure — the raw material for multi-window burn rates.
 
+use crate::histogram::{bucket_index, Histogram};
 use crate::sync::{fence, AtomicU64, Ordering};
 
-/// Number of histogram buckets. Bucket `i` has upper bound `2^i` ns, so
-/// the last bucket tops out at `2^39` ns ≈ 9 minutes — far beyond any
-/// simulated request latency; larger values clamp into it.
+/// Number of buckets per slice, with [`Histogram`]'s bucket boundaries.
+/// Bucket `i` has upper bound `2^i` ns, so the last bucket tops out at
+/// `2^39` ns ≈ 9 minutes — far beyond any simulated request latency;
+/// larger values clamp into it.
 pub const BUCKETS: usize = 40;
 
 /// Number of time slices in the ring. A slice is `slice_ns` wide, so the
 /// longest window the histogram can answer for is `SLICES·slice_ns`.
 pub const SLICES: usize = 8;
-
-/// Bucket index for a value: bucket 0 counts `v ≤ 1`, bucket `i` counts
-/// `2^(i−1) < v ≤ 2^i` — the same boundaries as `symtensor-obs`'s
-/// latency histograms (kept in sync by a cross-crate test), clamped to
-/// the fixed [`BUCKETS`] range.
-#[inline]
-pub fn bucket_index(v: u64) -> usize {
-    let i = if v <= 1 { 0 } else { 64 - (v - 1).leading_zeros() as usize };
-    i.min(BUCKETS - 1)
-}
-
-/// Upper bound (inclusive) of bucket `i`: `2^i`. The last bucket's bound
-/// is nominal — it also absorbs everything larger.
-#[inline]
-pub fn bucket_upper_bound(i: usize) -> u64 {
-    1u64 << i.min(63)
-}
 
 /// One time slice: an epoch tag plus the slice's counters. The epoch is
 /// the absolute slice index + 1 (0 marks "reset in progress / never
@@ -130,17 +115,19 @@ impl RollingHistogram {
         slice.min.fetch_min(v, Ordering::Relaxed);
         slice.max.fetch_max(v, Ordering::Relaxed);
         // ordering: Relaxed — same as the adds above.
-        slice.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        slice.buckets[bucket_index(v).min(BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Merges the last `n_slices` slices (ending at the slice containing
-    /// `now_ns`) into one [`HistogramWindow`]. `n_slices` is clamped to
-    /// [`SLICES`]; pass `SLICES` for the longest available window.
-    pub fn window(&self, now_ns: u64, n_slices: usize) -> HistogramWindow {
+    /// `now_ns`) into one [`Histogram`], its buckets trimmed to the last
+    /// non-empty one. `n_slices` is clamped to [`SLICES`]; pass `SLICES`
+    /// for the longest available window.
+    pub fn window(&self, now_ns: u64, n_slices: usize) -> Histogram {
         let n = n_slices.clamp(1, SLICES) as u64;
         let cur = now_ns / self.slice_ns;
         let lo = cur.saturating_sub(n - 1);
-        let mut out = HistogramWindow::empty();
+        let mut out = Histogram::default();
+        let mut merged = [0u64; BUCKETS];
         for slice in &self.slices {
             for _ in 0..4 {
                 // ordering: Acquire — pairs with the writer's release
@@ -169,84 +156,29 @@ impl RollingHistogram {
                 if slice.epoch.load(Ordering::Relaxed) != e1 {
                     continue; // a reset raced the read: retry the slice
                 }
+                if count > 0 {
+                    let first = out.count == 0;
+                    out.min = if first { min } else { out.min.min(min) };
+                    out.max = if first { max } else { out.max.max(max) };
+                }
                 out.count += count;
                 out.sum += sum;
-                if count > 0 {
-                    out.min = Some(out.min.map_or(min, |m| m.min(min)));
-                    out.max = Some(out.max.map_or(max, |m| m.max(max)));
-                }
-                for (dst, src) in out.buckets.iter_mut().zip(buckets) {
+                for (dst, src) in merged.iter_mut().zip(buckets) {
                     *dst += src;
                 }
                 break;
             }
         }
+        let len = merged.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
+        out.buckets = merged[..len].to_vec();
         out
-    }
-}
-
-/// The merged contents of one time window of a [`RollingHistogram`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramWindow {
-    /// Samples in the window.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Smallest sample, `None` when the window is empty.
-    pub min: Option<u64>,
-    /// Largest sample, `None` when the window is empty.
-    pub max: Option<u64>,
-    /// Per-bucket counts (see [`bucket_index`]).
-    pub buckets: [u64; BUCKETS],
-}
-
-impl HistogramWindow {
-    /// The empty window.
-    pub fn empty() -> Self {
-        HistogramWindow { count: 0, sum: 0, min: None, max: None, buckets: [0; BUCKETS] }
-    }
-
-    /// Mean sample value, `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
-    /// Bucket-resolution quantile: the upper bound of the first bucket
-    /// whose cumulative count reaches `q·count` (so an upper bound on the
-    /// true quantile, tight to a factor of 2). `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return Some(bucket_upper_bound(i).min(self.max.unwrap_or(u64::MAX)));
-            }
-        }
-        self.max
-    }
-
-    /// Fraction of samples whose value exceeds `threshold`, at bucket
-    /// resolution: samples in buckets strictly above `threshold`'s bucket
-    /// count as over (so a slight *under*-estimate — values sharing the
-    /// threshold's bucket are counted as within budget). Returns 0.0 for
-    /// an empty window.
-    pub fn frac_over(&self, threshold: u64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let cut = bucket_index(threshold);
-        let over: u64 = self.buckets[cut + 1..].iter().sum();
-        over as f64 / self.count as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::histogram::bucket_upper_bound;
 
     #[test]
     fn bucket_boundaries_are_powers_of_two() {
@@ -258,7 +190,12 @@ mod tests {
         assert_eq!(bucket_index(5), 3);
         assert_eq!(bucket_index(1 << 20), 20);
         assert_eq!(bucket_index((1 << 20) + 1), 21);
-        assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
+        assert_eq!(bucket_index(u64::MAX), 64);
+        assert_eq!(bucket_upper_bound(64), 1 << 63);
+        // A slice clamps everything past its last bucket into it.
+        let h = RollingHistogram::new(1_000);
+        h.observe(0, u64::MAX);
+        assert_eq!(h.window(0, SLICES).buckets.len(), BUCKETS);
     }
 
     #[test]
@@ -270,12 +207,42 @@ mod tests {
         let w = h.window(1_500, SLICES);
         assert_eq!(w.count, 3);
         assert_eq!(w.sum, 116);
-        assert_eq!(w.min, Some(7));
-        assert_eq!(w.max, Some(100));
+        assert_eq!(w.min, 7);
+        assert_eq!(w.max, 100);
         // Short window sees only the second slice.
         let short = h.window(1_500, 1);
         assert_eq!(short.count, 1);
         assert_eq!(short.sum, 100);
+    }
+
+    #[test]
+    fn window_equals_a_histogram_fed_the_same_observations() {
+        let values = [0u64, 1, 3, 7, 9, 130, 4096, 4097, 1_000_000, 1 << 39];
+        let h = RollingHistogram::new(1_000);
+        let mut one_slice = Histogram::default();
+        for v in values {
+            h.observe(500, v);
+            one_slice.observe(v);
+        }
+        assert_eq!(h.window(500, 1), one_slice, "within one slice");
+        // One observation per slice in slices 1..=10: the ring keeps 3..=10.
+        for (s, v) in values.iter().rev().enumerate() {
+            h.observe(1_000 * (s as u64 + 1) + 7, v / 2);
+        }
+        let now = 1_000 * values.len() as u64 + 7;
+        assert_eq!(h.window(now, SLICES).count, SLICES as u64, "the oldest slices left the ring");
+        let mut last_slices = Histogram::default();
+        for v in values.iter().rev().skip(values.len() - 3) {
+            last_slices.observe(v / 2);
+        }
+        assert_eq!(h.window(now, 3), last_slices, "across slices");
+        // Merging per-slice windows gives the multi-slice window.
+        let mut merged = Histogram::default();
+        for back in 0..SLICES as u64 {
+            merged.merge(&h.window(now - 1_000 * back, 1));
+        }
+        assert_eq!(h.window(now, SLICES), merged);
+        assert_eq!(RollingHistogram::new(10).window(0, SLICES), Histogram::default());
     }
 
     #[test]
@@ -298,11 +265,11 @@ mod tests {
             h.observe(0, v);
         }
         let w = h.window(0, SLICES);
-        let p50 = w.quantile(0.5).unwrap();
+        let p50 = w.try_quantile(0.5).unwrap();
         assert!((20..=32).contains(&p50), "p50={p50}");
         // p100 is clamped to the observed max, not the bucket bound.
-        assert_eq!(w.quantile(1.0), Some(1000));
-        assert_eq!(HistogramWindow::empty().quantile(0.99), None);
+        assert_eq!(w.try_quantile(1.0), Some(1000));
+        assert_eq!(Histogram::default().try_quantile(0.99), None);
     }
 
     #[test]
@@ -314,6 +281,6 @@ mod tests {
         let w = h.window(0, SLICES);
         assert_eq!(w.frac_over(1), 0.4);
         assert_eq!(w.frac_over(1 << 12), 0.0);
-        assert_eq!(HistogramWindow::empty().frac_over(1), 0.0);
+        assert_eq!(Histogram::default().frac_over(1), 0.0);
     }
 }

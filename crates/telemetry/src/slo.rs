@@ -52,18 +52,6 @@ impl SloBurnRate {
         }
     }
 
-    /// Overrides the objective.
-    pub fn with_objective(mut self, objective: f64) -> Self {
-        self.objective = objective;
-        self
-    }
-
-    /// Overrides the fast factor.
-    pub fn with_fast_factor(mut self, fast_factor: f64) -> Self {
-        self.fast_factor = fast_factor;
-        self
-    }
-
     /// Current (short, long) burn rates, or `None` while either window
     /// is still empty.
     pub fn burn_rates(&self, plane: &TelemetryPlane) -> Option<(f64, f64)> {
@@ -109,7 +97,7 @@ impl SloBurnRate {
             objective: self.objective,
             short_burn,
             long_burn,
-            short_p99_ns: short.quantile(0.99),
+            short_p99_ns: short.try_quantile(0.99),
         };
         alert.id = plane.raise_alert(alert.clone());
         Some(alert)
