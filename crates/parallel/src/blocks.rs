@@ -39,6 +39,7 @@
 use crate::partition::TetraPartition;
 use crate::tetra::{BlockIdx, BlockKind};
 use symtensor_core::seq::row_segment;
+use symtensor_core::storage::packed_index;
 use symtensor_core::SymTensor3;
 
 #[inline]
@@ -75,43 +76,43 @@ pub struct OwnedBlocks {
 }
 
 /// Appends block `idx`'s entries to `out` in its kind's layout (see the
-/// module docs); `b` is the block size.
+/// module docs); `b` is the block size. Every layout's innermost `lk` run
+/// is one contiguous run of the packed tetrahedron, `b` long for
+/// off-diagonal and `(I, I, K)` blocks and `lj + 1` long for `(I, K, K)`
+/// and central blocks, so each run is copied whole.
 pub(crate) fn extract_block(tensor: &SymTensor3, idx: BlockIdx, b: usize, out: &mut Vec<f64>) {
+    let packed = tensor.packed();
+    let mut run = |i: usize, j: usize, k: usize, len: usize| {
+        let at = packed_index(i, j, k);
+        out.extend_from_slice(&packed[at..at + len]);
+    };
     let (gi, gj, gk) = (idx.i * b, idx.j * b, idx.k * b);
     match idx.kind() {
         BlockKind::OffDiagonal => {
             for li in 0..b {
                 for lj in 0..b {
-                    for lk in 0..b {
-                        out.push(tensor.get_sorted(gi + li, gj + lj, gk + lk));
-                    }
+                    run(gi + li, gj + lj, gk, b);
                 }
             }
         }
         BlockKind::NonCentralIIK => {
             for li in 0..b {
                 for lj in 0..=li {
-                    for lk in 0..b {
-                        out.push(tensor.get_sorted(gi + li, gi + lj, gk + lk));
-                    }
+                    run(gi + li, gi + lj, gk, b);
                 }
             }
         }
         BlockKind::NonCentralIKK => {
             for li in 0..b {
                 for lj in 0..b {
-                    for lk in 0..=lj {
-                        out.push(tensor.get_sorted(gi + li, gk + lj, gk + lk));
-                    }
+                    run(gi + li, gk + lj, gk, lj + 1);
                 }
             }
         }
         BlockKind::CentralDiagonal => {
             for li in 0..b {
                 for lj in 0..=li {
-                    for lk in 0..=lj {
-                        out.push(tensor.get_sorted(gi + li, gi + lj, gi + lk));
-                    }
+                    run(gi + li, gi + lj, gi, lj + 1);
                 }
             }
         }
@@ -1111,6 +1112,54 @@ pub(crate) mod tests {
         for p in 0..part.num_procs() {
             let owned = OwnedBlocks::extract(&tensor, &part, p);
             assert_eq!(owned.words(), part.tensor_words(p));
+        }
+    }
+
+    /// Block `idx`'s layout built one `get_sorted` element at a time.
+    fn extract_by_element(tensor: &SymTensor3, idx: BlockIdx, b: usize) -> Vec<f64> {
+        let (gi, gj, gk) = (idx.i * b, idx.j * b, idx.k * b);
+        let mut out = Vec::new();
+        for li in 0..b {
+            for lj in 0..b {
+                for lk in 0..b {
+                    let (i, j, k) = match idx.kind() {
+                        BlockKind::OffDiagonal => (gi + li, gj + lj, gk + lk),
+                        BlockKind::NonCentralIIK if lj <= li => (gi + li, gi + lj, gk + lk),
+                        BlockKind::NonCentralIKK if lk <= lj => (gi + li, gk + lj, gk + lk),
+                        BlockKind::CentralDiagonal if lk <= lj && lj <= li => {
+                            (gi + li, gi + lj, gi + lk)
+                        }
+                        _ => continue,
+                    };
+                    out.push(tensor.get_sorted(i, j, k));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn run_extraction_matches_the_per_element_oracle() {
+        for q in [2u64, 3] {
+            for b in [1, 2, 3, 5, 12] {
+                let n = (q * q + 1) as usize * b;
+                let part = TetraPartition::new(spherical(q), n).unwrap();
+                assert_eq!(part.block_size(), b);
+                let tensor = random_symmetric(n, &mut StdRng::seed_from_u64(q * 100 + b as u64));
+                let mut kinds = Vec::new();
+                for p in 0..part.num_procs() {
+                    for idx in part.owned_blocks(p) {
+                        let mut runs = Vec::new();
+                        extract_block(&tensor, idx, b, &mut runs);
+                        assert_eq!(bits(&runs), bits(&extract_by_element(&tensor, idx, b)));
+                        assert_eq!(runs.len(), entries_in_block(idx.kind(), b));
+                        if !kinds.contains(&idx.kind()) {
+                            kinds.push(idx.kind());
+                        }
+                    }
+                }
+                assert_eq!(kinds.len(), 4, "q={q} b={b}: every block kind extracted");
+            }
         }
     }
 }

@@ -4,8 +4,13 @@
 //! optimizes).
 //!
 //! `x` and `y` stay distributed in the tetrahedral shard layout across
-//! iterations; each iteration costs one Algorithm-5 STTSV plus two small
-//! all-reduces (norm/Rayleigh-quotient scalars and the convergence test).
+//! iterations; each iteration costs one Algorithm-5 STTSV plus one small
+//! all-reduce. That all-reduce carries the pass's norm and Rayleigh
+//! quotient together with the previous pass's step, so the convergence
+//! test lags one pass behind: a converged solve runs one STTSV past the
+//! pass whose step fell under the tolerance. One all-reduce normalizes the
+//! start vector and one more, after the loop, reduces the last pass's
+//! residual.
 
 use crate::algorithm5::{check_dims, Machine, Mode, RankContext};
 use crate::partition::TetraPartition;
@@ -51,6 +56,13 @@ pub fn parallel_shifted_hopm(
 /// trajectory depends on `threads` only through the pooled-vs-sequential
 /// reduction order. Panics with the
 /// [`InputError`](crate::InputError) on a dimension mismatch.
+///
+/// `iters` counts the STTSVs done. Each pass tests the step of the pass
+/// before it, so a converged solve returns the iterate of one pass after
+/// the step that fell under `opts.tol`; the returned `lambda` and
+/// `residual` belong to that last pass's input. The trajectory does not
+/// depend on `opts.tol`: a solve capped at the same `iters` returns the
+/// same bits.
 #[allow(clippy::too_many_arguments)]
 pub fn parallel_shifted_hopm_planned(
     tensor: &SymTensor3,
@@ -77,8 +89,8 @@ pub fn parallel_shifted_hopm_planned(
     let mut residual = 0.0;
     // Machine-wide work: sum of per-rank §7.1 ternary-multiplication
     // counts. (The distributed kernel does not track iteration-space
-    // points, so `ops.points` stays 0; the parallel residual comes from
-    // scalar all-reduces, not an extra STTSV, so no final-call term.)
+    // points, so `ops.points` stays 0; the residual is of the last pass's
+    // input, from that pass's output, so there is no extra STTSV.)
     let mut ops = OpCount::default();
     for (p, out) in rank_results.into_iter().enumerate() {
         lambda = out.lambda;
@@ -120,61 +132,82 @@ fn rank_hopm(
     }
 
     let mut lambda = 0.0;
-    let mut residual = 0.0;
     let mut iters = 0;
     let mut converged = false;
     let mut ternary = 0u64;
+    // The last pass's local step `[diff_pos, diff_neg]`, reduced together
+    // with the next pass's scalars, and its local squared residual.
+    let mut step = Vec::new();
+    let mut res_sq = 0.0;
     while iters < opts.max_iters {
-        let (mut y_raw, count) = ctx.sttsv(comm, &x_shards);
+        let (mut y, count) = ctx.sttsv(comm, &x_shards);
         ternary += count;
-        // ‖y_raw‖² and xᵀy_raw before shifting (for λ and the residual).
-        let raw_sq: f64 = y_raw.iter().flatten().map(|&v| v * v).sum();
+        iters += 1;
+        // xᵀ(Axx) before shifting; ‖x‖ = 1, so it is the Rayleigh quotient.
         let x_dot_raw: f64 =
-            x_shards.iter().flatten().zip(y_raw.iter().flatten()).map(|(&a, &b)| a * b).sum();
+            x_shards.iter().flatten().zip(y.iter().flatten()).map(|(&a, &b)| a * b).sum();
         // Shifted iterate y = A·x·x + α·x.
         if alpha != 0.0 {
-            for (shard, xs) in y_raw.iter_mut().zip(&x_shards) {
+            for (shard, xs) in y.iter_mut().zip(&x_shards) {
                 for (v, &xv) in shard.iter_mut().zip(xs) {
                     *v += alpha * xv;
                 }
             }
         }
-        let shift_sq: f64 = y_raw.iter().flatten().map(|&v| v * v).sum();
-        // Stage 1: all three scalars in one all-reduce.
-        let global =
-            comm.all_reduce(vec![shift_sq, x_dot_raw, raw_sq]).expect("stage-1 all-reduce");
+        let shift_sq: f64 = y.iter().flatten().map(|&v| v * v).sum();
+        // The pass's one all-reduce: its own scalars and the last step.
+        let mut scalars = vec![shift_sq, x_dot_raw];
+        scalars.append(&mut step);
+        let global = comm.all_reduce(scalars).expect("solver all-reduce");
+        lambda = global[1];
+        // y − (α + λ)·x = A·x·x − λ·x, the input's eigen-residual.
+        let shift = alpha + lambda;
+        res_sq = y
+            .iter()
+            .flatten()
+            .zip(x_shards.iter().flatten())
+            .map(|(&v, &xv)| (v - shift * xv) * (v - shift * xv))
+            .sum();
         let y_norm = global[0].sqrt();
-        lambda = global[1]; // ‖x‖ = 1, so xᵀ(Axx) is the Rayleigh quotient.
-        residual = (global[2] - lambda * lambda).max(0.0).sqrt();
         if y_norm == 0.0 {
             break;
         }
         // Normalize y and measure the sign-aligned step.
         let mut diff_pos = 0.0;
         let mut diff_neg = 0.0;
-        let mut new_shards = y_raw;
-        for (shard, old) in new_shards.iter_mut().zip(&x_shards) {
+        for (shard, old) in y.iter_mut().zip(&x_shards) {
             for (v, &o) in shard.iter_mut().zip(old) {
                 *v /= y_norm;
                 diff_pos += (o - *v) * (o - *v);
                 diff_neg += (o + *v) * (o + *v);
             }
         }
-        let diffs = comm.all_reduce(vec![diff_pos, diff_neg]).expect("stage-2 all-reduce");
-        let diff = diffs[0].min(diffs[1]).sqrt();
-        x_shards = new_shards;
-        iters += 1;
-        if diff < opts.tol {
-            converged = true;
-            break;
+        x_shards = y;
+        // Lagged test: the previous pass's step, reduced above.
+        if let [_, _, pos, neg] = global[..] {
+            if pos.min(neg).sqrt() < opts.tol {
+                converged = true;
+                break;
+            }
         }
+        step = vec![diff_pos, diff_neg];
     }
+    // One closing all-reduce: the last pass's residual and, when the
+    // iteration cap ended the loop, its step.
+    let mut closing = vec![res_sq];
+    closing.append(&mut step);
+    let last = comm.all_reduce(closing).expect("closing all-reduce");
+    if let [_, pos, neg] = last[..] {
+        converged = pos.min(neg).sqrt() < opts.tol;
+    }
+    let residual = last[0].sqrt();
     RankHopmOut { x_shards, lambda, iters, converged, residual, ternary }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm5::parallel_sttsv;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use symtensor_core::generate::random_odeco;
@@ -201,6 +234,74 @@ mod tests {
         assert!(par.residual < 1e-8);
         // Communication happened on every rank.
         assert!(report.bandwidth_cost() > 0);
+    }
+
+    /// The seed-91 odeco case of the test above: tensor and start vector.
+    fn odeco_91(n: usize) -> (SymTensor3, Vec<f64>) {
+        let odeco = random_odeco(n, 3, &mut StdRng::seed_from_u64(91));
+        let mut x0 = odeco.vectors[0].clone();
+        x0[2] += 0.05;
+        (odeco.tensor, x0)
+    }
+
+    #[test]
+    fn solver_sends_one_all_reduce_per_pass() {
+        let opts = HopmOptions { tol: 1e-12, max_iters: 500 };
+        for q in [2u64, 3] {
+            let part = TetraPartition::new(spherical(q), 60).unwrap();
+            let (tensor, x0) = odeco_91(60);
+            // Rank 0's messages and words in one single-vector STTSV.
+            let one = parallel_sttsv(&tensor, &part, &x0, Mode::Scheduled).report.per_rank[0];
+            let (m, w) = (one.msgs_sent, one.words_sent);
+            let peers = part.num_procs() as u64 - 1;
+            let (res, report) = parallel_hopm(&tensor, &part, &x0, opts, Mode::Scheduled);
+            assert!(res.converged, "q={q}");
+            let k = res.iters as u64;
+            let root = report.per_rank[0];
+            // The start norm, one all-reduce per pass and the closing one,
+            // each a message to every peer.
+            assert_eq!(root.msgs_sent, peers * (k + 2) + k * m, "q={q}");
+            // Scalars: 1 for the start norm, 2 on the first pass, 4 on
+            // every later pass and the residual alone at the close.
+            assert_eq!(root.words_sent, peers * 4 * k + k * w, "q={q}");
+        }
+        // One capped pass: 9 messages for each of the three all-reduces
+        // and 18 for the STTSV; 1 + 2 + 3 scalars to each of the 9 peers
+        // and the STTSV's 60 words.
+        let part = TetraPartition::new(spherical(2), 60).unwrap();
+        let (tensor, x0) = odeco_91(60);
+        let capped = HopmOptions { max_iters: 1, ..opts };
+        let (res, report) = parallel_hopm(&tensor, &part, &x0, capped, Mode::Scheduled);
+        assert_eq!((res.iters, res.converged), (1, false));
+        assert_eq!((report.per_rank[0].msgs_sent, report.per_rank[0].words_sent), (45, 114));
+    }
+
+    #[test]
+    fn trajectory_does_not_depend_on_tol() {
+        let part = TetraPartition::new(spherical(2), 30).unwrap();
+        let (tensor, x0) = odeco_91(30);
+        let opts = HopmOptions { tol: 1e-12, max_iters: 500 };
+        let (solved, _) = parallel_hopm(&tensor, &part, &x0, opts, Mode::Scheduled);
+        assert!(solved.converged);
+        let capped = HopmOptions { tol: 0.0, max_iters: solved.iters };
+        let (run, _) = parallel_hopm(&tensor, &part, &x0, capped, Mode::Scheduled);
+        assert!(!run.converged);
+        assert_eq!(run.iters, solved.iters);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&run.x), bits(&solved.x));
+        assert_eq!(run.lambda.to_bits(), solved.lambda.to_bits());
+        assert_eq!(run.residual.to_bits(), solved.residual.to_bits());
+    }
+
+    #[test]
+    fn residual_is_accurate_wherever_the_loop_stops() {
+        let part = TetraPartition::new(spherical(2), 30).unwrap();
+        let (tensor, x0) = odeco_91(30);
+        for max_iters in (5..=30).step_by(5) {
+            let opts = HopmOptions { tol: 0.0, max_iters };
+            let (res, _) = parallel_hopm(&tensor, &part, &x0, opts, Mode::Scheduled);
+            assert!(res.residual < 1e-12, "cap {max_iters}: residual {}", res.residual);
+        }
     }
 
     #[test]
