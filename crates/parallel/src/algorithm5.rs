@@ -16,7 +16,9 @@
 //! `B` pieces back-to-back; a single vector is a batch of one, and an
 //! `r`-column MTTKRP is a batch of `r`. Every exchange goes through one
 //! private dispatcher, shared by the barrier calls and the double-buffered
-//! serving loop; in scheduled mode it walks the edge-colored rounds.
+//! serving loop; in scheduled mode it walks the edge-colored rounds. The
+//! dispatcher can append a few scalars, a *rider*, to every message of a
+//! phase: the eigen-solver ([`crate::hopm`]) carries its norms that way.
 //!
 //! Communication modes:
 //!
@@ -35,7 +37,7 @@ use crate::blocks::OwnedBlocks;
 use crate::partition::TetraPartition;
 use crate::plan::{ExchangeKind, PlanWorkspace, RankPlan};
 use crate::schedule::CommSchedule;
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use symtensor_core::SymTensor3;
 use symtensor_mpsim::{Comm, CommEvent, CostReport, FlightSnapshot, Universe};
 use symtensor_pool::Pool;
@@ -283,29 +285,49 @@ impl<'a> RankContext<'a> {
         comm: &Comm,
         my_shards: &[S],
     ) -> (Vec<Vec<Vec<f64>>>, u64, BatchSpans) {
+        if my_shards.is_empty() {
+            return (Vec::new(), 0, BatchSpans::empty(comm.elapsed_ns()));
+        }
+        let (ys, ternary, spans, _) = self.gather(comm, my_shards, &[]).finish(comm, &[]);
+        (ys, ternary, spans)
+    }
+
+    /// Whether each exchange phase meets every other rank, so that a rider
+    /// reaches every rank: always in the all-to-all modes (their collective
+    /// sends `P − 1` messages), and in scheduled mode exactly when every
+    /// pair of ranks shares a row block (spherical `q = 2`). The partition
+    /// and mode alone decide it, so every rank gets the same answer.
+    pub(crate) fn meets_every_peer(&self) -> bool {
+        match self.mode {
+            Mode::Scheduled => self.schedule.is_some_and(CommSchedule::meets_every_pair),
+            Mode::AllToAllPadded | Mode::AllToAllSparse => true,
+        }
+    }
+
+    /// The first half of a barrier STTSV: loads the batch and runs its
+    /// gather-x, with `rider` appended to every gather message. The rider
+    /// is empty, and the wire traffic that of a plain call, except where
+    /// the solver carries its scalars ([`RankContext::meets_every_peer`]
+    /// must hold for a non-empty rider to reach every rank).
+    pub(crate) fn gather<S: AsRef<[Vec<f64>]>>(
+        &self,
+        comm: &Comm,
+        my_shards: &[S],
+        rider: &[f64],
+    ) -> Gathered<'_> {
         let batch = my_shards.len();
         let start_ns = comm.elapsed_ns();
-        if batch == 0 {
-            return (Vec::new(), 0, BatchSpans::empty(start_ns));
-        }
         let plan = self.compile(comm.rank());
         let mut ws = self.plan_ws.borrow_mut();
         self.load(&mut ws, plan, my_shards);
         let gather_t0 = comm.elapsed_ns();
         comm.with_phase("gather-x", || {
-            self.plan_exchange(comm, plan, &mut ws, ExchangeKind::Gather, batch, Walk::Exchange)
+            let walk = Walk::Exchange;
+            self.plan_exchange(comm, plan, &mut ws, ExchangeKind::Gather, batch, walk, rider)
         });
         let gather_ns = comm.elapsed_ns().saturating_sub(gather_t0);
-        let (ternary, compute_ns) = self.kernels(comm, plan, &mut ws, batch);
-        let reduce_t0 = comm.elapsed_ns();
-        comm.with_phase("reduce-y", || {
-            self.plan_exchange(comm, plan, &mut ws, ExchangeKind::Reduce, batch, Walk::Exchange)
-        });
-        let reduce_ns = comm.elapsed_ns().saturating_sub(reduce_t0);
-        let ys = (0..batch).map(|v| plan.extract(&ws, v)).collect();
-        let spans =
-            BatchSpans { start_ns, gather_ns, compute_ns, reduce_ns, end_ns: comm.elapsed_ns() };
-        (ys, ternary, spans)
+        let riders = ws.rider_sum(rider.len());
+        Gathered { ctx: self, ws, batch, start_ns, gather_ns, riders }
     }
 
     /// The local-compute phase over slabs `0..batch`: one `compute:kernel`
@@ -368,7 +390,7 @@ impl<'a> RankContext<'a> {
             self.load(ws, plan, &shards);
             let formed_ns = comm.elapsed_ns();
             comm.with_phase("gather-x", || {
-                self.plan_exchange(comm, plan, ws, ExchangeKind::Gather, batch, Walk::Post)
+                self.plan_exchange(comm, plan, ws, ExchangeKind::Gather, batch, Walk::Post, &[])
             });
             (begin_ns, formed_ns, ids)
         };
@@ -388,7 +410,7 @@ impl<'a> RankContext<'a> {
             let gather_t0 = comm.elapsed_ns();
             comm.with_phase("gather-x", || {
                 let ws = &mut wss[cur];
-                self.plan_exchange(comm, plan, ws, ExchangeKind::Gather, batch, Walk::Drain)
+                self.plan_exchange(comm, plan, ws, ExchangeKind::Gather, batch, Walk::Drain, &[])
             });
             let gather_ns = comm.elapsed_ns().saturating_sub(gather_t0);
             // Admit the next batch before this one computes: its forming,
@@ -401,7 +423,7 @@ impl<'a> RankContext<'a> {
             let reduce_t0 = comm.elapsed_ns();
             comm.with_phase("reduce-y", || {
                 let ws = &mut wss[cur];
-                self.plan_exchange(comm, plan, ws, ExchangeKind::Reduce, batch, Walk::Exchange)
+                self.plan_exchange(comm, plan, ws, ExchangeKind::Reduce, batch, Walk::Exchange, &[])
             });
             let reduce_ns = comm.elapsed_ns().saturating_sub(reduce_t0);
             let ys = (0..batch).map(|v| plan.extract(&wss[cur], v)).collect();
@@ -424,6 +446,9 @@ impl<'a> RankContext<'a> {
     /// The all-to-all modes run one collective on `Exchange` or `Drain`,
     /// padded to `batch · pad_unit` words in [`Mode::AllToAllPadded`], and
     /// apply arrivals in ascending peer order; their `Post` is a no-op.
+    /// Every message carries `rider` after its pieces (and padding); the
+    /// riders received, and this rank's own, are kept in `ws` by rank.
+    #[allow(clippy::too_many_arguments)]
     fn plan_exchange(
         &self,
         comm: &Comm,
@@ -432,9 +457,13 @@ impl<'a> RankContext<'a> {
         kind: ExchangeKind,
         batch: usize,
         walk: Walk,
+        rider: &[f64],
     ) {
+        if !rider.is_empty() {
+            ws.keep_rider(comm.rank(), rider);
+        }
         match self.mode {
-            Mode::Scheduled => self.walk_rounds(comm, plan, ws, kind, batch, walk),
+            Mode::Scheduled => self.walk_rounds(comm, plan, ws, kind, batch, walk, rider),
             Mode::AllToAllPadded | Mode::AllToAllSparse if walk == Walk::Post => {}
             Mode::AllToAllPadded | Mode::AllToAllSparse => {
                 let p_count = self.part.num_procs();
@@ -449,6 +478,7 @@ impl<'a> RankContext<'a> {
                         debug_assert!(buf.len() <= pad_len);
                         buf.resize(pad_len, 0.0);
                     }
+                    ws.attach_rider(rider, &mut buf);
                     sendbufs[peer] = buf;
                 }
                 let mut recvd = comm.all_to_all_v(sendbufs).expect("all-to-all failed");
@@ -456,7 +486,8 @@ impl<'a> RankContext<'a> {
                     if peer == comm.rank() {
                         continue;
                     }
-                    let buf = std::mem::take(slot);
+                    let mut buf = std::mem::take(slot);
+                    ws.detach_rider(peer, rider.len(), &mut buf);
                     let pidx = plan.peer_slot(peer).expect("every non-self rank is a peer");
                     plan.unpack(ws, kind, pidx, batch, buf);
                 }
@@ -471,6 +502,7 @@ impl<'a> RankContext<'a> {
     /// event stream while it runs. A walk that takes receives counts every
     /// round in which this rank sends or receives, so a `Post` followed by
     /// a `Drain` counts the rounds of one `Exchange`.
+    #[allow(clippy::too_many_arguments)]
     fn walk_rounds(
         &self,
         comm: &Comm,
@@ -479,6 +511,7 @@ impl<'a> RankContext<'a> {
         kind: ExchangeKind,
         batch: usize,
         walk: Walk,
+        rider: &[f64],
     ) {
         let schedule = self.schedule.expect("scheduled mode requires a schedule");
         let tag_base = match kind {
@@ -490,7 +523,9 @@ impl<'a> RankContext<'a> {
             comm.annotate_round(round as u64);
             if let Some(dst) = act.send_to.filter(|_| walk != Walk::Drain) {
                 let pidx = plan.peer_slot(dst).expect("scheduled peer is in the plan");
-                comm.send(dst, tag, plan.pack(ws, kind, pidx, batch));
+                let mut buf = plan.pack(ws, kind, pidx, batch);
+                ws.attach_rider(rider, &mut buf);
+                comm.send(dst, tag, buf);
             }
             if walk == Walk::Post {
                 continue;
@@ -500,7 +535,8 @@ impl<'a> RankContext<'a> {
                     Walk::Drain => "pipelined gather failed",
                     _ => "scheduled exchange failed",
                 };
-                let buf = comm.recv(src, tag).expect(failed);
+                let mut buf = comm.recv(src, tag).expect(failed);
+                ws.detach_rider(src, rider.len(), &mut buf);
                 let pidx = plan.peer_slot(src).expect("scheduled peer is in the plan");
                 plan.unpack(ws, kind, pidx, batch, buf);
             }
@@ -509,6 +545,67 @@ impl<'a> RankContext<'a> {
             }
         }
         comm.clear_round();
+    }
+}
+
+/// A batch whose gather-x is in, between the exchange phases of one
+/// barrier STTSV ([`RankContext::gather`]). Dropping it instead of
+/// calling [`Gathered::finish`] stops the call before the kernels; every
+/// rank must then stop.
+pub(crate) struct Gathered<'c> {
+    ctx: &'c RankContext<'c>,
+    ws: RefMut<'c, PlanWorkspace>,
+    batch: usize,
+    start_ns: u64,
+    gather_ns: u64,
+    riders: Vec<f64>,
+}
+
+impl Gathered<'_> {
+    /// Every rank's gather rider summed in rank order (empty without a
+    /// rider): the same bits on every rank, and the bits
+    /// [`Comm::all_reduce`] gives.
+    pub(crate) fn riders(&self) -> &[f64] {
+        &self.riders
+    }
+
+    /// Divides the gathered input of a one-vector batch by `divisor` and
+    /// copies this rank's shards of the result into `out`.
+    pub(crate) fn normalize(&mut self, divisor: f64, out: &mut [Vec<f64>]) {
+        debug_assert_eq!(self.batch, 1, "one vector per normalized call");
+        let plan = &self.ctx.plan;
+        plan.scale_x(&mut self.ws, 0, divisor);
+        plan.extract_x_into(&self.ws, 0, out);
+    }
+
+    /// The second half: the fused kernel pass and the reduce-y, with
+    /// `rider` appended to every reduce message. Returns this rank's output
+    /// shards `ys[v][t]`, the ternary count, the batch's spans and every
+    /// rank's reduce rider summed in rank order.
+    pub(crate) fn finish(
+        mut self,
+        comm: &Comm,
+        rider: &[f64],
+    ) -> (Vec<Vec<Vec<f64>>>, u64, BatchSpans, Vec<f64>) {
+        let (ctx, batch) = (self.ctx, self.batch);
+        let plan = &ctx.plan;
+        let ws = &mut *self.ws;
+        let (ternary, compute_ns) = ctx.kernels(comm, plan, ws, batch);
+        let reduce_t0 = comm.elapsed_ns();
+        comm.with_phase("reduce-y", || {
+            let walk = Walk::Exchange;
+            ctx.plan_exchange(comm, plan, ws, ExchangeKind::Reduce, batch, walk, rider)
+        });
+        let reduce_ns = comm.elapsed_ns().saturating_sub(reduce_t0);
+        let ys = (0..batch).map(|v| plan.extract(ws, v)).collect();
+        let spans = BatchSpans {
+            start_ns: self.start_ns,
+            gather_ns: self.gather_ns,
+            compute_ns,
+            reduce_ns,
+            end_ns: comm.elapsed_ns(),
+        };
+        (ys, ternary, spans, ws.rider_sum(rider.len()))
     }
 }
 

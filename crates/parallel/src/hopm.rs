@@ -4,13 +4,28 @@
 //! optimizes).
 //!
 //! `x` and `y` stay distributed in the tetrahedral shard layout across
-//! iterations; each iteration costs one Algorithm-5 STTSV plus one small
-//! all-reduce. That all-reduce carries the pass's norm and Rayleigh
-//! quotient together with the previous pass's step, so the convergence
-//! test lags one pass behind: a converged solve runs one STTSV past the
-//! pass whose step fell under the tolerance. One all-reduce normalizes the
-//! start vector and one more, after the loop, reduces the last pass's
-//! residual.
+//! iterations, and each pass is one Algorithm-5 STTSV. A pass needs two
+//! global sums: `[‖y‖², xᵀAxx]` of its output, and the step
+//! `[diff_pos, diff_neg]` into its input.
+//!
+//! Where the exchange meets every peer in both phases (every mode at
+//! `q = 2`, the all-to-all modes at every `q`), they ride on the STTSV's
+//! own messages and no collective runs inside the loop. Pass `j`'s
+//! gather-x carries pass `j − 1`'s output *unnormalised*, with its
+//! `[‖y‖², xᵀAxx]` appended to every message. Every rank sums those riders
+//! in rank order, the fold of [`Comm::all_reduce`], and divides what it
+//! gathered by `‖y‖`, as the owner would. Pass `j`'s reduce-y carries the
+//! step that division made. Where some pair of ranks never meets (scheduled
+//! mode at `q ≥ 3`, SQS(8)), one all-reduce per pass carries the pass's
+//! `[‖y‖², xᵀAxx]` together with the step before it. Both ways give the
+//! same bits.
+//!
+//! Either way the convergence test lags one pass behind: a converged solve
+//! runs one STTSV past the pass whose step fell under the tolerance.
+//! Outside the loop, one all-reduce normalizes the start vector, one
+//! settles the last pass's `[‖y‖², xᵀAxx]` where those ride, and one
+//! reduces the last pass's residual (with its step after an iteration
+//! cap).
 
 use crate::algorithm5::{check_dims, Machine, Mode, RankContext};
 use crate::partition::TetraPartition;
@@ -57,6 +72,15 @@ pub fn parallel_shifted_hopm(
 /// reduction order. Panics with the
 /// [`InputError`](crate::InputError) on a dimension mismatch.
 ///
+/// Where the exchange meets every peer in both phases (every mode at
+/// `q = 2`, the all-to-all modes at every `q`), no collective runs inside
+/// the loop: each pass's scalars ride on the next STTSV's messages (see
+/// the module docs). Elsewhere one all-reduce per pass carries them. Around
+/// the loop, one all-reduce normalizes `x0`, one settles the last pass's
+/// norm and Rayleigh quotient where those ride, and one reduces the
+/// residual. The partition and `mode` alone choose the way, and both give
+/// the same bits.
+///
 /// `iters` counts the STTSVs done. Each pass tests the step of the pass
 /// before it, so a converged solve returns the iterate of one pass after
 /// the step that fell under `opts.tol`; the returned `lambda` and
@@ -76,10 +100,14 @@ pub fn parallel_shifted_hopm_planned(
     let n = part.dim();
     check_dims(n, tensor, [x0]).unwrap_or_else(|e| panic!("{e}"));
     let machine = Machine::new(tensor, part, mode, threads);
-    let (rank_results, report, _) =
-        machine.run(Universe::new(part.num_procs()), false, |comm, ctx| {
-            rank_hopm(comm, ctx, part.shards_of(comm.rank(), x0), alpha, opts)
-        });
+    let may_ride = scalars_may_ride();
+    let (rank_results, report) = Universe::new(part.num_procs()).run(|comm| {
+        machine.with_rank(comm, |ctx| {
+            let x_shards = part.shards_of(comm.rank(), x0);
+            let rides = may_ride && ctx.meets_every_peer();
+            rank_hopm(comm, ctx, Solver::start(comm, x_shards, alpha), opts, rides)
+        })
+    });
 
     // Assemble x from the rank shards; scalars agree on all ranks.
     let mut x = vec![0.0; n];
@@ -103,6 +131,16 @@ pub fn parallel_shifted_hopm_planned(
     (HopmResult { lambda, x, iters, converged, residual, ops }, report)
 }
 
+/// Whether a pass's scalars may ride on the STTSV's messages; a test can
+/// force the all-reduce way on its own thread.
+fn scalars_may_ride() -> bool {
+    #[cfg(test)]
+    if tests::FORCE_ALL_REDUCE.with(std::cell::Cell::get) {
+        return false;
+    }
+    true
+}
+
 /// Per-rank HOPM state returned to the driver.
 struct RankHopmOut {
     x_shards: Vec<Vec<f64>>,
@@ -114,94 +152,169 @@ struct RankHopmOut {
     ternary: u64,
 }
 
-fn rank_hopm(
-    comm: &Comm,
-    ctx: &RankContext<'_>,
-    mut x_shards: Vec<Vec<f64>>,
+/// One rank's iterate and the scalars of its last pass, on this rank's
+/// shards.
+struct Solver {
     alpha: f64,
-    opts: HopmOptions,
-) -> RankHopmOut {
-    // Normalize the start vector globally.
-    let local_sq: f64 = x_shards.iter().flatten().map(|&v| v * v).sum();
-    let norm0 = comm.all_reduce(vec![local_sq]).expect("norm all-reduce")[0].sqrt();
-    assert!(norm0 > 0.0, "start vector must be nonzero");
-    for shard in &mut x_shards {
-        for v in shard.iter_mut() {
+    /// The current iterate, unit norm.
+    x: Vec<Vec<f64>>,
+    /// The last pass's shifted output `A·x·x + α·x`, not yet normalized.
+    y: Vec<Vec<f64>>,
+    /// The last pass's local `[‖y‖², xᵀAxx]` until they are reduced.
+    partials: Vec<f64>,
+    /// The local step `[diff_pos, diff_neg]` into `x` until it is reduced.
+    step: Vec<f64>,
+    /// λ of the last settled pass.
+    lambda: f64,
+    /// This rank's squared residual of the last settled pass's input.
+    res_sq: f64,
+}
+
+impl Solver {
+    /// Normalizes the start vector globally: the first all-reduce.
+    fn start(comm: &Comm, mut x: Vec<Vec<f64>>, alpha: f64) -> Self {
+        let local_sq: f64 = x.iter().flatten().map(|&v| v * v).sum();
+        let norm0 = comm.all_reduce(vec![local_sq]).expect("norm all-reduce")[0].sqrt();
+        assert!(norm0 > 0.0, "start vector must be nonzero");
+        for v in x.iter_mut().flatten() {
             *v /= norm0;
         }
+        let (y, partials, step) = (Vec::new(), Vec::new(), Vec::new());
+        Solver { alpha, x, y, partials, step, lambda: 0.0, res_sq: 0.0 }
     }
 
-    let mut lambda = 0.0;
-    let mut iters = 0;
-    let mut converged = false;
-    let mut ternary = 0u64;
-    // The last pass's local step `[diff_pos, diff_neg]`, reduced together
-    // with the next pass's scalars, and its local squared residual.
-    let mut step = Vec::new();
-    let mut res_sq = 0.0;
-    while iters < opts.max_iters {
-        let (mut y, count) = ctx.sttsv(comm, &x_shards);
-        ternary += count;
-        iters += 1;
+    /// Takes a pass's output `A·x·x`: shifts it by `α·x` and keeps its
+    /// local `[‖y‖², xᵀAxx]`.
+    fn take_output(&mut self, mut y: Vec<Vec<f64>>) {
         // xᵀ(Axx) before shifting; ‖x‖ = 1, so it is the Rayleigh quotient.
         let x_dot_raw: f64 =
-            x_shards.iter().flatten().zip(y.iter().flatten()).map(|(&a, &b)| a * b).sum();
-        // Shifted iterate y = A·x·x + α·x.
-        if alpha != 0.0 {
-            for (shard, xs) in y.iter_mut().zip(&x_shards) {
-                for (v, &xv) in shard.iter_mut().zip(xs) {
-                    *v += alpha * xv;
-                }
+            self.x.iter().flatten().zip(y.iter().flatten()).map(|(&a, &b)| a * b).sum();
+        if self.alpha != 0.0 {
+            for (v, &xv) in y.iter_mut().flatten().zip(self.x.iter().flatten()) {
+                *v += self.alpha * xv;
             }
         }
         let shift_sq: f64 = y.iter().flatten().map(|&v| v * v).sum();
-        // The pass's one all-reduce: its own scalars and the last step.
-        let mut scalars = vec![shift_sq, x_dot_raw];
-        scalars.append(&mut step);
-        let global = comm.all_reduce(scalars).expect("solver all-reduce");
-        lambda = global[1];
-        // y − (α + λ)·x = A·x·x − λ·x, the input's eigen-residual.
-        let shift = alpha + lambda;
-        res_sq = y
+        self.y = y;
+        self.partials = vec![shift_sq, x_dot_raw];
+    }
+
+    /// Settles the last pass from its reduced `[‖y‖², xᵀAxx]`: keeps λ and
+    /// this rank's squared residual `‖y − (α + λ)·x‖²`, the input's
+    /// eigen-residual, and returns `‖y‖`.
+    fn settle(&mut self, global: &[f64]) -> f64 {
+        self.lambda = global[1];
+        let shift = self.alpha + self.lambda;
+        self.res_sq = self
+            .y
             .iter()
             .flatten()
-            .zip(x_shards.iter().flatten())
+            .zip(self.x.iter().flatten())
             .map(|(&v, &xv)| (v - shift * xv) * (v - shift * xv))
             .sum();
-        let y_norm = global[0].sqrt();
+        global[0].sqrt()
+    }
+
+    /// Moves to the normalized iterate `next`, keeping the local
+    /// sign-aligned step into it.
+    fn advance(&mut self, next: Vec<Vec<f64>>) {
+        let (mut diff_pos, mut diff_neg) = (0.0, 0.0);
+        for (&o, &v) in self.x.iter().flatten().zip(next.iter().flatten()) {
+            diff_pos += (o - v) * (o - v);
+            diff_neg += (o + v) * (o + v);
+        }
+        self.step = vec![diff_pos, diff_neg];
+        self.x = next;
+    }
+
+    /// Settles the last pass by one all-reduce of its partials and the
+    /// step before them, normalizing on the owners. Returns that step,
+    /// reduced (empty if there was none), or `None` when `‖y‖ = 0` leaves
+    /// no next iterate.
+    fn settle_by_all_reduce(&mut self, comm: &Comm) -> Option<Vec<f64>> {
+        let mut scalars = std::mem::take(&mut self.partials);
+        scalars.append(&mut self.step);
+        let mut global = comm.all_reduce(scalars).expect("solver all-reduce");
+        let last_step = global.split_off(2);
+        let y_norm = self.settle(&global);
         if y_norm == 0.0 {
-            break;
+            return None;
         }
-        // Normalize y and measure the sign-aligned step.
-        let mut diff_pos = 0.0;
-        let mut diff_neg = 0.0;
-        for (shard, old) in y.iter_mut().zip(&x_shards) {
-            for (v, &o) in shard.iter_mut().zip(old) {
-                *v /= y_norm;
-                diff_pos += (o - *v) * (o - *v);
-                diff_neg += (o + *v) * (o + *v);
-            }
+        let mut next = std::mem::take(&mut self.y);
+        for v in next.iter_mut().flatten() {
+            *v /= y_norm;
         }
-        x_shards = y;
-        // Lagged test: the previous pass's step, reduced above.
-        if let [_, _, pos, neg] = global[..] {
-            if pos.min(neg).sqrt() < opts.tol {
-                converged = true;
+        self.advance(next);
+        Some(last_step)
+    }
+}
+
+/// Whether a reduced step `[diff_pos, diff_neg]` is under `tol`.
+fn step_below(step: &[f64], tol: f64) -> bool {
+    matches!(step, [pos, neg] if pos.min(*neg).sqrt() < tol)
+}
+
+fn rank_hopm(
+    comm: &Comm,
+    ctx: &RankContext<'_>,
+    mut s: Solver,
+    opts: HopmOptions,
+    rides: bool,
+) -> RankHopmOut {
+    let mut iters = 0;
+    let mut converged = false;
+    let mut ternary = 0u64;
+    // Each `break` on `‖y‖ = 0` leaves the last pass's partials reduced
+    // and taken, so nothing below reduces them again.
+    while iters < opts.max_iters {
+        // Riding, every pass after the first gathers the last pass's
+        // output unnormalised, with its partials; every rank then divides
+        // what it gathered by the summed norm.
+        let rider = if rides { std::mem::take(&mut s.partials) } else { Vec::new() };
+        let input = if rider.is_empty() { &s.x } else { &s.y };
+        let mut gathered = ctx.gather(comm, std::slice::from_ref(input), &rider);
+        if !rider.is_empty() {
+            let y_norm = s.settle(gathered.riders());
+            if y_norm == 0.0 {
                 break;
             }
+            let mut next = std::mem::take(&mut s.y);
+            gathered.normalize(y_norm, &mut next);
+            s.advance(next);
         }
-        step = vec![diff_pos, diff_neg];
+        let step_rider = if rides { std::mem::take(&mut s.step) } else { Vec::new() };
+        let (mut ys, count, _, step_sum) = gathered.finish(comm, &step_rider);
+        ternary += count;
+        iters += 1;
+        s.take_output(ys.pop().expect("one output per input"));
+        // The lagged test: the step into this pass's input.
+        let last_step = if rides {
+            step_sum
+        } else {
+            let Some(step) = s.settle_by_all_reduce(comm) else { break };
+            step
+        };
+        if step_below(&last_step, opts.tol) {
+            converged = true;
+            break;
+        }
+    }
+    // Riding, the last pass's partials are still unreduced.
+    if !s.partials.is_empty() && s.settle_by_all_reduce(comm).is_none() {
+        converged = false;
     }
     // One closing all-reduce: the last pass's residual and, when the
-    // iteration cap ended the loop, its step.
-    let mut closing = vec![res_sq];
-    closing.append(&mut step);
+    // iteration cap ended the loop, the step into the returned iterate.
+    let mut closing = vec![s.res_sq];
+    if !converged {
+        closing.append(&mut s.step);
+    }
     let last = comm.all_reduce(closing).expect("closing all-reduce");
-    if let [_, pos, neg] = last[..] {
-        converged = pos.min(neg).sqrt() < opts.tol;
+    if last.len() > 1 {
+        converged = step_below(&last[1..], opts.tol);
     }
     let residual = last[0].sqrt();
-    RankHopmOut { x_shards, lambda, iters, converged, residual, ternary }
+    RankHopmOut { x_shards: s.x, lambda: s.lambda, iters, converged, residual, ternary }
 }
 
 #[cfg(test)]
@@ -210,9 +323,11 @@ mod tests {
     use crate::algorithm5::parallel_sttsv;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cell::Cell;
     use symtensor_core::generate::random_odeco;
     use symtensor_core::hopm::hopm;
     use symtensor_core::ops::dot;
+    use symtensor_mpsim::CommEventKind;
     use symtensor_steiner::spherical;
 
     #[test]
@@ -244,26 +359,55 @@ mod tests {
         (odeco.tensor, x0)
     }
 
+    thread_local! {
+        /// While set, solves started on this thread reduce their scalars
+        /// by all-reduce.
+        pub(super) static FORCE_ALL_REDUCE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Runs `f` with every solve it starts taking the all-reduce way.
+    fn with_all_reduce_scalars<R>(f: impl FnOnce() -> R) -> R {
+        struct Forced;
+        impl Drop for Forced {
+            fn drop(&mut self) {
+                FORCE_ALL_REDUCE.with(|forced| forced.set(false));
+            }
+        }
+        FORCE_ALL_REDUCE.with(|forced| forced.set(true));
+        let _forced = Forced;
+        f()
+    }
+
     #[test]
-    fn solver_sends_one_all_reduce_per_pass() {
+    fn solver_traffic_is_exact() {
         let opts = HopmOptions { tol: 1e-12, max_iters: 500 };
-        for q in [2u64, 3] {
+        let cases = [
+            (2u64, Mode::Scheduled, true),
+            (3, Mode::Scheduled, false),
+            (3, Mode::AllToAllSparse, true),
+        ];
+        for (q, mode, rides) in cases {
             let part = TetraPartition::new(spherical(q), 60).unwrap();
             let (tensor, x0) = odeco_91(60);
             // Rank 0's messages and words in one single-vector STTSV.
-            let one = parallel_sttsv(&tensor, &part, &x0, Mode::Scheduled).report.per_rank[0];
+            let one = parallel_sttsv(&tensor, &part, &x0, mode).report.per_rank[0];
             let (m, w) = (one.msgs_sent, one.words_sent);
             let peers = part.num_procs() as u64 - 1;
-            let (res, report) = parallel_hopm(&tensor, &part, &x0, opts, Mode::Scheduled);
-            assert!(res.converged, "q={q}");
+            let (res, report) = parallel_hopm(&tensor, &part, &x0, opts, mode);
+            assert!(res.converged, "q={q} {mode:?}");
             let k = res.iters as u64;
             let root = report.per_rank[0];
-            // The start norm, one all-reduce per pass and the closing one,
-            // each a message to every peer.
-            assert_eq!(root.msgs_sent, peers * (k + 2) + k * m, "q={q}");
-            // Scalars: 1 for the start norm, 2 on the first pass, 4 on
-            // every later pass and the residual alone at the close.
-            assert_eq!(root.words_sent, peers * 4 * k + k * w, "q={q}");
+            // Riding: the start norm, the last pass's norm and the residual
+            // are the only collectives, each a message to every peer.
+            // Otherwise one all-reduce per pass runs as well.
+            let collectives = if rides { 3 } else { k + 2 };
+            assert_eq!(root.msgs_sent, peers * collectives + k * m, "q={q} {mode:?}");
+            // Both ways send every peer 4 scalars per pass. Riding: 2 on
+            // each gather and reduce message after the first pass, 1 for
+            // the start norm, 2 for the last pass's norm, 1 for the
+            // residual. Otherwise: 1, then 2 on the first pass and 4 on
+            // every later one, then 1.
+            assert_eq!(root.words_sent, peers * 4 * k + k * w, "q={q} {mode:?}");
         }
         // One capped pass: 9 messages for each of the three all-reduces
         // and 18 for the STTSV; 1 + 2 + 3 scalars to each of the 9 peers
@@ -274,6 +418,70 @@ mod tests {
         let (res, report) = parallel_hopm(&tensor, &part, &x0, capped, Mode::Scheduled);
         assert_eq!((res.iters, res.converged), (1, false));
         assert_eq!((report.per_rank[0].msgs_sent, report.per_rank[0].words_sent), (45, 114));
+    }
+
+    #[test]
+    fn riding_and_all_reduce_scalars_give_the_same_bits() {
+        let part = TetraPartition::new(spherical(2), 30).unwrap();
+        let (odeco, x0) = odeco_91(30);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let check = |tensor: &SymTensor3, alpha: f64, opts: HopmOptions, mode: Mode| {
+            let solve = || parallel_shifted_hopm(tensor, &part, &x0, alpha, opts, mode);
+            let (ride, ride_report) = solve();
+            let (reduce, reduce_report) = with_all_reduce_scalars(solve);
+            let case = format!("{mode:?} α={alpha} cap {}", opts.max_iters);
+            assert_eq!((ride.iters, ride.converged), (reduce.iters, reduce.converged), "{case}");
+            assert_eq!(bits(&ride.x), bits(&reduce.x), "{case}");
+            assert_eq!(ride.lambda.to_bits(), reduce.lambda.to_bits(), "{case}");
+            assert_eq!(ride.residual.to_bits(), reduce.residual.to_bits(), "{case}");
+            let msgs = |report: &CostReport| report.per_rank[0].msgs_sent;
+            assert!(msgs(&ride_report) <= msgs(&reduce_report), "{case}");
+            ride
+        };
+        for mode in [Mode::Scheduled, Mode::AllToAllSparse, Mode::AllToAllPadded] {
+            for alpha in [0.0, 5.0] {
+                let solved = check(&odeco, alpha, HopmOptions { tol: 1e-9, max_iters: 2000 }, mode);
+                assert!(solved.converged, "{mode:?} α={alpha}");
+                for max_iters in [1, 7] {
+                    check(&odeco, alpha, HopmOptions { tol: 1e-9, max_iters }, mode);
+                }
+            }
+            // ‖y‖ = 0 after the first pass: both ways stop there.
+            let zero = SymTensor3::zeros(30);
+            for max_iters in [1, 7] {
+                let stopped = check(&zero, 0.0, HopmOptions { tol: 1e-9, max_iters }, mode);
+                assert_eq!((stopped.iters, stopped.converged), (1, false), "{mode:?}");
+                assert_eq!((stopped.lambda, stopped.residual), (0.0, 0.0), "{mode:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn riding_solve_keeps_the_zero_allocation_steady_state() {
+        let part = TetraPartition::new(spherical(2), 60).unwrap();
+        let (tensor, x0) = odeco_91(60);
+        let machine = Machine::new(&tensor, &part, Mode::Scheduled, 1);
+        let opts = HopmOptions { tol: 0.0, max_iters: 20 };
+        let (outs, _, logs) = Universe::new(part.num_procs()).run_traced(|comm| {
+            machine.with_rank(comm, |ctx| {
+                assert!(ctx.meets_every_peer());
+                let x_shards = part.shards_of(comm.rank(), &x0);
+                rank_hopm(comm, ctx, Solver::start(comm, x_shards, 0.0), opts, true)
+            })
+        });
+        for (rank, (events, out)) in logs.iter().zip(&outs).enumerate() {
+            let fresh: Vec<u64> = events
+                .iter()
+                .filter_map(|ev| match ev.kind {
+                    CommEventKind::Counter { key: "plan:fresh_allocs", value } => Some(value),
+                    _ => None,
+                })
+                .collect();
+            // One kernel sample per pass, flat from the first: the riders
+            // never regrow a message buffer.
+            assert_eq!(fresh.len(), out.iters, "rank {rank}");
+            assert!(fresh.iter().all(|&f| f == fresh[0]), "rank {rank}: {fresh:?}");
+        }
     }
 
     #[test]

@@ -91,11 +91,10 @@ fn run_columns(
     let x_cols: Vec<Vec<f64>> = (0..r).map(|col| x_mat.col(col)).collect();
     check_dims(n, tensor, x_cols.iter().map(Vec::as_slice))?;
     let machine = Machine::new(tensor, part, mode, 1);
-    let (rank_results, report, _) =
-        machine.run(Universe::new(part.num_procs()), false, |comm, ctx| {
-            let p = comm.rank();
-            per_rank(comm, ctx, x_cols.iter().map(|x| part.shards_of(p, x)).collect())
-        });
+    let (rank_results, report) = Universe::new(part.num_procs()).run(|comm| {
+        let columns = x_cols.iter().map(|x| part.shards_of(comm.rank(), x)).collect();
+        machine.with_rank(comm, |ctx| per_rank(comm, ctx, columns))
+    });
     let mut y = Matrix::zeros(n, r);
     let mut y_col = vec![0.0; n];
     for col in 0..r {

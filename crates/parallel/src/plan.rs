@@ -25,6 +25,11 @@
 //!   steady state performs **zero heap allocations** (the simulated
 //!   transport's channel nodes excepted — those belong to the machine,
 //!   not the algorithm).
+//! * **Riders** — an exchange may append up to [`MAX_RIDER_WORDS`]
+//!   scalars to every message, after the pieces (and after a padded
+//!   message's zero tail). The workspace keeps one rider slot per rank
+//!   and sums them in rank order, and the buffer target counts the rider
+//!   words, so a rider never regrows a buffer.
 //!
 //! The plan computes a whole batch in one pass over the arena: each
 //! block, and within it each packed tensor row, is loaded once and applied
@@ -51,6 +56,10 @@ use crate::schedule::shared_row_blocks;
 use crate::tetra::{BlockIdx, BlockKind};
 use symtensor_core::SymTensor3;
 use symtensor_pool::Pool;
+
+/// The most scalars one exchange may append to each of its messages (see
+/// the riders in the module docs).
+pub const MAX_RIDER_WORDS: usize = 2;
 
 /// One owned block inside the packed arena.
 #[derive(Clone, Copy, Debug)]
@@ -345,8 +354,9 @@ impl RankPlan {
             ws.x.resize(batch * stride, 0.0);
             ws.y.resize(batch * stride, 0.0);
             ws.lanes.resize(lane_words(self.b), 0.0);
+            ws.riders.resize((self.peers.len() + 1) * MAX_RIDER_WORDS, 0.0);
             ws.batch_cap = batch;
-            ws.buf_target = self.max_msg_unit * batch;
+            ws.buf_target = self.max_msg_unit * batch + MAX_RIDER_WORDS;
         }
     }
 
@@ -504,12 +514,30 @@ impl RankPlan {
     /// Copies this rank's shards of output slab `v` into caller-provided
     /// shard vectors (allocation-free when `out` has the right lengths).
     pub fn extract_into(&self, ws: &PlanWorkspace, v: usize, out: &mut [Vec<f64>]) {
+        self.own_shards_into(&ws.y, v, out);
+    }
+
+    /// Divides input slab `v` elementwise by `divisor`: every rank holding
+    /// a gathered row block divides it exactly as its owner would.
+    pub(crate) fn scale_x(&self, ws: &mut PlanWorkspace, v: usize, divisor: f64) {
+        for value in &mut ws.x[v * self.stride()..(v + 1) * self.stride()] {
+            *value /= divisor;
+        }
+    }
+
+    /// Copies this rank's shards of input slab `v` into `out`: after
+    /// [`RankPlan::scale_x`], the owner's shards of the scaled vector.
+    pub(crate) fn extract_x_into(&self, ws: &PlanWorkspace, v: usize, out: &mut [Vec<f64>]) {
+        self.own_shards_into(&ws.x, v, out);
+    }
+
+    fn own_shards_into(&self, slab: &[f64], v: usize, out: &mut [Vec<f64>]) {
         assert_eq!(out.len(), self.t_count);
         let base = v * self.stride();
         for (t, (&(start, len), dst)) in self.my_shards.iter().zip(out).enumerate() {
             dst.clear();
             dst.extend_from_slice(
-                &ws.y[base + t * self.b + start..base + t * self.b + start + len],
+                &slab[base + t * self.b + start..base + t * self.b + start + len],
             );
         }
     }
@@ -543,10 +571,14 @@ pub struct PlanWorkspace {
     bufs: Vec<Vec<f64>>,
     /// Recycled outer vector for the all-to-all collective.
     pub(crate) a2a_send: Vec<Vec<f64>>,
+    /// The running exchange's riders, [`MAX_RIDER_WORDS`] slots per rank,
+    /// in rank order.
+    riders: Vec<f64>,
     /// Vectors the slabs currently accommodate.
     batch_cap: usize,
     /// Capacity every leased message buffer is promoted to (the global
-    /// maximum message size × batch), so each buffer grows at most once.
+    /// maximum message size × batch, plus [`MAX_RIDER_WORDS`]), so each
+    /// buffer grows at most once.
     buf_target: usize,
     /// Heap-touching events: slab growth + message-buffer promotions.
     /// Flat across iterations ⇔ allocation-free steady state.
@@ -569,6 +601,56 @@ impl PlanWorkspace {
             buf.reserve(self.buf_target);
         }
         buf
+    }
+
+    /// Appends `rider` to the packed message `buf`. A rider that would
+    /// regrow the buffer counts as a heap-touching event.
+    #[inline]
+    pub(crate) fn attach_rider(&mut self, rider: &[f64], buf: &mut Vec<f64>) {
+        if rider.is_empty() {
+            return;
+        }
+        if buf.capacity() < buf.len() + rider.len() {
+            self.fresh += 1;
+        }
+        buf.extend_from_slice(rider);
+    }
+
+    /// Keeps `rider` as rank `rank`'s rider of the running exchange.
+    pub(crate) fn keep_rider(&mut self, rank: usize, rider: &[f64]) {
+        assert!(rider.len() <= MAX_RIDER_WORDS, "a rider carries at most {MAX_RIDER_WORDS} words");
+        let slot = rank * MAX_RIDER_WORDS;
+        self.riders[slot..slot + rider.len()].copy_from_slice(rider);
+    }
+
+    /// Splits the last `width` words, rank `src`'s rider, off the received
+    /// message `buf`.
+    #[inline]
+    pub(crate) fn detach_rider(&mut self, src: usize, width: usize, buf: &mut Vec<f64>) {
+        if width == 0 {
+            return;
+        }
+        let at = buf.len() - width;
+        let slot = src * MAX_RIDER_WORDS;
+        self.riders[slot..slot + width].copy_from_slice(&buf[at..]);
+        buf.truncate(at);
+    }
+
+    /// Every rank's `width`-word rider summed elementwise in rank order,
+    /// starting from rank 0's: the fold `Comm::all_reduce` does at its
+    /// root, so every rank gets the bits an all-reduce would give.
+    pub(crate) fn rider_sum(&self, width: usize) -> Vec<f64> {
+        if width == 0 {
+            return Vec::new();
+        }
+        let mut slots = self.riders.chunks_exact(MAX_RIDER_WORDS);
+        let mut acc = slots.next().map_or_else(Vec::new, |first| first[..width].to_vec());
+        for slot in slots {
+            for (a, b) in acc.iter_mut().zip(slot) {
+                *a += b;
+            }
+        }
+        acc
     }
 
     /// Returns a buffer to the free list (used for buffers that were

@@ -92,6 +92,15 @@ impl CommSchedule {
         &self.rounds
     }
 
+    /// Whether every rank sends to and receives from every other rank
+    /// within one pass over the rounds: true exactly when every pair of
+    /// processors shares a row block (spherical `q = 2`; not `q ≥ 3`
+    /// or SQS(8)).
+    pub(crate) fn meets_every_pair(&self) -> bool {
+        let p = self.actions.len();
+        self.rounds.iter().map(Vec::len).sum::<usize>() == p * p.saturating_sub(1)
+    }
+
     /// Per-round actions for one rank.
     pub fn actions(&self, rank: usize) -> &[RoundAction] {
         &self.actions[rank]
@@ -235,6 +244,18 @@ mod tests {
             let disjoint =
                 (0..30).filter(|&o| o != p && shared_row_blocks(&part, p, o).is_empty()).count();
             assert_eq!(disjoint, 3);
+        }
+    }
+
+    #[test]
+    fn only_q2_meets_every_pair() {
+        // q = 2: 9 rounds for 9 peers; q = 3: 26 rounds for 29 peers, so
+        // some pairs never meet; SQS(8): 12 rounds for 13 peers.
+        for (system, n, every) in
+            [(spherical(2), 30, true), (spherical(3), 60, false), (sqs8(), 56, false)]
+        {
+            let part = TetraPartition::new(system, n).unwrap();
+            assert_eq!(CommSchedule::build(&part).meets_every_pair(), every, "n={n}");
         }
     }
 
