@@ -1,7 +1,6 @@
 //! symtensor-check: correctness tooling for the workspace's lock-free
 //! planes — the telemetry cell's seqlock, the rolling-histogram epochs,
-//! the flight-recorder ring, the pool's chunk deque, and mpsim's abort
-//! flag.
+//! the pool's chunk deque, and mpsim's abort flag.
 //!
 //! Three engines, one dependency-free crate:
 //!

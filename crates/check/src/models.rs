@@ -8,8 +8,6 @@
 //! * `seqlock` — the telemetry cell's sequence-lock: one writer
 //!   publishing a two-word gauge snapshot vs. one reader that must never
 //!   accept a torn read (`crates/telemetry/src/cell.rs`);
-//! * `flight_ring` — the flight recorder's wrap-around ring published
-//!   once to a drainer through a flag (`crates/mpsim/src/flight.rs`);
 //! * `deque` — the pool's lock-protected chunk deque: owner pushes and
 //!   pops front, a thief steals back, every chunk is executed exactly
 //!   once (`crates/pool/src/lib.rs`);
@@ -27,9 +25,9 @@ use crate::model::{Config, ModelRun, Outcome};
 use crate::mutate::{ModelDef, Orderings};
 use crate::sync::{fence, AtomicBool, AtomicU64, Ordering, UnsafeCellShim};
 
-/// All four primitive models with their correct ordering tables.
+/// All three primitive models with their correct ordering tables.
 pub fn defs() -> Vec<ModelDef> {
-    vec![seqlock(), flight_ring(), deque(), abort_flag()]
+    vec![seqlock(), deque(), abort_flag()]
 }
 
 // --- seqlock ----------------------------------------------------------
@@ -117,118 +115,6 @@ fn seqlock() -> ModelDef {
                 seq: AtomicU64::named(0, "seq"),
                 d0: AtomicU64::named(0, "d0"),
                 d1: AtomicU64::named(0, "d1"),
-            })
-        },
-    }
-}
-
-// --- flight ring ------------------------------------------------------
-
-const RING_CAP: usize = 3;
-const RING_EVENTS: u64 = 5;
-
-/// Mirror of `FlightRecorder`'s write-at-head ring of `CommEvent`
-/// records (`crates/mpsim/src/flight.rs`): record at `head`, advance
-/// modulo capacity, saturate `len`; drain oldest-first from `head` once
-/// wrapped. (The recorder appends while filling — at index `len`, which
-/// is where this `head` points — and writes at its own `head` once full.)
-#[derive(Hash)]
-struct RingState {
-    buf: [u64; RING_CAP],
-    head: usize,
-    len: usize,
-}
-
-impl RingState {
-    fn push(&mut self, v: u64) {
-        self.buf[self.head] = v;
-        self.head = (self.head + 1) % RING_CAP;
-        if self.len < RING_CAP {
-            self.len += 1;
-        }
-    }
-
-    fn window(&self) -> Vec<u64> {
-        let start = if self.len < RING_CAP { 0 } else { self.head };
-        (0..self.len).map(|i| self.buf[(start + i) % RING_CAP]).collect()
-    }
-}
-
-struct FlightRing {
-    o: Orderings,
-    ring: UnsafeCellShim<RingState>,
-    published: AtomicU64,
-    drained: UnsafeCellShim<Vec<u64>>,
-}
-
-impl FlightRing {
-    fn drain(&self) {
-        let window = self.ring.with(RingState::window);
-        assert_eq!(
-            window,
-            vec![RING_EVENTS - 2, RING_EVENTS - 1, RING_EVENTS],
-            "ring window is not the last {RING_CAP} events oldest-first"
-        );
-        self.drained.with_mut(|d| *d = window);
-    }
-}
-
-impl ModelRun for FlightRing {
-    fn threads(&self) -> usize {
-        2
-    }
-
-    fn thread(&self, tid: usize) {
-        if tid == 0 {
-            // Recorder: wrap the ring, then publish it once.
-            for v in 1..=RING_EVENTS {
-                self.ring.with_mut(|r| r.push(v));
-            }
-            self.published.store(1, self.o.get("ring-publish"));
-        } else {
-            // Drainer: a few optimistic polls (these create the
-            // interesting interleavings), then block until published.
-            for _ in 0..3 {
-                if self.published.load(self.o.get("ring-early-poll")) == 1 {
-                    self.drain();
-                    return;
-                }
-            }
-            self.published.cas_or_block(1, 1, self.o.get("ring-poll"));
-            self.drain();
-        }
-    }
-
-    fn finale(&self) {
-        self.drained.with(|d| {
-            assert_eq!(d.len(), RING_CAP, "drainer never observed the published ring");
-        });
-    }
-}
-
-fn flight_ring() -> ModelDef {
-    ModelDef {
-        name: "flight-ring",
-        orderings: Orderings::new(&[
-            // ordering: publishing the flag releases every ring write
-            // before it to the drainer.
-            ("ring-publish", Ordering::Release),
-            // ordering: an early poll that observes the flag must
-            // acquire it, or the drain would race the recorder.
-            ("ring-early-poll", Ordering::Acquire),
-            // ordering: the blocking poll likewise acquires before the
-            // drain touches the ring.
-            ("ring-poll", Ordering::Acquire),
-        ]),
-        build: |o| {
-            Arc::new(FlightRing {
-                o,
-                ring: UnsafeCellShim::named(
-                    RingState { buf: [0; RING_CAP], head: 0, len: 0 },
-                    "flight-ring",
-                ),
-                published: AtomicU64::named(0, "published"),
-                drained: UnsafeCellShim::named(Vec::new(), "drained"),
             })
         },
     }

@@ -16,9 +16,12 @@
 //! `B` pieces back-to-back; a single vector is a batch of one, and an
 //! `r`-column MTTKRP is a batch of `r`. Every exchange goes through one
 //! private dispatcher, shared by the barrier calls and the double-buffered
-//! serving loop; in scheduled mode it walks the edge-colored rounds. The
-//! dispatcher can append a few scalars, a *rider*, to every message of a
-//! phase: the eigen-solver ([`crate::hopm`]) carries its norms that way.
+//! serving loop, and runs as two halves: post every send of the phase,
+//! then drain its receives. In scheduled mode both halves walk the
+//! edge-colored rounds in order, so a round is a pairing of ranks and a
+//! label on its message, not a step a rank waits out. The dispatcher can
+//! append a few scalars, a *rider*, to every message of a phase: the
+//! eigen-solver ([`crate::hopm`]) carries its norms that way.
 //!
 //! Communication modes:
 //!
@@ -322,8 +325,7 @@ impl<'a> RankContext<'a> {
         self.load(&mut ws, plan, my_shards);
         let gather_t0 = comm.elapsed_ns();
         comm.with_phase("gather-x", || {
-            let walk = Walk::Exchange;
-            self.plan_exchange(comm, plan, &mut ws, ExchangeKind::Gather, batch, walk, rider)
+            self.exchange(comm, plan, &mut ws, ExchangeKind::Gather, batch, rider)
         });
         let gather_ns = comm.elapsed_ns().saturating_sub(gather_t0);
         let riders = ws.rider_sum(rider.len());
@@ -368,10 +370,12 @@ impl<'a> RankContext<'a> {
     /// batch `k + 1`'s (the mailbox preserves arrival order per
     /// `(src, tag)`), so the wire traffic, cost counters and output bits
     /// are those of one [`RankContext::sttsv_multi`] per batch — only the
-    /// *timing* moves. Both halves of the gather run on the barrier
-    /// exchange's round walker, split into a send-only and a receive-only
-    /// pass. The all-to-all modes stage form + load only: their
-    /// collective is one indivisible step, run when the batch drains.
+    /// *timing* moves. Every exchange, here and in the barrier calls, is
+    /// a send-only `Post` followed by a receive-only `Drain`; the loop
+    /// only splits the gather's two halves across the pipeline, while
+    /// reduce-y runs them back to back. The all-to-all modes stage form +
+    /// load only: their collective is one indivisible step, run when the
+    /// batch drains.
     pub fn sttsv_serve_pipelined(
         &self,
         comm: &Comm,
@@ -422,8 +426,7 @@ impl<'a> RankContext<'a> {
             let (ternary, compute_ns) = self.kernels(comm, plan, &mut wss[cur], batch);
             let reduce_t0 = comm.elapsed_ns();
             comm.with_phase("reduce-y", || {
-                let ws = &mut wss[cur];
-                self.plan_exchange(comm, plan, ws, ExchangeKind::Reduce, batch, Walk::Exchange, &[])
+                self.exchange(comm, plan, &mut wss[cur], ExchangeKind::Reduce, batch, &[])
             });
             let reduce_ns = comm.elapsed_ns().saturating_sub(reduce_t0);
             let ys = (0..batch).map(|v| plan.extract(&wss[cur], v)).collect();
@@ -439,15 +442,29 @@ impl<'a> RankContext<'a> {
         out
     }
 
-    /// The exchange of one phase, or the half of it that `walk` names:
-    /// packs from / unpacks into the flat slabs using the precompiled piece
-    /// layouts, with message buffers drawn from (and recycled into) the
-    /// workspace free list. Scheduled mode walks the edge-colored rounds.
-    /// The all-to-all modes run one collective on `Exchange` or `Drain`,
-    /// padded to `batch · pad_unit` words in [`Mode::AllToAllPadded`], and
-    /// apply arrivals in ascending peer order; their `Post` is a no-op.
-    /// Every message carries `rider` after its pieces (and padding); the
-    /// riders received, and this rank's own, are kept in `ws` by rank.
+    /// One phase's whole exchange: the `Post` half, then the `Drain` half.
+    fn exchange(
+        &self,
+        comm: &Comm,
+        plan: &RankPlan,
+        ws: &mut PlanWorkspace,
+        kind: ExchangeKind,
+        batch: usize,
+        rider: &[f64],
+    ) {
+        self.plan_exchange(comm, plan, ws, kind, batch, Walk::Post, rider);
+        self.plan_exchange(comm, plan, ws, kind, batch, Walk::Drain, rider);
+    }
+
+    /// The half of one phase's exchange that `walk` names: packs from /
+    /// unpacks into the flat slabs using the precompiled piece layouts,
+    /// with message buffers drawn from (and recycled into) the workspace
+    /// free list. Scheduled mode walks the edge-colored rounds. The
+    /// all-to-all modes run one collective on `Drain`, padded to
+    /// `batch · pad_unit` words in [`Mode::AllToAllPadded`], and apply
+    /// arrivals in ascending peer order; their `Post` is a no-op. Every
+    /// message carries `rider` after its pieces (and padding); the riders
+    /// received, and this rank's own, are kept in `ws` by rank.
     #[allow(clippy::too_many_arguments)]
     fn plan_exchange(
         &self,
@@ -496,12 +513,14 @@ impl<'a> RankContext<'a> {
         }
     }
 
-    /// The scheduled exchange: walks the edge-colored rounds, posting the
-    /// round's send (packed from the slabs), taking its receive (unpacked
-    /// into them), or both, as `walk` says. Each round is annotated on the
-    /// event stream while it runs. A walk that takes receives counts every
-    /// round in which this rank sends or receives, so a `Post` followed by
-    /// a `Drain` counts the rounds of one `Exchange`.
+    /// The scheduled exchange: walks the edge-colored rounds, posting each
+    /// round's send (packed from the slabs) on `Post` and taking each
+    /// round's receive (unpacked into them) on `Drain`. Each round is
+    /// annotated on the event stream while its message moves, and `Drain`
+    /// counts every round in which this rank sends or receives. A round is
+    /// a pairing and a label, not a timed step: every send of the phase is
+    /// on the wire before its first receive, and the receives are taken,
+    /// and unpacked, in round order.
     #[allow(clippy::too_many_arguments)]
     fn walk_rounds(
         &self,
@@ -514,34 +533,33 @@ impl<'a> RankContext<'a> {
         rider: &[f64],
     ) {
         let schedule = self.schedule.expect("scheduled mode requires a schedule");
-        let tag_base = match kind {
-            ExchangeKind::Gather => TAG_X,
-            ExchangeKind::Reduce => TAG_Y,
+        let (tag_base, failed) = match kind {
+            ExchangeKind::Gather => (TAG_X, "gather-x exchange failed"),
+            ExchangeKind::Reduce => (TAG_Y, "reduce-y exchange failed"),
         };
         for (round, act) in schedule.actions(comm.rank()).iter().enumerate() {
             let tag = tag_base + round as u64;
             comm.annotate_round(round as u64);
-            if let Some(dst) = act.send_to.filter(|_| walk != Walk::Drain) {
-                let pidx = plan.peer_slot(dst).expect("scheduled peer is in the plan");
-                let mut buf = plan.pack(ws, kind, pidx, batch);
-                ws.attach_rider(rider, &mut buf);
-                comm.send(dst, tag, buf);
-            }
-            if walk == Walk::Post {
-                continue;
-            }
-            if let Some(src) = act.recv_from {
-                let failed = match walk {
-                    Walk::Drain => "pipelined gather failed",
-                    _ => "scheduled exchange failed",
-                };
-                let mut buf = comm.recv(src, tag).expect(failed);
-                ws.detach_rider(src, rider.len(), &mut buf);
-                let pidx = plan.peer_slot(src).expect("scheduled peer is in the plan");
-                plan.unpack(ws, kind, pidx, batch, buf);
-            }
-            if act.send_to.is_some() || act.recv_from.is_some() {
-                comm.count_round();
+            match walk {
+                Walk::Post => {
+                    if let Some(dst) = act.send_to {
+                        let pidx = plan.peer_slot(dst).expect("scheduled peer is in the plan");
+                        let mut buf = plan.pack(ws, kind, pidx, batch);
+                        ws.attach_rider(rider, &mut buf);
+                        comm.send(dst, tag, buf);
+                    }
+                }
+                Walk::Drain => {
+                    if let Some(src) = act.recv_from {
+                        let mut buf = comm.recv(src, tag).expect(failed);
+                        ws.detach_rider(src, rider.len(), &mut buf);
+                        let pidx = plan.peer_slot(src).expect("scheduled peer is in the plan");
+                        plan.unpack(ws, kind, pidx, batch, buf);
+                    }
+                    if act.send_to.is_some() || act.recv_from.is_some() {
+                        comm.count_round();
+                    }
+                }
             }
         }
         comm.clear_round();
@@ -593,8 +611,7 @@ impl Gathered<'_> {
         let (ternary, compute_ns) = ctx.kernels(comm, plan, ws, batch);
         let reduce_t0 = comm.elapsed_ns();
         comm.with_phase("reduce-y", || {
-            let walk = Walk::Exchange;
-            ctx.plan_exchange(comm, plan, ws, ExchangeKind::Reduce, batch, walk, rider)
+            ctx.exchange(comm, plan, ws, ExchangeKind::Reduce, batch, rider)
         });
         let reduce_ns = comm.elapsed_ns().saturating_sub(reduce_t0);
         let ys = (0..batch).map(|v| plan.extract(ws, v)).collect();
@@ -609,17 +626,15 @@ impl Gathered<'_> {
     }
 }
 
-/// Which halves of one phase's exchange a [`RankContext`] call performs.
+/// Which half of one phase's exchange a [`RankContext`] call performs.
+/// Every exchange runs `Post` and then `Drain`; only the serving loop
+/// puts work between them.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Walk {
-    /// Send, then receive: the barrier exchange of one phase.
-    Exchange,
-    /// Sends only: the serving loop stages a batch's gather. A no-op for
-    /// the all-to-all collective.
+    /// Sends only. A no-op for the all-to-all collective.
     Post,
-    /// Receives only, of the messages a `Post` announced: the serving
-    /// loop's gather drain. The all-to-all modes run their whole
-    /// collective here.
+    /// Receives only, of the messages a `Post` announced, in round order.
+    /// The all-to-all modes run their whole collective here.
     Drain,
 }
 
@@ -906,7 +921,7 @@ pub fn parallel_sttsv_padded(
 mod tests {
     use super::*;
     use crate::bounds;
-    use crate::schedule::spherical_round_count;
+    use crate::schedule::{spherical_round_count, RoundAction};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use symtensor_core::generate::random_symmetric;
@@ -982,6 +997,77 @@ mod tests {
             assert_eq!(cost.words_sent, expect, "rank {p} sent");
             assert_eq!(cost.words_recv, expect, "rank {p} recv");
             assert_eq!(cost.rounds, 2 * spherical_round_count(3) as u64, "rank {p} rounds");
+        }
+    }
+
+    #[test]
+    fn scheduled_phases_post_every_send_before_their_first_receive() {
+        use symtensor_mpsim::CommEventKind;
+        for (q, n) in [(2, 30), (3, 60)] {
+            let part = TetraPartition::new(spherical(q), n).unwrap();
+            let schedule = CommSchedule::build(&part);
+            assert_eq!(schedule.num_rounds(), spherical_round_count(q as usize));
+            let mut rng = StdRng::seed_from_u64(31);
+            let tensor = random_symmetric(n, &mut rng);
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
+            let opts = SttsvOptions { trace: true, ..SttsvOptions::new(Mode::Scheduled) };
+            let run = parallel_sttsv_with(&tensor, &part, &[x], opts).unwrap();
+            for (p, log) in run.flight.iter().enumerate() {
+                let acts = schedule.actions(p);
+                for (phase, tag_base) in [("gather-x", TAG_X), ("reduce-y", TAG_Y)] {
+                    let at = format!("q = {q}, rank {p}, {phase}");
+                    let events: Vec<&CommEvent> =
+                        log.events.iter().filter(|e| e.phase == Some(phase)).collect();
+                    let is_send = |e: &&CommEvent| matches!(e.kind, CommEventKind::Send { .. });
+                    let is_recv = |e: &&CommEvent| matches!(e.kind, CommEventKind::Recv { .. });
+                    let last_send = events.iter().rposition(is_send).expect("the phase sends");
+                    let first_recv = events.iter().position(is_recv).expect("the phase receives");
+                    assert!(last_send < first_recv, "{at}: a receive precedes a send");
+                    // The labels, tags and peers are the compiled schedule's.
+                    let compiled = |peer: fn(&RoundAction) -> Option<usize>| -> Vec<_> {
+                        (acts.iter().enumerate())
+                            .filter_map(|(r, a)| {
+                                peer(a).map(|d| (Some(r as u64), tag_base + r as u64, d))
+                            })
+                            .collect()
+                    };
+                    let on_wire = |send: bool| -> Vec<_> {
+                        (events.iter())
+                            .filter_map(|e| match e.kind {
+                                CommEventKind::Send { dst, tag, .. } if send => {
+                                    Some((e.round, tag, dst))
+                                }
+                                CommEventKind::Recv { src, tag, .. } if !send => {
+                                    Some((e.round, tag, src))
+                                }
+                                _ => None,
+                            })
+                            .collect()
+                    };
+                    assert_eq!(on_wire(true), compiled(|a| a.send_to), "{at}: sends");
+                    assert_eq!(on_wire(false), compiled(|a| a.recv_from), "{at}: receives");
+                    // The phase counts every round of the schedule once.
+                    let rounds_at = |enter: bool| {
+                        (log.events.iter())
+                            .find_map(|e| match e.kind {
+                                CommEventKind::PhaseEnter { name, snapshot }
+                                    if enter && name == phase =>
+                                {
+                                    Some(snapshot.rounds)
+                                }
+                                CommEventKind::PhaseExit { name, snapshot }
+                                    if !enter && name == phase =>
+                                {
+                                    Some(snapshot.rounds)
+                                }
+                                _ => None,
+                            })
+                            .expect("the phase is recorded")
+                    };
+                    let rounds = rounds_at(false) - rounds_at(true);
+                    assert_eq!(rounds, schedule.num_rounds() as u64, "{at}: rounds");
+                }
+            }
         }
     }
 

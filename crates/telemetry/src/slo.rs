@@ -1,16 +1,26 @@
 //! Multi-window SLO burn-rate evaluation (the SRE-handbook shape): an
 //! alert fires only when the *short* window burns error budget at ≥
-//! `fast_factor`× the sustainable rate **and** the *long* window burns
+//! `FAST_FACTOR`× the sustainable rate **and** the *long* window burns
 //! at ≥ 1× — fast enough to catch an incident inside one scrape
 //! interval, immune to a single slow request tripping it.
 
 use crate::plane::{SloAlert, TelemetryPlane};
 use crate::rolling::SLICES;
 
+/// Objective fraction of requests that must meet the budget: a 1% error
+/// budget.
+const OBJECTIVE: f64 = 0.99;
+/// Short-window burn multiple required to fire.
+const FAST_FACTOR: f64 = 5.0;
+/// Slices in the short window.
+const SHORT_SLICES: usize = 2;
+/// Slices in the long window: the whole ring.
+const LONG_SLICES: usize = SLICES;
+
 /// A latency-budget SLO over one of the serve cell's rolling histograms
 /// plus the evaluator state (cooldown) for it.
 ///
-/// Burn rate = (fraction of requests over `budget_ns`) / (1 − objective):
+/// Burn rate = (fraction of requests over `budget_ns`) / (1 − `OBJECTIVE`):
 /// 1.0 means the error budget is being spent exactly as fast as the
 /// objective allows; 5.0 means five times too fast.
 #[derive(Clone, Debug)]
@@ -19,15 +29,6 @@ pub struct SloBurnRate {
     pub hist: &'static str,
     /// Per-request latency budget.
     pub budget_ns: u64,
-    /// Objective fraction of requests that must meet the budget
-    /// (e.g. 0.99 ⇒ a 1% error budget).
-    pub objective: f64,
-    /// Short-window burn multiple required to fire (e.g. 5.0).
-    pub fast_factor: f64,
-    /// Slices in the short window.
-    pub short_slices: usize,
-    /// Slices in the long window.
-    pub long_slices: usize,
     /// Minimum plane-time between two alerts from this evaluator, so a
     /// sustained burn produces a paced stream instead of one alert per
     /// evaluation.
@@ -40,16 +41,7 @@ impl SloBurnRate {
     /// [`crate::keys::E2E_NS`]: 0.99 objective, 5× fast factor,
     /// 2-slice short window, full-ring long window, 1 ms cooldown.
     pub fn serve_e2e(budget_ns: u64) -> Self {
-        SloBurnRate {
-            hist: crate::keys::E2E_NS,
-            budget_ns,
-            objective: 0.99,
-            fast_factor: 5.0,
-            short_slices: 2,
-            long_slices: SLICES,
-            cooldown_ns: 1_000_000,
-            fired_at: None,
-        }
+        SloBurnRate { hist: crate::keys::E2E_NS, budget_ns, cooldown_ns: 1_000_000, fired_at: None }
     }
 
     /// Current (short, long) burn rates, or `None` while either window
@@ -58,12 +50,12 @@ impl SloBurnRate {
         let slot = plane.hist_slot(self.hist);
         let now = plane.now_ns();
         let cell = plane.serve_cell();
-        let short = cell.hist_window(slot, now, self.short_slices);
-        let long = cell.hist_window(slot, now, self.long_slices);
+        let short = cell.hist_window(slot, now, SHORT_SLICES);
+        let long = cell.hist_window(slot, now, LONG_SLICES);
         if short.count == 0 || long.count == 0 {
             return None;
         }
-        let error_budget = (1.0 - self.objective).max(1e-9);
+        let error_budget = 1.0 - OBJECTIVE;
         Some((
             short.frac_over(self.budget_ns) / error_budget,
             long.frac_over(self.budget_ns) / error_budget,
@@ -77,7 +69,7 @@ impl SloBurnRate {
     /// touch.
     pub fn evaluate(&mut self, plane: &TelemetryPlane) -> Option<SloAlert> {
         let (short_burn, long_burn) = self.burn_rates(plane)?;
-        if short_burn < self.fast_factor || long_burn < 1.0 {
+        if short_burn < FAST_FACTOR || long_burn < 1.0 {
             return None;
         }
         let now = plane.now_ns();
@@ -88,13 +80,13 @@ impl SloBurnRate {
         }
         self.fired_at = Some(now);
         let slot = plane.hist_slot(self.hist);
-        let short = plane.serve_cell().hist_window(slot, now, self.short_slices);
+        let short = plane.serve_cell().hist_window(slot, now, SHORT_SLICES);
         let mut alert = SloAlert {
             id: 0,
             t_ns: now,
             slo: self.hist,
             budget_ns: self.budget_ns,
-            objective: self.objective,
+            objective: OBJECTIVE,
             short_burn,
             long_burn,
             short_p99_ns: short.try_quantile(0.99),
