@@ -1,16 +1,14 @@
 //! E10 — local kernel throughput: the flat-slab cursor kernel vs the seed
-//! per-point kernel, the blocked variant, the work-stealing parallel panel
-//! kernel, the batched multi-vector path, and the compiled-plan packed
-//! arena vs the per-block legacy walk.
+//! per-point kernel, the blocked variant, the batched multi-vector path,
+//! and the compiled-plan packed arena vs the per-block legacy walk.
 //!
 //! Claims under test: the flat-slab walk beats the per-point
 //! `tet(i)+tri(j)+k` addressing (≥2× at n = 512); `sttsv_sym_multi`
 //! amortizes the slab traversal across a batch (one pass over the tensor
-//! instead of `B`); `sttsv_sym_par` scales with threads on multi-core
-//! hosts while staying bit-identical across thread counts; the compiled
-//! `RankPlan` arena kernel is no slower than `OwnedBlocks::compute` while
-//! running allocation-free, and a batch of 8 (`plan_arena_x8`, one fused
-//! pass over the arena) costs less than 8 single-vector calls.
+//! instead of `B`); the compiled `RankPlan` arena kernel is no slower
+//! than `OwnedBlocks::compute` while running allocation-free, and a batch
+//! of 8 (`plan_arena_x8`, one fused pass over the arena) costs less than 8
+//! single-vector calls.
 //!
 //! Besides the Criterion report, this bench self-times a representative
 //! subset and writes `BENCH_kernels.json` at the repository root
@@ -26,7 +24,6 @@ use std::hint::black_box;
 use std::time::Instant;
 use symtensor_bench::{bench_partition, bench_tensor, bench_vector};
 use symtensor_core::seq::{sttsv_sym, sttsv_sym_blocked, sttsv_sym_multi, sttsv_sym_ref};
-use symtensor_core::{sttsv_sym_par, sttsv_sym_par_multi, Pool};
 use symtensor_obs::json::Value;
 use symtensor_parallel::blocks::{kernel_isa, OwnedBlocks};
 use symtensor_parallel::{PlanWorkspace, RankPlan};
@@ -181,23 +178,6 @@ fn bench_kernels(c: &mut Criterion) {
     }
     group.finish();
 
-    let mut group = c.benchmark_group("kernel_parallel");
-    group.sample_size(10);
-    for n in [256usize, 512] {
-        let tensor = bench_tensor(n, 11);
-        let x = bench_vector(n);
-        group.throughput(Throughput::Elements(ternary(n)));
-        for threads in [1usize, 2, 4, 8] {
-            let pool = Pool::new(threads);
-            group.bench_with_input(
-                BenchmarkId::new(format!("par_t{threads}"), n),
-                &n,
-                |bench, _| bench.iter(|| sttsv_sym_par(black_box(&tensor), black_box(&x), &pool)),
-            );
-        }
-    }
-    group.finish();
-
     let mut group = c.benchmark_group("kernel_batched");
     group.sample_size(10);
     for n in [128usize, 256] {
@@ -214,10 +194,6 @@ fn bench_kernels(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("multi_x8", n), &n, |bench, _| {
             bench.iter(|| sttsv_sym_multi(black_box(&tensor), black_box(&xs)))
-        });
-        let pool = Pool::new(4);
-        group.bench_with_input(BenchmarkId::new("par_multi_x8_t4", n), &n, |bench, _| {
-            bench.iter(|| sttsv_sym_par_multi(black_box(&tensor), black_box(&xs), &pool))
         });
         if n <= 256 {
             let (ns, t) =

@@ -6,14 +6,14 @@
 //! Rules (scopes are path prefixes under the workspace root):
 //!
 //! * **ordering-justification** — every line using an explicit
-//!   `Ordering::` in `crates/{telemetry,mpsim,pool}/src` must carry a
+//!   `Ordering::` in `crates/{telemetry,mpsim}/src` must carry a
 //!   `// ordering:` justification on the same line or within the two
 //!   preceding lines. Orderings are load-bearing; an unjustified one is
 //!   indistinguishable from a guessed one.
 //! * **no-panic-path** — no `unwrap()` / `expect(` / `panic!` /
-//!   `unreachable!` in `crates/telemetry/src`, `crates/pool/src`, or
-//!   `crates/mpsim/src/flight.rs`: the serving, execution, and flight
-//!   planes must degrade, not abort. Escape hatch for designed
+//!   `unreachable!` in `crates/telemetry/src` or
+//!   `crates/mpsim/src/flight.rs`: the serving and flight planes must
+//!   degrade, not abort. Escape hatch for designed
 //!   invariants: `// lint: allow-panic` (same line or two above).
 //! * **no-raw-atomics** — no `std::sync::atomic` mention in the checked
 //!   crates outside a `sync.rs` façade module, so every atomic compiles
@@ -53,10 +53,9 @@ impl std::fmt::Display for Finding {
     }
 }
 
-const ORDERING_SCOPE: &[&str] = &["crates/telemetry/src", "crates/mpsim/src", "crates/pool/src"];
-const PANIC_SCOPE: &[&str] =
-    &["crates/telemetry/src", "crates/pool/src", "crates/mpsim/src/flight.rs"];
-const RAW_ATOMIC_SCOPE: &[&str] = &["crates/telemetry/src", "crates/mpsim/src", "crates/pool/src"];
+const ORDERING_SCOPE: &[&str] = &["crates/telemetry/src", "crates/mpsim/src"];
+const PANIC_SCOPE: &[&str] = &["crates/telemetry/src", "crates/mpsim/src/flight.rs"];
+const RAW_ATOMIC_SCOPE: &[&str] = &["crates/telemetry/src", "crates/mpsim/src"];
 const CLOCK_SCOPE: &[&str] = &["crates/telemetry/src", "crates/mpsim/src/flight.rs"];
 
 fn in_scope(rel: &str, scope: &[&str]) -> bool {
@@ -184,13 +183,13 @@ mod tests {
     #[test]
     fn panic_paths_flagged_only_in_scope_and_outside_tests() {
         let src = "let x = maybe.unwrap();\n";
-        assert_eq!(lint_source("crates/pool/src/lib.rs", src).len(), 1);
+        assert_eq!(lint_source("crates/telemetry/src/lib.rs", src).len(), 1);
         // mpsim outside flight.rs is out of scope for this rule.
         assert!(lint_source("crates/mpsim/src/comm.rs", src).is_empty());
         let test_src = "#[cfg(test)]\nmod tests {\n    let x = maybe.unwrap();\n}\n";
-        assert!(lint_source("crates/pool/src/lib.rs", test_src).is_empty());
+        assert!(lint_source("crates/telemetry/src/lib.rs", test_src).is_empty());
         let tagged_src = "// lint: allow-panic — designed invariant\nlet x = maybe.unwrap();\n";
-        assert!(lint_source("crates/pool/src/lib.rs", tagged_src).is_empty());
+        assert!(lint_source("crates/telemetry/src/lib.rs", tagged_src).is_empty());
     }
 
     #[test]
@@ -228,6 +227,6 @@ mod tests {
     #[test]
     fn comment_lines_never_match() {
         let src = "//! call .unwrap() on the result\n// Ordering::Acquire is discussed here\n";
-        assert!(lint_source("crates/pool/src/lib.rs", src).is_empty());
+        assert!(lint_source("crates/telemetry/src/lib.rs", src).is_empty());
     }
 }

@@ -219,12 +219,6 @@ impl Memory {
         id
     }
 
-    /// Location id registered at `addr`, if any (blocked-op
-    /// enabledness checks).
-    pub fn loc_by_addr(&self, addr: usize) -> Option<usize> {
-        self.addr_locs.iter().find(|(a, _)| *a == addr).map(|&(_, id)| id)
-    }
-
     /// The newest value of location `loc` (what an RMW would read).
     pub fn latest(&self, loc: usize) -> u64 {
         self.locs[loc].stores.last().expect("history never empty").val

@@ -24,7 +24,6 @@
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt;
-use std::hash::{DefaultHasher, Hash, Hasher};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
@@ -82,8 +81,6 @@ pub enum Violation {
         /// The racing access.
         access: String,
     },
-    /// Every live thread is blocked on a disabled operation.
-    Deadlock(String),
     /// An execution exceeded [`Config::op_budget`].
     OpBudget(String),
 }
@@ -95,7 +92,6 @@ impl fmt::Display for Violation {
             Violation::Race { cell, prior, access } => {
                 write!(f, "data race on `{cell}`: {access} races {prior}")
             }
-            Violation::Deadlock(m) => write!(f, "deadlock: {m}"),
             Violation::OpBudget(m) => write!(f, "op budget exceeded: {m}"),
         }
     }
@@ -145,7 +141,6 @@ pub trait ModelRun: Send + Sync + 'static {
 #[derive(Clone, Copy, Debug)]
 enum TState {
     Ready,
-    Blocked { addr: usize, expect: u64 },
     Done,
 }
 
@@ -217,24 +212,9 @@ fn quiet_model_panics() {
     });
 }
 
-fn hash_one<T: Hash>(v: &T) -> u64 {
-    let mut h = DefaultHasher::new();
-    v.hash(&mut h);
-    h.finish()
-}
-
 impl ExecState {
     fn enabled(&self, tid: usize) -> bool {
-        match self.status[tid] {
-            TState::Ready => true,
-            TState::Done => false,
-            TState::Blocked { addr, expect } => match self.mem.loc_by_addr(addr) {
-                // Unregistered means the thread has not yet executed its
-                // first attempt; let it run once to register.
-                None => true,
-                Some(loc) => self.mem.latest(loc) == expect,
-            },
-        }
+        matches!(self.status[tid], TState::Ready)
     }
 
     /// Takes (or records) one decision with `n` alternatives at decision
@@ -289,7 +269,6 @@ impl ExecState {
             let code = match s {
                 TState::Ready => 1u64,
                 TState::Done => 2,
-                TState::Blocked { addr, expect } => hash_one(&(3u64, *addr as u64, *expect)),
             };
             seed = seed.rotate_left(7) ^ code;
         }
@@ -301,8 +280,9 @@ impl ExecState {
     }
 
     /// Picks the next thread to run. `current` is the caller when its
-    /// own pending op is a legal continuation.
-    fn pick_next(&mut self) -> Result<usize, ()> {
+    /// own pending op is a legal continuation. Some thread is always
+    /// ready: the caller, or a thread that has not finished.
+    fn pick_next(&mut self) -> usize {
         let cur = self.active;
         // Before the first op the initial pick is free: starting with
         // any thread is not a preemption of thread 0.
@@ -314,9 +294,7 @@ impl ExecState {
                 alts = vec![cur];
             }
         }
-        if alts.is_empty() {
-            return Err(());
-        }
+        assert!(!alts.is_empty(), "no ready thread while the execution runs");
         let site = self.active as u32 * 8;
         let k = self.choose(alts.len(), site);
         let next = alts[k];
@@ -324,26 +302,7 @@ impl ExecState {
             self.preemptions += 1;
         }
         self.active = next;
-        Ok(next)
-    }
-
-    fn blocked_summary(&self) -> String {
-        let parts: Vec<String> = self
-            .status
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s {
-                TState::Blocked { addr, expect } => {
-                    let name = self
-                        .mem
-                        .loc_by_addr(*addr)
-                        .map_or("<unregistered>", |l| self.mem.locs[l].name);
-                    Some(format!("thread {i} blocked on `{name}` == {expect}"))
-                }
-                _ => None,
-            })
-            .collect();
-        parts.join("; ")
+        next
     }
 }
 
@@ -363,8 +322,8 @@ impl Ctx {
     }
 
     /// Scheduling point: announce the pending op, pick the next runner,
-    /// park until granted.
-    fn sched(&self, pending: TState) {
+    /// park until granted. Every op is enabled, so the caller stays ready.
+    fn sched(&self) {
         let mut st = self.lock();
         if st.aborting {
             drop(st);
@@ -381,25 +340,16 @@ impl Ctx {
                 )),
             );
         }
-        st.status[self.tid] = pending;
-        match st.pick_next() {
-            Err(()) => {
-                let msg = st.blocked_summary();
-                self.abort(st, Violation::Deadlock(msg));
-            }
-            Ok(next) => {
-                if next == self.tid {
-                    return;
-                }
-                self.shared.cv.notify_all();
-                while st.active != self.tid && !st.aborting {
-                    st = self.shared.cv.wait(st).unwrap_or_else(|p| p.into_inner());
-                }
-                if st.aborting {
-                    drop(st);
-                    panic::panic_any(AbortToken);
-                }
-            }
+        if st.pick_next() == self.tid {
+            return;
+        }
+        self.shared.cv.notify_all();
+        while st.active != self.tid && !st.aborting {
+            st = self.shared.cv.wait(st).unwrap_or_else(|p| p.into_inner());
+        }
+        if st.aborting {
+            drop(st);
+            panic::panic_any(AbortToken);
         }
     }
 
@@ -413,7 +363,7 @@ impl Ctx {
     // --- operations called by the sync shim ---------------------------
 
     pub(crate) fn op_load(&self, addr: usize, init: u64, name: &'static str, ord: Ordering) -> u64 {
-        self.sched(TState::Ready);
+        self.sched();
         let mut st = self.lock();
         let loc = st.mem.register_loc(addr, init, name);
         let cands = st.mem.load_candidates(self.tid, loc, ord);
@@ -430,7 +380,7 @@ impl Ctx {
         val: u64,
         ord: Ordering,
     ) {
-        self.sched(TState::Ready);
+        self.sched();
         let mut st = self.lock();
         let loc = st.mem.register_loc(addr, init, name);
         st.mem.store(self.tid, loc, val, ord);
@@ -444,7 +394,7 @@ impl Ctx {
         ord: Ordering,
         f: impl FnOnce(u64) -> u64,
     ) -> u64 {
-        self.sched(TState::Ready);
+        self.sched();
         let mut st = self.lock();
         let loc = st.mem.register_loc(addr, init, name);
         st.mem.rmw(self.tid, loc, ord, f)
@@ -459,46 +409,20 @@ impl Ctx {
         new: u64,
         ord: Ordering,
     ) -> (u64, bool) {
-        self.sched(TState::Ready);
+        self.sched();
         let mut st = self.lock();
         let loc = st.mem.register_loc(addr, init, name);
         st.mem.cas(self.tid, loc, expect, new, ord)
     }
 
-    /// Blocking compare-and-swap: the thread is disabled (never
-    /// scheduled) until the location's newest value equals `expect`.
-    /// This is how models express "spin until the lock frees" without
-    /// unbounded spin schedules.
-    pub(crate) fn op_cas_block(
-        &self,
-        addr: usize,
-        init: u64,
-        name: &'static str,
-        expect: u64,
-        new: u64,
-        ord: Ordering,
-    ) {
-        loop {
-            self.sched(TState::Blocked { addr, expect });
-            let mut st = self.lock();
-            let loc = st.mem.register_loc(addr, init, name);
-            if st.mem.latest(loc) == expect {
-                st.mem.rmw(self.tid, loc, ord, |_| new);
-                return;
-            }
-            // First attempt before registration: loop to re-block with
-            // accurate enabledness.
-        }
-    }
-
     pub(crate) fn op_fence(&self, ord: Ordering) {
-        self.sched(TState::Ready);
+        self.sched();
         let mut st = self.lock();
         st.mem.fence(self.tid, ord);
     }
 
     pub(crate) fn op_cell_read(&self, addr: usize, name: &'static str, val_hash: u64) {
-        self.sched(TState::Ready);
+        self.sched();
         let mut st = self.lock();
         let cell = st.mem.register_cell(addr, name, val_hash);
         if let Some(r) = st.mem.cell_read(self.tid, cell) {
@@ -513,7 +437,7 @@ impl Ctx {
         name: &'static str,
         val_hash: u64,
     ) -> usize {
-        self.sched(TState::Ready);
+        self.sched();
         let mut st = self.lock();
         let cell = st.mem.register_cell(addr, name, val_hash);
         if let Some(r) = st.mem.cell_write(self.tid, cell) {
@@ -614,13 +538,8 @@ fn run_once(
                             shared.cv.notify_all();
                             return;
                         }
-                        match st.pick_next() {
-                            Err(()) => {
-                                let msg = st.blocked_summary();
-                                ctx.abort(st, Violation::Deadlock(msg));
-                            }
-                            Ok(_) => shared.cv.notify_all(),
-                        }
+                        st.pick_next();
+                        shared.cv.notify_all();
                     }
                     Err(p) => {
                         if p.downcast_ref::<AbortToken>().is_some() {
@@ -644,10 +563,8 @@ fn run_once(
         // `active` is the finale pseudo-slot here, and `ops == 0` keeps
         // pick_next from consulting it, so the first choice is a free
         // pick among all (Ready) model threads.
-        match st.pick_next() {
-            Err(()) => unreachable!("all threads start enabled"),
-            Ok(_) => shared.cv.notify_all(),
-        }
+        st.pick_next();
+        shared.cv.notify_all();
         while !st.done && !st.aborting {
             st = shared.cv.wait(st).unwrap_or_else(|p| p.into_inner());
         }

@@ -8,9 +8,6 @@
 //! * `seqlock` — the telemetry cell's sequence-lock: one writer
 //!   publishing a two-word gauge snapshot vs. one reader that must never
 //!   accept a torn read (`crates/telemetry/src/cell.rs`);
-//! * `deque` — the pool's lock-protected chunk deque: owner pushes and
-//!   pops front, a thief steals back, every chunk is executed exactly
-//!   once (`crates/pool/src/lib.rs`);
 //! * `abort_flag` — mpsim's abort protocol: a peer that observes the
 //!   flag must also observe the attribution written before it
 //!   (`crates/mpsim/src/comm.rs`).
@@ -25,9 +22,9 @@ use crate::model::{Config, ModelRun, Outcome};
 use crate::mutate::{ModelDef, Orderings};
 use crate::sync::{fence, AtomicBool, AtomicU64, Ordering, UnsafeCellShim};
 
-/// All three primitive models with their correct ordering tables.
+/// Both primitive models with their correct ordering tables.
 pub fn defs() -> Vec<ModelDef> {
-    vec![seqlock(), deque(), abort_flag()]
+    vec![seqlock(), abort_flag()]
 }
 
 // --- seqlock ----------------------------------------------------------
@@ -115,99 +112,6 @@ fn seqlock() -> ModelDef {
                 seq: AtomicU64::named(0, "seq"),
                 d0: AtomicU64::named(0, "d0"),
                 d1: AtomicU64::named(0, "d1"),
-            })
-        },
-    }
-}
-
-// --- work-stealing deque ----------------------------------------------
-
-const DEQUE_CHUNKS: u64 = 3;
-
-struct Deque {
-    o: Orderings,
-    lock: AtomicU64,
-    q: UnsafeCellShim<Vec<u64>>,
-    taken_owner: UnsafeCellShim<Vec<u64>>,
-    taken_thief: UnsafeCellShim<Vec<u64>>,
-}
-
-impl Deque {
-    fn lock(&self) {
-        self.lock.cas_or_block(0, 1, self.o.get("deque-lock-acquire"));
-    }
-
-    fn unlock(&self) {
-        self.lock.store(0, self.o.get("deque-lock-release"));
-    }
-}
-
-impl ModelRun for Deque {
-    fn threads(&self) -> usize {
-        2
-    }
-
-    fn thread(&self, tid: usize) {
-        if tid == 0 {
-            // Owner: push all chunks, then drain from the front.
-            for v in 1..=DEQUE_CHUNKS {
-                self.lock();
-                self.q.with_mut(|q| q.push(v));
-                self.unlock();
-            }
-            loop {
-                self.lock();
-                let got = self.q.with_mut(|q| if q.is_empty() { None } else { Some(q.remove(0)) });
-                self.unlock();
-                match got {
-                    Some(v) => self.taken_owner.with_mut(|t| t.push(v)),
-                    None => break,
-                }
-            }
-        } else {
-            // Thief: two steals from the back.
-            for _ in 0..2 {
-                self.lock();
-                let got = self.q.with_mut(Vec::pop);
-                self.unlock();
-                if let Some(v) = got {
-                    self.taken_thief.with_mut(|t| t.push(v));
-                }
-            }
-        }
-    }
-
-    fn finale(&self) {
-        let mut all = self.taken_owner.with(Vec::clone);
-        all.extend(self.taken_thief.with(Vec::clone));
-        all.sort_unstable();
-        assert_eq!(
-            all,
-            (1..=DEQUE_CHUNKS).collect::<Vec<_>>(),
-            "chunks lost or executed more than once"
-        );
-        self.q.with(|q| assert!(q.is_empty(), "chunks left in the deque"));
-    }
-}
-
-fn deque() -> ModelDef {
-    ModelDef {
-        name: "deque",
-        orderings: Orderings::new(&[
-            // ordering: taking the lock acquires the previous holder's
-            // release, making its deque writes visible.
-            ("deque-lock-acquire", Ordering::Acquire),
-            // ordering: freeing the lock releases this holder's deque
-            // writes to the next taker.
-            ("deque-lock-release", Ordering::Release),
-        ]),
-        build: |o| {
-            Arc::new(Deque {
-                o,
-                lock: AtomicU64::named(0, "deque-lock"),
-                q: UnsafeCellShim::named(Vec::new(), "deque"),
-                taken_owner: UnsafeCellShim::named(Vec::new(), "taken-owner"),
-                taken_thief: UnsafeCellShim::named(Vec::new(), "taken-thief"),
             })
         },
     }

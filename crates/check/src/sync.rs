@@ -167,32 +167,6 @@ macro_rules! int_atomic {
                     None => self.inner.compare_exchange(expect, new, success, failure),
                 }
             }
-
-            /// Blocking compare-and-swap, for models only: the calling
-            /// model thread is descheduled until the value equals
-            /// `expect`, then swaps in `new` atomically. In passthrough
-            /// mode this is a CAS spin loop.
-            pub fn cas_or_block(&self, expect: $prim, new: $prim, ord: Ordering) {
-                match model::current() {
-                    Some(ctx) => ctx.op_cas_block(
-                        self.addr(),
-                        self.init(),
-                        self.name,
-                        expect as u64,
-                        new as u64,
-                        ord,
-                    ),
-                    None => {
-                        while self
-                            .inner
-                            .compare_exchange(expect, new, ord, Ordering::Relaxed)
-                            .is_err()
-                        {
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
         }
 
         impl Default for $name {

@@ -1,8 +1,10 @@
 //! Paper-vs-measured experiment driver.
 //!
 //! Usage: `experiment [comm|baselines|balance|memory|schedule|hopm|kernels|all]
-//!                    [--threads N] [--batch B]
+//!                    [--batch B] [--flight]
 //!                    [--trace out.json] [--metrics out.json]`
+//!
+//! Any other argument is a usage error (exit 2).
 //!
 //! `experiment chaos [--seed S] [--drop-prob P] [--crash rank@phase:round]`
 //! runs the E15 chaos A/B: the batched serving path fault-free vs the same
@@ -36,28 +38,27 @@ use symtensor_steiner::spherical;
 
 fn main() {
     let (sink, rest) = ObsSink::from_args(std::env::args().skip(1));
-    // Node-level knobs for the local kernels (`kernels` subcommand and the
-    // distributed batched run): worker threads per rank and batch size.
-    let mut threads = 1usize;
+    // The batch size of the `kernels` subcommand's batched runs.
     let mut batch = 4usize;
     let mut flight = false;
     let mut positional: Vec<String> = Vec::new();
     let mut it = rest.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--threads" => {
-                let v = it.next().expect("--threads needs a value");
-                threads = v.parse().expect("--threads expects a positive integer");
-            }
-            "--batch" => {
-                let v = it.next().expect("--batch needs a value");
-                batch = v.parse().expect("--batch expects a positive integer");
-            }
+            "--batch" => match it.next().and_then(|v| v.parse().ok()) {
+                Some(b) => batch = b,
+                None => usage("--batch expects a non-negative integer"),
+            },
             "--flight" => flight = true,
             _ => positional.push(a),
         }
     }
     let arg = positional.first().cloned().unwrap_or_else(|| "all".to_string());
+    // `chaos` and `regress` parse their own arguments; every other
+    // experiment takes none beyond the flags above.
+    if !matches!(arg.as_str(), "chaos" | "regress") && positional.len() > 1 {
+        usage(&format!("unexpected argument '{}'", positional[1]));
+    }
     match arg.as_str() {
         "comm" => comm(&sink),
         "baselines" => baselines(),
@@ -68,9 +69,9 @@ fn main() {
         "seqio" => seqio(),
         "ablation" => ablation(),
         "triangle" => triangle(),
-        "kernels" => kernels(threads, batch, flight),
+        "kernels" => kernels(batch, flight),
         "chaos" => chaos(&positional[1..]),
-        "telemetry" => telemetry_ab(threads),
+        "telemetry" => telemetry_ab(),
         "regress" => regress(&positional[1..]),
         "all" => {
             comm(&sink);
@@ -82,23 +83,24 @@ fn main() {
             seqio();
             ablation();
             triangle();
-            kernels(threads, batch, flight);
+            kernels(batch, flight);
         }
-        other => {
-            eprintln!("unknown experiment '{other}'");
-            eprintln!(
-                "usage: experiment [comm|baselines|balance|memory|schedule|hopm|seqio|ablation|kernels|telemetry|all] [--threads N] [--batch B] [--flight] [--trace out.json] [--metrics out.json]"
-            );
-            eprintln!(
-                "       experiment chaos [--seed S] [--drop-prob P] [--crash rank@phase:round]"
-            );
-            eprintln!(
-                "       experiment regress --baseline BENCH.json --current NEW.json [--threshold 0.15] [--out diff.json]"
-            );
-            std::process::exit(2);
-        }
+        other => usage(&format!("unknown experiment '{other}'")),
     }
     sink.flush();
+}
+
+/// Prints `msg` and the usage lines, and exits 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!(
+        "usage: experiment [comm|baselines|balance|memory|schedule|hopm|seqio|ablation|triangle|kernels|telemetry|all] [--batch B] [--flight] [--trace out.json] [--metrics out.json]"
+    );
+    eprintln!("       experiment chaos [--seed S] [--drop-prob P] [--crash rank@phase:round]");
+    eprintln!(
+        "       experiment regress --baseline BENCH.json --current NEW.json [--threshold 0.15] [--out diff.json]"
+    );
+    std::process::exit(2);
 }
 
 /// E15: the chaos A/B. Serves one request stream twice — fault-free, then
@@ -218,13 +220,13 @@ fn chaos(args: &[String]) {
 /// without a telemetry plane, then with a plane and a background scraper
 /// at several intervals, asserting the outputs and [`symtensor_mpsim::CostReport`]s
 /// are bit-identical and reporting the wall-clock delta per interval.
-fn telemetry_ab(threads: usize) {
+fn telemetry_ab() {
     use std::sync::Arc;
     use std::time::Instant;
     use symtensor_parallel::{parallel_sttsv_serve, serve, ServeConfig};
     use symtensor_telemetry::{ScrapeConfig, Scraper, TelemetryPlane};
 
-    println!("== E17: telemetry scrape-overhead A/B (q = 2, P = 10, threads = {threads}) ==");
+    println!("== E17: telemetry scrape-overhead A/B (q = 2, P = 10) ==");
     let n = 60;
     let part = TetraPartition::new(spherical(2), n).unwrap();
     let mut rng = StdRng::seed_from_u64(1015);
@@ -237,7 +239,7 @@ fn telemetry_ab(threads: usize) {
         .collect();
 
     let t0 = Instant::now();
-    let base = parallel_sttsv_serve(&tensor, &part, &requests, Mode::Scheduled, threads, 3)
+    let base = parallel_sttsv_serve(&tensor, &part, &requests, Mode::Scheduled, 1, 3)
         .expect("baseline serving run");
     let base_ns = t0.elapsed().as_nanos() as u64;
     let budget = 2 * bounds::scheduled_words_per_vector(n, 2) as u64;
@@ -254,11 +256,8 @@ fn telemetry_ab(threads: usize) {
             .with_budget_words_per_vector(budget);
         let t0 = Instant::now();
         let (run, series) = Scraper::run_scoped(plane.clone(), cfg, || {
-            let cfg = ServeConfig {
-                threads,
-                telemetry: Some(&plane),
-                ..ServeConfig::new(Mode::Scheduled, 3)
-            };
+            let cfg =
+                ServeConfig { telemetry: Some(&plane), ..ServeConfig::new(Mode::Scheduled, 3) };
             serve(&tensor, &part, &requests, cfg).expect("telemetry serving run")
         });
         let wall_ns = t0.elapsed().as_nanos() as u64;
@@ -638,13 +637,12 @@ fn seqio() {
 }
 
 /// E11: local kernel throughput — the flat-slab cursor kernel vs the seed
-/// per-point kernel, the work-stealing parallel panels and the batched
-/// multi-vector path, plus the distributed batched STTSV whose exchange
-/// phases amortize latency across the batch.
-fn kernels(threads: usize, batch: usize, flight: bool) {
+/// per-point kernel and the batched multi-vector path, plus the
+/// distributed batched STTSV whose exchange phases amortize latency across
+/// the batch.
+fn kernels(batch: usize, flight: bool) {
     use std::time::Instant;
     use symtensor_core::seq::{sttsv_sym, sttsv_sym_multi, sttsv_sym_ref};
-    use symtensor_core::{sttsv_sym_par, sttsv_sym_par_multi, Pool};
 
     /// Best-of-3 wall time in seconds.
     fn time<R>(mut f: impl FnMut() -> R) -> (R, f64) {
@@ -662,12 +660,11 @@ fn kernels(threads: usize, batch: usize, flight: bool) {
         n * n * (n + 1.0) / 2.0 / secs / 1e6
     };
 
-    println!("== E11: local kernel throughput (threads = {threads}, batch = {batch}) ==");
+    println!("== E11: local kernel throughput (batch = {batch}) ==");
     println!(
-        "{:>5} | {:>10} {:>10} {:>10} {:>12} {:>14} | {:>8}",
-        "n", "per-point", "flat slab", "par", "indep x batch", "multi x batch", "flat/pp"
+        "{:>5} | {:>10} {:>10} {:>12} {:>14} | {:>8}",
+        "n", "per-point", "flat slab", "indep x batch", "multi x batch", "flat/pp"
     );
-    let pool = Pool::new(threads);
     let mut rng = StdRng::seed_from_u64(1006);
     for n in [96usize, 160, 256] {
         let tensor = random_symmetric(n, &mut rng);
@@ -677,11 +674,9 @@ fn kernels(threads: usize, batch: usize, flight: bool) {
             .collect();
         let ((y_ref, c_ref), t_ref) = time(|| sttsv_sym_ref(&tensor, &x));
         let ((y_flat, c_flat), t_flat) = time(|| sttsv_sym(&tensor, &x));
-        let ((y_par, _), t_par) = time(|| sttsv_sym_par(&tensor, &x, &pool));
         let ((ys_ind, _), t_ind) =
             time(|| (xs.iter().map(|x| sttsv_sym(&tensor, x)).collect::<Vec<_>>(), ()));
         let ((ys_multi, c_multi), t_multi) = time(|| sttsv_sym_multi(&tensor, &xs));
-        let (_, t_par_multi) = time(|| sttsv_sym_par_multi(&tensor, &xs, &pool));
 
         // Agreement and exact paper op counts.
         let n64 = n as u64;
@@ -690,7 +685,6 @@ fn kernels(threads: usize, batch: usize, flight: bool) {
         assert_eq!(c_multi.ternary_mults, batch as u64 * c_ref.ternary_mults);
         for i in 0..n {
             assert!((y_ref[i] - y_flat[i]).abs() < 1e-12 * (1.0 + y_ref[i].abs()));
-            assert!((y_par[i] - y_flat[i]).abs() < 1e-12 * (1.0 + y_flat[i].abs()));
         }
         for (v, (y_one, _)) in ys_ind.iter().enumerate() {
             for i in 0..n {
@@ -698,15 +692,13 @@ fn kernels(threads: usize, batch: usize, flight: bool) {
             }
         }
         println!(
-            "{n:>5} | {:>8.1}Me {:>8.1}Me {:>8.1}Me {:>10.1}Me {:>12.1}Me | {:>8.2}",
+            "{n:>5} | {:>8.1}Me {:>8.1}Me {:>10.1}Me {:>12.1}Me | {:>8.2}",
             rate(n, t_ref),
             rate(n, t_flat),
-            rate(n, t_par),
             batch as f64 * rate(n, t_ind),
             batch as f64 * rate(n, t_multi),
             t_ref / t_flat
         );
-        let _ = t_par_multi;
     }
     println!("(Me = 1e6 ternary multiplications per second, best of 3)");
 
@@ -720,7 +712,7 @@ fn kernels(threads: usize, batch: usize, flight: bool) {
         .map(|v| (0..n).map(|i| ((i + v) as f64 * 0.01).cos()).collect())
         .collect();
     let single = parallel_sttsv(&tensor, &part, &xs[0], Mode::Scheduled);
-    let multi = parallel_sttsv_multi_planned(&tensor, &part, &xs, Mode::Scheduled, threads);
+    let multi = parallel_sttsv_multi_planned(&tensor, &part, &xs, Mode::Scheduled, 1);
     let (sw, mw) = (single.report.bandwidth_cost(), multi.report.bandwidth_cost());
     let (sr, mr) = (single.report.max_rounds(), multi.report.max_rounds());
     println!(
@@ -732,7 +724,7 @@ fn kernels(threads: usize, batch: usize, flight: bool) {
     println!();
 
     if flight {
-        flight_ab(threads);
+        flight_ab();
     }
 }
 
@@ -746,7 +738,7 @@ fn kernels(threads: usize, batch: usize, flight: bool) {
 ///
 /// [`CostReport`]: symtensor_mpsim::CostReport
 /// [`DEFAULT_FLIGHT_CAPACITY`]: symtensor_mpsim::DEFAULT_FLIGHT_CAPACITY
-fn flight_ab(threads: usize) {
+fn flight_ab() {
     use std::time::Instant;
     use symtensor_mpsim::{CommEvent, Universe, DEFAULT_FLIGHT_CAPACITY};
     use symtensor_parallel::RankContext;
@@ -782,12 +774,8 @@ fn flight_ab(threads: usize) {
                     .with_flight_capacity(capacity)
                     .run_flight(|comm| {
                         let p = comm.rank();
-                        let pool = (threads > 1).then(|| symtensor_core::Pool::new(threads));
-                        let mut ctx =
+                        let ctx =
                             RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule));
-                        if let Some(pool) = pool.as_ref() {
-                            ctx = ctx.with_pool(pool);
-                        }
                         let shard_sets: Vec<Vec<Vec<f64>>> =
                             xs.iter().map(|x| part.shards_of(p, x)).collect();
                         // Same input every iteration: the measured steady

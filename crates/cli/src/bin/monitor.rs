@@ -3,8 +3,8 @@
 //! plane.
 //!
 //! Usage:
-//! `monitor [--q Q] [--requests R] [--batch B] [--threads T]
-//!          [--interval-ms MS] [--frames N] [--plain]
+//! `monitor [--q Q] [--requests R] [--batch B] [--interval-ms MS]
+//!          [--frames N] [--plain]
 //!          [--chaos] [--seed S] [--drop-prob P]
 //!          [--slo-budget-us US] [--out telemetry.json]`
 //!
@@ -37,7 +37,6 @@ struct Options {
     q: u64,
     requests: usize,
     batch: usize,
-    threads: usize,
     interval: Duration,
     frames: Option<usize>,
     plain: bool,
@@ -52,7 +51,7 @@ fn parse_args() -> Options {
     let fail = |msg: &str| -> ! {
         eprintln!("error: {msg}");
         eprintln!(
-            "usage: monitor [--q Q] [--requests R] [--batch B] [--threads T] \
+            "usage: monitor [--q Q] [--requests R] [--batch B] \
              [--interval-ms MS] [--frames N] [--plain] [--chaos] [--seed S] \
              [--drop-prob P] [--slo-budget-us US] [--out telemetry.json]"
         );
@@ -62,7 +61,6 @@ fn parse_args() -> Options {
         q: 2,
         requests: 8,
         batch: 2,
-        threads: 1,
         interval: Duration::from_millis(50),
         frames: None,
         plain: false,
@@ -86,10 +84,6 @@ fn parse_args() -> Options {
             "--batch" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(b) if b > 0 => opts.batch = b,
                 _ => fail("--batch expects a positive integer"),
-            },
-            "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(t) if t > 0 => opts.threads = t,
-                _ => fail("--threads expects a positive integer"),
             },
             "--interval-ms" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(ms) if ms > 0u64 => opts.interval = Duration::from_millis(ms),
@@ -155,7 +149,6 @@ fn main() {
         let opts_chaos = opts.chaos;
         let seed = opts.seed;
         let drop_prob = opts.drop_prob;
-        let threads = opts.threads;
         let batch = opts.batch;
         let slo_budget = opts.slo_budget;
         std::thread::spawn(move || {
@@ -175,7 +168,6 @@ fn main() {
             let mut passes = 0u64;
             while !stop.load(Ordering::Acquire) {
                 let cfg = ServeConfig {
-                    threads,
                     telemetry: Some(&plane),
                     chaos: opts_chaos.then_some(&policy),
                     slo: opts_chaos.then_some(&mut slo),

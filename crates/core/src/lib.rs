@@ -11,8 +11,6 @@
 //!   `n²(n+1)/2` ternary multiplications) as flat-slab walks over the
 //!   packed layout, plus blocked and batched (multi-vector) variants, with
 //!   exact operation counting,
-//! * [`par`] — shared-memory parallel STTSV over deterministic row panels
-//!   on the `symtensor-pool` work-stealing pool,
 //! * [`ops`] — tensor-times-vector contractions and small dense matrix
 //!   helpers,
 //! * [`hopm`](mod@hopm) — the higher-order power method (Algorithm 1) and its shifted
@@ -28,7 +26,6 @@ pub mod hopm;
 pub mod io;
 pub mod mttkrp;
 pub mod ops;
-pub mod par;
 pub mod seq;
 pub mod storage;
 pub mod symmat;
@@ -39,6 +36,5 @@ pub use generate::{random_odeco, random_symmetric, OdecoTensor};
 pub use hopm::{hopm, shifted_hopm, HopmOptions, HopmResult};
 pub use mttkrp::{mttkrp_sym, mttkrp_sym_fused};
 pub use ops::Matrix;
-pub use par::{row_panels, sttsv_sym_par, sttsv_sym_par_multi, Pool};
 pub use seq::{sttsv_naive, sttsv_sym, sttsv_sym_blocked, sttsv_sym_multi, sttsv_sym_ref, OpCount};
 pub use storage::{DenseTensor3, SymTensor3};

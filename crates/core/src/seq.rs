@@ -24,8 +24,7 @@
 //!   vectors.
 //!
 //! All kernels return an [`OpCount`] so tests and benchmarks can verify the
-//! paper's operation counts exactly. Shared-memory parallel variants
-//! (`sttsv_sym_par`, `sttsv_sym_par_multi`) live in [`crate::par`].
+//! paper's operation counts exactly.
 
 use crate::storage::SymTensor3;
 
@@ -86,8 +85,7 @@ pub fn sttsv_naive(tensor: &SymTensor3, x: &[f64]) -> (Vec<f64>, OpCount) {
 
 /// The Algorithm 4 updates for one contiguous run of `k`-values of packed
 /// row `(i, j)` — the shared inner loop of every symmetric kernel in this
-/// crate (flat, blocked, batched, and the parallel panels in
-/// [`crate::par`]).
+/// crate (flat, blocked and batched).
 ///
 /// `slab` is `packed[tet(i)+tri(j)+k0 ..]` truncated to the run; it covers
 /// global indices `(i, j, k)` for `k ∈ k0 .. k0+slab.len()`, with

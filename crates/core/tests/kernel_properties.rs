@@ -1,17 +1,15 @@
 //! Property tests for the local STTSV kernel family: every variant — the
-//! seed per-point reference, the flat-slab walk, the blocked kernel, the
-//! batched multi-vector path and the work-stealing parallel panels — must
-//! agree on adversarially drawn `(n, b, threads, batch)`, report identical
-//! paper op counts, and the parallel path must be bit-deterministic across
-//! runs and thread counts.
+//! seed per-point reference, the flat-slab walk, the blocked kernel and the
+//! batched multi-vector path — must agree on adversarially drawn
+//! `(n, b, batch)` and report identical paper op counts.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use symtensor_core::generate::random_symmetric;
 use symtensor_core::seq::{
     sttsv_naive, sttsv_sym, sttsv_sym_blocked, sttsv_sym_multi, sttsv_sym_ref,
 };
-use symtensor_core::{generate::random_symmetric, sttsv_sym_par, sttsv_sym_par_multi, Pool};
 
 fn workload(n: usize, seed: u64) -> (symtensor_core::SymTensor3, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -28,36 +26,30 @@ fn close(a: f64, b: f64, tol: f64) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Flat-slab, blocked and parallel kernels agree with the per-point
-    /// reference to 1e-12 relative, with identical ternary-mult counts
-    /// equal to the paper's n²(n+1)/2, on adversarial (n, b, threads).
+    /// Flat-slab and blocked kernels agree with the per-point reference to
+    /// 1e-12 relative, with identical ternary-mult counts equal to the
+    /// paper's n²(n+1)/2, on adversarial (n, b).
     #[test]
     fn kernel_family_agrees_on_adversarial_shapes(
         n in 1usize..48,
         b in 1usize..24,
-        threads in 1usize..8,
         seed in 0u64..1_000_000,
     ) {
         let (tensor, x) = workload(n, seed);
         let (y_ref, c_ref) = sttsv_sym_ref(&tensor, &x);
         let (y_flat, c_flat) = sttsv_sym(&tensor, &x);
         let (y_blk, c_blk) = sttsv_sym_blocked(&tensor, &x, b);
-        let pool = Pool::new(threads);
-        let (y_par, c_par) = sttsv_sym_par(&tensor, &x, &pool);
 
         let n64 = n as u64;
         prop_assert_eq!(c_ref.ternary_mults, n64 * n64 * (n64 + 1) / 2);
         prop_assert_eq!(c_flat.ternary_mults, c_ref.ternary_mults);
         prop_assert_eq!(c_blk.ternary_mults, c_ref.ternary_mults);
-        prop_assert_eq!(c_par.ternary_mults, c_ref.ternary_mults);
         prop_assert_eq!(c_flat.points, c_ref.points);
         prop_assert_eq!(c_blk.points, c_ref.points);
-        prop_assert_eq!(c_par.points, c_ref.points);
 
         for i in 0..n {
             prop_assert!(close(y_ref[i], y_flat[i], 1e-12), "flat y[{}]", i);
             prop_assert!(close(y_ref[i], y_blk[i], 1e-12), "blocked y[{}]", i);
-            prop_assert!(close(y_ref[i], y_par[i], 1e-12), "par y[{}]", i);
         }
     }
 
@@ -98,49 +90,5 @@ proptest! {
             }
         }
         prop_assert_eq!(count.ternary_mults, expect_mults);
-    }
-
-    /// The parallel kernel is bit-deterministic: run-to-run and across
-    /// thread counts (fixed panel decomposition + tree reduction).
-    #[test]
-    fn parallel_kernel_is_bit_deterministic(n in 1usize..48, seed in 0u64..1_000_000) {
-        let (tensor, x) = workload(n, seed);
-        let baseline = sttsv_sym_par(&tensor, &x, &Pool::new(3)).0;
-        for threads in [1usize, 2, 4, 7] {
-            let pool = Pool::new(threads);
-            for _run in 0..2 {
-                let (y, _) = sttsv_sym_par(&tensor, &x, &pool);
-                for i in 0..n {
-                    prop_assert_eq!(
-                        y[i].to_bits(),
-                        baseline[i].to_bits(),
-                        "threads {} y[{}]", threads, i
-                    );
-                }
-            }
-        }
-    }
-
-    /// The parallel batched kernel agrees per-vector with the parallel
-    /// single-vector kernel bitwise, across thread counts.
-    #[test]
-    fn parallel_batched_matches_parallel_single(
-        n in 1usize..36,
-        batch in 1usize..4,
-        threads in 1usize..6,
-        seed in 0u64..1_000_000,
-    ) {
-        let (tensor, _) = workload(n, seed);
-        let xs: Vec<Vec<f64>> = (0..batch)
-            .map(|v| (0..n).map(|i| ((i * 7 + v * 3 + 2) as f64 * 0.021).sin()).collect())
-            .collect();
-        let pool = Pool::new(threads);
-        let (ys, _) = sttsv_sym_par_multi(&tensor, &xs, &pool);
-        for (v, x) in xs.iter().enumerate() {
-            let (y_one, _) = sttsv_sym_par(&tensor, x, &pool);
-            for i in 0..n {
-                prop_assert_eq!(ys[v][i].to_bits(), y_one[i].to_bits(), "vector {} y[{}]", v, i);
-            }
-        }
     }
 }

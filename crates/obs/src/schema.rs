@@ -479,7 +479,7 @@ mod tests {
                              "runs": [{"model": "seqlock", "slot": "writer-exit",
                                        "from": "Release", "killed": true, "interleavings": 3}]},
                 "lint": {"findings": 1,
-                         "items": [{"file": "crates/pool/src/lib.rs", "line": 9,
+                         "items": [{"file": "crates/telemetry/src/lib.rs", "line": 9,
                                     "rule": "no-panic-path"}]}}"#,
         )
         .unwrap();

@@ -43,7 +43,6 @@ use crate::schedule::CommSchedule;
 use std::cell::{RefCell, RefMut};
 use symtensor_core::SymTensor3;
 use symtensor_mpsim::{Comm, CommEvent, CostReport, FlightSnapshot, Universe};
-use symtensor_pool::Pool;
 
 /// Communication strategy for the two vector phases.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -138,10 +137,6 @@ pub struct RankContext<'a> {
     pub mode: Mode,
     /// The point-to-point schedule (required for [`Mode::Scheduled`]).
     pub schedule: Option<&'a CommSchedule>,
-    /// Optional shared-memory worker pool for the local-compute phase
-    /// (see [`RankContext::with_pool`]); `None` runs the sequential
-    /// kernels.
-    pub pool: Option<&'a Pool>,
     /// The compiled plan, the rank's only copy of its tensor blocks.
     plan: RankPlan,
     /// The plan's reusable flat slabs and recycled message buffers.
@@ -185,24 +180,7 @@ impl<'a> RankContext<'a> {
             mode != Mode::Scheduled || schedule.is_some(),
             "scheduled mode needs a CommSchedule"
         );
-        RankContext {
-            part,
-            mode,
-            schedule,
-            pool: None,
-            plan,
-            plan_ws: RefCell::new(PlanWorkspace::new()),
-        }
-    }
-
-    /// Attaches a shared-memory worker pool: the local-compute phase then
-    /// splits each vector's blocks across the pool's threads (results
-    /// bit-identical across thread counts) instead of running the
-    /// sequential kernels. This is the node-level `threads` knob below the
-    /// simulated distributed machine.
-    pub fn with_pool(mut self, pool: &'a Pool) -> Self {
-        self.pool = Some(pool);
-        self
+        RankContext { part, mode, schedule, plan, plan_ws: RefCell::new(PlanWorkspace::new()) }
     }
 
     /// Returns the context unchanged: every call already runs on the
@@ -346,7 +324,7 @@ impl<'a> RankContext<'a> {
         comm.with_phase("local-compute", || {
             let t0 = comm.elapsed_ns();
             let ternary = comm.with_phase("compute:kernel", || {
-                let t = plan.compute(ws, batch, self.pool);
+                let t = plan.compute(ws, batch, None);
                 comm.annotate_counter("plan:arena_bytes", plan.arena_bytes() as u64);
                 comm.annotate_counter("plan:fresh_allocs", ws.fresh_allocs());
                 t
@@ -643,10 +621,6 @@ enum Walk {
 pub struct SttsvOptions {
     /// Communication strategy for the vector phases.
     pub mode: Mode,
-    /// Worker threads per rank for the local-compute phase; `≤ 1` runs the
-    /// sequential kernels. Results are bit-identical across thread counts
-    /// above 1, and communication does not depend on it.
-    pub threads: usize,
     /// Keep each rank's complete [`CommEvent`] log (phase-annotated
     /// sends and receives, round annotations) instead of the bounded
     /// flight window, ready for the `symtensor-obs` exporters. Tracing
@@ -655,9 +629,9 @@ pub struct SttsvOptions {
 }
 
 impl SttsvOptions {
-    /// Sequential kernels, bounded event logs.
+    /// Bounded event logs.
     pub fn new(mode: Mode) -> Self {
-        SttsvOptions { mode, threads: 1, trace: false }
+        SttsvOptions { mode, trace: false }
     }
 }
 
@@ -666,41 +640,23 @@ pub(crate) type Ranks<R> = (Vec<R>, CostReport, Vec<FlightSnapshot>);
 
 /// The simulated machine every driver runs on: one [`RankContext`] per
 /// processor, with the tensor blocks extracted per rank (never
-/// communicated), the schedule built once, and an optional worker pool of
-/// `threads` threads per rank.
+/// communicated) and the schedule built once.
 pub(crate) struct Machine<'a> {
     tensor: &'a SymTensor3,
     part: &'a TetraPartition,
     mode: Mode,
-    threads: usize,
     schedule: Option<CommSchedule>,
 }
 
 impl<'a> Machine<'a> {
-    pub(crate) fn new(
-        tensor: &'a SymTensor3,
-        part: &'a TetraPartition,
-        mode: Mode,
-        threads: usize,
-    ) -> Self {
+    pub(crate) fn new(tensor: &'a SymTensor3, part: &'a TetraPartition, mode: Mode) -> Self {
         let schedule = (mode == Mode::Scheduled).then(|| CommSchedule::build(part));
-        Machine { tensor, part, mode, threads, schedule }
+        Machine { tensor, part, mode, schedule }
     }
 
     /// Runs `f` with this rank's context.
     pub(crate) fn with_rank<R>(&self, comm: &Comm, f: impl FnOnce(&RankContext<'_>) -> R) -> R {
-        let pool = (self.threads > 1).then(|| Pool::new(self.threads));
-        let mut ctx = RankContext::new(
-            self.tensor,
-            self.part,
-            comm.rank(),
-            self.mode,
-            self.schedule.as_ref(),
-        );
-        if let Some(pool) = pool.as_ref() {
-            ctx = ctx.with_pool(pool);
-        }
-        f(&ctx)
+        f(&RankContext::new(self.tensor, self.part, comm.rank(), self.mode, self.schedule.as_ref()))
     }
 
     /// Runs `f` on every rank of `universe`. The event logs are complete
@@ -840,9 +796,9 @@ pub fn parallel_sttsv(
 /// Runs Algorithm 5 on the simulated machine for a batch of vectors: all
 /// `B = xs.len()` contractions share one pair of exchange phases, so each
 /// rank's message and round counts equal a **single** STTSV while words
-/// scale with `B`. `opts` picks the communication mode, the per-rank worker
-/// threads and whether to record the event logs; none of them changes an
-/// output bit or a cost counter.
+/// scale with `B`. `opts` picks the communication mode and whether to
+/// record the event logs; recording changes no output bit and no cost
+/// counter.
 ///
 /// Returns [`InputError`] when the tensor or any vector is not
 /// `part.dim()`-dimensional.
@@ -854,7 +810,7 @@ pub fn parallel_sttsv_with<X: AsRef<[f64]> + Sync>(
 ) -> Result<SttsvMultiRun, InputError> {
     let n = part.dim();
     check_dims(n, tensor, xs.iter().map(AsRef::as_ref))?;
-    let machine = Machine::new(tensor, part, opts.mode, opts.threads);
+    let machine = Machine::new(tensor, part, opts.mode);
     let universe = Universe::new(part.num_procs());
     let (outs, report, flight) = machine.run(universe, opts.trace, |comm, ctx| {
         let shards: Vec<Vec<Vec<f64>>> =
@@ -875,17 +831,19 @@ pub fn parallel_sttsv_with<X: AsRef<[f64]> + Sync>(
 /// [`parallel_sttsv_with`] on the barrier exchange without event logs —
 /// the high-throughput serving configuration: blocks packed once into the
 /// arena, the whole batch moving through one allocation-free exchange-phase
-/// pair, `threads` workers per rank. Panics with the [`InputError`] on a
-/// dimension mismatch.
+/// pair. Panics with the [`InputError`] on a dimension mismatch.
+///
+/// `_threads` is ignored (each rank computes on its own thread); it keeps
+/// the benchmark's pinned call compiling and is removed when the pins
+/// move.
 pub fn parallel_sttsv_multi_planned(
     tensor: &SymTensor3,
     part: &TetraPartition,
     xs: &[Vec<f64>],
     mode: Mode,
-    threads: usize,
+    _threads: usize,
 ) -> SttsvMultiRun {
-    let opts = SttsvOptions { threads, ..SttsvOptions::new(mode) };
-    parallel_sttsv_with(tensor, part, xs, opts).unwrap_or_else(|e| panic!("{e}"))
+    parallel_sttsv_with(tensor, part, xs, SttsvOptions::new(mode)).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs Algorithm 5 for an arbitrary dimension by zero-padding the tensor
@@ -1164,71 +1122,6 @@ mod tests {
         for (one, many) in single_pad.report.per_rank.iter().zip(&multi_pad.report.per_rank) {
             assert_eq!(many.words_sent, batch as u64 * one.words_sent);
             assert_eq!(many.msgs_sent, one.msgs_sent);
-        }
-    }
-
-    #[test]
-    fn mt_driver_matches_sequential_and_is_thread_count_invariant() {
-        // The pooled local-compute phase uses a fixed chunk decomposition
-        // and tree reduction, so it's bit-identical across *thread counts*
-        // (and run-to-run); versus the sequential accumulation order it
-        // agrees to rounding.
-        let n = 60;
-        let part = TetraPartition::new(spherical(3), n).unwrap();
-        let mut rng = StdRng::seed_from_u64(23);
-        let tensor = random_symmetric(n, &mut rng);
-        let x: Vec<f64> = (0..n).map(|i| ((i * 5 + 2) as f64 * 0.017).sin()).collect();
-        let base = parallel_sttsv(&tensor, &part, &x, Mode::Scheduled);
-        let pooled_run = |threads: usize| {
-            let opts = SttsvOptions { threads, ..SttsvOptions::new(Mode::Scheduled) };
-            let run = parallel_sttsv_with(&tensor, &part, std::slice::from_ref(&x), opts).unwrap();
-            SttsvRun {
-                y: run.ys[0].clone(),
-                report: run.report,
-                ternary_per_rank: run.ternary_per_rank,
-            }
-        };
-        let pooled = pooled_run(2);
-        for threads in [2usize, 4, 8] {
-            let run = pooled_run(threads);
-            assert_eq!(run.ternary_per_rank, base.ternary_per_rank);
-            for i in 0..n {
-                assert!(
-                    (run.y[i] - base.y[i]).abs() < 1e-12 * (1.0 + base.y[i].abs()),
-                    "threads={threads} y[{i}]"
-                );
-                assert_eq!(run.y[i].to_bits(), pooled.y[i].to_bits(), "threads={threads} y[{i}]");
-            }
-            // Communication is untouched by the node-level pool.
-            for (one, other) in base.report.per_rank.iter().zip(&run.report.per_rank) {
-                assert_eq!(one.words_sent, other.words_sent);
-                assert_eq!(one.rounds, other.rounds);
-            }
-        }
-    }
-
-    #[test]
-    fn multi_with_pool_matches_multi_without() {
-        let n = 40;
-        let part = TetraPartition::new(spherical(2), n).unwrap();
-        let mut rng = StdRng::seed_from_u64(24);
-        let tensor = random_symmetric(n, &mut rng);
-        let xs: Vec<Vec<f64>> =
-            (0..2).map(|v| (0..n).map(|i| ((i * 2 + v) as f64 * 0.03).cos()).collect()).collect();
-        let seq = parallel_sttsv_multi_planned(&tensor, &part, &xs, Mode::AllToAllSparse, 1);
-        let par4 = parallel_sttsv_multi_planned(&tensor, &part, &xs, Mode::AllToAllSparse, 4);
-        let par8 = parallel_sttsv_multi_planned(&tensor, &part, &xs, Mode::AllToAllSparse, 8);
-        assert_eq!(seq.ternary_per_rank, par4.ternary_per_rank);
-        for (a, b) in seq.ys.iter().zip(&par4.ys) {
-            for (va, vb) in a.iter().zip(b) {
-                assert!((va - vb).abs() < 1e-12 * (1.0 + va.abs()));
-            }
-        }
-        // Thread-count invariance of the pooled path is exact.
-        for (a, b) in par4.ys.iter().zip(&par8.ys) {
-            for (va, vb) in a.iter().zip(b) {
-                assert_eq!(va.to_bits(), vb.to_bits());
-            }
         }
     }
 

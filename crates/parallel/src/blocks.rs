@@ -48,14 +48,6 @@ fn tet_idx(a: usize, b: usize, c: usize) -> usize {
     a * (a + 1) * (a + 2) / 6 + b * (b + 1) / 2 + c
 }
 
-/// Chunk-count cap for the pooled compute: bounds the
-/// `chunks · batch · |R_p| · b` words of partial-accumulator workspace while still
-/// leaving plenty of stealable units for any realistic worker count. The
-/// chunk decomposition is a function of the block count alone — never of
-/// the thread count — which is what makes the parallel paths bit-identical
-/// across thread counts.
-const MAX_COMPUTE_CHUNKS: usize = 32;
-
 /// One extracted tensor block with its data in the kind-specific layout.
 #[derive(Clone, Debug)]
 pub struct OwnedBlock {
@@ -212,53 +204,6 @@ impl OwnedBlocks {
         }
         ternary
     }
-}
-
-/// The chunked-parallel driver behind the compiled plan's pooled compute:
-/// splits `n_blocks` into `min(n_blocks, MAX_COMPUTE_CHUNKS)` contiguous
-/// ranges, runs `run_range(range, partial, lanes)` per chunk into a zeroed
-/// `y.len()`-word partial (the whole batch's slabs) plus
-/// [`lane_words`]`(b)` words of kernel staging leased from the pool,
-/// tree-reduces the partials pairwise in fixed chunk order and adds the
-/// result into `y`.
-///
-/// The decomposition and reduction tree depend only on `n_blocks`, never
-/// on the pool's thread count, so pooled results are bit-identical across
-/// runs and thread counts. The reduction is elementwise, so every vector
-/// of the batch sees the same per-vector tree.
-pub(crate) fn chunked_compute_flat<F>(
-    n_blocks: usize,
-    b: usize,
-    y: &mut [f64],
-    pool: &symtensor_pool::Pool,
-    run_range: F,
-) -> u64
-where
-    F: Fn(std::ops::Range<usize>, &mut [f64], &mut [f64]) -> u64 + Sync,
-{
-    if n_blocks == 0 {
-        return 0;
-    }
-    let chunks = n_blocks.min(MAX_COMPUTE_CHUNKS);
-    let y_len = y.len();
-    let ws = pool.workspaces();
-    let partials = pool.run_chunks(chunks, |c| {
-        let lo = c * n_blocks / chunks;
-        let hi = (c + 1) * n_blocks / chunks;
-        let mut buf = ws.lease_zeroed(y_len + lane_words(b));
-        let (partial, lanes) = buf.split_at_mut(y_len);
-        let ternary = run_range(lo..hi, partial, lanes);
-        (buf, ternary)
-    });
-    let (buf, ternary) = symtensor_pool::tree_reduce(partials, |(mut a, ta), (bb, tb)| {
-        add_into(&mut a[..y_len], &bb[..y_len]);
-        ws.give_back(bb);
-        (a, ta + tb)
-    })
-    .expect("at least one chunk");
-    add_into(y, &buf[..y_len]);
-    ws.give_back(buf);
-    ternary
 }
 
 /// Dispatches one block's data to its kind-specific flat kernel.
@@ -501,10 +446,9 @@ type BatchFn = unsafe fn(
 /// One compiled instance of the batch kernel: the same
 /// [`block_kernel_batch`] body built for the baseline target or, on
 /// x86-64, inside an `avx2` or `avx512f` `#[target_feature]` wrapper. A
-/// [`RankPlan`](crate::RankPlan) holds the instance it runs, and every
-/// compute path, sequential or pooled, calls it through
-/// [`BatchKernel::run`]. Every instance returns the same bits (see the
-/// module docs).
+/// [`RankPlan`](crate::RankPlan) holds the instance it runs and calls it
+/// through [`BatchKernel::run`]. Every instance returns the same bits (see
+/// the module docs).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct BatchKernel {
     isa: &'static str,

@@ -60,17 +60,15 @@ pub fn parallel_shifted_hopm(
     parallel_shifted_hopm_planned(tensor, part, x0, alpha, opts, mode, 1)
 }
 
-/// [`parallel_shifted_hopm`] with a node-level worker pool of `threads`
-/// threads per rank for the local-compute phase of every STTSV iteration
-/// (see [`RankContext::with_pool`]); `threads ≤ 1` runs the sequential
-/// kernels. Each rank compiles its owned blocks into a contiguous arena
-/// once, before the first iteration, and every later STTSV runs
-/// allocation-free over preallocated flat slabs. The distributed algorithm
-/// and its communication costs do not depend on `threads`, and the pooled
-/// kernels are bit-identical across thread counts, so the iteration
-/// trajectory depends on `threads` only through the pooled-vs-sequential
-/// reduction order. Panics with the
-/// [`InputError`](crate::InputError) on a dimension mismatch.
+/// The solver behind [`parallel_shifted_hopm`]. Each rank compiles its
+/// owned blocks into a contiguous arena once, before the first iteration,
+/// and every later STTSV runs allocation-free over preallocated flat
+/// slabs. Panics with the [`InputError`](crate::InputError) on a dimension
+/// mismatch.
+///
+/// `_threads` is ignored (each rank computes on its own thread); it keeps
+/// the benchmark's pinned call compiling and is removed when the pins
+/// move.
 ///
 /// Where the exchange meets every peer in both phases (every mode at
 /// `q = 2`, the all-to-all modes at every `q`), no collective runs inside
@@ -95,11 +93,11 @@ pub fn parallel_shifted_hopm_planned(
     alpha: f64,
     opts: HopmOptions,
     mode: Mode,
-    threads: usize,
+    _threads: usize,
 ) -> (HopmResult, CostReport) {
     let n = part.dim();
     check_dims(n, tensor, [x0]).unwrap_or_else(|e| panic!("{e}"));
-    let machine = Machine::new(tensor, part, mode, threads);
+    let machine = Machine::new(tensor, part, mode);
     let may_ride = scalars_may_ride();
     let (rank_results, report) = Universe::new(part.num_procs()).run(|comm| {
         machine.with_rank(comm, |ctx| {
@@ -460,7 +458,7 @@ mod tests {
     fn riding_solve_keeps_the_zero_allocation_steady_state() {
         let part = TetraPartition::new(spherical(2), 60).unwrap();
         let (tensor, x0) = odeco_91(60);
-        let machine = Machine::new(&tensor, &part, Mode::Scheduled, 1);
+        let machine = Machine::new(&tensor, &part, Mode::Scheduled);
         let opts = HopmOptions { tol: 0.0, max_iters: 20 };
         let (outs, _, logs) = Universe::new(part.num_procs()).run_traced(|comm| {
             machine.with_rank(comm, |ctx| {
@@ -579,7 +577,7 @@ mod tests {
         assert!(mt.converged);
         assert!((mt.lambda - base.lambda).abs() < 1e-10);
         assert_eq!(mt.iters, base.iters);
-        // Communication is a function of the partition only, not the pool.
+        // Communication is a function of the partition only.
         for (a, b) in base_report.per_rank.iter().zip(&mt_report.per_rank) {
             assert_eq!(a.words_sent, b.words_sent);
             assert_eq!(a.rounds, b.rounds);
@@ -587,7 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn planned_hopm_is_thread_deterministic_and_exact() {
+    fn planned_hopm_is_exact() {
         let n = 30;
         let part = TetraPartition::new(spherical(2), n).unwrap();
         let mut rng = StdRng::seed_from_u64(97);
@@ -598,22 +596,11 @@ mod tests {
         let seq = hopm(&odeco.tensor, &x0, opts);
         let n64 = n as u64;
         for mode in [Mode::Scheduled, Mode::AllToAllSparse, Mode::AllToAllPadded] {
-            let run = |threads: usize| {
-                parallel_shifted_hopm_planned(&odeco.tensor, &part, &x0, 0.0, opts, mode, threads)
-            };
-            let (base, _) = run(1);
+            let (base, _) =
+                parallel_shifted_hopm_planned(&odeco.tensor, &part, &x0, 0.0, opts, mode, 1);
             assert!(base.converged, "{mode:?}");
             assert!((base.lambda - seq.lambda).abs() < 1e-8, "{mode:?}");
             assert_eq!(base.ops.ternary_mults, base.iters as u64 * n64 * n64 * (n64 + 1) / 2);
-            // The pooled kernels are deterministic in the thread count: any
-            // pool size reproduces the same fixed chunk tree, so the whole
-            // trajectory and its communication are identical.
-            let (t2, t2_report) = run(2);
-            let (t3, t3_report) = run(3);
-            assert_eq!(t2.x, t3.x, "{mode:?}: pooled plan runs must not depend on pool size");
-            assert_eq!(t2.lambda.to_bits(), t3.lambda.to_bits());
-            assert_eq!(t2.iters, t3.iters);
-            assert_eq!(t2_report, t3_report, "comm counters must not depend on pool size");
         }
     }
 

@@ -90,7 +90,7 @@ fn run_columns(
     let r = x_mat.cols();
     let x_cols: Vec<Vec<f64>> = (0..r).map(|col| x_mat.col(col)).collect();
     check_dims(n, tensor, x_cols.iter().map(Vec::as_slice))?;
-    let machine = Machine::new(tensor, part, mode, 1);
+    let machine = Machine::new(tensor, part, mode);
     let (rank_results, report) = Universe::new(part.num_procs()).run(|comm| {
         let columns = x_cols.iter().map(|x| part.shards_of(comm.rank(), x)).collect();
         machine.with_rank(comm, |ctx| per_rank(comm, ctx, columns))

@@ -37,25 +37,22 @@
 //! ([`crate::blocks`]' batch kernel, in the widest instruction-set
 //! instance the host supports; every instance gives the same bits). The
 //! arena is therefore read once per batch (once per `LANES` vectors for
-//! larger batches), not once per vector. Every vector sees the floating-point operations of
-//! [`OwnedBlocks::compute`]'s one-vector kernels in the same order, so its
-//! bits do not depend on the batch it rides in. The pooled compute funnels
-//! through one fixed chunk decomposition and
-//! [`symtensor_pool::tree_reduce`] tree, so it is bit-identical across runs
-//! and thread counts. Every message carries, per shared row block in
-//! ascending order, the batch's pieces back-to-back, so the per-rank words
-//! are exactly the paper's closed forms.
+//! larger batches), not once per vector. Every vector sees the
+//! floating-point operations of [`OwnedBlocks::compute`]'s one-vector
+//! kernels in the same order, so its bits do not depend on the batch it
+//! rides in. The pass is the rank's only compute path: one thread per
+//! rank, as in the paper's machine model, so no thread count can change a
+//! bit. Every message carries, per shared row block in ascending order,
+//! the batch's pieces back-to-back, so the per-rank words are exactly the
+//! paper's closed forms.
 
 #[cfg(doc)]
 use crate::blocks::LANES;
-use crate::blocks::{
-    add_into, chunked_compute_flat, extract_block, lane_words, BatchKernel, OwnedBlocks,
-};
+use crate::blocks::{add_into, extract_block, lane_words, BatchKernel, OwnedBlocks};
 use crate::partition::TetraPartition;
 use crate::schedule::shared_row_blocks;
 use crate::tetra::{BlockIdx, BlockKind};
 use symtensor_core::SymTensor3;
-use symtensor_pool::Pool;
 
 /// The most scalars one exchange may append to each of its messages (see
 /// the riders in the module docs).
@@ -458,42 +455,27 @@ impl RankPlan {
 
     /// Runs the local kernels over the packed arena for slabs `0..batch`:
     /// zeroes the `y` slabs (a `fill`, not an allocation) and applies each
-    /// [`PlanBlock`] to the whole batch, [`LANES`] vectors per pass, so the
-    /// arena is read once per batch of up to `LANES`. With a pool, the
-    /// batch funnels through one fixed chunk decomposition, workspace
-    /// leases and reduction tree — so the result is bit-identical across
-    /// thread counts. Each vector's bits equal a batch-of-one run on that
-    /// vector.
+    /// [`PlanBlock`] in arena order to the whole batch, [`LANES`] vectors
+    /// per pass, so the arena is read once per batch of up to `LANES`.
+    /// This is the rank's only compute path. Each vector's bits equal a
+    /// batch-of-one run on that vector.
+    ///
+    /// `_pool` is ignored and can only be `None`; it keeps the benchmark's
+    /// pinned call compiling and is removed when the pins move.
     /// Returns the exact ternary-multiplication count.
-    pub fn compute(&self, ws: &mut PlanWorkspace, batch: usize, pool: Option<&Pool>) -> u64 {
+    pub fn compute(
+        &self,
+        ws: &mut PlanWorkspace,
+        batch: usize,
+        _pool: Option<std::convert::Infallible>,
+    ) -> u64 {
         debug_assert!(batch <= ws.batch_cap);
-        let len = batch * self.stride();
+        let stride = self.stride();
+        let len = batch * stride;
         let PlanWorkspace { x, y, lanes, .. } = ws;
         let (x, y) = (&x[..len], &mut y[..len]);
         y.fill(0.0);
-        match pool {
-            None => self.run_blocks(0..self.blocks.len(), batch, x, y, lanes),
-            Some(pool) => {
-                chunked_compute_flat(self.blocks.len(), self.b, y, pool, |range, partial, lanes| {
-                    self.run_blocks(range, batch, x, partial, lanes)
-                })
-            }
-        }
-    }
-
-    /// Applies blocks `range` (arena order) to slabs `0..batch` of `x`,
-    /// accumulating into the matching slabs of `y`. Returns the exact
-    /// ternary count.
-    fn run_blocks(
-        &self,
-        range: std::ops::Range<usize>,
-        batch: usize,
-        x: &[f64],
-        y: &mut [f64],
-        lanes: &mut [f64],
-    ) -> u64 {
-        let stride = self.stride();
-        self.blocks[range]
+        self.blocks
             .iter()
             .map(|blk| {
                 self.kernel.run(

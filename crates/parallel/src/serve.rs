@@ -287,10 +287,6 @@ pub struct ChaosPolicy {
 pub struct ServeConfig<'a> {
     /// Communication strategy for the vector phases.
     pub mode: Mode,
-    /// Worker threads per rank for the local-compute phase; `≤ 1` runs the
-    /// sequential kernels. Results are bit-identical across thread counts
-    /// above 1, and communication does not depend on it.
-    pub threads: usize,
     /// Requests per batch, in submission order (the last batch may be
     /// smaller). Must be positive.
     pub batch_cap: usize,
@@ -309,30 +305,34 @@ pub struct ServeConfig<'a> {
 }
 
 impl ServeConfig<'_> {
-    /// Sequential kernels, no telemetry, no chaos, no SLO.
+    /// No telemetry, no chaos, no SLO.
     pub fn new(mode: Mode, batch_cap: usize) -> Self {
-        ServeConfig { mode, threads: 1, batch_cap, telemetry: None, chaos: None, slo: None }
+        ServeConfig { mode, batch_cap, telemetry: None, chaos: None, slo: None }
     }
 }
 
-/// Serves `requests` with the fault-free defaults of [`ServeConfig`]:
-/// `threads` workers per rank, `batch_cap` requests per batch. A one-line
-/// wrapper over [`serve`], kept because the benchmark calls it by name.
+/// Serves `requests` with the fault-free defaults of [`ServeConfig`],
+/// `batch_cap` requests per batch. A one-line wrapper over [`serve`], kept
+/// because the benchmark calls it by name.
+///
+/// `_threads` is ignored (each rank computes on its own thread); it keeps
+/// the benchmark's pinned call compiling and is removed when the pins
+/// move.
 pub fn parallel_sttsv_serve(
     tensor: &SymTensor3,
     part: &TetraPartition,
     requests: &[ServeRequest],
     mode: Mode,
-    threads: usize,
+    _threads: usize,
     batch_cap: usize,
 ) -> Result<ServeRun, ServeError> {
-    serve(tensor, part, requests, ServeConfig { threads, ..ServeConfig::new(mode, batch_cap) })
+    serve(tensor, part, requests, ServeConfig::new(mode, batch_cap))
 }
 
 /// [`parallel_sttsv_serve`] under its pipelined name. Every serve runs the
 /// one double-buffered loop ([`RankContext::sttsv_serve_pipelined`]), so
 /// the two are the same call; both stay because the benchmark calls them
-/// by name.
+/// by name. `_threads` is ignored and is removed when the pins move.
 ///
 /// [`RankContext::sttsv_serve_pipelined`]: crate::RankContext::sttsv_serve_pipelined
 pub fn parallel_sttsv_serve_pipelined(
@@ -340,10 +340,10 @@ pub fn parallel_sttsv_serve_pipelined(
     part: &TetraPartition,
     requests: &[ServeRequest],
     mode: Mode,
-    threads: usize,
+    _threads: usize,
     batch_cap: usize,
 ) -> Result<ServeRun, ServeError> {
-    parallel_sttsv_serve(tensor, part, requests, mode, threads, batch_cap)
+    serve(tensor, part, requests, ServeConfig::new(mode, batch_cap))
 }
 
 /// Serves `requests` through the compiled-plan batched STTSV kernel, as
@@ -397,10 +397,10 @@ pub fn serve(
     requests: &[ServeRequest],
     cfg: ServeConfig<'_>,
 ) -> Result<ServeRun, ServeError> {
-    let ServeConfig { mode, threads, batch_cap, telemetry, chaos, mut slo } = cfg;
+    let ServeConfig { mode, batch_cap, telemetry, chaos, mut slo } = cfg;
     let batches = batches(tensor, part, requests, batch_cap)?;
     let p_count = part.num_procs();
-    let machine = Machine::new(tensor, part, mode, threads);
+    let machine = Machine::new(tensor, part, mode);
     let clock = Instant::now();
     let clock_ns = || clock.elapsed().as_nanos() as u64;
     let universe = || {
@@ -530,7 +530,7 @@ mod tests {
 
     /// The kernel instance a plan runs changes no bit and no count: the
     /// serve over the detected instance equals the serve with every plan
-    /// forced to the baseline, on the sequential and the pooled compute.
+    /// forced to the baseline.
     #[test]
     fn forcing_the_baseline_kernel_changes_no_bit() {
         let n = 120;
@@ -543,19 +543,15 @@ mod tests {
         let bits = |run: &ServeRun| -> Vec<Vec<u64>> {
             run.ys.iter().map(|y| y.iter().map(|v| v.to_bits()).collect()).collect()
         };
-        for threads in [1, 4] {
-            let serve = || {
-                parallel_sttsv_serve(&tensor, &part, &requests, Mode::Scheduled, threads, 8)
-                    .unwrap()
-            };
-            let detected = {
-                let _kernel = kernel_lock();
-                serve()
-            };
-            let baseline = with_baseline_plans(serve);
-            assert_eq!(bits(&detected), bits(&baseline), "threads = {threads}");
-            assert_eq!(detected.report, baseline.report, "threads = {threads}");
-        }
+        let serve =
+            || parallel_sttsv_serve(&tensor, &part, &requests, Mode::Scheduled, 1, 8).unwrap();
+        let detected = {
+            let _kernel = kernel_lock();
+            serve()
+        };
+        let baseline = with_baseline_plans(serve);
+        assert_eq!(bits(&detected), bits(&baseline));
+        assert_eq!(detected.report, baseline.report);
     }
 
     #[test]
@@ -589,7 +585,7 @@ mod tests {
         let xs = vectors(n, 6);
         let requests: Vec<ServeRequest> =
             xs.iter().enumerate().map(|(i, x)| ServeRequest::new(i as u64, x.clone())).collect();
-        let run = parallel_sttsv_serve(&tensor, &part, &requests, Mode::Scheduled, 2, 4).unwrap();
+        let run = parallel_sttsv_serve(&tensor, &part, &requests, Mode::Scheduled, 1, 4).unwrap();
         assert_eq!(run.records.len(), 6);
         for (i, rec) in run.records.iter().enumerate() {
             assert_eq!(rec.id, i as u64);
@@ -613,34 +609,27 @@ mod tests {
             .map(|(i, x)| ServeRequest::new(200 + i as u64, x.clone()))
             .collect();
         for mode in [Mode::Scheduled, Mode::AllToAllPadded, Mode::AllToAllSparse] {
-            for threads in [1usize, 3] {
-                let run =
-                    parallel_sttsv_serve(&tensor, &part, &requests, mode, threads, 3).unwrap();
-                // The oracle: one barrier call per batch of 3.
-                let mut ys = Vec::new();
-                let mut report =
-                    CostReport { per_rank: vec![RankCost::default(); part.num_procs()] };
-                let mut ternary = vec![0u64; part.num_procs()];
-                for chunk in xs.chunks(3) {
-                    let multi = parallel_sttsv_multi_planned(&tensor, &part, chunk, mode, threads);
-                    ys.extend(multi.ys);
-                    report = report.merged(&multi.report);
-                    for (t, m) in ternary.iter_mut().zip(&multi.ternary_per_rank) {
-                        *t += m;
-                    }
+            let run = parallel_sttsv_serve(&tensor, &part, &requests, mode, 1, 3).unwrap();
+            // The oracle: one barrier call per batch of 3.
+            let mut ys = Vec::new();
+            let mut report = CostReport { per_rank: vec![RankCost::default(); part.num_procs()] };
+            let mut ternary = vec![0u64; part.num_procs()];
+            for chunk in xs.chunks(3) {
+                let multi = parallel_sttsv_multi_planned(&tensor, &part, chunk, mode, 1);
+                ys.extend(multi.ys);
+                report = report.merged(&multi.report);
+                for (t, m) in ternary.iter_mut().zip(&multi.ternary_per_rank) {
+                    *t += m;
                 }
-                assert_eq!(run.ys, ys, "{mode:?}/{threads}: outputs must be bit-identical");
-                assert_eq!(run.ternary_per_rank, ternary, "{mode:?}/{threads}: ternary counts");
-                assert_eq!(run.report, report, "{mode:?}/{threads}: serving must not move a word");
-                assert_eq!(run.records.len(), requests.len());
-                for (i, rec) in run.records.iter().enumerate() {
-                    assert_eq!(
-                        (rec.id, rec.batch, rec.batch_index),
-                        (200 + i as u64, i / 3, i % 3)
-                    );
-                    assert!(rec.compute_ns > 0);
-                    assert!(rec.e2e_ns >= rec.compute_ns);
-                }
+            }
+            assert_eq!(run.ys, ys, "{mode:?}: outputs must be bit-identical");
+            assert_eq!(run.ternary_per_rank, ternary, "{mode:?}: ternary counts");
+            assert_eq!(run.report, report, "{mode:?}: serving must not move a word");
+            assert_eq!(run.records.len(), requests.len());
+            for (i, rec) in run.records.iter().enumerate() {
+                assert_eq!((rec.id, rec.batch, rec.batch_index), (200 + i as u64, i / 3, i % 3));
+                assert!(rec.compute_ns > 0);
+                assert!(rec.e2e_ns >= rec.compute_ns);
             }
         }
     }
@@ -683,7 +672,7 @@ mod tests {
                 .map(|(i, x)| ServeRequest::new(i as u64, x))
                 .collect();
             let batches: Vec<&[ServeRequest]> = requests.chunks(2).collect();
-            let machine = Machine::new(&tensor, &part, mode, 1);
+            let machine = Machine::new(&tensor, &part, mode);
             let universe = || Universe::new(part.num_procs());
             // The reference: one barrier call per batch.
             let (barrier, _, barrier_logs) = machine.run(universe(), true, |comm, ctx| {

@@ -1,18 +1,16 @@
 //! Property tests pinning the compiled-plan STTSV to the paper's
 //! invariants.
 //!
-//! For every `(q, n, threads, batch, mode)` the distributed STTSV must do
-//! exactly the sequential `sttsv_sym` ternary multiplications, stay within
-//! `1e-12` (relative) of it, move exactly the closed-form words per rank,
-//! give the same bits at every pool size above one, and give the same bits
-//! for a vector whether it runs alone or inside a batch.
+//! For every `(q, n, batch, mode)` the distributed STTSV must do exactly
+//! the sequential `sttsv_sym` ternary multiplications, stay within `1e-12`
+//! (relative) of it, move exactly the closed-form words per rank, and give
+//! the same bits for a vector whether it runs alone or inside a batch.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use symtensor_core::generate::random_symmetric;
 use symtensor_core::seq::sttsv_sym;
-use symtensor_core::Pool;
 use symtensor_mpsim::{CostReport, Universe};
 use symtensor_parallel::blocks::{OwnedBlocks, LANES};
 use symtensor_parallel::bounds::scheduled_words_per_vector;
@@ -25,7 +23,7 @@ use symtensor_steiner::spherical;
 const MODES: [Mode; 3] = [Mode::Scheduled, Mode::AllToAllPadded, Mode::AllToAllSparse];
 
 /// `(q, n)` pairs satisfying the partition's divisibility requirements —
-/// the adversarial axis is the seed/threads/batch/mode space around them.
+/// the adversarial axis is the seed/batch/mode space around them.
 fn geometry(idx: usize) -> (u64, usize) {
     [(2u64, 30usize), (2, 60), (3, 60)][idx % 3]
 }
@@ -70,10 +68,8 @@ fn run(
     part: &TetraPartition,
     xs: &[Vec<f64>],
     mode: Mode,
-    threads: usize,
 ) -> SttsvMultiRun {
-    let opts = SttsvOptions { threads, ..SttsvOptions::new(mode) };
-    parallel_sttsv_with(tensor, part, xs, opts).unwrap()
+    parallel_sttsv_with(tensor, part, xs, SttsvOptions::new(mode)).unwrap()
 }
 
 proptest! {
@@ -82,14 +78,12 @@ proptest! {
 
     /// Single-vector STTSV through `RankContext::sttsv`: exact ternary
     /// counts, 1e-12 of the sequential kernel, closed-form words, the same
-    /// bits and report as the batched driver on a batch of one, and the same
-    /// bits at every pool size.
+    /// bits and report as the batched driver on a batch of one.
     #[test]
     fn planned_sttsv_matches_oracle_and_reconciles(
         geom in 0usize..3,
         seed in 0u64..10_000,
         mode_idx in 0usize..3,
-        threads in 1usize..4,
     ) {
         let (q, n) = geometry(geom);
         let part = TetraPartition::new(spherical(q), n).unwrap();
@@ -101,11 +95,7 @@ proptest! {
         let schedule = CommSchedule::build(&part);
         let (outs, report) = Universe::new(part.num_procs()).run(|comm| {
             let p = comm.rank();
-            let pool = (threads > 1).then(|| Pool::new(threads));
-            let mut ctx = RankContext::new(&tensor, &part, p, mode, Some(&schedule));
-            if let Some(pool) = pool.as_ref() {
-                ctx = ctx.with_pool(pool);
-            }
+            let ctx = RankContext::new(&tensor, &part, p, mode, Some(&schedule));
             ctx.sttsv(comm, &part.shards_of(p, &x))
         });
         let mut y = vec![0.0; n];
@@ -114,7 +104,7 @@ proptest! {
             prop_assert_eq!(*ternary, part.ternary_mults(p), "rank {} ternary", p);
         }
 
-        let batched = run(&tensor, &part, std::slice::from_ref(&x), mode, threads);
+        let batched = run(&tensor, &part, std::slice::from_ref(&x), mode);
         prop_assert_eq!(&batched.ys[0], &y, "a batch of one must give the single-vector bits");
         prop_assert_eq!(&batched.report, &report);
         assert_words(&part, q, mode, 1, &report);
@@ -131,24 +121,15 @@ proptest! {
                 "y[{}]: {} vs {}", i, yp, yr
             );
         }
-
-        // Pooled plans are deterministic in the pool size: the chunk tree
-        // is fixed by the block count, not the worker count.
-        if threads > 1 {
-            let other = run(&tensor, &part, std::slice::from_ref(&x), mode, threads + 1);
-            prop_assert_eq!(&other.ys[0], &y, "thread count must not change bits");
-        }
     }
 
     /// Batched STTSV gives every vector the bits of its own single-vector
-    /// run, moves `B ×` the words in the same messages and rounds, and is
-    /// deterministic in the thread count.
+    /// run and moves `B ×` the words in the same messages and rounds.
     #[test]
-    fn planned_multi_is_bit_identical_and_thread_deterministic(
+    fn planned_multi_is_bit_identical(
         geom in 0usize..3,
         seed in 0u64..10_000,
         mode_idx in 0usize..3,
-        threads in 1usize..4,
         batch in 1usize..LANES + 2,
     ) {
         let (q, n) = geometry(geom);
@@ -158,9 +139,9 @@ proptest! {
         let xs = random_vectors(n, batch, &mut rng);
         let mode = MODES[mode_idx];
 
-        let planned = parallel_sttsv_multi_planned(&tensor, &part, &xs, mode, threads);
+        let planned = parallel_sttsv_multi_planned(&tensor, &part, &xs, mode, 1);
         for (v, x) in xs.iter().enumerate() {
-            let single = run(&tensor, &part, std::slice::from_ref(x), mode, threads);
+            let single = run(&tensor, &part, std::slice::from_ref(x), mode);
             prop_assert_eq!(&planned.ys[v], &single.ys[0], "batching must not change bits");
             let b = batch as u64;
             let ternary: Vec<u64> = single.ternary_per_rank.iter().map(|t| b * t).collect();
@@ -171,11 +152,6 @@ proptest! {
             }
         }
         assert_words(&part, q, mode, batch as u64, &planned.report);
-
-        if threads > 1 {
-            let other = parallel_sttsv_multi_planned(&tensor, &part, &xs, mode, threads + 1);
-            prop_assert_eq!(&other.ys, &planned.ys, "thread count must not change bits");
-        }
 
         for (x, y) in xs.iter().zip(&planned.ys) {
             let (y_ref, _) = sttsv_sym(&tensor, x);
