@@ -11,9 +11,10 @@
 //!   preceding lines. Orderings are load-bearing; an unjustified one is
 //!   indistinguishable from a guessed one.
 //! * **no-panic-path** — no `unwrap()` / `expect(` / `panic!` /
-//!   `unreachable!` in `crates/telemetry/src` or
-//!   `crates/mpsim/src/flight.rs`: the serving and flight planes must
-//!   degrade, not abort. Escape hatch for designed
+//!   `unreachable!` in `crates/telemetry/src`,
+//!   `crates/mpsim/src/flight.rs` or `crates/mpsim/src/mailbox.rs`: the
+//!   serving and flight planes and the transport must degrade, not
+//!   abort. Escape hatch for designed
 //!   invariants: `// lint: allow-panic` (same line or two above).
 //! * **no-raw-atomics** — no `std::sync::atomic` mention in the checked
 //!   crates outside a `sync.rs` façade module, so every atomic compiles
@@ -27,7 +28,8 @@
 //!   self-overhead the flight recorder exists to measure.
 //!
 //! Test code is exempt: everything after the first `#[cfg(test)]` line
-//! of a file (the repo convention keeps the test module last), and
+//! that is followed by a `mod` declaration (the repo convention keeps the
+//! test module last; a `#[cfg(test)]` field or impl exempts nothing), and
 //! comment-only lines never match.
 
 use std::fs;
@@ -54,7 +56,8 @@ impl std::fmt::Display for Finding {
 }
 
 const ORDERING_SCOPE: &[&str] = &["crates/telemetry/src", "crates/mpsim/src"];
-const PANIC_SCOPE: &[&str] = &["crates/telemetry/src", "crates/mpsim/src/flight.rs"];
+const PANIC_SCOPE: &[&str] =
+    &["crates/telemetry/src", "crates/mpsim/src/flight.rs", "crates/mpsim/src/mailbox.rs"];
 const RAW_ATOMIC_SCOPE: &[&str] = &["crates/telemetry/src", "crates/mpsim/src"];
 const CLOCK_SCOPE: &[&str] = &["crates/telemetry/src", "crates/mpsim/src/flight.rs"];
 
@@ -82,8 +85,13 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
     let is_sync_facade = rel.ends_with("/sync.rs");
 
     for (idx, &line) in lines.iter().enumerate() {
-        if line.contains("#[cfg(test)]") {
-            break; // repo convention: the test module is last in the file
+        // Repo convention: the test module is last in the file. A
+        // `#[cfg(test)]` on anything but a module (a field, an impl)
+        // exempts nothing.
+        if line.contains("#[cfg(test)]")
+            && lines.get(idx + 1).is_some_and(|next| next.trim_start().starts_with("mod "))
+        {
+            break;
         }
         if is_comment(line) {
             continue;
@@ -184,10 +192,14 @@ mod tests {
     fn panic_paths_flagged_only_in_scope_and_outside_tests() {
         let src = "let x = maybe.unwrap();\n";
         assert_eq!(lint_source("crates/telemetry/src/lib.rs", src).len(), 1);
-        // mpsim outside flight.rs is out of scope for this rule.
+        // mpsim outside flight.rs and mailbox.rs is out of scope.
         assert!(lint_source("crates/mpsim/src/comm.rs", src).is_empty());
+        assert_eq!(lint_source("crates/mpsim/src/mailbox.rs", src).len(), 1);
         let test_src = "#[cfg(test)]\nmod tests {\n    let x = maybe.unwrap();\n}\n";
         assert!(lint_source("crates/telemetry/src/lib.rs", test_src).is_empty());
+        // A test-only field does not exempt the code after it.
+        let field_src = "#[cfg(test)]\n    woken_by: Vec<usize>,\nlet x = maybe.unwrap();\n";
+        assert_eq!(lint_source("crates/telemetry/src/lib.rs", field_src).len(), 1);
         let tagged_src = "// lint: allow-panic — designed invariant\nlet x = maybe.unwrap();\n";
         assert!(lint_source("crates/telemetry/src/lib.rs", tagged_src).is_empty());
     }

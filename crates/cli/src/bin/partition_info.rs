@@ -2,18 +2,29 @@
 //! `n`, verifies every invariant and prints its statistics.
 //!
 //! Usage: `partition_info [q] [n]` (defaults: q = 3, n = padded minimal).
+//! A `q` or `n` that is not a number, or a third argument, is a usage
+//! error (exit 2).
 
 use symtensor_parallel::schedule::spherical_round_count;
 use symtensor_parallel::{bounds, CommSchedule, TetraPartition};
 use symtensor_steiner::spherical;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let q: u64 = args.get(1).map(|s| s.parse().expect("q must be a number")).unwrap_or(3);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(extra) = args.get(2) {
+        usage(&format!("unexpected argument '{extra}'"));
+    }
+    let q: u64 = match args.first() {
+        Some(s) => s.parse().unwrap_or_else(|_| usage(&format!("q must be a number, got '{s}'"))),
+        None => 3,
+    };
     let system = spherical(q);
     system.verify().expect("Steiner verification");
     let n_default = TetraPartition::padded_dim(&system, 1);
-    let n: usize = args.get(2).map(|s| s.parse().expect("n must be a number")).unwrap_or(n_default);
+    let n: usize = match args.get(1) {
+        Some(s) => s.parse().unwrap_or_else(|_| usage(&format!("n must be a number, got '{s}'"))),
+        None => n_default,
+    };
 
     let qq = q as usize;
     let part = match TetraPartition::new(system, n) {
@@ -69,4 +80,11 @@ fn main() {
     );
     println!();
     println!("all invariants verified.");
+}
+
+/// Prints `msg` and the usage line, and exits 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("usage: partition_info [q] [n]");
+    std::process::exit(2);
 }

@@ -6,7 +6,9 @@
 //! Writes a JSON array of records (defaults to stdout). With
 //! `--trace`/`--metrics` every measured run is re-run traced and the
 //! observability outputs (Perfetto trace, per-phase metrics, comm matrix,
-//! round occupancy) are written alongside.
+//! round occupancy) are written alongside. Any other flag, or a second
+//! positional argument, is a usage error (exit 2), reported before
+//! anything runs.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,6 +23,12 @@ use symtensor_steiner::spherical;
 
 fn main() {
     let (sink, rest) = ObsSink::from_args(std::env::args().skip(1));
+    if let Some(flag) = rest.iter().find(|arg| arg.starts_with('-')) {
+        usage(&format!("unknown flag '{flag}'"));
+    }
+    if let Some(extra) = rest.get(1) {
+        usage(&format!("unexpected argument '{extra}'"));
+    }
     let mut records: Vec<Value> = Vec::new();
     let mut rng = StdRng::seed_from_u64(2024);
 
@@ -121,4 +129,11 @@ fn main() {
         None => println!("{out}"),
     }
     sink.flush();
+}
+
+/// Prints `msg` and the usage line, and exits 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("usage: sweep [output.json] [--trace t.json] [--metrics m.json]");
+    std::process::exit(2);
 }

@@ -1,13 +1,14 @@
-//! The per-rank communicator handle: point-to-point messaging with tags,
-//! an out-of-order mailbox, cost counting, deadlock-surfacing timeouts and
-//! one timestamped, annotated event log per rank ([`crate::flight`]).
+//! The per-rank communicator handle: point-to-point messaging with tags
+//! over one inbox per rank (`mailbox.rs`), cost counting,
+//! deadlock-surfacing timeouts and one timestamped, annotated event log
+//! per rank ([`crate::flight`]).
 
 use crate::cost::{CommEventKind, SharedCounters};
 use crate::fault::{FaultPlan, FaultState, InjectedFault, SendAction};
 use crate::flight::FlightRecorder;
+use crate::mailbox::Mailbox;
 use crate::sync::{AtomicBool, Ordering};
 use std::cell::{Cell, RefCell};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 use symtensor_telemetry::{keys as telemetry_keys, TelemetryPlane};
@@ -115,7 +116,8 @@ pub enum CommError {
         /// Expected tag.
         tag: u64,
     },
-    /// The peer's channel is gone (its rank panicked).
+    /// A peer rank panicked (or called [`Comm::fail_fast`]): the
+    /// universe's abort flag tripped while this rank waited.
     Disconnected {
         /// The waiting rank.
         rank: usize,
@@ -123,8 +125,8 @@ pub enum CommError {
         from: usize,
         /// Expected tag.
         tag: u64,
-        /// Who tripped the abort flag and where, when known (the mpsc
-        /// channel-disconnect path has no attribution).
+        /// Who tripped the abort flag and where. [`Comm::recv`] always
+        /// fills it: the attribution is written before the flag is raised.
         abort: Option<AbortInfo>,
     },
 }
@@ -156,10 +158,8 @@ impl std::error::Error for CommError {}
 /// [`crate::Universe::run`] call.
 pub struct Comm {
     rank: usize,
-    senders: Vec<Sender<Msg>>,
-    receiver: Receiver<Msg>,
-    /// Messages received but not yet claimed by a matching `recv`.
-    mailbox: RefCell<Vec<Msg>>,
+    /// Every rank's inbox, indexed by rank; this rank receives from its own.
+    mailboxes: Arc<[Mailbox]>,
     counters: SharedCounters,
     barrier: Arc<Barrier>,
     recv_timeout: Duration,
@@ -167,10 +167,8 @@ pub struct Comm {
     poll_interval: Duration,
     /// Tripped by the universe when any rank panics; blocked receives poll
     /// it (at [`Comm::poll_interval`] granularity) so surviving ranks fail
-    /// fast instead of waiting out the full timeout — surviving sender
-    /// clones keep the mpsc channels alive, so the `Disconnected` state
-    /// would otherwise never be observed. Carries the aborting rank's
-    /// identity and last phase/round for error attribution.
+    /// fast instead of waiting out the full timeout. Carries the aborting
+    /// rank's identity and last phase/round for error attribution.
     abort: Arc<AbortState>,
     /// Shared start instant of the universe — event timestamps are
     /// nanoseconds since this epoch.
@@ -211,8 +209,7 @@ impl Comm {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         rank: usize,
-        senders: Vec<Sender<Msg>>,
-        receiver: Receiver<Msg>,
+        mailboxes: Arc<[Mailbox]>,
         counters: SharedCounters,
         barrier: Arc<Barrier>,
         recv_timeout: Duration,
@@ -225,9 +222,7 @@ impl Comm {
     ) -> Self {
         Comm {
             rank,
-            senders,
-            receiver,
-            mailbox: RefCell::new(Vec::new()),
+            mailboxes,
             counters,
             barrier,
             recv_timeout,
@@ -268,9 +263,11 @@ impl Comm {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Hands this rank's log over by value, once the rank's closure has
-    /// returned.
+    /// Closes this rank's mailbox and hands its log over by value, once
+    /// the rank's closure has returned. A later send to this rank is
+    /// refused and not charged.
     pub(crate) fn into_log(self) -> FlightRecorder {
+        self.mailboxes[self.rank].close();
         self.log.into_inner()
     }
 
@@ -394,7 +391,7 @@ impl Comm {
     /// Number of ranks `P`.
     #[inline]
     pub fn size(&self) -> usize {
-        self.senders.len()
+        self.mailboxes.len()
     }
 
     /// Records one injected fault, so a post-mortem can tell chaos apart
@@ -420,12 +417,13 @@ impl Comm {
         });
     }
 
-    /// Sends `data` to `dst` with a user `tag`. Non-blocking (links are
-    /// unbounded); counts `data.len()` words and one message.
+    /// Sends `data` to `dst` with a user `tag`. Non-blocking (a mailbox is
+    /// unbounded); counts `data.len()` words and one message. The send
+    /// wakes `dst` only if `dst` is parked on exactly this `(src, tag)`.
     ///
     /// Counters and the log's send record are charged only for messages
     /// that actually enter the network: a send to a rank that has already
-    /// exited (its receiver is gone) and a chaos-injected drop both leave
+    /// exited (its mailbox is closed) and a chaos-injected drop both leave
     /// the word counters untouched, so a post-mortem's counter/matrix
     /// reconciliation stays exact on failure paths.
     ///
@@ -461,7 +459,7 @@ impl Comm {
                     self.record_fault(InjectedFault::Duplicate, dst, data.len() as u64);
                     // The duplicate is a network artifact the receiver
                     // dedups on intake; it is not charged as traffic.
-                    let _ = self.senders[dst].send(Msg {
+                    self.mailboxes[dst].deliver(Msg {
                         src: self.rank,
                         tag,
                         data: data.clone(),
@@ -471,9 +469,9 @@ impl Comm {
             }
         }
         let words = data.len() as u64;
-        // An Err means the destination already exited; the message never
+        // A refusal means the destination already exited; the message never
         // entered the network, so it must not appear in the cost counters.
-        if self.senders[dst].send(Msg { src: self.rank, tag, data, dup: false }).is_ok() {
+        if self.mailboxes[dst].deliver(Msg { src: self.rank, tag, data, dup: false }) {
             let counters = self.counters.rank(self.rank);
             // ordering: Relaxed — monotone single-writer cost counters.
             counters.words_sent.fetch_add(words, Ordering::Relaxed);
@@ -482,8 +480,9 @@ impl Comm {
         }
     }
 
-    /// Receives the message from `src` carrying `tag`, buffering any other
-    /// messages that arrive first. Errors after the configured timeout, or
+    /// Receives the earliest message from `src` carrying `tag`; messages
+    /// that arrive first stay queued without waking this rank. Errors after
+    /// the configured timeout, or
     /// with [`CommError::Disconnected`] as soon as the universe's abort
     /// flag reports that a peer rank panicked (polled at the universe's
     /// poll interval while blocked, so a dead peer never costs the full
@@ -500,16 +499,8 @@ impl Comm {
                 panic!("chaos: injected crash on rank {} (recv)", self.rank);
             }
         }
-        let matches = |m: &Msg| m.src == src && m.tag == tag;
-        // Claim the earliest buffered match. `Vec::remove` (not
-        // `swap_remove`) is load-bearing: two messages with the same
-        // `(src, tag)` — e.g. the pipelined serving path's back-to-back
-        // gather batches — must be claimed in the order they arrived.
-        let claimed = {
-            let mut mailbox = self.mailbox.borrow_mut();
-            mailbox.iter().position(matches).map(|pos| mailbox.remove(pos))
-        };
-        if let Some(msg) = claimed {
+        let mailbox = &self.mailboxes[self.rank];
+        if let Some(msg) = mailbox.take(src, tag, Duration::ZERO) {
             return Ok(self.account_recv(msg));
         }
         let deadline = Instant::now() + self.recv_timeout;
@@ -526,28 +517,10 @@ impl Comm {
             if remaining.is_zero() {
                 return Err(CommError::Timeout { rank: self.rank, from: src, tag });
             }
-            match self.receiver.recv_timeout(remaining.min(self.poll_interval)) {
-                Ok(msg) => {
-                    if msg.dup {
-                        // Chaos-injected duplicate: the receiver-side dedup
-                        // discards it before matching or accounting.
-                        continue;
-                    }
-                    if matches(&msg) {
-                        return Ok(self.account_recv(msg));
-                    }
-                    self.mailbox.borrow_mut().push(msg);
-                }
-                // Poll slice elapsed: loop to re-check abort and deadline.
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::Disconnected {
-                        rank: self.rank,
-                        from: src,
-                        tag,
-                        abort: self.abort.info(),
-                    });
-                }
+            // `None`: the poll slice elapsed; loop to re-check abort and
+            // deadline.
+            if let Some(msg) = mailbox.take(src, tag, remaining.min(self.poll_interval)) {
+                return Ok(self.account_recv(msg));
             }
         }
     }
@@ -728,6 +701,51 @@ mod tests {
             }
         });
         assert_eq!(results[0], vec![7.0, 9.0, 1.0, 2.0]);
+    }
+
+    #[test]
+    fn only_the_awaited_message_wakes_a_parked_rank() {
+        // Rank 0 parks on (1, 7). Ranks 2..5 send it tag 7 while it is
+        // parked, then rank 1 does. The mailbox must queue the first four
+        // silently and notify at most once, for rank 1's message. A long
+        // poll interval keeps rank 0 parked throughout.
+        use std::sync::Barrier;
+        let p = 5;
+        let senders_done = Barrier::new(p - 1);
+        let universe = Universe::new(p).with_poll_interval(Duration::from_secs(5));
+        let (results, _) = universe.run(|comm| {
+            let inbox = &comm.mailboxes[0];
+            let wait_until_parked = || {
+                while inbox.parked_on() != Some((1, 7)) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            };
+            match comm.rank() {
+                0 => {
+                    let got = comm.recv(1, 7).unwrap();
+                    for src in 2..p {
+                        assert_eq!(comm.recv(src, 7).unwrap(), vec![src as f64]);
+                    }
+                    (got, inbox.woken_by())
+                }
+                1 => {
+                    senders_done.wait();
+                    wait_until_parked();
+                    comm.send(0, 7, vec![1.0]);
+                    (vec![], vec![])
+                }
+                r => {
+                    wait_until_parked();
+                    comm.send(0, 7, vec![r as f64]);
+                    senders_done.wait();
+                    (vec![], vec![])
+                }
+            }
+        });
+        let (got, woken_by) = &results[0];
+        assert_eq!(got, &vec![1.0]);
+        assert!(woken_by.iter().all(|&src| src == 1), "woken by {woken_by:?}");
+        assert!(woken_by.len() <= 1, "woken by {woken_by:?}");
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! processor sends and receives — which is machine-independent. This crate
 //! therefore substitutes a real cluster with an in-process simulator:
 //!
-//! * each rank is an OS thread; links are unbounded channels,
+//! * each rank is an OS thread with one unbounded, arrival-ordered inbox;
+//!   a send wakes the receiving rank only when it is the `(src, tag)` that
+//!   rank is parked on,
 //! * every [`Comm::send`] / [`Comm::recv`] updates per-rank counters of
 //!   words and messages moved,
 //! * the collectives ([`Comm::all_to_all_v`], [`Comm::all_gather`],
@@ -27,6 +29,7 @@ pub mod comm;
 pub mod cost;
 pub mod fault;
 pub mod flight;
+pub(crate) mod mailbox;
 pub mod matching;
 pub(crate) mod sync;
 
@@ -37,7 +40,7 @@ pub use flight::{FlightOverhead, FlightRecorder, FlightSnapshot, DEFAULT_FLIGHT_
 pub use matching::{match_messages, MatchReport, MessageMatch};
 
 use comm::AbortState;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use mailbox::Mailbox;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use symtensor_telemetry::TelemetryPlane;
@@ -233,21 +236,14 @@ impl Universe {
         R: Send,
     {
         let p = self.size;
-        let mut senders: Vec<Sender<Msg>> = Vec::with_capacity(p);
-        let mut receivers: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
+        let mailboxes: Arc<[Mailbox]> = (0..p).map(|_| Mailbox::new()).collect();
         let counters = cost::SharedCounters::new(p);
         let barrier = Arc::new(Barrier::new(p));
         // Shared panic state: a rank that panics trips it (with its
         // identity and last phase/round annotation, first writer wins) so
         // that peers blocked in `recv` fail fast with an attributed
         // `CommError::Disconnected` instead of waiting out the full receive
-        // timeout (the surviving sender clones keep every channel alive, so
-        // the mpsc disconnect state alone never fires).
+        // timeout.
         let abort = Arc::new(AbortState::new());
         // One epoch shared by all ranks so per-rank timestamps are mutually
         // comparable in the merged trace.
@@ -256,9 +252,8 @@ impl Universe {
 
         let outcomes: Vec<RankOutcome<R>> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(p);
-            for (rank, rx_slot) in receivers.iter_mut().enumerate() {
-                let rx = rx_slot.take().unwrap();
-                let senders = senders.clone();
+            for rank in 0..p {
+                let mailboxes = mailboxes.clone();
                 let counters = counters.clone();
                 let barrier = barrier.clone();
                 let abort = abort.clone();
@@ -274,8 +269,7 @@ impl Universe {
                     };
                     let comm = Comm::new(
                         rank,
-                        senders,
-                        rx,
+                        mailboxes,
                         counters,
                         barrier,
                         timeout,
@@ -461,8 +455,8 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         // Rank 1 panics immediately; ranks 0 and 2 block in `recv` on it.
         // Without the abort flag the peers would sit out the full 60 s
-        // default timeout (their sender clones keep the channels alive);
-        // with it they observe `Disconnected` within the poll granularity.
+        // default timeout (nothing else wakes them); with it they observe
+        // `Disconnected` within the poll granularity.
         let start = Instant::now();
         let disconnected = Arc::new(AtomicUsize::new(0));
         let disconnected_in = disconnected.clone();

@@ -3,9 +3,10 @@
 //! The profiler (`symtensor-obs`) needs to know, for every received
 //! message, *which* send produced it: that pairing is the happens-before
 //! edge set of the run, from which the measured per-message transit and
-//! round-step latency histograms follow. The simulator delivers messages over one unbounded
-//! channel per destination and [`crate::Comm::recv`] claims them by
-//! `(src, tag)` in arrival order, so within a `(src, dst, tag)` triple
+//! round-step latency histograms follow. The simulator queues messages in one
+//! arrival-ordered inbox per destination (waking the destination only for
+//! the `(src, tag)` it is parked on) and [`crate::Comm::recv`] claims the
+//! earliest match, so within a `(src, dst, tag)` triple
 //! message order is FIFO — matching the k-th send to the k-th recv of the
 //! same triple reconstructs the exact pairing the run performed.
 

@@ -23,7 +23,7 @@
 //!   replenished). Buffers are promoted to the *global* maximum message
 //!   capacity on first reuse, so every buffer grows at most once and the
 //!   steady state performs **zero heap allocations** (the simulated
-//!   transport's channel nodes excepted — those belong to the machine,
+//!   transport's inbox queues excepted — those belong to the machine,
 //!   not the algorithm).
 //! * **Riders** — an exchange may append up to [`MAX_RIDER_WORDS`]
 //!   scalars to every message, after the pieces (and after a padded

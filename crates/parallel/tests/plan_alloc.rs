@@ -3,7 +3,7 @@
 //! (`load_shards` → pack → unpack → `compute` → `extract_into`) performs
 //! **zero heap allocations**, measured by a counting global allocator.
 //!
-//! The simulated transport's channel nodes are excluded by construction —
+//! The simulated transport's inbox queues are excluded by construction —
 //! this test drives the plan's own state machine directly, standing in for
 //! both exchange phases with length-matched pack/unpack pairs (a
 //! `Gather`-pack produces exactly the words a `Reduce`-unpack consumes and
