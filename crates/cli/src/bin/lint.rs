@@ -1,17 +1,17 @@
-//! The concurrency-hygiene lint gate.
+//! The source-hygiene lint gate.
 //!
 //! Usage: `lint [--root PATH]`
 //!
 //! Scans every `.rs` file under `<root>/crates/*/src` with
-//! `symtensor_check::lint_workspace` and prints each finding as
+//! `symtensor_cli::lint::lint_workspace` and prints each finding as
 //! `file:line: [rule] excerpt`. Exits 0 when the tree is clean and 1
 //! when any rule fires, so CI can gate on it directly. Without
 //! `--root`, the workspace root is found by walking up from the current
 //! directory to the nearest ancestor containing a `crates/` directory.
 //!
 //! The rules (ordering justifications, no panic paths in serving code,
-//! no raw atomics outside the `sync.rs` façades, no stray clock reads
-//! in record paths) are documented in `symtensor_check::lint`.
+//! no stray clock reads in record paths) are documented in
+//! `symtensor_cli::lint`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -46,7 +46,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
-    match symtensor_check::lint_workspace(&root) {
+    match symtensor_cli::lint::lint_workspace(&root) {
         Ok(findings) if findings.is_empty() => {
             println!("lint: clean ({})", root.display());
             ExitCode::SUCCESS

@@ -1,5 +1,5 @@
 //! Live monitor for the batched serving path: a `top`-style refreshing
-//! rank×phase view of a serving run, driven by the lock-free telemetry
+//! rank×phase view of a serving run, driven by the live telemetry
 //! plane.
 //!
 //! Usage:

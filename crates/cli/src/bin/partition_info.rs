@@ -2,9 +2,10 @@
 //! `n`, verifies every invariant and prints its statistics.
 //!
 //! Usage: `partition_info [q] [n]` (defaults: q = 3, n = padded minimal).
-//! A `q` or `n` that is not a number, or a third argument, is a usage
-//! error (exit 2).
+//! A `q` that is not a prime power, an `n` that is not a number, or a
+//! third argument is a usage error (exit 2).
 
+use symtensor_ff::is_prime_power;
 use symtensor_parallel::schedule::spherical_round_count;
 use symtensor_parallel::{bounds, CommSchedule, TetraPartition};
 use symtensor_steiner::spherical;
@@ -18,6 +19,9 @@ fn main() {
         Some(s) => s.parse().unwrap_or_else(|_| usage(&format!("q must be a number, got '{s}'"))),
         None => 3,
     };
+    if !is_prime_power(q) {
+        usage(&format!("q must be a prime power, got {q}"));
+    }
     let system = spherical(q);
     system.verify().expect("Steiner verification");
     let n_default = TetraPartition::padded_dim(&system, 1);

@@ -8,6 +8,7 @@
 use symtensor_parallel::tetra::BlockIdx;
 use symtensor_parallel::TetraPartition;
 
+pub mod lint;
 pub mod obsout;
 
 /// Formats a set of 0-based indices as the paper's 1-based `{a,b,c}` sets.

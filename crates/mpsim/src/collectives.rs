@@ -29,10 +29,10 @@ const TAG_STAR: u64 = 4 << 48;
 
 impl Comm {
     /// `recv` for collective steps: the first rank whose receive fails
-    /// trips the universe's shared abort flag ([`Comm::fail_fast`]) before
-    /// propagating the error, so every other participant blocked inside
-    /// the deserted collective returns `Err` within one abort-poll
-    /// interval instead of waiting out its own full timeout.
+    /// aborts the universe ([`Comm::fail_fast`]) before propagating the
+    /// error, so every other participant parked inside the deserted
+    /// collective wakes and returns `Err` at once instead of waiting out
+    /// its own full timeout.
     fn recv_or_abort(&self, src: usize, tag: u64) -> Result<Vec<f64>, CommError> {
         let out = self.recv(src, tag);
         if out.is_err() {

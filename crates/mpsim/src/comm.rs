@@ -6,21 +6,12 @@
 use crate::cost::{CommEventKind, SharedCounters};
 use crate::fault::{FaultPlan, FaultState, InjectedFault, SendAction};
 use crate::flight::FlightRecorder;
-use crate::mailbox::Mailbox;
-use crate::sync::{AtomicBool, Ordering};
+use crate::mailbox::{Mailbox, Missed};
 use std::cell::{Cell, RefCell};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use symtensor_telemetry::{keys as telemetry_keys, TelemetryPlane};
-
-/// Default granularity at which a blocked [`Comm::recv`] re-checks the
-/// universe's abort flag. A panicking peer therefore surfaces as
-/// [`CommError::Disconnected`] within this bound (sub-100 ms) instead of
-/// after the full receive timeout (60 s by default). Configurable per
-/// universe via [`crate::Universe::with_poll_interval`] — chaos suites
-/// drop it to ~2 ms so fail-fast paths cost milliseconds, not tens of
-/// them.
-pub(crate) const DEFAULT_POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// A point-to-point message: source rank, user tag, payload of words.
 #[derive(Clone, Debug)]
@@ -38,7 +29,7 @@ pub struct Msg {
 }
 
 /// Identity and last phase/round annotations of the rank whose panic
-/// tripped the universe's abort flag — attached to the
+/// aborted the universe — attached to the
 /// [`CommError::Disconnected`] errors surviving peers observe, so a
 /// failure is attributable without a debugger.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,42 +57,9 @@ impl std::fmt::Display for AbortInfo {
     }
 }
 
-/// Shared abort state for one universe run: the fail-fast flag peers poll
-/// from blocked receives, plus first-write-wins attribution of which rank
-/// tripped it and where it was.
-pub(crate) struct AbortState {
-    flag: AtomicBool,
-    info: Mutex<Option<AbortInfo>>,
-}
-
-impl AbortState {
-    pub(crate) fn new() -> Self {
-        AbortState { flag: AtomicBool::new(false), info: Mutex::new(None) }
-    }
-
-    /// Records `info` (first writer wins — concurrent panics keep the
-    /// earliest attribution) and raises the flag.
-    pub(crate) fn trip(&self, info: AbortInfo) {
-        let mut slot = self.info.lock().unwrap();
-        if slot.is_none() {
-            *slot = Some(info);
-        }
-        // Verified by the `abort-flag` model in symtensor-check.
-        // ordering: Release — publishes the info write above; pairs
-        // with the Acquire load in `tripped`.
-        self.flag.store(true, Ordering::Release);
-    }
-
-    pub(crate) fn tripped(&self) -> bool {
-        // ordering: Acquire — pairs with `trip`'s Release store so an
-        // observed flag implies the attribution is visible.
-        self.flag.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn info(&self) -> Option<AbortInfo> {
-        *self.info.lock().unwrap()
-    }
-}
+/// Who aborted a universe run and where: written once (first writer
+/// wins) before any mailbox is aborted.
+pub(crate) type AbortSlot = Arc<Mutex<Option<AbortInfo>>>;
 
 /// Errors surfaced by communication operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -116,8 +74,8 @@ pub enum CommError {
         /// Expected tag.
         tag: u64,
     },
-    /// A peer rank panicked (or called [`Comm::fail_fast`]): the
-    /// universe's abort flag tripped while this rank waited.
+    /// A peer rank panicked (or called [`Comm::fail_fast`]): the universe
+    /// aborted while this rank waited.
     Disconnected {
         /// The waiting rank.
         rank: usize,
@@ -125,8 +83,8 @@ pub enum CommError {
         from: usize,
         /// Expected tag.
         tag: u64,
-        /// Who tripped the abort flag and where. [`Comm::recv`] always
-        /// fills it: the attribution is written before the flag is raised.
+        /// Who aborted the universe and where. [`Comm::recv`] always fills
+        /// it: the attribution is written before any mailbox is aborted.
         abort: Option<AbortInfo>,
     },
 }
@@ -161,15 +119,10 @@ pub struct Comm {
     /// Every rank's inbox, indexed by rank; this rank receives from its own.
     mailboxes: Arc<[Mailbox]>,
     counters: SharedCounters,
-    barrier: Arc<Barrier>,
     recv_timeout: Duration,
-    /// Granularity at which blocked receives re-check the abort flag.
-    poll_interval: Duration,
-    /// Tripped by the universe when any rank panics; blocked receives poll
-    /// it (at [`Comm::poll_interval`] granularity) so surviving ranks fail
-    /// fast instead of waiting out the full timeout. Carries the aborting
-    /// rank's identity and last phase/round for error attribution.
-    abort: Arc<AbortState>,
+    /// The aborting rank's identity and last phase/round, once any rank
+    /// has panicked or called [`Comm::fail_fast`].
+    abort: AbortSlot,
     /// Shared start instant of the universe — event timestamps are
     /// nanoseconds since this epoch.
     epoch: Instant,
@@ -211,10 +164,8 @@ impl Comm {
         rank: usize,
         mailboxes: Arc<[Mailbox]>,
         counters: SharedCounters,
-        barrier: Arc<Barrier>,
         recv_timeout: Duration,
-        poll_interval: Duration,
-        abort: Arc<AbortState>,
+        abort: AbortSlot,
         epoch: Instant,
         log: FlightRecorder,
         faults: Option<FaultPlan>,
@@ -224,9 +175,7 @@ impl Comm {
             rank,
             mailboxes,
             counters,
-            barrier,
             recv_timeout,
-            poll_interval,
             abort,
             epoch,
             phase: Cell::new(None),
@@ -400,21 +349,32 @@ impl Comm {
         self.record(CommEventKind::Fault { fault, peer, words });
     }
 
-    /// Trips the universe's shared abort flag, attributed to this rank at
-    /// its current phase/round — the fail-fast signal. Every peer blocked
-    /// in [`Comm::recv`] observes it within one abort-poll interval
-    /// (sub-100 ms) and returns [`CommError::Disconnected`]. First caller
-    /// wins the attribution; later trips are no-ops on the info slot.
+    /// Aborts the universe, attributed to this rank at its current
+    /// phase/round — the fail-fast signal. Every mailbox is aborted, so a
+    /// peer parked in [`Comm::recv`] wakes at once and returns
+    /// [`CommError::Disconnected`]. The first caller wins the attribution;
+    /// a later call only aborts the mailboxes again.
     ///
     /// Collectives call this on their first receive failure so a deserted
     /// collective errors on *every* surviving rank instead of leaving the
-    /// others to block out their own full timeouts.
+    /// others to block out their own full timeouts. The universe calls it
+    /// for a rank whose closure panicked.
     pub fn fail_fast(&self) {
-        self.abort.trip(AbortInfo {
+        let mut slot = self.abort.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.get_or_insert(AbortInfo {
             rank: self.rank,
             phase: self.phase.get(),
             round: self.round.get(),
         });
+        drop(slot);
+        for mailbox in self.mailboxes.iter() {
+            mailbox.abort();
+        }
+    }
+
+    /// Who aborted the universe and where, if it has aborted.
+    pub(crate) fn abort_info(&self) -> Option<AbortInfo> {
+        *self.abort.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Sends `data` to `dst` with a user `tag`. Non-blocking (a mailbox is
@@ -482,11 +442,9 @@ impl Comm {
 
     /// Receives the earliest message from `src` carrying `tag`; messages
     /// that arrive first stay queued without waking this rank. Errors after
-    /// the configured timeout, or
-    /// with [`CommError::Disconnected`] as soon as the universe's abort
-    /// flag reports that a peer rank panicked (polled at the universe's
-    /// poll interval while blocked, so a dead peer never costs the full
-    /// timeout).
+    /// the configured timeout, or with [`CommError::Disconnected`] as soon
+    /// as the universe aborts because a peer rank panicked (the abort wakes
+    /// this rank, so a dead peer never costs the full timeout).
     ///
     /// # Panics
     /// Panics with a `chaos:` message when an installed [`FaultPlan`]
@@ -499,29 +457,15 @@ impl Comm {
                 panic!("chaos: injected crash on rank {} (recv)", self.rank);
             }
         }
-        let mailbox = &self.mailboxes[self.rank];
-        if let Some(msg) = mailbox.take(src, tag, Duration::ZERO) {
-            return Ok(self.account_recv(msg));
-        }
-        let deadline = Instant::now() + self.recv_timeout;
-        loop {
-            if self.abort.tripped() {
-                return Err(CommError::Disconnected {
-                    rank: self.rank,
-                    from: src,
-                    tag,
-                    abort: self.abort.info(),
-                });
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(CommError::Timeout { rank: self.rank, from: src, tag });
-            }
-            // `None`: the poll slice elapsed; loop to re-check abort and
-            // deadline.
-            if let Some(msg) = mailbox.take(src, tag, remaining.min(self.poll_interval)) {
-                return Ok(self.account_recv(msg));
-            }
+        match self.mailboxes[self.rank].take(src, tag, self.recv_timeout) {
+            Ok(msg) => Ok(self.account_recv(msg)),
+            Err(Missed::Aborted) => Err(CommError::Disconnected {
+                rank: self.rank,
+                from: src,
+                tag,
+                abort: self.abort_info(),
+            }),
+            Err(Missed::TimedOut) => Err(CommError::Timeout { rank: self.rank, from: src, tag }),
         }
     }
 
@@ -592,11 +536,6 @@ impl Comm {
         self.recv(partner, tag)
     }
 
-    /// Synchronizes all ranks.
-    pub fn barrier(&self) {
-        self.barrier.wait();
-    }
-
     /// Records participation in one synchronous communication round (for
     /// step-counted schedules, Theorem 7.2).
     pub fn count_round(&self) {
@@ -630,9 +569,7 @@ mod tests {
 
     #[test]
     fn timeout_error_mentions_parties() {
-        let universe = Universe::new(2)
-            .with_recv_timeout(Duration::from_millis(20))
-            .with_poll_interval(Duration::from_millis(2));
+        let universe = Universe::new(2).with_recv_timeout(Duration::from_millis(20));
         let (results, _) = universe.run(|comm| {
             if comm.rank() == 0 {
                 format!("{}", comm.recv(1, 5).unwrap_err())
@@ -707,12 +644,11 @@ mod tests {
     fn only_the_awaited_message_wakes_a_parked_rank() {
         // Rank 0 parks on (1, 7). Ranks 2..5 send it tag 7 while it is
         // parked, then rank 1 does. The mailbox must queue the first four
-        // silently and notify at most once, for rank 1's message. A long
-        // poll interval keeps rank 0 parked throughout.
+        // silently and notify at most once, for rank 1's message.
         use std::sync::Barrier;
         let p = 5;
         let senders_done = Barrier::new(p - 1);
-        let universe = Universe::new(p).with_poll_interval(Duration::from_secs(5));
+        let universe = Universe::new(p);
         let (results, _) = universe.run(|comm| {
             let inbox = &comm.mailboxes[0];
             let wait_until_parked = || {
@@ -749,14 +685,13 @@ mod tests {
     }
 
     #[test]
-    fn short_poll_interval_fails_fast_quickly() {
+    fn a_panicking_peer_fails_a_parked_receiver_quickly() {
         use std::time::Instant;
-        // With a 2 ms poll interval a panicking peer surfaces to blocked
-        // receivers within a few milliseconds instead of the default 25 ms
-        // granularity — the chaos suites rely on this to keep wall-clock
-        // down.
+        // The abort wakes a receiver parked on the panicking peer, so the
+        // failure surfaces in milliseconds instead of the 60 s timeout —
+        // the chaos suites rely on this to keep wall-clock down.
         let start = Instant::now();
-        let universe = Universe::new(2).with_poll_interval(Duration::from_millis(2));
+        let universe = Universe::new(2);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             universe.run(|comm| {
                 if comm.rank() == 1 {
@@ -767,6 +702,46 @@ mod tests {
         }));
         assert!(outcome.is_err());
         assert!(start.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn abort_wakes_a_parked_receiver_once() {
+        // Rank 0 parks on (1, 7); rank 1 waits until it is parked, sleeps,
+        // then panics. The abort alone must end rank 0's wait: it returns
+        // once, with `Disconnected` naming rank 1, and nothing wakes it
+        // while rank 1 sleeps.
+        use crate::{AbortInfo, CommError};
+        use std::sync::Mutex;
+        let seen = Mutex::new(None);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Universe::new(2).run(|comm| {
+                let inbox = &comm.mailboxes[0];
+                if comm.rank() == 1 {
+                    while inbox.parked_on() != Some((1, 7)) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    std::thread::sleep(Duration::from_millis(200));
+                    panic!("deliberate failure");
+                }
+                let err = comm.recv(1, 7).unwrap_err();
+                *seen.lock().unwrap() = Some((err, inbox.wakes()));
+            })
+        }));
+        assert!(outcome.is_err(), "the rank panic must still propagate");
+        let (err, wakes) = seen.into_inner().unwrap().expect("rank 0 returned from recv");
+        assert!(
+            matches!(
+                err,
+                CommError::Disconnected {
+                    rank: 0,
+                    from: 1,
+                    tag: 7,
+                    abort: Some(AbortInfo { rank: 1, .. })
+                }
+            ),
+            "got {err:?}"
+        );
+        assert!(wakes <= 1, "the parked receive woke {wakes} times");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! consumes these logs to build span trees, communication matrices,
 //! Perfetto traces and post-mortem dumps.
 
-use crate::sync::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What happened in one recorded event.

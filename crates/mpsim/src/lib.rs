@@ -22,7 +22,9 @@
 //!   [`CostReport`] with the exact counts.
 //!
 //! Blocking receives carry a configurable timeout so that deadlocks
-//! (mismatched schedules, missing sends) surface as errors instead of hangs.
+//! (mismatched schedules, missing sends) surface as errors instead of hangs,
+//! and a panicking rank aborts the universe: every parked receive wakes at
+//! once with an attributed [`CommError::Disconnected`].
 
 pub mod collectives;
 pub mod comm;
@@ -31,7 +33,6 @@ pub mod fault;
 pub mod flight;
 pub(crate) mod mailbox;
 pub mod matching;
-pub(crate) mod sync;
 
 pub use comm::{AbortInfo, Comm, CommError, Msg};
 pub use cost::{CommEvent, CommEventKind, CostReport, RankCost};
@@ -39,9 +40,8 @@ pub use fault::{CrashSpec, FaultPlan, InjectedFault, XorShift64};
 pub use flight::{FlightOverhead, FlightRecorder, FlightSnapshot, DEFAULT_FLIGHT_CAPACITY};
 pub use matching::{match_messages, MatchReport, MessageMatch};
 
-use comm::AbortState;
 use mailbox::Mailbox;
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use symtensor_telemetry::TelemetryPlane;
 
@@ -50,7 +50,6 @@ use symtensor_telemetry::TelemetryPlane;
 pub struct Universe {
     size: usize,
     recv_timeout: Duration,
-    poll_interval: Duration,
     flight_capacity: usize,
     faults: Option<FaultPlan>,
     telemetry: Option<Arc<TelemetryPlane>>,
@@ -64,7 +63,6 @@ impl Universe {
         Universe {
             size,
             recv_timeout: Duration::from_secs(60),
-            poll_interval: comm::DEFAULT_POLL_INTERVAL,
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
             faults: None,
             telemetry: None,
@@ -75,16 +73,6 @@ impl Universe {
     /// tests so deadlocks surface quickly).
     pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
         self.recv_timeout = timeout;
-        self
-    }
-
-    /// Overrides the abort-poll interval: how often a blocked receive
-    /// re-checks the universe's fail-fast flag (default 25 ms). Chaos and
-    /// fail-fast suites drop this to ~2 ms so an injected crash surfaces
-    /// in milliseconds of wall-clock instead of tens of them.
-    pub fn with_poll_interval(mut self, interval: Duration) -> Self {
-        assert!(!interval.is_zero(), "poll interval must be non-zero");
-        self.poll_interval = interval;
         self
     }
 
@@ -110,7 +98,7 @@ impl Universe {
 
     /// Attaches a live telemetry plane: every rank publishes its send/recv
     /// word counts (per phase), gauges and rolling-window histograms into
-    /// the plane's lock-free cells as it runs, so a concurrent
+    /// the plane's per-rank cells as it runs, so a concurrent
     /// [`symtensor_telemetry::Scraper`] can observe the run in flight. The
     /// plane must have at least as many rank cells as this universe has
     /// ranks. Without a plane, the cost is one branch per send/recv; the
@@ -205,9 +193,9 @@ impl Universe {
             let (results, logs) = unwrap_outcomes(outcomes);
             return Ok((results, report, into_snapshots(logs)));
         };
-        // Root-cause attribution: the abort state records the first rank
-        // whose panic tripped the flag; fall back to the lowest failed
-        // rank if it is somehow unset.
+        // Root-cause attribution: the abort slot records the first rank
+        // that aborted the universe; fall back to the lowest failed rank
+        // if it is somehow unset.
         let attribution = outcomes[first_failed].abort_info.or_else(|| {
             outcomes
                 .iter()
@@ -238,13 +226,12 @@ impl Universe {
         let p = self.size;
         let mailboxes: Arc<[Mailbox]> = (0..p).map(|_| Mailbox::new()).collect();
         let counters = cost::SharedCounters::new(p);
-        let barrier = Arc::new(Barrier::new(p));
-        // Shared panic state: a rank that panics trips it (with its
-        // identity and last phase/round annotation, first writer wins) so
-        // that peers blocked in `recv` fail fast with an attributed
-        // `CommError::Disconnected` instead of waiting out the full receive
-        // timeout.
-        let abort = Arc::new(AbortState::new());
+        // Shared abort attribution: a rank that panics records its identity
+        // and last phase/round annotation (first writer wins) and aborts
+        // every mailbox, so peers parked in `recv` fail fast with an
+        // attributed `CommError::Disconnected` instead of waiting out the
+        // full receive timeout.
+        let abort = comm::AbortSlot::default();
         // One epoch shared by all ranks so per-rank timestamps are mutually
         // comparable in the merged trace.
         let epoch = Instant::now();
@@ -255,10 +242,8 @@ impl Universe {
             for rank in 0..p {
                 let mailboxes = mailboxes.clone();
                 let counters = counters.clone();
-                let barrier = barrier.clone();
                 let abort = abort.clone();
                 let timeout = self.recv_timeout;
-                let poll_interval = self.poll_interval;
                 let faults = self.faults.clone();
                 let telemetry = self.telemetry.clone();
                 handles.push(scope.spawn(move || {
@@ -268,17 +253,7 @@ impl Universe {
                         FlightRecorder::new(flight_capacity)
                     };
                     let comm = Comm::new(
-                        rank,
-                        mailboxes,
-                        counters,
-                        barrier,
-                        timeout,
-                        poll_interval,
-                        abort.clone(),
-                        epoch,
-                        log,
-                        faults,
-                        telemetry,
+                        rank, mailboxes, counters, timeout, abort, epoch, log, faults, telemetry,
                     );
                     let result =
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm)));
@@ -286,18 +261,15 @@ impl Universe {
                         // `with_phase` restores the previous label only on
                         // normal return, so the cells still hold the
                         // innermost phase/round at the panic site.
-                        abort.trip(AbortInfo {
-                            rank,
-                            phase: comm.current_phase(),
-                            round: comm.current_round(),
-                        });
+                        comm.fail_fast();
                     }
                     // Final live-metrics flush: the recorder's self-tax is
                     // only known once the closure is done.
                     comm.publish_flight_overhead();
                     // Hand the log over even from a failed rank — the
                     // crash dump needs its final window most of all.
-                    RankOutcome { result, log: comm.into_log(), abort_info: abort.info() }
+                    let abort_info = comm.abort_info();
+                    RankOutcome { result, log: comm.into_log(), abort_info }
                 }));
             }
             handles
@@ -362,7 +334,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// everything a post-mortem dump needs.
 #[derive(Debug)]
 pub struct RankFailure {
-    /// The rank whose panic tripped the abort flag.
+    /// The rank whose panic aborted the universe.
     pub rank: usize,
     /// Its innermost phase at the panic site.
     pub phase: Option<&'static str>,
@@ -442,9 +414,7 @@ mod tests {
 
     #[test]
     fn missing_send_times_out_instead_of_hanging() {
-        let universe = Universe::new(2)
-            .with_recv_timeout(Duration::from_millis(50))
-            .with_poll_interval(Duration::from_millis(2));
+        let universe = Universe::new(2).with_recv_timeout(Duration::from_millis(50));
         let (results, _) =
             universe.run(|comm| if comm.rank() == 1 { comm.recv(0, 99).is_err() } else { true });
         assert!(results[1], "recv with no matching send must time out");
@@ -454,9 +424,9 @@ mod tests {
     fn panicking_rank_fails_peers_fast() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         // Rank 1 panics immediately; ranks 0 and 2 block in `recv` on it.
-        // Without the abort flag the peers would sit out the full 60 s
-        // default timeout (nothing else wakes them); with it they observe
-        // `Disconnected` within the poll granularity.
+        // Without the abort the peers would sit out the full 60 s default
+        // timeout (nothing else wakes them); with it they observe
+        // `Disconnected` at once.
         let start = Instant::now();
         let disconnected = Arc::new(AtomicUsize::new(0));
         let disconnected_in = disconnected.clone();
@@ -649,18 +619,5 @@ mod tests {
                 "rank {rank}: traced runs of the same workload must agree in shape"
             );
         }
-    }
-
-    #[test]
-    fn barrier_synchronizes() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        let p = 8;
-        Universe::new(p).run(|comm| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            comm.barrier();
-            // After the barrier every rank must observe all increments.
-            assert_eq!(counter.load(Ordering::SeqCst), p);
-        });
     }
 }

@@ -14,11 +14,24 @@
 //! dropped on intake (the model of sequence-number deduplication): it is
 //! never queued and never wakes anyone. The mailbox closes when its rank
 //! exits; a later delivery is refused, so the sender does not charge it.
+//!
+//! A universe abort (a rank panicked, or called `Comm::fail_fast`) is the
+//! one other thing that wakes a parked owner: it is a flag set under the
+//! same lock, so the owner sees it the moment it wakes and no receive
+//! ever re-checks it on a timer.
 
 use crate::comm::Msg;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Why [`Mailbox::take`] returned without a message.
+pub(crate) enum Missed {
+    /// The universe aborted while the owner waited.
+    Aborted,
+    /// The timeout elapsed.
+    TimedOut,
+}
 
 /// The inbox of one rank.
 pub(crate) struct Mailbox {
@@ -33,9 +46,14 @@ struct Inbox {
     open: bool,
     /// The `(src, tag)` the owner is parked on, if it is parked.
     want: Option<(usize, u64)>,
+    /// True once the universe aborted: a wait that finds no match ends.
+    aborted: bool,
     /// Sources of the deliveries that notified the owner, in order.
     #[cfg(test)]
     woken_by: Vec<usize>,
+    /// How many times the owner's wait has returned.
+    #[cfg(test)]
+    wakes: usize,
 }
 
 impl Inbox {
@@ -52,8 +70,11 @@ impl Mailbox {
                 queue: VecDeque::new(),
                 open: true,
                 want: None,
+                aborted: false,
                 #[cfg(test)]
                 woken_by: Vec::new(),
+                #[cfg(test)]
+                wakes: 0,
             }),
             wake: Condvar::new(),
         }
@@ -93,21 +114,41 @@ impl Mailbox {
     }
 
     /// Claims the earliest queued message from `src` with `tag`, parking
-    /// for at most `wait` if none is queued yet. `None` means the wait
-    /// elapsed (or woke spuriously) without a match.
-    pub(crate) fn take(&self, src: usize, tag: u64, wait: Duration) -> Option<Msg> {
+    /// until it arrives, the universe aborts, or `timeout` elapses. A
+    /// queued match is claimed even after an abort. The first claim reads
+    /// no clock, so a message that is already queued costs one lock.
+    pub(crate) fn take(&self, src: usize, tag: u64, timeout: Duration) -> Result<Msg, Missed> {
         let mut inbox = self.lock();
         if let Some(msg) = inbox.claim(src, tag) {
-            return Some(msg);
+            return Ok(msg);
         }
-        if wait.is_zero() {
-            return None;
+        let deadline = Instant::now() + timeout;
+        let mut wait = timeout;
+        loop {
+            if inbox.aborted {
+                return Err(Missed::Aborted);
+            }
+            if wait.is_zero() {
+                return Err(Missed::TimedOut);
+            }
+            inbox.want = Some((src, tag));
+            inbox = self.wake.wait_timeout(inbox, wait).unwrap_or_else(PoisonError::into_inner).0;
+            inbox.want = None;
+            #[cfg(test)]
+            {
+                inbox.wakes += 1;
+            }
+            if let Some(msg) = inbox.claim(src, tag) {
+                return Ok(msg);
+            }
+            wait = deadline.saturating_duration_since(Instant::now());
         }
-        inbox.want = Some((src, tag));
-        let (mut inbox, _) =
-            self.wake.wait_timeout(inbox, wait).unwrap_or_else(PoisonError::into_inner);
-        inbox.want = None;
-        inbox.claim(src, tag)
+    }
+
+    /// Marks the universe as aborted and wakes the owner if it is parked.
+    pub(crate) fn abort(&self) {
+        self.lock().aborted = true;
+        self.wake.notify_one();
     }
 
     /// Marks the owner as exited and drops every unclaimed message.
@@ -128,5 +169,10 @@ impl Mailbox {
     /// Sources of the deliveries that notified the owner, in order.
     pub(crate) fn woken_by(&self) -> Vec<usize> {
         self.lock().woken_by.clone()
+    }
+
+    /// How many times the owner's wait has returned.
+    pub(crate) fn wakes(&self) -> usize {
+        self.lock().wakes
     }
 }

@@ -180,6 +180,7 @@ mod tests {
     use symtensor_mpsim::Universe;
 
     fn crash_run() -> Box<RankFailure> {
+        let sent = std::sync::Barrier::new(3);
         Universe::new(3)
             .try_run_traced(|comm| {
                 comm.with_phase("gather-x", || {
@@ -189,7 +190,7 @@ mod tests {
                     // No rank may exit before every send has reached a live
                     // mailbox: a send to an exited rank is not charged, and
                     // the reconciliation below counts every send.
-                    comm.barrier();
+                    sent.wait();
                     let prev = (comm.rank() + 2) % 3;
                     let _ = comm.recv(prev, 0);
                     if comm.rank() == 1 {
@@ -276,7 +277,6 @@ mod tests {
         });
         let failure = Universe::new(3)
             .with_recv_timeout(Duration::from_millis(200))
-            .with_poll_interval(Duration::from_millis(2))
             .with_faults(plan)
             .try_run_traced(|comm| {
                 comm.with_phase("gather-x", || {

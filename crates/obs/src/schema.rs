@@ -29,9 +29,6 @@ pub enum ArtifactKind {
     Postmortem,
     /// A scraped live-metrics series (`symtensor-telemetry-v1`).
     Telemetry,
-    /// A concurrency-checker run (`symtensor-check-v1`): model-check
-    /// outcomes, the race-demo verdict, the mutation sweep, lint findings.
-    Check,
 }
 
 impl std::fmt::Display for ArtifactKind {
@@ -44,7 +41,6 @@ impl std::fmt::Display for ArtifactKind {
             ArtifactKind::Flight => "flight",
             ArtifactKind::Postmortem => "postmortem",
             ArtifactKind::Telemetry => "telemetry",
-            ArtifactKind::Check => "check",
         };
         write!(f, "{name}")
     }
@@ -211,80 +207,6 @@ fn check_telemetry(doc: &Value, what: &str) -> Result<(), String> {
     check_alerts(doc, what)
 }
 
-fn require_bool(doc: &Value, key: &str, what: &str) -> Result<bool, String> {
-    match require(doc, key, what)? {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(format!("{what}: `{key}` is not a boolean")),
-    }
-}
-
-fn check_check(doc: &Value, what: &str) -> Result<(), String> {
-    for (i, m) in require_array(doc, "models", what)?.iter().enumerate() {
-        let ctx = format!("{what}: models[{i}]");
-        require_str(m, "name", &ctx)?;
-        require_u64(m, "interleavings", &ctx)?;
-        require_u64(m, "pruned", &ctx)?;
-        require_u64(m, "wall_ms", &ctx)?;
-        require_bool(m, "capped", &ctx)?;
-        let violations = require_u64(m, "violations", &ctx)?;
-        match require(m, "violation", &ctx)? {
-            Value::Null if violations == 0 => {}
-            Value::String(_) if violations > 0 => {}
-            _ => {
-                return Err(format!(
-                    "{ctx}: `violation` disagrees with `violations` = {violations}"
-                ))
-            }
-        }
-    }
-    if let Some(demo) = doc.get("race_demo") {
-        let ctx = format!("{what}: race_demo");
-        require_str(demo, "name", &ctx)?;
-        require_bool(demo, "detected", &ctx)?;
-        require_u64(demo, "interleavings", &ctx)?;
-    }
-    if let Some(m) = doc.get("mutation") {
-        let ctx = format!("{what}: mutation");
-        let total = require_u64(m, "total", &ctx)?;
-        let killed = require_u64(m, "killed", &ctx)?;
-        if killed > total {
-            return Err(format!("{ctx}: killed = {killed} exceeds total = {total}"));
-        }
-        if require(m, "kill_rate", &ctx)?.as_f64().is_none_or(|r| !(0.0..=1.0).contains(&r)) {
-            return Err(format!("{ctx}: `kill_rate` is not a number in [0, 1]"));
-        }
-        let runs = require_array(m, "runs", &ctx)?;
-        if runs.len() as u64 != total {
-            return Err(format!("{ctx}: `total` = {total} but runs has {} entries", runs.len()));
-        }
-        for (i, r) in runs.iter().enumerate() {
-            let rctx = format!("{ctx}: runs[{i}]");
-            require_str(r, "model", &rctx)?;
-            require_str(r, "slot", &rctx)?;
-            require_str(r, "from", &rctx)?;
-            require_bool(r, "killed", &rctx)?;
-            require_u64(r, "interleavings", &rctx)?;
-        }
-    }
-    let lint = require(doc, "lint", what)?;
-    let ctx = format!("{what}: lint");
-    let findings = require_u64(lint, "findings", &ctx)?;
-    let items = require_array(lint, "items", &ctx)?;
-    if items.len() as u64 != findings {
-        return Err(format!(
-            "{ctx}: `findings` = {findings} but items has {} entries",
-            items.len()
-        ));
-    }
-    for (i, f) in items.iter().enumerate() {
-        let fctx = format!("{ctx}: items[{i}]");
-        require_str(f, "file", &fctx)?;
-        require_u64(f, "line", &fctx)?;
-        require_str(f, "rule", &fctx)?;
-    }
-    Ok(())
-}
-
 /// Validates `doc` against the workspace's artifact contracts, returning
 /// which kind it is — or a message naming the first malformed field.
 pub fn validate(doc: &Value) -> Result<ArtifactKind, String> {
@@ -314,10 +236,6 @@ pub fn validate(doc: &Value) -> Result<ArtifactKind, String> {
         Some("symtensor-telemetry-v1") => {
             check_telemetry(doc, "telemetry")?;
             return Ok(ArtifactKind::Telemetry);
-        }
-        Some("symtensor-check-v1") => {
-            check_check(doc, "check")?;
-            return Ok(ArtifactKind::Check);
         }
         Some(other) => return Err(format!("unknown artifact version `{other}`")),
         None => {}
@@ -466,45 +384,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(validate(&doc), Ok(ArtifactKind::Bench));
-    }
-
-    #[test]
-    fn check_artifact_validates_and_bad_shapes_are_named() {
-        let doc = json::parse(
-            r#"{"version": "symtensor-check-v1",
-                "models": [{"name": "seqlock", "interleavings": 497, "pruned": 210,
-                            "capped": false, "wall_ms": 12, "violations": 0, "violation": null}],
-                "race_demo": {"name": "racy-counter-demo", "detected": true, "interleavings": 2},
-                "mutation": {"total": 1, "killed": 1, "kill_rate": 1.0,
-                             "runs": [{"model": "seqlock", "slot": "writer-exit",
-                                       "from": "Release", "killed": true, "interleavings": 3}]},
-                "lint": {"findings": 1,
-                         "items": [{"file": "crates/telemetry/src/lib.rs", "line": 9,
-                                    "rule": "no-panic-path"}]}}"#,
-        )
-        .unwrap();
-        assert_eq!(validate(&doc), Ok(ArtifactKind::Check));
-        assert_eq!(ArtifactKind::Check.to_string(), "check");
-
-        // A violation string with `violations` = 0 is inconsistent.
-        let bad = json::parse(
-            r#"{"version": "symtensor-check-v1",
-                "models": [{"name": "seqlock", "interleavings": 1, "pruned": 0,
-                            "capped": false, "wall_ms": 0, "violations": 0,
-                            "violation": "torn read"}],
-                "lint": {"findings": 0, "items": []}}"#,
-        )
-        .unwrap();
-        let err = validate(&bad).unwrap_err();
-        assert!(err.contains("violation"), "{err}");
-
-        // The lint count must match the item list.
-        let bad = json::parse(
-            r#"{"version": "symtensor-check-v1", "models": [],
-                "lint": {"findings": 2, "items": []}}"#,
-        )
-        .unwrap();
-        let err = validate(&bad).unwrap_err();
-        assert!(err.contains("findings"), "{err}");
     }
 }

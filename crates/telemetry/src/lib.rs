@@ -3,8 +3,8 @@
 //! Every observability layer before this one (trace spans, the latency
 //! histograms, the flight recorder) is post-hoc: you learn a rank straggled
 //! or an SLO burned only after the run ends. This crate is the *live*
-//! plane: ranks publish into lock-free per-rank [`TelemetryCell`]s at
-//! near-zero cost while a [`Scraper`] samples the whole cluster at a
+//! plane: ranks publish into per-rank [`TelemetryCell`]s, each behind its
+//! own lock, while a [`Scraper`] samples the whole cluster at a
 //! configurable interval, reconciling what it sees against the paper's
 //! closed-form budgets in real time.
 //!
@@ -12,8 +12,8 @@
 //!
 //! - [`TelemetryCell`] — one per rank plus one for the serving driver:
 //!   per-phase word/message counters, named gauges and rolling-window
-//!   histograms. Writes are single-writer relaxed atomics (the owning
-//!   thread), reads are epoch-consistent and never block the writer.
+//!   histograms under one lock. The owning thread writes, a scrape takes
+//!   the lock for one copy, so a snapshot is always consistent.
 //! - [`Histogram`] — the workspace's one power-of-two latency histogram
 //!   (`symtensor-obs` re-exports it for its post-hoc reports).
 //! - [`RollingHistogram`] — the same buckets over `SLICES` time slices,
@@ -41,7 +41,6 @@ pub mod plane;
 pub mod rolling;
 pub mod scrape;
 pub mod slo;
-pub(crate) mod sync;
 
 pub use cell::{CellSnapshot, GaugeSnapshot, HistSnapshot, PhaseSnapshot, TelemetryCell};
 pub use expose::{prometheus_text, render_table};
@@ -52,6 +51,15 @@ pub use scrape::{
     sample_plane, ClusterSnapshot, DerivedGauges, ScrapeConfig, Scraper, TelemetrySeries,
 };
 pub use slo::SloBurnRate;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Takes `m`'s lock, recovered if poisoned: every critical section in
+/// this crate leaves its data consistent between any two statements, so
+/// a panicked holder leaves nothing half-written that matters.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Conventional metric names shared by the publishers (mpsim's `Comm`,
 /// the serve loop) and the consumers

@@ -2,8 +2,9 @@
 //! SLO alert log.
 
 use crate::cell::TelemetryCell;
-use crate::sync::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use crate::lock;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Phase slot 0: traffic recorded outside any `with_phase` scope. Also
@@ -12,62 +13,36 @@ use std::time::Instant;
 pub const UNPHASED: &str = "(unphased)";
 
 /// Interns `&'static str` names to dense slot indices. Registration is
-/// rare (first time a label is seen — publishers cache the slot), so it
-/// takes a mutex; resolution and enumeration are lock-free reads.
+/// rare (first time a label is seen — publishers cache the slot), so one
+/// lock over the name list serves both resolution and enumeration.
 struct Registry {
-    names: Vec<OnceLock<&'static str>>,
-    count: AtomicUsize,
-    register: Mutex<()>,
+    names: Mutex<Vec<&'static str>>,
+    capacity: usize,
 }
 
 impl Registry {
     fn new(capacity: usize) -> Self {
-        Registry {
-            names: (0..capacity).map(|_| OnceLock::new()).collect(),
-            count: AtomicUsize::new(0),
-            register: Mutex::new(()),
-        }
+        Registry { names: Mutex::new(Vec::with_capacity(capacity)), capacity }
     }
 
     /// Slot for `name`, registering it on first sight. Returns slot 0
     /// when the registry is full — overflow traffic aggregates into the
     /// first slot rather than being dropped or panicking mid-run.
     fn resolve(&self, name: &'static str) -> usize {
-        // ordering: Acquire — pairs with the Release count publish so
-        // slots below the count are fully initialized.
-        let n = self.count.load(Ordering::Acquire);
-        for (i, slot) in self.names[..n].iter().enumerate() {
-            if slot.get().map(|s| *s == name).unwrap_or(false) {
-                return i;
-            }
+        let mut names = lock(&self.names);
+        if let Some(i) = names.iter().position(|&s| s == name) {
+            return i;
         }
-        // lint: allow-panic — a registrar that panicked mid-insert
-        // poisons the slot map beyond any consistent recovery.
-        let _guard = self.register.lock().unwrap();
-        // ordering: Acquire — re-check under the registration lock.
-        let n = self.count.load(Ordering::Acquire);
-        for (i, slot) in self.names[..n].iter().enumerate() {
-            if slot.get().map(|s| *s == name).unwrap_or(false) {
-                return i;
-            }
-        }
-        if n == self.names.len() {
+        if names.len() == self.capacity {
             return 0;
         }
-        // lint: allow-panic — designed invariant: slots past the
-        // published count are unclaimed while the registration lock is held.
-        self.names[n].set(name).expect("slot past the published count is unclaimed");
-        // ordering: Release — publishes the initialized slot before the
-        // new count; pairs with the Acquire loads above.
-        self.count.store(n + 1, Ordering::Release);
-        n
+        names.push(name);
+        names.len() - 1
     }
 
     /// The registered names, in slot order.
     fn names(&self) -> Vec<&'static str> {
-        // ordering: Acquire — pairs with the Release count publish.
-        let n = self.count.load(Ordering::Acquire);
-        self.names[..n].iter().filter_map(|s| s.get().copied()).collect()
+        lock(&self.names).clone()
     }
 }
 
@@ -84,22 +59,13 @@ pub struct PlaneConfig {
     pub max_hists: usize,
     /// Rolling-histogram slice width in nanoseconds.
     pub slice_ns: u64,
-    /// Slices in the "short" window the burn-rate evaluator reads.
-    pub short_slices: usize,
 }
 
 impl PlaneConfig {
     /// Defaults for `ranks` ranks: 16 phases, 32 gauges, 8 histograms,
-    /// 100 ms slices, 2-slice (200 ms) short window.
+    /// 100 ms slices.
     pub fn new(ranks: usize) -> Self {
-        PlaneConfig {
-            ranks,
-            max_phases: 16,
-            max_gauges: 32,
-            max_hists: 8,
-            slice_ns: 100_000_000,
-            short_slices: 2,
-        }
+        PlaneConfig { ranks, max_phases: 16, max_gauges: 32, max_hists: 8, slice_ns: 100_000_000 }
     }
 
     /// Overrides the histogram slice width.
@@ -156,8 +122,8 @@ pub struct TelemetryPlane {
     alert_count: AtomicU64,
 }
 
-// Manual impl: the cells are walls of atomics whose derived output would
-// be useless (and racy to format); identify the plane by shape instead.
+// Manual impl: the cells' derived output would be a wall of counters;
+// identify the plane by shape instead.
 impl std::fmt::Debug for TelemetryPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TelemetryPlane")
@@ -247,18 +213,16 @@ impl TelemetryPlane {
     }
 
     /// Appends `alert` to the log (assigning its sequential id) and
-    /// publishes the new count for the ranks' lock-free polls. Returns
-    /// the assigned id.
+    /// publishes the new count for the ranks' per-send polls. Returns the
+    /// assigned id.
     pub fn raise_alert(&self, mut alert: SloAlert) -> u64 {
-        // Recover the log on poison: alerts are append-only, so a
-        // panicked appender leaves at worst a complete prefix.
-        let mut log = self.alerts.lock().unwrap_or_else(|p| p.into_inner());
+        let mut log = lock(&self.alerts);
         alert.id = log.len() as u64;
         let id = alert.id;
         log.push(alert);
-        // ordering: Release — publishes the pushed alert before the new
-        // count; pollers Acquire-load the count, then lock to read.
-        self.alert_count.store(log.len() as u64, Ordering::Release);
+        // ordering: Relaxed — written under the alerts lock; a poller that
+        // sees the new count takes that lock to read the alerts.
+        self.alert_count.store(log.len() as u64, Ordering::Relaxed);
         id
     }
 
@@ -273,13 +237,13 @@ impl TelemetryPlane {
 
     /// Alerts with id ≥ `seen` (the ones a poller hasn't stamped yet).
     pub fn alerts_since(&self, seen: u64) -> Vec<SloAlert> {
-        let log = self.alerts.lock().unwrap_or_else(|p| p.into_inner());
+        let log = lock(&self.alerts);
         log.iter().skip(seen as usize).cloned().collect()
     }
 
     /// The full alert log.
     pub fn alerts(&self) -> Vec<SloAlert> {
-        self.alerts.lock().unwrap_or_else(|p| p.into_inner()).clone()
+        lock(&self.alerts).clone()
     }
 
     /// Decodes rank `r`'s cell at time `now_ns`.
@@ -293,13 +257,7 @@ impl TelemetryPlane {
     }
 
     fn cell_snapshot(&self, cell: &TelemetryCell, now_ns: u64) -> crate::CellSnapshot {
-        cell.snapshot(
-            &self.phases.names(),
-            &self.gauges.names(),
-            &self.hists.names(),
-            now_ns,
-            self.cfg.short_slices,
-        )
+        cell.snapshot(&self.phases.names(), &self.gauges.names(), &self.hists.names(), now_ns)
     }
 }
 
@@ -367,9 +325,9 @@ mod tests {
 
     #[test]
     fn snapshot_reads_race_free_under_a_concurrent_writer() {
-        // A writer hammers gauge sets while readers snapshot: the seqlock
-        // must keep every observed value one of the written ones (no torn
-        // or half-reset state), and the writer must never deadlock.
+        // A writer hammers gauge sets while readers snapshot: every
+        // observed value must be one of the written ones, and neither side
+        // may deadlock.
         let plane = std::sync::Arc::new(TelemetryPlane::new(1));
         let slot = plane.gauge_slot("g");
         let writer = {

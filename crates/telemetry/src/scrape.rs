@@ -7,7 +7,7 @@
 use crate::cell::CellSnapshot;
 use crate::keys;
 use crate::plane::{SloAlert, TelemetryPlane};
-use crate::sync::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -156,15 +156,15 @@ impl Scraper {
             let stop = stop.clone();
             std::thread::spawn(move || {
                 let mut scraper = Scraper::new(plane, cfg);
-                // ordering: Acquire — pairs with the Release stop store
-                // so the final sample sees all pre-stop writes.
-                while !stop.load(Ordering::Acquire) {
+                // ordering: Relaxed — a stop request only; the final
+                // sample is taken on the caller's thread after the join.
+                while !stop.load(Ordering::Relaxed) {
                     scraper.sample();
                     // Sleep in short slices so a finished run is not held
                     // hostage to a long scrape interval at join time.
                     let mut left = scraper.cfg.interval;
-                    // ordering: Acquire — same stop handshake as above.
-                    while !left.is_zero() && !stop.load(Ordering::Acquire) {
+                    // ordering: Relaxed — the same stop request.
+                    while !left.is_zero() && !stop.load(Ordering::Relaxed) {
                         let chunk = left.min(Duration::from_millis(1));
                         std::thread::sleep(chunk);
                         left -= chunk;
@@ -174,9 +174,9 @@ impl Scraper {
             })
         };
         let result = work();
-        // ordering: Release — publishes work's effects before the stop
-        // flag; the sampler's Acquire loads pair with it.
-        stop.store(true, Ordering::Release);
+        // ordering: Relaxed — the join below orders the sampler's
+        // samples before this thread reads them.
+        stop.store(true, Ordering::Relaxed);
         // lint: allow-panic — a crashed sampler loses the series; there
         // is no degraded result worth returning from a poisoned scrape.
         let mut samples = sampler.join().expect("sampler thread panicked");

@@ -12,8 +12,8 @@ use crate::rolling::SLICES;
 const OBJECTIVE: f64 = 0.99;
 /// Short-window burn multiple required to fire.
 const FAST_FACTOR: f64 = 5.0;
-/// Slices in the short window.
-const SHORT_SLICES: usize = 2;
+/// Slices in the short window, the one cell snapshots report as `short`.
+pub(crate) const SHORT_SLICES: usize = 2;
 /// Slices in the long window: the whole ring.
 const LONG_SLICES: usize = SLICES;
 

@@ -71,7 +71,6 @@ fn scheduled_run_with_faults(
     let schedule = CommSchedule::build(part);
     Universe::new(part.num_procs())
         .with_recv_timeout(timeout)
-        .with_poll_interval(Duration::from_millis(2))
         .with_faults(plan)
         .try_run_traced(|comm| {
             let p = comm.rank();
@@ -176,7 +175,6 @@ fn injected_fault_sequence_is_seed_deterministic() {
         let x: Vec<f64> = (0..n).map(|i| (i % 7) as f64 - 3.0).collect();
         let failure = Universe::new(part.num_procs())
             .with_recv_timeout(Duration::from_millis(150))
-            .with_poll_interval(Duration::from_millis(2))
             .with_faults(plan)
             .try_run_traced(|comm| {
                 let p = comm.rank();

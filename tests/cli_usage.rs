@@ -60,7 +60,7 @@ fn sweep_rejects_unknown_flags_and_a_second_path() {
 
 #[test]
 fn partition_info_rejects_bad_numbers_and_extra_arguments() {
-    for args in [&["x"][..], &["2", "3O"], &["2", "30", "--bogus"]] {
+    for args in [&["x"][..], &["2", "3O"], &["2", "30", "--bogus"], &["6"], &["0"], &["1"]] {
         assert_usage_error(env!("CARGO_BIN_EXE_partition_info"), "partition_info", args);
     }
 }

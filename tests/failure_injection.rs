@@ -12,9 +12,7 @@ use symtensor_steiner::{spherical, sqs8, SteinerSystem};
 #[test]
 fn mismatched_schedule_surfaces_as_timeout() {
     // Rank 1 expects a message rank 0 never sends.
-    let universe = Universe::new(3)
-        .with_recv_timeout(Duration::from_millis(40))
-        .with_poll_interval(Duration::from_millis(2));
+    let universe = Universe::new(3).with_recv_timeout(Duration::from_millis(40));
     let (results, _) = universe.run(|comm| {
         if comm.rank() == 1 {
             match comm.recv(0, 77) {
@@ -31,11 +29,9 @@ fn mismatched_schedule_surfaces_as_timeout() {
 #[test]
 fn collective_with_partial_participation_times_out() {
     // Rank 2 skips the all-gather: *every* surviving participant must
-    // observe the failure — the first timeout trips the shared abort
-    // flag, so nobody blocks out the full timeout on a dead peer.
-    let universe = Universe::new(3)
-        .with_recv_timeout(Duration::from_millis(60))
-        .with_poll_interval(Duration::from_millis(2));
+    // observe the failure — the first timeout aborts the universe, so
+    // nobody blocks out the full timeout on a dead peer.
+    let universe = Universe::new(3).with_recv_timeout(Duration::from_millis(60));
     let (results, _) = universe.run(|comm| {
         if comm.rank() == 2 {
             true // deserts the collective
@@ -51,10 +47,8 @@ fn collective_with_partial_participation_times_out() {
 fn deserted_all_to_all_errors_on_every_survivor() {
     // Same desertion, harder collective: all_to_all_v has P-1 rounds and
     // each survivor only talks to the deserter in one of them. Fail-fast
-    // propagation must still bring everyone down within one abort poll.
-    let universe = Universe::new(4)
-        .with_recv_timeout(Duration::from_millis(80))
-        .with_poll_interval(Duration::from_millis(2));
+    // propagation must still bring everyone down at once.
+    let universe = Universe::new(4).with_recv_timeout(Duration::from_millis(80));
     let (results, _) = universe.run(|comm| {
         if comm.rank() == 3 {
             true

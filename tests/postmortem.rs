@@ -15,6 +15,7 @@ use symtensor_obs::{postmortem_json, reconcile_postmortem, validate, ArtifactKin
 /// flight when the abort trips, exactly the mid-exchange wreckage a
 /// post-mortem has to make sense of.
 fn crash_run() -> Box<symtensor_mpsim::RankFailure> {
+    let sent = std::sync::Barrier::new(3);
     Universe::new(3)
         .try_run_traced(|comm| {
             let p = comm.rank();
@@ -24,7 +25,7 @@ fn crash_run() -> Box<symtensor_mpsim::RankFailure> {
                 // No rank may exit before every send has reached a live
                 // mailbox: a send to an exited rank is not charged or
                 // recorded, and the tests below count every send.
-                comm.barrier();
+                sent.wait();
                 if p == 1 {
                     panic!("injected mid-exchange failure");
                 }
